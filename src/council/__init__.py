@@ -1,110 +1,7 @@
-"""Council: expert routing with success memory and dual-signal tree search."""
+"""Council: expert routing with success memory and dual-signal tree search.
 
-from __future__ import annotations
-
-from .config import (
-    EnvSpec,
-    ExpertSpec,
-    MemoryConfig,
-    PlannerConfig,
-    RunConfig,
-    SearchBudget,
-    load_config,
-)
-from .embedding import TrigramEmbedder, similarity
-from .errors import (
-    BackendConfigError,
-    ExpertUnavailableError,
-    InvalidStateError,
-    ProviderError,
-    ScoreParseError,
-)
-from .experts import (
-    Council,
-    Expert,
-    Game24OracleExpert,
-    LLMExpert,
-    RandomExpert,
-    SynthSpecialistExpert,
-    evaluate_plausibility,
-    propose_actions,
-)
-from .mcts import PlanResult, SearchNode, SearchTree, backpropagate, search, select_path, uct_score
-from .memory import (
-    EpisodeContext,
-    ExpertProfile,
-    SMSegment,
-    finalize_episode,
-    profile_records,
-    restore_profiles,
-    sms_utility,
-)
-from .routing import route, routing_distribution, routing_scores
-from .trajectory import (
-    Action,
-    EpisodeRecord,
-    Observation,
-    Step,
-    Trajectory,
-    decompose_prefixes,
-    parse_trajectory,
-    serialize_trajectory,
-)
-from .values import fuse_batch, fusion_weight, llm_value, normalize, sms_value
+Import from the submodules: ``council.harness`` runs a configuration,
+``council.config`` defines one, ``council.cli`` is the command line.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Action",
-    "BackendConfigError",
-    "Council",
-    "EnvSpec",
-    "EpisodeContext",
-    "EpisodeRecord",
-    "Expert",
-    "ExpertProfile",
-    "ExpertSpec",
-    "ExpertUnavailableError",
-    "Game24OracleExpert",
-    "InvalidStateError",
-    "LLMExpert",
-    "MemoryConfig",
-    "Observation",
-    "PlanResult",
-    "PlannerConfig",
-    "ProviderError",
-    "RandomExpert",
-    "RunConfig",
-    "SMSegment",
-    "ScoreParseError",
-    "SearchBudget",
-    "SearchNode",
-    "SearchTree",
-    "Step",
-    "SynthSpecialistExpert",
-    "Trajectory",
-    "TrigramEmbedder",
-    "backpropagate",
-    "decompose_prefixes",
-    "evaluate_plausibility",
-    "finalize_episode",
-    "fuse_batch",
-    "fusion_weight",
-    "llm_value",
-    "load_config",
-    "normalize",
-    "parse_trajectory",
-    "profile_records",
-    "propose_actions",
-    "restore_profiles",
-    "route",
-    "routing_distribution",
-    "routing_scores",
-    "search",
-    "select_path",
-    "serialize_trajectory",
-    "similarity",
-    "sms_utility",
-    "sms_value",
-    "uct_score",
-]

@@ -20,11 +20,16 @@ nonzero with a diagnostic naming the offending key or line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ROUTING_STRATEGIES, VALUE_MODES, RunConfig, config_from_dict
+from .config import (
+    ROUTING_STRATEGIES,
+    VALUE_MODES,
+    RunConfig,
+    config_from_dict,
+    read_config_file,
+)
 from .embedding import TrigramEmbedder
 from .envs.game24 import game24_oracle
 from .envs.synth import DEFAULT_FAMILIES
@@ -126,15 +131,7 @@ def _default_council(env_name: str, env_params: dict) -> list[dict]:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Layer config file and flags into a validated run configuration."""
-    data: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {args.config} must contain a JSON object")
+    data = read_config_file(args.config) if args.config else {}
     for dest, path in _FLAG_PATHS.items():
         value = getattr(args, dest)
         if value is not None:

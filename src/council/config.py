@@ -114,6 +114,11 @@ def validate_config(config: RunConfig) -> RunConfig:
         "workers",
         "parallel task execution requires memory.shared = false",
     )
+    _require(
+        config.memory.save_path is None or config.memory.shared,
+        "memory.save_path",
+        "requires memory.shared = true; unshared memory is discarded after each task",
+    )
     for i, spec in enumerate(config.council):
         _require(bool(spec.expert_id), f"council[{i}].expert_id", "must be non-empty")
         _require(
@@ -156,7 +161,8 @@ def config_from_dict(data: dict) -> RunConfig:
     return validate_config(RunConfig(**data))
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_config_file(path: str | Path) -> dict:
+    """The raw JSON object in a config file, before any validation."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -164,4 +170,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return config_from_dict(read_config_file(path))

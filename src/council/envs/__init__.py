@@ -1,38 +1,16 @@
 """Bundled environments and the replay contract."""
 
-from .base import DiscountConfig, Environment, ReplayResult, StepOutcome, TaskSpec
-from .game24 import Game24Env, game24_oracle, game24_step, make_game24_tasks, solvable_by_expressions
-from .synth import SynthConfig, SynthEnv, hidden_sequence, make_synth_tasks
+from .base import Environment
+from .game24 import Game24Env
+from .synth import SynthConfig, SynthEnv, make_synth_tasks
 
-__all__ = [
-    "DiscountConfig",
-    "Environment",
-    "ReplayResult",
-    "StepOutcome",
-    "TaskSpec",
-    "Game24Env",
-    "game24_oracle",
-    "game24_step",
-    "make_game24_tasks",
-    "solvable_by_expressions",
-    "SynthConfig",
-    "SynthEnv",
-    "hidden_sequence",
-    "make_synth_tasks",
-]
+__all__ = ["Environment", "Game24Env", "SynthConfig", "SynthEnv", "build_environment", "make_synth_tasks"]
 
 
 def build_environment(name: str, params: dict | None = None) -> Environment:
     """Construct a bundled environment by name."""
-    params = params or {}
     if name == "game24":
         return Game24Env()
     if name == "synth":
-        known = {"families", "depth", "budget", "vocab_size"}
-        unknown = set(params) - known
-        if unknown:
-            raise ValueError(f"unknown synth parameter: {sorted(unknown)[0]}")
-        if "families" in params:
-            params = dict(params, families=tuple(params["families"]))
-        return SynthEnv(SynthConfig(**params))
+        return SynthEnv(SynthConfig.from_params(params or {}))
     raise ValueError(f"unknown environment: {name}")

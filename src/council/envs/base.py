@@ -47,17 +47,6 @@ class StepOutcome:
             raise ValueError("non-terminal outcomes must not carry a reward")
 
 
-@dataclass(frozen=True)
-class DiscountConfig:
-    """Discount settings for future multi-reward environments.
-
-    The bundled environments pay a single terminal reward, so ``gamma`` is
-    carried in configuration but never enters any current computation.
-    """
-
-    gamma: float = 1.0
-
-
 @dataclass
 class ReplayResult:
     """Everything replay reconstructs: final state, the outcome of every

@@ -49,6 +49,16 @@ class SynthConfig:
         if self.vocab_size > _LETTERS_PER_FAMILY**2:
             raise ValueError(f"vocab_size cannot exceed {_LETTERS_PER_FAMILY ** 2}")
 
+    @classmethod
+    def from_params(cls, params: dict) -> SynthConfig:
+        """Build from a config file's ``env.params``, rejecting unknown keys."""
+        unknown = sorted(set(params) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown synth parameter: {unknown[0]}")
+        if "families" in params:
+            params = dict(params, families=tuple(params["families"]))
+        return cls(**params)
+
 
 def family_letters(family: str, config: SynthConfig) -> str:
     """The alphabet slice reserved for the family."""

@@ -24,6 +24,7 @@ from .config import (
     ExpertSpec,
     PlannerConfig,
     RunConfig,
+    validate_config,
 )
 from .embedding import Embedder, TrigramEmbedder
 from .envs import build_environment
@@ -152,18 +153,6 @@ def load_memory(
 # ---------------------------------------------------------------------------
 
 
-def _synth_config_from_env(env_spec: EnvSpec) -> SynthConfig:
-    params = dict(env_spec.params)
-    kwargs = {
-        key: params[key]
-        for key in ("families", "depth", "budget", "vocab_size")
-        if key in params
-    }
-    if "families" in kwargs:
-        kwargs["families"] = tuple(kwargs["families"])
-    return SynthConfig(**kwargs)
-
-
 def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
     """Instantiate one expert from its configuration entry.
 
@@ -181,7 +170,7 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
             return SynthSpecialistExpert(
                 spec.expert_id,
                 family=params["family"],
-                config=_synth_config_from_env(env_spec),
+                config=SynthConfig.from_params(env_spec.params),
                 seed=derived_seed(run_seed, "expert", spec.expert_id),
                 eval_noise=float(params.get("eval_noise", 0.0)),
                 display_name=spec.display_name,
@@ -308,11 +297,10 @@ def _run_one(
     planner: PlannerConfig,
     seed: int,
     warmup_tasks: int,
-    collect_traces: bool,
 ) -> tuple[dict, list[dict]]:
     rng = Random(derived_seed(seed, "task", index, task.task_id))
     episode_id = f"{task.task_id}|{index}"
-    trace: list[dict] | None = [] if collect_traces else None
+    trace: list[dict] = []
     result = search(task, env, council, planner, rng, episode_id=episode_id, trace=trace)
     row = {
         "index": index,
@@ -329,7 +317,7 @@ def _run_one(
     }
     trace_rows = [
         {"index": index, "task_id": task.task_id, "episode_id": episode_id, **event}
-        for event in (trace or [])
+        for event in trace
     ]
     return row, trace_rows
 
@@ -343,7 +331,6 @@ def run_tasks(
     council_factory: Callable[[], Council] | None = None,
     warmup_tasks: int = 0,
     out_dir: str | Path | None = None,
-    collect_traces: bool = True,
     workers: int = 1,
 ) -> RunOutput:
     """Run the planner over a task list and aggregate the results.
@@ -364,7 +351,7 @@ def run_tasks(
         councils_seen.append(council)
         for index, task in enumerate(tasks):
             results.append(
-                _run_one(index, task, env, council, planner, seed, warmup_tasks, collect_traces)
+                _run_one(index, task, env, council, planner, seed, warmup_tasks)
             )
     else:
 
@@ -372,9 +359,7 @@ def run_tasks(
             index, task = pair
             fresh = council_factory()
             councils_seen.append(fresh)
-            return _run_one(
-                index, task, env, fresh, planner, seed, warmup_tasks, collect_traces
-            )
+            return _run_one(index, task, env, fresh, planner, seed, warmup_tasks)
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -408,11 +393,25 @@ def write_run_files(
 
 
 def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
-    """File-driven entry point used by the command line."""
+    """Run one configuration: the entry point behind ``council run``.
+
+    The config is validated here too, so one built in code gets the same
+    checks as one read from a file. Every task must belong to the run's
+    environment.
+    """
+    validate_config(config)
+    source = "tasks"
     if tasks is None:
         if config.tasks_path is None:
             raise ValueError("config key 'tasks_path': required when no tasks are passed")
         tasks = read_tasks(config.tasks_path)
+        source = f"tasks file {config.tasks_path}"
+    for task in tasks:
+        if task.environment != config.env.name:
+            raise ValueError(
+                f"{source}: task {task.task_id!r} has environment {task.environment!r}, "
+                f"but the run's environment is {config.env.name!r}"
+            )
     env = build_environment(config.env.name, config.env.params)
 
     embedder = TrigramEmbedder(config.embedding_dim)
@@ -462,7 +461,7 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
         out_dir=config.out_dir,
         workers=config.workers,
     )
-    if config.memory.save_path is not None and shared_council is not None:
+    if config.memory.save_path is not None:
         save_memory(config.memory.save_path, shared_council.profiles)
     return output
 

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ROUTING_STRATEGIES
 from .errors import ExpertUnavailableError
 from .experts import Council, propose_actions
 from .memory import EpisodeContext, ExpertProfile, SMSegment, sms_utility
 from .trajectory import Trajectory
-
-STRATEGIES = ("task-aware", "random", "round-robin", "voting", "collaborative")
 
 
 @dataclass
@@ -134,7 +133,7 @@ def route(
     expert's profile when it has one; the exemplar accompanies the decision
     so proposal prompts can cite it.
     """
-    if strategy not in STRATEGIES:
+    if strategy not in ROUTING_STRATEGIES:
         raise ValueError(f"unknown routing strategy: {strategy}")
     ids = [e.expert_id for e in council.experts]
     scores: RoutingScores | None = None

@@ -5,6 +5,9 @@ Each test prints one "CRITERION n PASS/FAIL" verdict straight to the
 terminal (bypassing capture) and then asserts, so a full run leaves a
 twelve-line scoreboard. The two ablation sweeps are expensive and shared
 through module-scoped fixtures.
+
+Criteria 8 to 12 build each experiment as a ``RunConfig`` and execute it with
+``harness.run``, the same path ``council run`` takes.
 """
 
 from __future__ import annotations
@@ -17,18 +20,20 @@ import time
 import numpy as np
 import pytest
 
+from council.config import EnvSpec, ExpertSpec, PlannerConfig, RunConfig, SearchBudget
 from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
-from council.envs.game24 import Game24Env, game24_oracle, solvable_by_expressions
+from council.envs.game24 import (
+    Game24Env,
+    game24_oracle,
+    make_game24_tasks,
+    solvable_by_expressions,
+)
+from council.envs.synth import DEFAULT_FAMILIES, make_synth_tasks
 from council.experts import Council, TableExpert
+from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
 from council.memory import ExpertProfile, LedgerEntry, SMSegment, sms_utility
-from council.presets import (
-    execute,
-    game24_solver_preset,
-    synth_routing_preset,
-    synth_value_preset,
-)
 from council.routing import RoutingScores, route, routing_distribution, routing_scores
 from council.trajectory import Trajectory
 from council.values import SiblingBatch, ValueSignals, fuse_batch, fusion_weight
@@ -36,6 +41,8 @@ from council.values import SiblingBatch, ValueSignals, fuse_batch, fusion_weight
 from conftest import make_trajectory
 
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
+SYNTH_TASKS = 300
+SYNTH_WARMUP = 100
 
 WORDS = (
     "amber", "basalt", "cedar", "delta", "ember", "flint", "gorse", "heath",
@@ -52,6 +59,52 @@ def _report(capsys, criterion: int, passed: bool, detail: str) -> None:
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values)
+
+
+def game24_solver_config(out_dir) -> RunConfig:
+    """The exact-solver expert at the default search budget."""
+    return RunConfig(
+        seed=1,
+        env=EnvSpec(name="game24"),
+        council=[ExpertSpec("solver", params={"role": "game24-oracle"})],
+        out_dir=str(out_dir),
+    )
+
+
+def synth_config(
+    seed: int,
+    out_dir,
+    strategy: str = "task-aware",
+    value_mode: str = "full",
+    eval_noise: float = 0.0,
+    warmup_tasks: int = SYNTH_WARMUP,
+) -> RunConfig:
+    """One specialist per family on the family-specialization environment."""
+    return RunConfig(
+        seed=seed,
+        env=EnvSpec(name="synth"),
+        council=[
+            ExpertSpec(
+                f"{family}-specialist",
+                params={"role": "synth-specialist", "family": family, "eval_noise": eval_noise},
+            )
+            for family in DEFAULT_FAMILIES
+        ],
+        # The iteration budget is deliberately tight. Round-robin cycling
+        # solves these tasks by brute force once each specialist gets enough
+        # turns, so a small budget is what makes routing quality visible.
+        planner=PlannerConfig(
+            budget=SearchBudget(iterations=12, expansion_width=2, max_depth=9),
+            routing_strategy=strategy,
+            routing_temperature=0.15,
+            value_mode=value_mode,
+        ),
+        out_dir=str(out_dir),
+        warmup_tasks=warmup_tasks,
+        # Wider hash space than the 256 default: family separation rests on
+        # rare cross-family n-grams, and collisions would reintroduce them.
+        embedding_dim=1024,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +496,11 @@ def test_criterion_07_game24_oracle_cross_check(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_offline_search_success(capsys):
+def test_criterion_08_offline_search_success(tmp_path, capsys):
     start = time.perf_counter()
-    first = execute(game24_solver_preset(), 1)
-    second = execute(game24_solver_preset(), 1)
+    tasks = make_game24_tasks(100, seed=11)
+    first = run(game24_solver_config(tmp_path / "first"), tasks=tasks)
+    second = run(game24_solver_config(tmp_path / "second"), tasks=tasks)
     rate = first.summary["success_rate"]
     elapsed = time.perf_counter() - start
     ok = rate >= 0.95 and first.rows == second.rows and elapsed < 60.0
@@ -462,13 +516,19 @@ def test_criterion_08_offline_search_success(capsys):
 
 
 @pytest.fixture(scope="module")
-def routing_sweep():
+def routing_sweep(tmp_path_factory):
+    """Every run of the sweep writes into one directory; only the returned
+    summaries are compared."""
+    out_dir = tmp_path_factory.mktemp("routing-sweep")
     start = time.perf_counter()
+    tasks = make_synth_tasks(SYNTH_TASKS, seed=29)
     rates: dict[str, float] = {}
     nodes: dict[str, float] = {}
     for strategy in ("task-aware", "random", "round-robin"):
-        preset = synth_routing_preset(strategy)
-        outputs = [execute(preset, seed, collect_traces=False) for seed in SWEEP_SEEDS]
+        outputs = [
+            run(synth_config(seed, out_dir, strategy=strategy), tasks=tasks)
+            for seed in SWEEP_SEEDS
+        ]
         rates[strategy] = _mean(o.summary["scored_success_rate"] for o in outputs)
         per_success = [
             o.summary["nodes_per_success"]
@@ -501,12 +561,24 @@ def test_criterion_09_routing_ablation_ordering(routing_sweep, capsys):
 
 
 @pytest.fixture(scope="module")
-def value_sweep():
+def value_sweep(tmp_path_factory):
+    """Noisy evaluators, memory warmed in-run. Routing is pinned to
+    round-robin so every mode sees the identical expert schedule, and the
+    differences isolate the value signals from routing luck."""
+    out_dir = tmp_path_factory.mktemp("value-sweep")
     start = time.perf_counter()
+    tasks = make_synth_tasks(SYNTH_TASKS, seed=43)
     rates: dict[str, float] = {}
     for mode in ("full", "llm-only", "sms-only", "env-only"):
-        preset = synth_value_preset(mode)
-        outputs = [execute(preset, seed, collect_traces=False) for seed in SWEEP_SEEDS]
+        outputs = [
+            run(
+                synth_config(
+                    seed, out_dir, strategy="round-robin", value_mode=mode, eval_noise=0.2
+                ),
+                tasks=tasks,
+            )
+            for seed in SWEEP_SEEDS
+        ]
         rates[mode] = _mean(o.summary["scored_success_rate"] for o in outputs)
     return rates, time.perf_counter() - start
 
@@ -541,9 +613,9 @@ def test_criterion_11_search_efficiency_ordering(routing_sweep, capsys):
 
 
 def test_criterion_12_reproducibility(tmp_path, capsys):
+    tasks = make_synth_tasks(20, seed=29)
     for name in ("a", "b"):
-        preset = synth_routing_preset("task-aware", task_count=20, warmup_tasks=5)
-        execute(preset, 9, out_dir=str(tmp_path / name))
+        run(synth_config(9, tmp_path / name, warmup_tasks=5), tasks=tasks)
     metrics_same = (
         (tmp_path / "a" / "metrics.jsonl").read_bytes()
         == (tmp_path / "b" / "metrics.jsonl").read_bytes()

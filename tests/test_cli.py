@@ -152,6 +152,32 @@ def test_a_corrupt_task_line_exits_two_naming_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_tasks_from_another_environment_exit_two(tmp_path, capsys):
+    tasks = synth_tasks_file(tmp_path)
+    code = main(run_flags(tmp_path, tasks, "--env", "game24"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(tasks) in err
+    assert "'synth-amber-0000'" in err
+    assert "'synth'" in err and "'game24'" in err
+
+
+def test_saving_unshared_memory_exits_two(tmp_path, capsys):
+    memory_path = tmp_path / "m.jsonl"
+    code = main(
+        run_flags(
+            tmp_path,
+            game24_tasks_file(tmp_path),
+            "--memory-shared", "false",
+            "--memory-save", str(memory_path),
+        )
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'memory.save_path'" in err
+    assert not memory_path.exists()
+
+
 def test_missing_seed_exits_two(tmp_path, capsys):
     code = main(["run", "--tasks", str(game24_tasks_file(tmp_path))])
     err = capsys.readouterr().err

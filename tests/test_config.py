@@ -73,6 +73,7 @@ def test_unknown_nested_keys_carry_their_path():
         ({"embedding_dim": 0}, "embedding_dim"),
         ({"council": [{"expert_id": ""}]}, "council[0].expert_id"),
         ({"council": [{"expert_id": "a", "kind": "psychic"}]}, "council[0].kind"),
+        ({"memory": {"shared": False, "save_path": "m.jsonl"}}, "memory.save_path"),
     ],
 )
 def test_out_of_range_values_name_the_offending_key(overrides, key):

@@ -176,6 +176,13 @@ def test_build_council_requires_experts():
     assert "'council'" in str(excinfo.value)
 
 
+def test_build_council_rejects_unknown_synth_params():
+    spec = ExpertSpec("s", params={"role": "synth-specialist", "family": "amber"})
+    config = RunConfig(seed=1, env=EnvSpec(name="synth", params={"depht": 3}), council=[spec])
+    with pytest.raises(ValueError, match="depht"):
+        build_council(config)
+
+
 # -- runs ------------------------------------------------------------------------
 
 

@@ -8,12 +8,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from council.config import ROUTING_STRATEGIES
 from council.embedding import TrigramEmbedder, similarity
 from council.errors import ExpertUnavailableError
 from council.experts import ConstantEvaluatorExpert, Council, Expert
 from council.memory import EpisodeContext
 from council.routing import (
-    STRATEGIES,
     RoutingScores,
     route,
     routing_distribution,
@@ -197,7 +197,7 @@ def test_exemplar_full_tie_prefers_the_oldest_segment():
 def test_unknown_strategy_is_rejected():
     with pytest.raises(ValueError):
         route(council_of(2), Trajectory(), "greedy", random.Random(0))
-    assert "task-aware" in STRATEGIES
+    assert "task-aware" in ROUTING_STRATEGIES
 
 
 # -- voting ---------------------------------------------------------------------
