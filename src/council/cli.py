@@ -31,7 +31,7 @@ from .config import (
     read_config_file,
 )
 from .embedding import TrigramEmbedder
-from .envs.game24 import game24_oracle
+from .envs.game24 import Game24Env, game24_oracle
 from .envs.synth import DEFAULT_FAMILIES
 from .errors import BackendConfigError
 from .harness import (
@@ -43,6 +43,7 @@ from .harness import (
     run,
     run_ablation,
     save_memory,
+    write_jsonl,
 )
 
 # Maps each flag destination to its key path inside the config dict. Flags
@@ -165,6 +166,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     tasks = read_tasks(args.tasks)
+    env = Game24Env()
     rows: list[dict] = []
     solvable_count = 0
     for task in tasks:
@@ -173,12 +175,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 f"oracle: task {task.task_id!r} has environment {task.environment!r}, "
                 "only game24 tasks can be checked"
             )
-        payload = task.payload
-        if not isinstance(payload, list) or not all(
-            isinstance(x, (int, float)) for x in payload
-        ):
-            raise ValueError(f"oracle: task {task.task_id!r} payload must be a list of numbers")
-        solvable, witness = game24_oracle(payload)
+        env.check_task(task)
+        solvable, witness = game24_oracle(task.payload)
         solvable_count += int(solvable)
         rows.append({"task_id": task.task_id, "solvable": solvable, "witness": witness})
         if solvable:
@@ -187,12 +185,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print(f"{task.task_id}: unsolvable")
     print(f"{solvable_count}/{len(tasks)} tasks solvable")
     if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(dump_json(row) + "\n")
-        print(f"wrote {out_path}")
+        write_jsonl(args.out, rows)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -205,34 +199,29 @@ def _memory_summary(profiles: dict) -> list[str]:
         total += len(segments)
         utilities = [profile.utility(segment) for segment in segments]
         mean_utility = sum(utilities) / len(utilities) if utilities else None
-        entries = sum(len(segment.ledger) for segment in segments)
+        retrievals = sum(segment.uses for segment in segments)
         utility_text = "n/a" if mean_utility is None else f"{mean_utility:.3f}"
         lines.append(
             f"{expert_id}: {len(segments)} segments, "
-            f"mean utility {utility_text}, {entries} ledger entries"
+            f"mean utility {utility_text}, {retrievals} retrievals"
         )
     lines.append(f"total: {total} segments across {len(profiles)} experts")
     return lines
 
 
 def cmd_memory(args: argparse.Namespace) -> int:
-    embedder = TrigramEmbedder(args.embedding_dim)
+    if args.action == "save" and not args.dest:
+        raise ValueError("memory save needs a destination path")
+    profiles = load_memory(args.path, embedder=TrigramEmbedder(args.embedding_dim))
     if args.action == "load":
-        profiles = load_memory(args.path, embedder=embedder)
-        count = sum(len(profile.segments()) for profile in profiles.values())
+        count = sum(len(profile) for profile in profiles.values())
         print(f"loaded {count} segments from {args.path}")
-        return 0
-    if args.action == "inspect":
-        profiles = load_memory(args.path, embedder=embedder)
+    elif args.action == "inspect":
         for line in _memory_summary(profiles):
             print(line)
-        return 0
-    # save: canonical round-trip of an existing file to a new path
-    if not args.dest:
-        raise ValueError("memory save needs a destination path")
-    profiles = load_memory(args.path, embedder=embedder)
-    count = save_memory(args.dest, profiles)
-    print(f"wrote {count} segments to {args.dest}")
+    else:  # save: canonical round-trip of an existing file to a new path
+        count = save_memory(args.dest, profiles)
+        print(f"wrote {count} segments to {args.dest}")
     return 0
 
 

@@ -70,6 +70,11 @@ class Environment(ABC):
     def apply(self, task: TaskSpec, state: Any, action: str) -> tuple[Any, StepOutcome]:
         """Apply one action. Must not mutate ``state``; returns the new one."""
 
+    @abstractmethod
+    def check_task(self, task: TaskSpec) -> None:
+        """Raise ValueError, naming the task id and key, on a payload this
+        environment cannot run."""
+
     def replay(self, task: TaskSpec, actions: list[str]) -> ReplayResult:
         """Reconstruct the state after ``actions``, validating along the way.
 

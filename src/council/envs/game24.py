@@ -244,6 +244,13 @@ def solvable_by_expressions(numbers: Sequence[float]) -> bool:
 class Game24Env(Environment):
     name = "game24"
 
+    def check_task(self, task: TaskSpec) -> None:
+        numbers = task.payload if isinstance(task.payload, list) else []
+        if not numbers or not all(type(x) in (int, float) for x in numbers):
+            raise ValueError(
+                f"task {task.task_id!r}: key 'payload': expected a non-empty list of numbers"
+            )
+
     def initial(self, task: TaskSpec) -> tuple[tuple[float, ...], Observation]:
         numbers = tuple(float(x) for x in task.payload)
         if not numbers:

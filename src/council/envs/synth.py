@@ -183,10 +183,17 @@ class SynthEnv(Environment):
     def hidden(self, task: TaskSpec) -> tuple[str, ...]:
         return hidden_sequence(task.payload["family"], task.payload["seed"], self.config)
 
+    def check_task(self, task: TaskSpec) -> None:
+        payload, where = task.payload, f"task {task.task_id!r}: key 'payload"
+        if not isinstance(payload, dict):
+            raise ValueError(f"{where}': expected an object with 'family' and 'seed'")
+        if payload.get("family") not in self.config.families:
+            raise ValueError(f"{where}.family': expected one of {list(self.config.families)}")
+        if type(payload.get("seed")) is not int or payload["seed"] < 0:
+            raise ValueError(f"{where}.seed': expected an integer >= 0")
+
     def initial(self, task: TaskSpec) -> tuple[_State, Observation]:
         family = task.payload["family"]
-        if family not in self.config.families:
-            raise ValueError(f"unknown family: {family}")
         # The vocabulary doubles as the task's family signature for routing.
         vocab = " ".join(family_vocab(family, self.config))
         state = _State(done=0, missed=0)

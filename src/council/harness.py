@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 from .config import (
     ROUTING_STRATEGIES,
@@ -55,70 +56,80 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def write_jsonl(path: str | Path, rows: Iterable) -> None:
+    """Write one canonical JSON line per row, atomically.
+
+    The lines go to a temp file beside ``path`` that replaces it only once
+    every row is written, so a failed or interrupted write leaves any earlier
+    file as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for row in rows:
+                handle.write(dump_json(row) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _read_jsonl(path: str | Path, kind: str, consume: Callable[[Iterable], object]):
+    """Stream the values of a JSON-lines file, blank lines skipped, into
+    ``consume`` and return its result. A ValueError, from bad UTF-8 or JSON
+    or from ``consume``'s checks, is reported as ``{kind} file {path}: line N``."""
+    lineno = 0
+
+    def values():
+        nonlocal lineno
+        with open(path, "rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if line.strip():
+                    try:
+                        yield json.loads(line.decode("utf-8"))
+                    except json.JSONDecodeError:
+                        raise ValueError("not valid JSON") from None
+
+    try:
+        return consume(values())
+    except ValueError as exc:
+        raise ValueError(f"{kind} file {path}: line {lineno}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Task files
 # ---------------------------------------------------------------------------
 
 
+def _task(data) -> TaskSpec:
+    if not isinstance(data, dict):
+        raise ValueError("expected an object")
+    for key in ("task_id", "environment", "payload"):
+        if key not in data:
+            raise ValueError(f"missing key '{key}'")
+    return TaskSpec(
+        task_id=str(data["task_id"]), environment=str(data["environment"]), payload=data["payload"]
+    )
+
+
 def read_tasks(path: str | Path) -> list[TaskSpec]:
     """Load a JSONL task file; a bad line is reported by its line number."""
-    tasks: list[TaskSpec] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"tasks file {path}: line {lineno}: not valid JSON") from exc
-            if not isinstance(data, dict):
-                raise ValueError(f"tasks file {path}: line {lineno}: expected an object")
-            for key in ("task_id", "environment", "payload"):
-                if key not in data:
-                    raise ValueError(f"tasks file {path}: line {lineno}: missing key '{key}'")
-            tasks.append(
-                TaskSpec(
-                    task_id=str(data["task_id"]),
-                    environment=str(data["environment"]),
-                    payload=data["payload"],
-                )
-            )
-    return tasks
+    return _read_jsonl(path, "tasks", lambda values: [_task(data) for data in values])
 
 
 def write_tasks(path: str | Path, tasks: list[TaskSpec]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for task in tasks:
-            handle.write(
-                dump_json(
-                    {
-                        "task_id": task.task_id,
-                        "environment": task.environment,
-                        "payload": task.payload,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(asdict, tasks))
 
 
 # ---------------------------------------------------------------------------
 # Memory persistence
 # ---------------------------------------------------------------------------
 
-_MEMORY_KEYS = ("expert_id", "segment_id", "prefix_steps", "created_at", "ledger")
-
-
 def save_memory(path: str | Path, profiles: dict) -> int:
     """Write every stored segment as one JSON line; returns the line count."""
     records = profile_records(profiles)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dump_json(record) + "\n")
+    write_jsonl(path, records)
     return len(records)
 
 
@@ -128,24 +139,11 @@ def load_memory(
     capacity: int = 512,
     cold_start: float = DEFAULT_COLD_START,
 ) -> dict:
-    """Rebuild profiles from a memory file; a bad line is reported by number."""
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"memory file {path}: line {lineno}: not valid JSON") from exc
-            if not isinstance(data, dict):
-                raise ValueError(f"memory file {path}: line {lineno}: expected an object")
-            for key in _MEMORY_KEYS:
-                if key not in data:
-                    raise ValueError(f"memory file {path}: line {lineno}: missing key '{key}'")
-            records.append(data)
-    return restore_profiles(records, embedder=embedder, capacity=capacity, cold_start=cold_start)
+    """Rebuild profiles from a memory file; a bad line is reported by number
+    and key."""
+    return _read_jsonl(
+        path, "memory", lambda records: restore_profiles(records, embedder, capacity, cold_start)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +379,8 @@ def write_run_files(
     out_dir: str | Path, rows: list[dict], summary: dict, trace_rows: list[dict]
 ) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / METRICS_FILENAME, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(dump_json(row) + "\n")
-        handle.write(dump_json({"summary": summary}) + "\n")
-    with open(out_dir / TRACE_FILENAME, "w", encoding="utf-8") as handle:
-        for event in trace_rows:
-            handle.write(dump_json(event) + "\n")
+    write_jsonl(out_dir / METRICS_FILENAME, [*rows, {"summary": summary}])
+    write_jsonl(out_dir / TRACE_FILENAME, trace_rows)
     return out_dir
 
 
@@ -397,7 +389,7 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
 
     The config is validated here too, so one built in code gets the same
     checks as one read from a file. Every task must belong to the run's
-    environment.
+    environment and carry a payload that environment accepts.
     """
     validate_config(config)
     source = "tasks"
@@ -406,13 +398,17 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
             raise ValueError("config key 'tasks_path': required when no tasks are passed")
         tasks = read_tasks(config.tasks_path)
         source = f"tasks file {config.tasks_path}"
+    env = build_environment(config.env.name, config.env.params)
     for task in tasks:
         if task.environment != config.env.name:
             raise ValueError(
                 f"{source}: task {task.task_id!r} has environment {task.environment!r}, "
                 f"but the run's environment is {config.env.name!r}"
             )
-    env = build_environment(config.env.name, config.env.params)
+        try:
+            env.check_task(task)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     embedder = TrigramEmbedder(config.embedding_dim)
     loaded_profiles: dict | None = None
@@ -548,9 +544,7 @@ def run_ablation(
             "seeds": len(mine),
         }
     report = {"axis": axis, "seeds": seeds, "rows": rows, "aggregates": aggregates}
-    base_out.mkdir(parents=True, exist_ok=True)
-    with open(base_out / "ablation.json", "w", encoding="utf-8") as handle:
-        handle.write(dump_json(report) + "\n")
+    write_jsonl(base_out / "ablation.json", [report])
     return report
 
 

@@ -3,26 +3,28 @@
 Each expert owns a profile of segments. A segment is a trajectory prefix that
 ended up inside some successful episode's final trajectory, attributed to the
 expert whose action completed the prefix. Alongside the prefix the segment
-keeps a retrieval ledger: one entry per episode that looked the segment up,
-counting how often, and recording at episode end whether that episode
-succeeded.
+keeps two counts over the finished episodes that looked it up: ``uses``, how
+many lookups they made, and ``wins``, how many of those came from episodes
+that succeeded.
 
-The ledger is what turns raw recall into a value estimate. A segment's
-utility is the usage-weighted success rate of the episodes that retrieved it,
-so segments that keep getting pulled into failing episodes decay toward 0
+The counts turn raw recall into a value estimate. A segment's utility is the
+usage-weighted success rate ``wins / uses`` of the episodes that retrieved
+it, so segments that keep getting pulled into failing episodes decay toward 0
 while segments that keep appearing in wins approach 1. A segment nobody has
-finished an episode with yet sits at the cold-start prior.
+finished an episode with yet sits at the cold-start prior. An episode's
+lookups wait in its :class:`EpisodeContext` and reach the segments only when
+:func:`finalize_episode` knows the outcome.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .embedding import Embedder, TrigramEmbedder, similarity
+from .embedding import Embedder, TrigramEmbedder
 from .errors import InvalidStateError
 from .trajectory import (
     Action,
@@ -39,47 +41,27 @@ DEFAULT_COLD_START = 0.5
 
 
 @dataclass
-class LedgerEntry:
-    """Retrieval bookkeeping for one (segment, episode) pair."""
-
-    episode_id: str
-    usage_count: int = 1
-    outcome: bool | None = None
-
-    def __post_init__(self) -> None:
-        if self.usage_count < 1:
-            raise ValueError("usage_count must be at least 1")
-
-
-@dataclass
 class SMSegment:
-    """A stored success-memory segment: prefix, its embedding, and the ledger."""
+    """A stored success-memory segment: prefix, its embedding, and the
+    retrieval counts of the finished episodes that looked it up."""
 
     segment_id: str
     prefix: Trajectory
     embedding: np.ndarray
     created_at: int
-    ledger: dict[str, LedgerEntry] = field(default_factory=dict)
+    wins: int = 0
+    uses: int = 0
 
 
 def sms_utility(segment: SMSegment, cold_start: float = DEFAULT_COLD_START) -> float:
     """Usage-weighted success rate over the episodes that retrieved the segment.
 
-    Entries whose outcome is still unset (episode not finalized) are ignored.
-    With no decided entries at all the cold-start prior is returned.
+    Lookups by episodes not yet finalized are not counted. With no finished
+    lookups at all the cold-start prior is returned.
     """
-    numerator = 0.0
-    denominator = 0.0
-    for entry in segment.ledger.values():
-        if entry.outcome is None:
-            continue
-        weight = float(entry.usage_count)
-        denominator += weight
-        if entry.outcome:
-            numerator += weight
-    if denominator == 0.0:
+    if segment.uses == 0:
         return cold_start
-    return numerator / denominator
+    return segment.wins / segment.uses
 
 
 class ExpertProfile:
@@ -87,8 +69,9 @@ class ExpertProfile:
 
     Lookups are exact nearest-neighbor scans over the segment embeddings.
     Mutations are serialized with an internal lock so a profile can be handed
-    between threads; scans read a cached embedding matrix that is rebuilt
-    after any insert or eviction.
+    between threads. A scan reads a snapshot of (segments, embedding matrix,
+    norms) that is built under the lock on the first scan after an insert or
+    eviction, and indexes only the snapshot it scanned.
     """
 
     def __init__(
@@ -105,11 +88,9 @@ class ExpertProfile:
         self.embedder: Embedder = embedder if embedder is not None else TrigramEmbedder()
         self.cold_start = cold_start
         self._segments: dict[str, SMSegment] = {}
-        self._order: list[str] = []
         self._by_text: dict[str, str] = {}
         self._next_created = 0
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
+        self._snapshot: tuple[list[SMSegment], np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -118,12 +99,10 @@ class ExpertProfile:
     def __contains__(self, segment_id: str) -> bool:
         return segment_id in self._segments
 
-    def get(self, segment_id: str) -> SMSegment | None:
-        return self._segments.get(segment_id)
-
     def segments(self) -> list[SMSegment]:
         """Segments in insertion order."""
-        return [self._segments[sid] for sid in self._order]
+        with self._lock:
+            return list(self._segments.values())
 
     def utility(self, segment: SMSegment) -> float:
         return sms_utility(segment, cold_start=self.cold_start)
@@ -153,10 +132,9 @@ class ExpertProfile:
                 created_at=created,
             )
             self._segments[segment_id] = segment
-            self._order.append(segment_id)
             self._by_text[text] = segment_id
             self._next_created = created + 1
-            self._matrix = None
+            self._snapshot = None
             return segment
 
     def _restore(self, segment: SMSegment) -> None:
@@ -166,34 +144,39 @@ class ExpertProfile:
             if segment.segment_id in self._segments or text in self._by_text:
                 raise ValueError(f"duplicate segment on restore: {segment.segment_id}")
             self._segments[segment.segment_id] = segment
-            self._order.append(segment.segment_id)
             self._by_text[text] = segment.segment_id
             self._next_created = max(self._next_created, segment.created_at + 1)
-            self._matrix = None
+            self._snapshot = None
 
     # -- retrieval ----------------------------------------------------------
 
-    def _scan(self, query_vec: np.ndarray) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.vstack([self._segments[sid].embedding for sid in self._order])
-            self._norms = np.linalg.norm(self._matrix, axis=1)
+    def _scan(self, query_vec: np.ndarray) -> tuple[list[SMSegment], np.ndarray]:
+        """Cosine similarity of the query against a snapshot of the segments,
+        returned with that snapshot's segment list. The profile must not be
+        empty."""
+        with self._lock:
+            if self._snapshot is None:
+                segments = list(self._segments.values())
+                matrix = np.vstack([segment.embedding for segment in segments])
+                self._snapshot = (segments, matrix, np.linalg.norm(matrix, axis=1))
+            segments, matrix, norms = self._snapshot
         qnorm = float(np.linalg.norm(query_vec))
         if qnorm == 0.0:
-            return np.zeros(len(self._order), dtype=np.float64)
-        dots = self._matrix @ query_vec
-        sims = np.zeros(len(self._order), dtype=np.float64)
-        nonzero = self._norms > 0.0
-        sims[nonzero] = dots[nonzero] / (self._norms[nonzero] * qnorm)
-        return sims
+            return segments, np.zeros(len(segments), dtype=np.float64)
+        dots = matrix @ query_vec
+        sims = np.zeros(len(segments), dtype=np.float64)
+        nonzero = norms > 0.0
+        sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
+        return segments, sims
 
     def embed_query(self, query: Trajectory) -> np.ndarray:
         return self.embedder.embed(serialize_trajectory(query))
 
     def match_scores(self, query_vec: np.ndarray) -> np.ndarray:
         """Similarity of the query against every segment, in insertion order."""
-        if not self._order:
+        if not self._segments:
             return np.zeros(0, dtype=np.float64)
-        return self._scan(query_vec)
+        return self._scan(query_vec)[1]
 
     def best_match(self, query: Trajectory | np.ndarray) -> tuple[SMSegment, float] | None:
         """The stored segment most similar to the query, with its score.
@@ -201,28 +184,12 @@ class ExpertProfile:
         Ties are resolved toward the earliest-inserted segment. Returns None
         on an empty profile.
         """
-        if not self._order:
+        if not self._segments:
             return None
         query_vec = query if isinstance(query, np.ndarray) else self.embed_query(query)
-        sims = self._scan(query_vec)
+        segments, sims = self._scan(query_vec)
         idx = int(np.argmax(sims))
-        return self._segments[self._order[idx]], float(sims[idx])
-
-    # -- ledger -------------------------------------------------------------
-
-    def record_retrieval(self, segment_id: str, episode_id: str) -> LedgerEntry:
-        """Count one retrieval of the segment by the given episode."""
-        with self._lock:
-            segment = self._segments.get(segment_id)
-            if segment is None:
-                raise ValueError(f"unknown segment id: {segment_id}")
-            entry = segment.ledger.get(episode_id)
-            if entry is None:
-                entry = LedgerEntry(episode_id=episode_id)
-                segment.ledger[episode_id] = entry
-            else:
-                entry.usage_count += 1
-            return entry
+        return segments[idx], float(sims[idx])
 
     # -- capacity -----------------------------------------------------------
 
@@ -231,30 +198,28 @@ class ExpertProfile:
 
         Utility ties evict the oldest segment first. Returns the evicted ids.
         """
-        evicted: list[str] = []
         with self._lock:
-            while len(self._segments) > self.capacity:
-                victim_id = min(
-                    self._order,
-                    key=lambda sid: (
-                        sms_utility(self._segments[sid], cold_start=self.cold_start),
-                        self._segments[sid].created_at,
-                    ),
-                )
-                victim = self._segments.pop(victim_id)
-                self._order.remove(victim_id)
+            excess = len(self._segments) - self.capacity
+            if excess <= 0:
+                return []
+            ranked = sorted(
+                self._segments.values(),
+                key=lambda segment: (self.utility(segment), segment.created_at),
+            )
+            for victim in ranked[:excess]:
+                del self._segments[victim.segment_id]
                 del self._by_text[serialize_trajectory(victim.prefix)]
-                self._matrix = None
-                evicted.append(victim_id)
-        return evicted
+            self._snapshot = None
+            return [victim.segment_id for victim in ranked[:excess]]
 
 
 class EpisodeContext:
     """Per-episode retrieval bookkeeping.
 
     Routing and value lookups funnel their profile consultations through one
-    context so the episode's finalize step knows exactly which ledger entries
-    it owns. Retrieval order of first touch is preserved.
+    context, which counts them per (expert, segment) until the episode's
+    finalize step credits them to the segments. Retrieval order of first
+    touch is preserved.
     """
 
     def __init__(self, episode_id: str):
@@ -262,7 +227,8 @@ class EpisodeContext:
         self._counts: dict[tuple[str, str], int] = {}
 
     def record(self, profile: ExpertProfile, segment_id: str) -> None:
-        profile.record_retrieval(segment_id, self.episode_id)
+        if segment_id not in profile:
+            raise ValueError(f"unknown segment id: {segment_id}")
         key = (profile.expert_id, segment_id)
         self._counts[key] = self._counts.get(key, 0) + 1
 
@@ -278,30 +244,25 @@ class EpisodeContext:
 def finalize_episode(profiles: Mapping[str, ExpertProfile], record: EpisodeRecord) -> None:
     """Close the books on one episode.
 
-    Applies the episode's outcome to every ledger entry it created, then on
-    success stores each prefix of the final trajectory into the profile of
-    the expert whose action completed it, and finally prunes any profile the
-    insertions pushed over capacity. A retrieval that points at a missing
-    profile, segment, or ledger entry means the caller's bookkeeping and the
-    stores disagree, which is reported as an invalid state.
+    Credits each of the episode's retrievals to its segment (every lookup
+    adds to ``uses``, and on success to ``wins``), then on success stores
+    each prefix of the final trajectory into the profile of the expert whose
+    action completed it, and finally prunes any profile the insertions pushed
+    over capacity. A retrieval that points at a missing profile or segment
+    means the caller's bookkeeping and the stores disagree, which is reported
+    as an invalid state.
     """
-    for expert_id, segment_id, _count in record.retrievals:
+    for expert_id, segment_id, count in record.retrievals:
         profile = profiles.get(expert_id)
         if profile is None:
             raise InvalidStateError(f"retrieval references unknown expert: {expert_id}")
-        segment = profile.get(segment_id)
-        if segment is None:
-            raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
-        entry = segment.ledger.get(record.episode_id)
-        if entry is None:
-            raise InvalidStateError(
-                f"no ledger entry for episode {record.episode_id} on segment {segment_id}"
-            )
-        if entry.outcome is not None:
-            raise InvalidStateError(
-                f"outcome already set for episode {record.episode_id} on segment {segment_id}"
-            )
-        entry.outcome = record.success
+        with profile._lock:
+            segment = profile._segments.get(segment_id)
+            if segment is None:
+                raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
+            segment.uses += count
+            if record.success:
+                segment.wins += count
 
     if record.success:
         touched: set[str] = set()
@@ -342,17 +303,70 @@ def profile_records(profiles: Mapping[str, ExpertProfile]) -> list[dict]:
                         [step.observation.text, step.action.text] for step in segment.prefix.steps
                     ],
                     "created_at": segment.created_at,
-                    "ledger": [
-                        {
-                            "episode_id": entry.episode_id,
-                            "usage_count": entry.usage_count,
-                            "outcome": entry.outcome,
-                        }
-                        for entry in segment.ledger.values()
-                    ],
+                    "wins": segment.wins,
+                    "uses": segment.uses,
                 }
             )
     return records
+
+
+def _check(ok: bool, key: str, expected: str) -> None:
+    if not ok:
+        raise ValueError(f"key '{key}': expected {expected}")
+
+
+def _fold_ledger(ledger: object) -> tuple[int, int]:
+    """(wins, uses) of the older per-episode form; entries of episodes never
+    finalized (outcome null) count for neither."""
+    _check(isinstance(ledger, list), "ledger", "a list")
+    wins = uses = 0
+    for index, entry in enumerate(ledger):
+        key = f"ledger[{index}]"
+        _check(isinstance(entry, dict), key, "an object")
+        usage, outcome = entry.get("usage_count"), entry.get("outcome", "absent")
+        _check(type(usage) is int and usage >= 1, f"{key}.usage_count", "an integer >= 1")
+        valid = outcome is None or isinstance(outcome, bool)
+        _check(valid, f"{key}.outcome", "true, false or null")
+        uses += 0 if outcome is None else usage
+        wins += usage if outcome is True else 0
+    return wins, uses
+
+
+def segment_from_record(record: object, embedder: Embedder) -> tuple[str, SMSegment]:
+    """Check one persistence record field by field and build its segment,
+    returned with its expert id. The older form with a ``ledger`` list in
+    place of ``wins``/``uses`` is folded into the two sums. A bad field
+    raises ValueError naming its key."""
+    if not isinstance(record, dict):
+        raise ValueError("expected an object")
+    history = ("ledger",) if "ledger" in record else ("wins", "uses")
+    for key in ("expert_id", "segment_id", "prefix_steps", "created_at") + history:
+        if key not in record:
+            raise ValueError(f"missing key '{key}'")
+    for key in ("expert_id", "segment_id"):
+        _check(isinstance(record[key], str) and record[key] != "", key, "a non-empty string")
+    pairs, created = record["prefix_steps"], record["created_at"]
+    _check(
+        isinstance(pairs, list)
+        and all(isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p)
+                for p in pairs),
+        "prefix_steps",
+        "a list of [observation, action] string pairs",
+    )
+    _check(type(created) is int and created >= 0, "created_at", "an integer >= 0")
+    if history == ("ledger",):
+        beside = "wins" in record or "uses" in record
+        _check(not beside, "ledger", "no 'wins' or 'uses' beside it")
+        wins, uses = _fold_ledger(record["ledger"])
+    else:
+        wins, uses = record["wins"], record["uses"]
+        _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
+        _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
+    prefix = Trajectory(steps=tuple(Step(Observation(obs), Action(act)) for obs, act in pairs))
+    embedding = embedder.embed(serialize_trajectory(prefix))
+    return record["expert_id"], SMSegment(
+        record["segment_id"], prefix, embedding, created, wins=wins, uses=uses
+    )
 
 
 def restore_profiles(
@@ -361,36 +375,19 @@ def restore_profiles(
     capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
 ) -> dict[str, ExpertProfile]:
-    """Rebuild profiles from persistence records, recomputing embeddings."""
+    """Rebuild profiles from persistence records, recomputing embeddings.
+
+    A malformed record raises ValueError naming the key at fault.
+    """
     embedder = embedder if embedder is not None else TrigramEmbedder()
     profiles: dict[str, ExpertProfile] = {}
     for record in records:
-        expert_id = record["expert_id"]
+        expert_id, segment = segment_from_record(record, embedder)
         profile = profiles.get(expert_id)
         if profile is None:
             profile = ExpertProfile(
                 expert_id, capacity=capacity, embedder=embedder, cold_start=cold_start
             )
             profiles[expert_id] = profile
-        steps = tuple(
-            Step(observation=Observation(obs), action=Action(act))
-            for obs, act in record["prefix_steps"]
-        )
-        prefix = Trajectory(steps=steps)
-        ledger = {
-            item["episode_id"]: LedgerEntry(
-                episode_id=item["episode_id"],
-                usage_count=item["usage_count"],
-                outcome=item["outcome"],
-            )
-            for item in record["ledger"]
-        }
-        segment = SMSegment(
-            segment_id=record["segment_id"],
-            prefix=prefix,
-            embedding=profile.embedder.embed(serialize_trajectory(prefix)),
-            created_at=record["created_at"],
-            ledger=ledger,
-        )
         profile._restore(segment)
     return profiles

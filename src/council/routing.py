@@ -5,8 +5,8 @@ trajectory sits to anything in that expert's success memory (the maximum
 cosine similarity over the profile), turns the scores into a softmax
 distribution, and samples. Whichever strategy is in play, consulting a
 profile has a side effect: the top-matching segment's retrieval is recorded
-against the running episode, because those retrieval ledgers are the raw
-material of every later utility estimate.
+against the running episode, because the retrieval counts credited at
+episode end are the raw material of every later utility estimate.
 
 The remaining strategies are baselines for ablation: uniform random,
 round-robin on a planner-owned counter, majority voting over one-shot

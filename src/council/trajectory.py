@@ -167,7 +167,7 @@ class EpisodeRecord:
     ``per_step_expert`` names the expert whose proposal became each step of
     ``final_trajectory``, index-aligned with the steps. ``retrievals`` lists
     every memory lookup the episode performed as (expert_id, segment_id,
-    usage_count) tuples.
+    count) tuples.
     """
 
     episode_id: str

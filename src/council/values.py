@@ -3,8 +3,8 @@
 Each child gets two raw signals. The judged value comes from one council
 member sampled uniformly to score the child's trajectory. The memory value
 comes from the routed expert's profile: find the stored segment most similar
-to the child and adopt that segment's utility, which is the success rate of
-the episodes that previously retrieved it.
+to the child and adopt that segment's utility, which is the usage-weighted
+success rate (``wins / uses``) of the finished episodes that retrieved it.
 
 Both signal lists are min-max normalized over the sibling set and blended
 with a weight that favors whichever signal actually spreads the siblings

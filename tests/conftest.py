@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from council.trajectory import Action, Observation, Step, Trajectory
+from council.memory import EpisodeContext, ExpertProfile, finalize_episode
+from council.trajectory import Action, EpisodeRecord, Observation, Step, Trajectory
 
 
 def make_trajectory(pairs: list[tuple[str, str]], pending: str | None = None) -> Trajectory:
@@ -13,3 +14,29 @@ def make_trajectory(pairs: list[tuple[str, str]], pending: str | None = None) ->
 @pytest.fixture
 def traj():
     return make_trajectory
+
+
+def record_history(
+    profile: ExpertProfile, segment_id: str, history: list[tuple[bool | None, int]]
+) -> None:
+    """Give a segment a retrieval history through the episode API.
+
+    Each ``(outcome, usage)`` is one episode that looks the segment up
+    ``usage`` times and is then finalized with that outcome; a None outcome
+    stands for an episode that is never finalized.
+    """
+    for index, (outcome, usage) in enumerate(history):
+        episode = EpisodeContext(f"history-{segment_id}-{index}")
+        for _ in range(usage):
+            episode.record(profile, segment_id)
+        if outcome is None:
+            continue
+        record = EpisodeRecord(
+            episode_id=episode.episode_id,
+            task_id="history",
+            final_trajectory=Trajectory(),
+            reward=1.0 if outcome else 0.0,
+            success=outcome,
+            retrievals=episode.retrievals(),
+        )
+        finalize_episode({profile.expert_id: profile}, record)

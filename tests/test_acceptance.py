@@ -33,12 +33,12 @@ from council.envs.synth import DEFAULT_FAMILIES, make_synth_tasks
 from council.experts import Council, TableExpert
 from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
-from council.memory import ExpertProfile, LedgerEntry, SMSegment, sms_utility
+from council.memory import ExpertProfile, sms_utility
 from council.routing import RoutingScores, route, routing_distribution, routing_scores
 from council.trajectory import Trajectory
 from council.values import SiblingBatch, ValueSignals, fuse_batch, fusion_weight
 
-from conftest import make_trajectory
+from conftest import make_trajectory, record_history
 
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
 SYNTH_TASKS = 300
@@ -156,23 +156,19 @@ def test_criterion_01_backpropagation_oracle(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _segment(entries: list[tuple[bool | None, int]], created: int = 0) -> SMSegment:
-    ledger = {
-        f"e{i}": LedgerEntry(episode_id=f"e{i}", usage_count=u, outcome=y)
-        for i, (y, u) in enumerate(entries)
-    }
-    return SMSegment(
-        segment_id=f"s:{created}",
-        prefix=Trajectory(),
-        embedding=np.zeros(4),
-        created_at=created,
-        ledger=ledger,
-    )
-
-
 def test_criterion_02_utility_property_suite(capsys):
     rng = random.Random(202)
     start = time.perf_counter()
+    # Each history is a run of episodes that retrieve one fresh segment and
+    # are finalized through the episode API; a None outcome is an episode
+    # that never finishes.
+    profile = ExpertProfile("solo", embedder=TrigramEmbedder(16))
+
+    def _segment(entries: list[tuple[bool | None, int]]):
+        segment = profile.insert(make_trajectory([(f"history {len(profile)}", "act")]))
+        record_history(profile, segment.segment_id, entries)
+        return segment
+
     assert sms_utility(_segment([(True, 1), (True, 4)])) == 1.0
     assert sms_utility(_segment([(False, 2), (False, 1)])) == 0.0
     worst = 0.0
@@ -192,7 +188,7 @@ def test_criterion_02_utility_property_suite(capsys):
         worst = max(worst, abs(value - expected))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0
-    _report(capsys, 2, ok, f"max utility error {worst:.2e} over 2000 ledgers ({elapsed:.2f}s)")
+    _report(capsys, 2, ok, f"max utility error {worst:.2e} over 2000 histories ({elapsed:.2f}s)")
     assert worst < 1e-12
     assert elapsed < 1.0
 
@@ -260,11 +256,11 @@ def _fill_profile(profile: ExpertProfile, count: int, rng: random.Random) -> Non
     for i in range(count):
         seg = profile.insert(make_trajectory([(_random_text(rng, i), f"act-{i}")]))
         # Randomized history so utilities differ segment to segment.
-        for j in range(rng.randrange(0, 3)):
-            eid = f"h{i}:{j}"
-            seg.ledger[eid] = LedgerEntry(
-                episode_id=eid, usage_count=rng.randint(1, 4), outcome=rng.random() < 0.6
-            )
+        history = []
+        for _ in range(rng.randrange(0, 3)):
+            usage = rng.randint(1, 4)
+            history.append((rng.random() < 0.6, usage))
+        record_history(profile, seg.segment_id, history)
 
 
 def _scan_sims(profile: ExpertProfile, qvec: np.ndarray) -> list[float]:

@@ -293,7 +293,7 @@ def test_memory_load_and_inspect(tmp_path, capsys):
     assert main(["memory", "inspect", memory_path]) == 0
     inspected = capsys.readouterr().out.splitlines()
     assert any(line.startswith("solver: ") for line in inspected)
-    assert "ledger entries" in inspected[0]
+    assert "retrievals" in inspected[0]
     assert inspected[-1].startswith("total: ")
 
 
@@ -313,12 +313,66 @@ def test_memory_save_requires_a_destination(tmp_path, capsys):
     assert "destination" in capsys.readouterr().err
 
 
-def test_corrupt_memory_files_exit_two_naming_the_line(tmp_path, capsys):
+def _memory_line(**changes) -> str:
+    record = {
+        "expert_id": "solver",
+        "segment_id": "solver:999",
+        "prefix_steps": [["appended observation", "appended action"]],
+        "created_at": 999,
+        "wins": 1,
+        "uses": 2,
+    }
+    record.update(changes)
+    return json.dumps({key: value for key, value in record.items() if value is not None})
+
+
+@pytest.mark.parametrize(
+    "line, complaint",
+    [
+        ("{broken", "not valid JSON"),
+        (
+            _memory_line(wins=None, uses=None, ledger=[{"episode_id": "e", "outcome": True}]),
+            "key 'ledger[0].usage_count'",
+        ),
+        (_memory_line(created_at="zero"), "key 'created_at'"),
+        (_memory_line(prefix_steps=[["only-one"]]), "key 'prefix_steps'"),
+        (_memory_line(wins=3), "key 'wins'"),
+    ],
+    ids=["not-json", "ledger-without-usage", "created-at-text", "half-step", "wins-above-uses"],
+)
+def test_corrupt_memory_files_exit_two_naming_the_line(tmp_path, capsys, line, complaint):
     memory_path = memory_file_from_run(tmp_path)
+    with open(memory_path, encoding="utf-8") as handle:
+        lineno = sum(1 for _ in handle) + 1
     with open(memory_path, "a", encoding="utf-8") as handle:
-        handle.write("{broken\n")
+        handle.write(line + "\n")
     capsys.readouterr()
     code = main(["memory", "inspect", memory_path])
-    err = capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert "not valid JSON" in err
+    assert len(err) == 1
+    assert err[0].startswith(f"error: memory file {memory_path}: line {lineno}: ")
+    assert complaint in err[0]
+
+
+@pytest.mark.parametrize(
+    "env, payload",
+    [
+        ("synth", {"seed": 3}),
+        ("synth", {"family": "amber", "seed": "x"}),
+        ("synth", [1, 2]),
+        ("game24", 5),
+    ],
+    ids=["synth-no-family", "synth-text-seed", "synth-list", "game24-number"],
+)
+def test_malformed_task_payloads_exit_two_naming_task_and_key(tmp_path, capsys, env, payload):
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(
+        json.dumps({"task_id": "bad-task", "environment": env, "payload": payload}) + "\n",
+        encoding="utf-8",
+    )
+    code = main(run_flags(tmp_path, tasks, "--env", env))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith(f"error: tasks file {tasks}: task 'bad-task': key 'payload")

@@ -36,17 +36,29 @@ from council.harness import (
     run_tasks,
     save_memory,
     summarize,
+    write_jsonl,
     write_tasks,
 )
 from council.memory import profile_records
 
-from conftest import make_trajectory
+from conftest import make_trajectory, record_history
 
 
 def test_dump_json_is_canonical():
     assert dump_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
     with pytest.raises(ValueError):
         dump_json({"x": float("nan")})
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"a": 1}, {"b": 2}])
+    before = path.read_bytes()
+    assert before == b'{"a":1}\n{"b":2}\n'
+    with pytest.raises(ValueError):
+        write_jsonl(path, [{"a": 3}, {"x": float("nan")}])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
 
 # -- task files -----------------------------------------------------------------
@@ -92,6 +104,14 @@ def test_blank_task_lines_are_skipped(tmp_path):
     assert len(read_tasks(path)) == 1
 
 
+def test_bad_utf8_is_reported_by_its_line(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    path.write_bytes(b'{"task_id": "a", "environment": "game24", "payload": [24]}\n\xff\n')
+    with pytest.raises(ValueError) as excinfo:
+        read_tasks(path)
+    assert f"tasks file {path}: line 2: " in str(excinfo.value)
+
+
 # -- memory files -----------------------------------------------------------------
 
 
@@ -100,8 +120,7 @@ def seeded_profiles() -> dict:
     profile = council.profile("solver")
     for i in range(3):
         seg = profile.insert(make_trajectory([(f"numbers: {i} {i + 1}", f"{i}+{i + 1}={2 * i + 1}")]))
-        profile.record_retrieval(seg.segment_id, f"ep-{i}")
-        seg.ledger[f"ep-{i}"].outcome = i % 2 == 0
+        record_history(profile, seg.segment_id, [(i % 2 == 0, i + 1)])
     return council.profiles
 
 
@@ -273,9 +292,8 @@ def test_memory_save_and_load_paths(tmp_path):
     profiles = load_memory(memory_file, embedder=TrigramEmbedder(256))
     assert sum(len(p) for p in profiles.values()) > 0
 
-    # Episode ids embed the task id, so a warm start must present fresh task
-    # ids; replaying the saved ids against their own ledger entries would be
-    # rejected as an invalid state.
+    # A warm start may present fresh task ids or the saved ones; see
+    # test_warm_start_reruns_the_same_task_ids.
     eval_tasks = [
         TaskSpec(task_id=f"eval-{t.task_id}", environment=t.environment, payload=t.payload)
         for t in synth_tasks()
@@ -287,6 +305,22 @@ def test_memory_save_and_load_paths(tmp_path):
     )
     output = run(warm, tasks=eval_tasks)
     assert output.summary["tasks"] == 6
+
+
+def test_warm_start_reruns_the_same_task_ids(tmp_path):
+    memory_file = tmp_path / "memory.jsonl"
+    cold = synth_run_config(tmp_path, memory=MemoryConfig(save_path=str(memory_file)))
+    run(cold, tasks=synth_tasks(12))
+    saved = load_memory(memory_file, embedder=TrigramEmbedder(256))
+    assert sum(segment.uses for p in saved.values() for segment in p.segments()) > 0
+
+    warm = synth_run_config(
+        tmp_path,
+        out_dir=str(tmp_path / "warm"),
+        memory=MemoryConfig(load_path=str(memory_file)),
+    )
+    output = run(warm, tasks=synth_tasks(12))
+    assert output.summary["tasks"] == 12
 
 
 def test_unshared_memory_isolates_tasks_and_supports_workers(tmp_path):

@@ -1,4 +1,4 @@
-"""Success-memory store: utility scoring, lookup, ledger flow, pruning."""
+"""Success-memory store: utility scoring, lookup, retrieval counts, pruning."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from council.errors import InvalidStateError
 from council.memory import (
     EpisodeContext,
     ExpertProfile,
-    LedgerEntry,
     SMSegment,
     finalize_episode,
     profile_records,
@@ -20,41 +19,42 @@ from council.memory import (
 )
 from council.trajectory import EpisodeRecord, Trajectory, serialize_trajectory
 
-from conftest import make_trajectory
+from conftest import make_trajectory, record_history
 
 
-def segment_with_ledger(entries: list[tuple[bool | None, int]]) -> SMSegment:
-    ledger = {}
-    for i, (outcome, usage) in enumerate(entries):
-        eid = f"e{i}"
-        ledger[eid] = LedgerEntry(episode_id=eid, usage_count=usage, outcome=outcome)
-    return SMSegment(
-        segment_id="s", prefix=Trajectory(), embedding=np.zeros(4), created_at=0, ledger=ledger
-    )
+def fresh_profile(**kwargs) -> ExpertProfile:
+    return ExpertProfile("expert-a", embedder=TrigramEmbedder(64), **kwargs)
+
+
+def segment_with_history(entries: list[tuple[bool | None, int]]) -> SMSegment:
+    profile = fresh_profile()
+    segment = profile.insert(make_trajectory([("obs", "act")]))
+    record_history(profile, segment.segment_id, entries)
+    return segment
 
 
 def test_utility_all_success():
-    assert sms_utility(segment_with_ledger([(True, 1), (True, 3)])) == 1.0
+    assert sms_utility(segment_with_history([(True, 1), (True, 3)])) == 1.0
 
 
 def test_utility_all_failure():
-    assert sms_utility(segment_with_ledger([(False, 2), (False, 1)])) == 0.0
+    assert sms_utility(segment_with_history([(False, 2), (False, 1)])) == 0.0
 
 
 def test_utility_weighted_mix():
-    seg = segment_with_ledger([(True, 2), (False, 1)])
+    seg = segment_with_history([(True, 2), (False, 1)])
     assert abs(sms_utility(seg) - 2.0 / 3.0) < 1e-12
 
 
 def test_utility_empty_ledger_cold_start():
-    assert sms_utility(segment_with_ledger([])) == 0.5
-    assert sms_utility(segment_with_ledger([]), cold_start=0.2) == 0.2
+    assert sms_utility(segment_with_history([])) == 0.5
+    assert sms_utility(segment_with_history([]), cold_start=0.2) == 0.2
 
 
 def test_utility_ignores_undecided_entries():
-    seg = segment_with_ledger([(None, 5), (True, 1)])
+    seg = segment_with_history([(None, 5), (True, 1)])
     assert sms_utility(seg) == 1.0
-    assert sms_utility(segment_with_ledger([(None, 4)])) == 0.5
+    assert sms_utility(segment_with_history([(None, 4)])) == 0.5
 
 
 @given(
@@ -65,7 +65,7 @@ def test_utility_ignores_undecided_entries():
     )
 )
 def test_utility_matches_direct_formula(entries):
-    seg = segment_with_ledger(entries)
+    seg = segment_with_history(entries)
     value = sms_utility(seg)
     assert 0.0 <= value <= 1.0
     decided = [(y, u) for y, u in entries if y is not None]
@@ -77,10 +77,6 @@ def test_utility_matches_direct_formula(entries):
 
 
 # -- lookup -----------------------------------------------------------------
-
-
-def fresh_profile(**kwargs) -> ExpertProfile:
-    return ExpertProfile("expert-a", embedder=TrigramEmbedder(64), **kwargs)
 
 
 def test_best_match_empty_profile():
@@ -132,24 +128,20 @@ def test_stored_embedding_matches_recomputation():
     assert np.array_equal(segment.embedding, expected)
 
 
-# -- ledger -----------------------------------------------------------------
+# -- retrieval counts -----------------------------------------------------------
 
 
 def test_record_retrieval_counts():
     profile = fresh_profile()
     seg = profile.insert(make_trajectory([("o", "a")]))
-    entry = profile.record_retrieval(seg.segment_id, "ep-1")
-    assert entry.usage_count == 1
-    entry = profile.record_retrieval(seg.segment_id, "ep-1")
-    assert entry.usage_count == 2
-    other = profile.record_retrieval(seg.segment_id, "ep-2")
-    assert other.usage_count == 1
-    assert len(seg.ledger) == 2
+    record_history(profile, seg.segment_id, [(True, 2), (False, 1), (None, 4)])
+    # Every finished lookup is a use; a winning episode's lookups are wins.
+    assert (seg.wins, seg.uses) == (2, 3)
 
 
 def test_record_retrieval_unknown_segment():
     with pytest.raises(ValueError):
-        fresh_profile().record_retrieval("missing", "ep")
+        EpisodeContext("ep").record(fresh_profile(), "missing")
 
 
 def test_episode_context_aggregates_counts():
@@ -159,7 +151,8 @@ def test_episode_context_aggregates_counts():
     episode.record(profile, seg.segment_id)
     episode.record(profile, seg.segment_id)
     assert episode.retrievals() == [("expert-a", seg.segment_id, 2)]
-    assert seg.ledger["ep-9"].usage_count == 2
+    # Nothing reaches the segment before the episode is finalized.
+    assert (seg.wins, seg.uses) == (0, 0)
 
 
 # -- finalize ----------------------------------------------------------------
@@ -181,7 +174,7 @@ def test_failed_episode_sets_outcomes_without_insertions():
         retrievals=episode.retrievals(),
     )
     finalize_episode({"expert-a": profile}, record)
-    assert seg.ledger["ep-f"].outcome is False
+    assert (seg.wins, seg.uses) == (0, 2)
     assert len(profile) == 1
 
 
@@ -232,32 +225,11 @@ def test_dangling_retrieval_is_invalid_state():
         finalize_episode({"expert-a": profile}, record)
 
 
-def test_outcome_is_set_exactly_once():
-    profile = fresh_profile()
-    seg = profile.insert(make_trajectory([("o", "a")]))
-    episode = EpisodeContext("ep")
-    episode.record(profile, seg.segment_id)
-    record = EpisodeRecord(
-        episode_id="ep",
-        task_id="t",
-        final_trajectory=Trajectory(),
-        reward=0.0,
-        success=False,
-        retrievals=episode.retrievals(),
-    )
-    finalize_episode({"expert-a": profile}, record)
-    with pytest.raises(InvalidStateError):
-        finalize_episode({"expert-a": profile}, record)
-
-
 # -- pruning -----------------------------------------------------------------
 
 
 def decide(profile: ExpertProfile, segment: SMSegment, outcomes: list[bool]) -> None:
-    for i, outcome in enumerate(outcomes):
-        eid = f"dec-{segment.segment_id}-{i}"
-        profile.record_retrieval(segment.segment_id, eid)
-        segment.ledger[eid].outcome = outcome
+    record_history(profile, segment.segment_id, [(outcome, 1) for outcome in outcomes])
 
 
 def test_prune_is_noop_under_capacity():
@@ -302,6 +274,23 @@ def test_prune_never_evicts_better_than_retained(success_counts, capacity):
             assert evicted_utility <= kept_min + 1e-12
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=9),
+       st.integers(1, 8))
+def test_prune_evicts_in_repeated_minimum_order(histories, capacity):
+    profile = fresh_profile(capacity=capacity)
+    for i, (wins, losses) in enumerate(histories):
+        seg = profile.insert(make_trajectory([(f"unique obs {i} body", f"act {i}")]))
+        decide(profile, seg, [True] * wins + [False] * losses)
+    remaining = profile.segments()
+    expected = []
+    while len(remaining) > capacity:
+        victim = min(remaining, key=lambda seg: (profile.utility(seg), seg.created_at))
+        remaining.remove(victim)
+        expected.append(victim.segment_id)
+    assert profile.prune() == expected
+    assert profile.segments() == remaining
+
+
 # -- persistence ---------------------------------------------------------------
 
 
@@ -309,8 +298,7 @@ def test_persistence_round_trip_is_exact():
     profile = fresh_profile()
     for i in range(3):
         seg = profile.insert(make_trajectory([(f"obs {i} text", f"act {i}")]))
-        profile.record_retrieval(seg.segment_id, f"ep-{i}")
-        seg.ledger[f"ep-{i}"].outcome = i % 2 == 0
+        record_history(profile, seg.segment_id, [(i % 2 == 0, i + 1)])
     records = profile_records({"expert-a": profile})
     restored = restore_profiles(records, embedder=TrigramEmbedder(64))
     assert profile_records(restored) == records
@@ -320,9 +308,7 @@ def test_persistence_round_trip_is_exact():
     ]
     for mine, theirs in zip(profile.segments(), back.segments()):
         assert serialize_trajectory(mine.prefix) == serialize_trajectory(theirs.prefix)
-        assert {e.episode_id: (e.usage_count, e.outcome) for e in mine.ledger.values()} == {
-            e.episode_id: (e.usage_count, e.outcome) for e in theirs.ledger.values()
-        }
+        assert (mine.wins, mine.uses) == (theirs.wins, theirs.uses)
 
 
 def test_restore_recomputes_embeddings_under_the_new_embedder():
@@ -331,3 +317,20 @@ def test_restore_recomputes_embeddings_under_the_new_embedder():
     records = profile_records({"expert-a": profile})
     wide = restore_profiles(records, embedder=TrigramEmbedder(128))
     assert wide["expert-a"].segments()[0].embedding.shape == (128,)
+
+
+def test_restore_folds_the_older_ledger_form_into_counts():
+    record = {
+        "expert_id": "expert-a",
+        "segment_id": "expert-a:0",
+        "prefix_steps": [["obs", "act"]],
+        "created_at": 0,
+        "ledger": [
+            {"episode_id": "e1", "usage_count": 2, "outcome": True},
+            {"episode_id": "e2", "usage_count": 3, "outcome": False},
+            {"episode_id": "e3", "usage_count": 5, "outcome": None},
+        ],
+    }
+    segment = restore_profiles([record], embedder=TrigramEmbedder(64))["expert-a"].segments()[0]
+    assert (segment.wins, segment.uses) == (2, 5)
+    assert sms_utility(segment) == 2 / 5

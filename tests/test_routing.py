@@ -21,7 +21,7 @@ from council.routing import (
 )
 from council.trajectory import Trajectory, serialize_trajectory
 
-from conftest import make_trajectory
+from conftest import make_trajectory, record_history
 
 
 def council_of(n: int, embedder=None) -> Council:
@@ -170,7 +170,6 @@ def test_routing_records_the_exemplar_retrieval():
     assert decision.exemplar_segment_id == segment.segment_id
     assert decision.exemplar == query
     assert episode.retrievals() == [("e0", segment.segment_id, 1)]
-    assert segment.ledger["ep-route"].usage_count == 1
 
 
 def test_exemplar_similarity_tie_prefers_higher_utility():
@@ -178,8 +177,7 @@ def test_exemplar_similarity_tie_prefers_higher_utility():
     profile = council.profile("e0")
     profile.insert(make_trajectory([("obs one", "act one")]))
     second = profile.insert(make_trajectory([("obs two", "act two")]))
-    profile.record_retrieval(second.segment_id, "past")
-    second.ledger["past"].outcome = True
+    record_history(profile, second.segment_id, [(True, 1)])
     # An empty query embeds to the zero vector, tying every similarity at 0.
     decision = route(council, Trajectory(), "task-aware", random.Random(0))
     assert decision.exemplar_segment_id == second.segment_id

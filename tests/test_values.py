@@ -22,7 +22,7 @@ from council.values import (
     sms_value,
 )
 
-from conftest import make_trajectory
+from conftest import make_trajectory, record_history
 
 
 def test_llm_value_uses_the_only_member():
@@ -52,11 +52,7 @@ def test_sms_value_is_the_best_matches_utility():
     profile = ExpertProfile("a", embedder=TrigramEmbedder(64))
     stored = make_trajectory([("a task description", "the move")])
     segment = profile.insert(stored)
-    profile.record_retrieval(segment.segment_id, "e1")
-    segment.ledger["e1"].outcome = True
-    profile.record_retrieval(segment.segment_id, "e2")
-    profile.record_retrieval(segment.segment_id, "e2")
-    segment.ledger["e2"].outcome = False
+    record_history(profile, segment.segment_id, [(True, 1), (False, 2)])
     value, matched = sms_value(profile, stored)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert matched == segment.segment_id
