@@ -172,10 +172,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for task in tasks:
         if task.environment != "game24":
             raise ValueError(
-                f"oracle: task {task.task_id!r} has environment {task.environment!r}, "
-                "only game24 tasks can be checked"
+                f"tasks file {args.tasks}: task {task.task_id!r} has environment "
+                f"{task.environment!r}, only game24 tasks can be checked"
             )
-        env.check_task(task)
+        try:
+            env.check_task(task)
+        except ValueError as exc:
+            raise ValueError(f"tasks file {args.tasks}: {exc}") from None
         solvable, witness = game24_oracle(task.payload)
         solvable_count += int(solvable)
         rows.append({"task_id": task.task_id, "solvable": solvable, "witness": witness})

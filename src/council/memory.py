@@ -38,16 +38,19 @@ from .trajectory import (
 
 DEFAULT_CAPACITY = 512
 DEFAULT_COLD_START = 0.5
+# Staged embeddings are written into a profile's index as one block once this
+# many wait, or sooner when a scan or prune needs them.
+_STAGE_LIMIT = 256
 
 
 @dataclass
 class SMSegment:
-    """A stored success-memory segment: prefix, its embedding, and the
-    retrieval counts of the finished episodes that looked it up."""
+    """A stored success-memory segment: its prefix and the retrieval counts
+    of the finished episodes that looked it up. Its embedding lives only in
+    the owning profile's index."""
 
     segment_id: str
     prefix: Trajectory
-    embedding: np.ndarray
     created_at: int
     wins: int = 0
     uses: int = 0
@@ -67,11 +70,27 @@ def sms_utility(segment: SMSegment, cold_start: float = DEFAULT_COLD_START) -> f
 class ExpertProfile:
     """The segment store for a single expert.
 
-    Lookups are exact nearest-neighbor scans over the segment embeddings.
-    Mutations are serialized with an internal lock so a profile can be handed
-    between threads. A scan reads a snapshot of (segments, embedding matrix,
-    norms) that is built under the lock on the first scan after an insert or
-    eviction, and indexes only the snapshot it scanned.
+    Lookups are exact cosine scans over an index updated in place: one
+    bucket-major float64 matrix of shape ``(embedder.dim, slots)``, whose
+    column per slot holds a segment's embedding, and the norm of each
+    column. Slots follow insertion order, so the first maximum is the
+    earliest-inserted segment among ties. New embeddings are staged and
+    written as one block on the next scan or prune, or once 256 wait.
+
+    An eviction only marks its slot dead. Dead slots are never returned, and
+    the live slots are compacted in order when the matrix runs out of slots
+    or when a prune leaves more dead slots than live ones. The matrix grows
+    fourfold, except that the growth that reaches ``capacity`` stops at
+    ``capacity + capacity // 8`` slots, so a profile held at capacity keeps
+    one matrix size.
+
+    A scan multiplies only the matrix rows of the query's nonzero buckets.
+    With integer embeddings such as trigram counts every product and partial
+    sum is exact, so the scores equal a dense product bit for bit.
+
+    Every method that reads the index or changes the store holds the
+    profile's lock throughout, scans included, so a profile can be shared
+    between threads.
     """
 
     def __init__(
@@ -90,7 +109,16 @@ class ExpertProfile:
         self._segments: dict[str, SMSegment] = {}
         self._by_text: dict[str, str] = {}
         self._next_created = 0
-        self._snapshot: tuple[list[SMSegment], np.ndarray, np.ndarray] | None = None
+        # The index: slot i is _slots[i] (None once evicted), its embedding is
+        # column i of _cols once written, and slots [0, _written) are written.
+        self._cols = np.zeros((self.embedder.dim, 0), dtype=np.float64)
+        self._norms = np.zeros(0, dtype=np.float64)
+        self._live = np.zeros(0, dtype=bool)
+        self._slots: list[SMSegment | None] = []
+        self._slot_of: dict[str, int] = {}
+        self._written = 0
+        self._dead = 0
+        self._staged: list[np.ndarray] = []
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -119,22 +147,14 @@ class ExpertProfile:
             existing = self._by_text.get(text)
             if existing is not None:
                 return self._segments[existing]
-            embedding = self.embedder.embed(text)
             created = self._next_created
             segment_id = f"{self.expert_id}:{created}"
             while segment_id in self._segments:
                 created += 1
                 segment_id = f"{self.expert_id}:{created}"
-            segment = SMSegment(
-                segment_id=segment_id,
-                prefix=prefix,
-                embedding=embedding,
-                created_at=created,
-            )
-            self._segments[segment_id] = segment
-            self._by_text[text] = segment_id
+            segment = SMSegment(segment_id=segment_id, prefix=prefix, created_at=created)
+            self._add(segment, text)
             self._next_created = created + 1
-            self._snapshot = None
             return segment
 
     def _restore(self, segment: SMSegment) -> None:
@@ -143,31 +163,93 @@ class ExpertProfile:
         with self._lock:
             if segment.segment_id in self._segments or text in self._by_text:
                 raise ValueError(f"duplicate segment on restore: {segment.segment_id}")
-            self._segments[segment.segment_id] = segment
-            self._by_text[text] = segment.segment_id
+            self._add(segment, text)
             self._next_created = max(self._next_created, segment.created_at + 1)
-            self._snapshot = None
+
+    def _add(self, segment: SMSegment, text: str) -> None:
+        """Give a new segment the next slot and stage its embedding. The lock
+        is held."""
+        embedding = self.embedder.embed(text)
+        self._segments[segment.segment_id] = segment
+        self._by_text[text] = segment.segment_id
+        self._slot_of[segment.segment_id] = len(self._slots)
+        self._slots.append(segment)
+        self._staged.append(embedding)
+        if len(self._staged) >= _STAGE_LIMIT:
+            self._flush()
+
+    # -- the index ------------------------------------------------------------
+
+    def _flush(self) -> None:
+        """Write the staged embeddings into their slots as one block. The lock
+        is held."""
+        if not self._staged:
+            return
+        block = np.vstack(self._staged)
+        if self._written + len(block) > self._cols.shape[1]:
+            self._make_room(len(block))
+        start, stop = self._written, self._written + len(block)
+        self._cols[:, start:stop] = block.T
+        self._norms[start:stop] = np.linalg.norm(block, axis=1)
+        self._live[start:stop] = True
+        self._written = stop
+        self._staged = []
+
+    def _make_room(self, count: int) -> None:
+        """Compact, then grow the matrix if ``count`` more slots still do not
+        fit. The lock is held."""
+        if self._dead:
+            self._compact()
+        written, size = self._written, self._cols.shape[1]
+        needed = written + count
+        if needed <= size:
+            return
+        limit = self.capacity + self.capacity // 8
+        grown = max(needed, 4 * size)
+        if size < limit and grown >= self.capacity:
+            grown = max(needed, limit)
+        cols = np.zeros((self._cols.shape[0], grown), dtype=np.float64)
+        cols[:, :written] = self._cols[:, :written]
+        norms = np.zeros(grown, dtype=np.float64)
+        norms[:written] = self._norms[:written]
+        live = np.zeros(grown, dtype=bool)
+        live[:written] = True
+        self._cols, self._norms, self._live = cols, norms, live
+
+    def _compact(self) -> None:
+        """Move the live slots to the front, in order. The lock is held."""
+        keep = np.flatnonzero(self._live[: self._written])
+        kept = len(keep)
+        # Row by row, so the copy needs one row of scratch, not a matrix.
+        for row in self._cols:
+            row[:kept] = row[keep]
+        self._norms[:kept] = self._norms[keep]
+        self._live[:kept] = True
+        self._slots = [segment for segment in self._slots if segment is not None]
+        self._slot_of = {segment.segment_id: i for i, segment in enumerate(self._slots)}
+        self._written, self._dead = kept, 0
 
     # -- retrieval ----------------------------------------------------------
 
-    def _scan(self, query_vec: np.ndarray) -> tuple[list[SMSegment], np.ndarray]:
-        """Cosine similarity of the query against a snapshot of the segments,
-        returned with that snapshot's segment list. The profile must not be
-        empty."""
-        with self._lock:
-            if self._snapshot is None:
-                segments = list(self._segments.values())
-                matrix = np.vstack([segment.embedding for segment in segments])
-                self._snapshot = (segments, matrix, np.linalg.norm(matrix, axis=1))
-            segments, matrix, norms = self._snapshot
+    def _scan(self, query_vec: np.ndarray) -> np.ndarray:
+        """Cosine similarity of the query against every written slot, dead
+        ones included. The lock is held."""
+        if query_vec.shape != (self._cols.shape[0],):
+            raise ValueError(
+                f"dimension mismatch: query {query_vec.shape} vs index {self._cols.shape[:1]}"
+            )
+        self._flush()
+        written = self._written
+        sims = np.zeros(written, dtype=np.float64)
         qnorm = float(np.linalg.norm(query_vec))
         if qnorm == 0.0:
-            return segments, np.zeros(len(segments), dtype=np.float64)
-        dots = matrix @ query_vec
-        sims = np.zeros(len(segments), dtype=np.float64)
+            return sims
+        buckets = np.flatnonzero(query_vec)
+        dots = query_vec[buckets] @ self._cols[buckets, :written]
+        norms = self._norms[:written]
         nonzero = norms > 0.0
         sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
-        return segments, sims
+        return sims
 
     def embed_query(self, query: Trajectory) -> np.ndarray:
         return self.embedder.embed(serialize_trajectory(query))
@@ -176,7 +258,9 @@ class ExpertProfile:
         """Similarity of the query against every segment, in insertion order."""
         if not self._segments:
             return np.zeros(0, dtype=np.float64)
-        return self._scan(query_vec)[1]
+        with self._lock:
+            sims = self._scan(query_vec)
+            return sims[self._live[: self._written]] if self._dead else sims
 
     def best_match(self, query: Trajectory | np.ndarray) -> tuple[SMSegment, float] | None:
         """The stored segment most similar to the query, with its score.
@@ -187,9 +271,12 @@ class ExpertProfile:
         if not self._segments:
             return None
         query_vec = query if isinstance(query, np.ndarray) else self.embed_query(query)
-        segments, sims = self._scan(query_vec)
-        idx = int(np.argmax(sims))
-        return segments[idx], float(sims[idx])
+        with self._lock:
+            sims = self._scan(query_vec)
+            if self._dead:
+                sims[~self._live[: self._written]] = -np.inf
+            slot = int(np.argmax(sims))
+            return self._slots[slot], float(sims[slot])
 
     # -- capacity -----------------------------------------------------------
 
@@ -202,15 +289,22 @@ class ExpertProfile:
             excess = len(self._segments) - self.capacity
             if excess <= 0:
                 return []
+            self._flush()
             ranked = sorted(
                 self._segments.values(),
                 key=lambda segment: (self.utility(segment), segment.created_at),
             )
+            victims = [segment.segment_id for segment in ranked[:excess]]
             for victim in ranked[:excess]:
                 del self._segments[victim.segment_id]
                 del self._by_text[serialize_trajectory(victim.prefix)]
-            self._snapshot = None
-            return [victim.segment_id for victim in ranked[:excess]]
+                slot = self._slot_of.pop(victim.segment_id)
+                self._slots[slot] = None
+                self._live[slot] = False
+            self._dead += excess
+            if self._dead > len(self._segments):
+                self._compact()
+            return victims
 
 
 class EpisodeContext:
@@ -332,11 +426,15 @@ def _fold_ledger(ledger: object) -> tuple[int, int]:
     return wins, uses
 
 
-def segment_from_record(record: object, embedder: Embedder) -> tuple[str, SMSegment]:
+def segment_from_record(
+    record: object, steps: dict[tuple[str, str], Step]
+) -> tuple[str, SMSegment]:
     """Check one persistence record field by field and build its segment,
     returned with its expert id. The older form with a ``ledger`` list in
     place of ``wins``/``uses`` is folded into the two sums. A bad field
-    raises ValueError naming its key."""
+    raises ValueError naming its key. ``steps`` maps (observation, action)
+    texts to the steps built so far and gains the new ones, so the prefixes
+    of one trajectory, stored as separate records, share step objects."""
     if not isinstance(record, dict):
         raise ValueError("expected an object")
     history = ("ledger",) if "ledger" in record else ("wins", "uses")
@@ -348,8 +446,10 @@ def segment_from_record(record: object, embedder: Embedder) -> tuple[str, SMSegm
     pairs, created = record["prefix_steps"], record["created_at"]
     _check(
         isinstance(pairs, list)
-        and all(isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p)
-                for p in pairs),
+        and all(
+            isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
+            for p in pairs
+        ),
         "prefix_steps",
         "a list of [observation, action] string pairs",
     )
@@ -362,11 +462,14 @@ def segment_from_record(record: object, embedder: Embedder) -> tuple[str, SMSegm
         wins, uses = record["wins"], record["uses"]
         _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
         _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
-    prefix = Trajectory(steps=tuple(Step(Observation(obs), Action(act)) for obs, act in pairs))
-    embedding = embedder.embed(serialize_trajectory(prefix))
-    return record["expert_id"], SMSegment(
-        record["segment_id"], prefix, embedding, created, wins=wins, uses=uses
-    )
+    built = []
+    for obs, act in pairs:
+        step = steps.get((obs, act))
+        if step is None:
+            step = steps[obs, act] = Step(Observation(obs), Action(act))
+        built.append(step)
+    prefix = Trajectory(steps=tuple(built))
+    return record["expert_id"], SMSegment(record["segment_id"], prefix, created, wins, uses)
 
 
 def restore_profiles(
@@ -377,12 +480,16 @@ def restore_profiles(
 ) -> dict[str, ExpertProfile]:
     """Rebuild profiles from persistence records, recomputing embeddings.
 
-    A malformed record raises ValueError naming the key at fault.
+    A profile given more records than its capacity is pruned to capacity by
+    the rule :meth:`ExpertProfile.prune` always applies: lowest utility
+    first, oldest first among ties. A malformed record raises ValueError
+    naming the key at fault.
     """
     embedder = embedder if embedder is not None else TrigramEmbedder()
     profiles: dict[str, ExpertProfile] = {}
+    steps: dict[tuple[str, str], Step] = {}
     for record in records:
-        expert_id, segment = segment_from_record(record, embedder)
+        expert_id, segment = segment_from_record(record, steps)
         profile = profiles.get(expert_id)
         if profile is None:
             profile = ExpertProfile(
@@ -390,4 +497,6 @@ def restore_profiles(
             )
             profiles[expert_id] = profile
         profile._restore(segment)
+    for profile in profiles.values():
+        profile.prune()
     return profiles

@@ -58,21 +58,32 @@ class RoutingDecision:
 
 def routing_scores(council: Council, query: Trajectory) -> RoutingScores:
     """Maximum query similarity against each expert's stored segments."""
+    return _routing_scores(council, query, {})
+
+
+def _routing_scores(
+    council: Council, query: Trajectory, vectors: dict[int, np.ndarray]
+) -> RoutingScores:
     per_expert: dict[str, float] = {}
-    vec_cache: dict[int, np.ndarray] = {}
     for expert in council.experts:
         profile = council.profile(expert.expert_id)
         if len(profile) == 0:
             per_expert[expert.expert_id] = 0.0
             continue
-        key = id(profile.embedder)
-        vec = vec_cache.get(key)
-        if vec is None:
-            vec = profile.embed_query(query)
-            vec_cache[key] = vec
-        match = profile.best_match(vec)
+        match = profile.best_match(_query_vector(profile, query, vectors))
         per_expert[expert.expert_id] = match[1] if match is not None else 0.0
     return RoutingScores(per_expert=per_expert)
+
+
+def _query_vector(
+    profile: ExpertProfile, query: Trajectory, vectors: dict[int, np.ndarray]
+) -> np.ndarray:
+    """The query under the profile's embedder, embedded once per embedder
+    and kept in ``vectors``."""
+    key = id(profile.embedder)
+    if key not in vectors:
+        vectors[key] = profile.embed_query(query)
+    return vectors[key]
 
 
 def routing_distribution(scores: RoutingScores, temperature: float) -> RoutingDistribution:
@@ -94,7 +105,10 @@ def routing_distribution(scores: RoutingScores, temperature: float) -> RoutingDi
 
 
 def _pick_exemplar(
-    profile: ExpertProfile, query: Trajectory, episode: EpisodeContext | None
+    profile: ExpertProfile,
+    query: Trajectory,
+    episode: EpisodeContext | None,
+    vectors: dict[int, np.ndarray],
 ) -> SMSegment | None:
     """Best stored segment for the query, with deterministic tie handling.
 
@@ -104,8 +118,7 @@ def _pick_exemplar(
     """
     if len(profile) == 0:
         return None
-    vec = profile.embed_query(query)
-    sims = profile.match_scores(vec)
+    sims = profile.match_scores(_query_vector(profile, query, vectors))
     best = float(sims.max())
     segments = profile.segments()
     tied = [segments[i] for i in np.flatnonzero(sims == best)]
@@ -136,11 +149,12 @@ def route(
     if strategy not in ROUTING_STRATEGIES:
         raise ValueError(f"unknown routing strategy: {strategy}")
     ids = [e.expert_id for e in council.experts]
+    vectors: dict[int, np.ndarray] = {}
     scores: RoutingScores | None = None
     distribution: RoutingDistribution | None = None
 
     if strategy == "task-aware":
-        scores = routing_scores(council, query)
+        scores = _routing_scores(council, query, vectors)
         distribution = routing_distribution(scores, temperature)
         chosen = rng.choices(ids, weights=[distribution.per_expert[eid] for eid in ids])[0]
     elif strategy == "random":
@@ -154,7 +168,7 @@ def route(
         if chosen not in council.by_id:
             raise ValueError(f"aggregator {chosen!r} is not a council member")
 
-    exemplar = _pick_exemplar(council.profile(chosen), query, episode)
+    exemplar = _pick_exemplar(council.profile(chosen), query, episode, vectors)
     return RoutingDecision(
         chosen=chosen,
         strategy=strategy,

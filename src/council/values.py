@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .experts import Council, evaluate_plausibility

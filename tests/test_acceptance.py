@@ -35,7 +35,7 @@ from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
 from council.memory import ExpertProfile, sms_utility
 from council.routing import RoutingScores, route, routing_distribution, routing_scores
-from council.trajectory import Trajectory
+from council.trajectory import Trajectory, serialize_trajectory
 from council.values import SiblingBatch, ValueSignals, fuse_batch, fusion_weight
 
 from conftest import make_trajectory, record_history
@@ -267,11 +267,12 @@ def _scan_sims(profile: ExpertProfile, qvec: np.ndarray) -> list[float]:
     qnorm = float(np.linalg.norm(qvec))
     sims = []
     for seg in profile.segments():
-        vnorm = float(np.linalg.norm(seg.embedding))
+        vec = profile.embedder.embed(serialize_trajectory(seg.prefix))
+        vnorm = float(np.linalg.norm(vec))
         if qnorm == 0.0 or vnorm == 0.0:
             sims.append(0.0)
         else:
-            sims.append(float(np.dot(seg.embedding, qvec)) / (vnorm * qnorm))
+            sims.append(float(np.dot(vec, qvec)) / (vnorm * qnorm))
     return sims
 
 

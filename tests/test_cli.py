@@ -266,6 +266,23 @@ def test_oracle_rejects_non_game24_tasks(tmp_path, capsys):
     assert "synth" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"task_id": "y", "environment": "game24", "payload": "1 2 3 4"}',
+        '{"task_id": "y", "environment": "synth", "payload": {"family": "amber", "seed": 1}}',
+    ],
+    ids=["bad-payload", "wrong-environment"],
+)
+def test_oracle_errors_name_the_tasks_file(tmp_path, capsys, line):
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(line + "\n", encoding="utf-8")
+    code = main(["oracle", str(tasks)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: tasks file {tasks}: task 'y'")
+
+
 # -- memory ------------------------------------------------------------------------
 
 

@@ -139,7 +139,7 @@ def test_oracle_expert_replays_the_witness_move():
     actions = expert.propose(g24_prefix("numbers: 4 4 10 10"), None, 5)
     assert len(actions) == 1
     # The proposed move must keep the task solvable.
-    from council.envs.game24 import game24_oracle, game24_step, parse_numbers
+    from council.envs.game24 import game24_oracle, game24_step
 
     numbers, outcome = game24_step((4.0, 4.0, 10.0, 10.0), actions[0])
     assert not outcome.invalid

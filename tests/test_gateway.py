@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from council.errors import (
     BackendConfigError,
     ExpertUnavailableError,
-    ProviderError,
     ScoreParseError,
 )
 from council.gateway import (

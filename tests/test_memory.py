@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from council.embedding import TrigramEmbedder
+from council.embedding import TrigramEmbedder, similarity
 from council.errors import InvalidStateError
 from council.memory import (
     EpisodeContext,
@@ -122,10 +122,116 @@ def test_insert_rejects_pending_observations():
 
 def test_stored_embedding_matches_recomputation():
     profile = fresh_profile()
-    t = make_trajectory([("a task observation", "an answer")])
-    segment = profile.insert(t)
-    expected = profile.embedder.embed(serialize_trajectory(t))
-    assert np.array_equal(segment.embedding, expected)
+    segment = profile.insert(make_trajectory([("a task observation", "an answer")]))
+    expected = profile.embedder.embed(serialize_trajectory(segment.prefix))
+    probe = profile.embedder.embed("another task observation, another answer")
+    for query in (expected, probe):
+        assert profile.match_scores(query).tolist() == [similarity(query, expected)]
+
+
+def test_scan_equals_a_dense_product_bit_for_bit():
+    profile = ExpertProfile("expert-a", embedder=TrigramEmbedder(1024))
+    for i in range(300):
+        profile.insert(make_trajectory([(f"observation {i * 37} of task {i % 11}", f"act {i}")]))
+    matrix = np.vstack(
+        [profile.embedder.embed(serialize_trajectory(s.prefix)) for s in profile.segments()]
+    )
+    norms = np.linalg.norm(matrix, axis=1)
+    query = profile.embed_query(make_trajectory([("observation 74 of task 2", "act x")]))
+    expected = (matrix @ query) / (norms * float(np.linalg.norm(query)))
+    assert np.array_equal(profile.match_scores(query), expected)
+
+
+# -- the index under inserts, evictions, restores, compaction and growth --------
+
+_TEXTS = [f"{'ab' * (i % 3)}obs {i % 9} {'z' * (i % 4)}" for i in range(40)]
+
+
+def brute_force_check(profile: ExpertProfile, queries: list[np.ndarray]) -> None:
+    """match_scores equals a scan over recomputed embeddings exactly, and
+    best_match returns the earliest live segment among the tied best."""
+    segments = profile.segments()
+    vectors = [profile.embedder.embed(serialize_trajectory(s.prefix)) for s in segments]
+    for query in queries:
+        expected = np.array([similarity(query, v) for v in vectors], dtype=np.float64)
+        assert np.array_equal(profile.match_scores(query), expected)
+        match = profile.best_match(query)
+        if not segments:
+            assert match is None
+            continue
+        first = int(np.flatnonzero(expected == expected.max())[0])
+        assert match[0] is segments[first]
+        assert match[1] == expected[first]
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("insert"), st.lists(st.integers(0, 39), min_size=1, max_size=5)),
+    st.tuples(
+        st.just("episode"), st.lists(st.integers(0, 39), min_size=1, max_size=4), st.booleans()
+    ),
+    st.tuples(st.just("restore"), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.lists(_STEP, max_size=25))
+def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
+    embedder = TrigramEmbedder(8)
+    profile = ExpertProfile("x", capacity=capacity, embedder=embedder)
+    queries = [embedder.embed(text) for text in ("obs 3 zz", "ababobs 7", "")]
+    queries.append(embedder.embed(serialize_trajectory(make_trajectory([(_TEXTS[5], "a")]))))
+    for step in steps:
+        if step[0] == "insert":
+            # Inserting without a finalize grows the profile past capacity.
+            for i in step[1]:
+                profile.insert(make_trajectory([(_TEXTS[i], "a")]))
+        elif step[0] == "episode":
+            episode = EpisodeContext("e")
+            for segment in profile.segments()[::2]:
+                episode.record(profile, segment.segment_id)
+            trajectory = make_trajectory([(_TEXTS[i], f"a{i}") for i in step[1]])
+            record = EpisodeRecord(
+                episode_id="e",
+                task_id="t",
+                final_trajectory=trajectory,
+                reward=1.0 if step[2] else 0.0,
+                success=step[2],
+                per_step_expert=["x"] * trajectory.depth,
+                retrievals=episode.retrievals(),
+            )
+            over = len(profile) > capacity
+            finalize_episode({"x": profile}, record)
+            assert over or len(profile) <= capacity
+        else:
+            records = profile_records({"x": profile})
+            capacity = step[1]
+            profile = restore_profiles(records, embedder, capacity).get(
+                "x", ExpertProfile("x", capacity=capacity, embedder=embedder)
+            )
+            assert len(profile) <= capacity
+        brute_force_check(profile, queries)
+
+
+def test_a_profile_held_at_capacity_never_doubles_its_matrix():
+    profile = fresh_profile(capacity=64)
+    for i in range(64):
+        profile.insert(make_trajectory([(f"seeded observation {i}", "act")]))
+    for episode in range(40):
+        trajectory = make_trajectory([(f"episode {episode} step {j}", "act") for j in range(3)])
+        finalize_episode(
+            {"expert-a": profile},
+            EpisodeRecord(
+                episode_id=f"e{episode}",
+                task_id="t",
+                final_trajectory=trajectory,
+                reward=1.0,
+                success=True,
+                per_step_expert=["expert-a"] * 3,
+            ),
+        )
+        assert len(profile) == 64
+        assert profile._cols.shape[1] == 64 + 64 // 8
+    brute_force_check(profile, [profile.embedder.embed("episode 39 step 2")])
 
 
 # -- retrieval counts -----------------------------------------------------------
@@ -315,8 +421,27 @@ def test_restore_recomputes_embeddings_under_the_new_embedder():
     profile = fresh_profile()
     profile.insert(make_trajectory([("some text to embed", "move")]))
     records = profile_records({"expert-a": profile})
-    wide = restore_profiles(records, embedder=TrigramEmbedder(128))
-    assert wide["expert-a"].segments()[0].embedding.shape == (128,)
+    wide = restore_profiles(records, embedder=TrigramEmbedder(128))["expert-a"]
+    segment = wide.segments()[0]
+    recomputed = wide.embedder.embed(serialize_trajectory(segment.prefix))
+    assert recomputed.shape == (128,)
+    assert wide.match_scores(recomputed).tolist() == [similarity(recomputed, recomputed)]
+
+
+def test_loading_over_capacity_prunes_by_utility_then_age():
+    profile = fresh_profile(capacity=64)
+    for i in range(12):
+        seg = profile.insert(make_trajectory([(f"stored observation {i}", f"act {i}")]))
+        record_history(profile, seg.segment_id, [(i % 3 == 0, 1), (i % 4 == 0, 1)])
+    ranked = sorted(profile.segments(), key=lambda s: (profile.utility(s), s.created_at))
+    kept = {s.segment_id for s in ranked[8:]}
+    small = restore_profiles(
+        profile_records({"expert-a": profile}), embedder=TrigramEmbedder(64), capacity=4
+    )["expert-a"]
+    assert [s.segment_id for s in small.segments()] == [
+        s.segment_id for s in profile.segments() if s.segment_id in kept
+    ]
+    brute_force_check(small, [small.embedder.embed("stored observation 9")])
 
 
 def test_restore_folds_the_older_ledger_form_into_counts():

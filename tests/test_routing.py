@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -57,7 +56,8 @@ def test_scores_match_a_direct_similarity_scan():
     qvec = embedder.embed(serialize_trajectory(query))
     for eid in ("e0", "e1"):
         expected = max(
-            similarity(qvec, seg.embedding) for seg in council.profile(eid).segments()
+            similarity(qvec, embedder.embed(serialize_trajectory(seg.prefix)))
+            for seg in council.profile(eid).segments()
         )
         assert scores.per_expert[eid] == pytest.approx(expected, abs=1e-12)
 
