@@ -37,6 +37,7 @@ from .errors import BackendConfigError
 from .harness import (
     ABLATION_AXES,
     ablation_table,
+    check_tasks,
     dump_json,
     load_memory,
     read_tasks,
@@ -169,16 +170,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     env = Game24Env()
     rows: list[dict] = []
     solvable_count = 0
+    check_tasks(tasks, env, "game24", f"tasks file {args.tasks}")
     for task in tasks:
-        if task.environment != "game24":
-            raise ValueError(
-                f"tasks file {args.tasks}: task {task.task_id!r} has environment "
-                f"{task.environment!r}, only game24 tasks can be checked"
-            )
-        try:
-            env.check_task(task)
-        except ValueError as exc:
-            raise ValueError(f"tasks file {args.tasks}: {exc}") from None
         solvable, witness = game24_oracle(task.payload)
         solvable_count += int(solvable)
         rows.append({"task_id": task.task_id, "solvable": solvable, "witness": witness})

@@ -384,6 +384,21 @@ def write_run_files(
     return out_dir
 
 
+def check_tasks(tasks: list[TaskSpec], env: Environment, env_name: str, source: str) -> None:
+    """Check that every task belongs to ``env_name`` and carries a payload
+    ``env`` accepts; an error names ``source`` and the task."""
+    for task in tasks:
+        if task.environment != env_name:
+            raise ValueError(
+                f"{source}: task {task.task_id!r} has environment {task.environment!r}, "
+                f"expected {env_name!r}"
+            )
+        try:
+            env.check_task(task)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+
+
 def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
     """Run one configuration: the entry point behind ``council run``.
 
@@ -399,16 +414,7 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
         tasks = read_tasks(config.tasks_path)
         source = f"tasks file {config.tasks_path}"
     env = build_environment(config.env.name, config.env.params)
-    for task in tasks:
-        if task.environment != config.env.name:
-            raise ValueError(
-                f"{source}: task {task.task_id!r} has environment {task.environment!r}, "
-                f"but the run's environment is {config.env.name!r}"
-            )
-        try:
-            env.check_task(task)
-        except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+    check_tasks(tasks, env, config.env.name, source)
 
     embedder = TrigramEmbedder(config.embedding_dim)
     loaded_profiles: dict | None = None
@@ -419,6 +425,10 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
             capacity=config.memory.capacity,
             cold_start=config.memory.cold_start,
         )
+        # The file may hold more than this run's capacity; prune by the
+        # rule every later prune uses before any task reads it.
+        for profile in loaded_profiles.values():
+            profile.prune()
 
     shared_council: Council | None = None
     factory: Callable[[], Council] | None = None

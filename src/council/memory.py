@@ -426,15 +426,11 @@ def _fold_ledger(ledger: object) -> tuple[int, int]:
     return wins, uses
 
 
-def segment_from_record(
-    record: object, steps: dict[tuple[str, str], Step]
-) -> tuple[str, SMSegment]:
+def segment_from_record(record: object) -> tuple[str, SMSegment]:
     """Check one persistence record field by field and build its segment,
     returned with its expert id. The older form with a ``ledger`` list in
     place of ``wins``/``uses`` is folded into the two sums. A bad field
-    raises ValueError naming its key. ``steps`` maps (observation, action)
-    texts to the steps built so far and gains the new ones, so the prefixes
-    of one trajectory, stored as separate records, share step objects."""
+    raises ValueError naming its key."""
     if not isinstance(record, dict):
         raise ValueError("expected an object")
     history = ("ledger",) if "ledger" in record else ("wins", "uses")
@@ -462,13 +458,7 @@ def segment_from_record(
         wins, uses = record["wins"], record["uses"]
         _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
         _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
-    built = []
-    for obs, act in pairs:
-        step = steps.get((obs, act))
-        if step is None:
-            step = steps[obs, act] = Step(Observation(obs), Action(act))
-        built.append(step)
-    prefix = Trajectory(steps=tuple(built))
+    prefix = Trajectory(steps=tuple(Step(Observation(obs), Action(act)) for obs, act in pairs))
     return record["expert_id"], SMSegment(record["segment_id"], prefix, created, wins, uses)
 
 
@@ -480,16 +470,14 @@ def restore_profiles(
 ) -> dict[str, ExpertProfile]:
     """Rebuild profiles from persistence records, recomputing embeddings.
 
-    A profile given more records than its capacity is pruned to capacity by
-    the rule :meth:`ExpertProfile.prune` always applies: lowest utility
-    first, oldest first among ties. A malformed record raises ValueError
-    naming the key at fault.
+    Every record is kept, even past a profile's capacity: a run prunes what
+    it loads, a copy of the file does not. A malformed record raises
+    ValueError naming the key at fault.
     """
     embedder = embedder if embedder is not None else TrigramEmbedder()
     profiles: dict[str, ExpertProfile] = {}
-    steps: dict[tuple[str, str], Step] = {}
     for record in records:
-        expert_id, segment = segment_from_record(record, steps)
+        expert_id, segment = segment_from_record(record)
         profile = profiles.get(expert_id)
         if profile is None:
             profile = ExpertProfile(
@@ -497,6 +485,4 @@ def restore_profiles(
             )
             profiles[expert_id] = profile
         profile._restore(segment)
-    for profile in profiles.values():
-        profile.prune()
     return profiles

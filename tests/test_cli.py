@@ -9,7 +9,7 @@ import pytest
 from council.cli import main
 from council.envs.game24 import make_game24_tasks
 from council.envs.synth import SynthConfig, make_synth_tasks
-from council.harness import write_tasks
+from council.harness import write_jsonl, write_tasks
 
 
 def game24_tasks_file(tmp_path, count=3, seed=2):
@@ -320,6 +320,31 @@ def test_memory_save_round_trips_byte_identically(tmp_path, capsys):
     assert main(["memory", "save", memory_path, str(dest)]) == 0
     capsys.readouterr()
     assert dest.read_bytes() == (tmp_path / "memory.jsonl").read_bytes()
+
+
+def test_memory_commands_keep_every_segment_past_the_default_capacity(tmp_path, capsys):
+    # 600 segments for one expert: more than the 512 a run keeps by default.
+    source = tmp_path / "big.jsonl"
+    records = [
+        {
+            "expert_id": "solver",
+            "segment_id": f"solver:{i}",
+            "prefix_steps": [[f"numbers: {i}", f"move {i}"]],
+            "created_at": i,
+            "wins": i % 2,
+            "uses": 1,
+        }
+        for i in range(600)
+    ]
+    write_jsonl(source, records)
+    assert main(["memory", "load", str(source)]) == 0
+    assert capsys.readouterr().out == f"loaded 600 segments from {source}\n"
+    assert main(["memory", "inspect", str(source)]) == 0
+    assert capsys.readouterr().out.startswith("solver: 600 segments")
+    dest = tmp_path / "copy.jsonl"
+    assert main(["memory", "save", str(source), str(dest)]) == 0
+    capsys.readouterr()
+    assert dest.read_bytes() == source.read_bytes()
 
 
 def test_memory_save_requires_a_destination(tmp_path, capsys):

@@ -39,7 +39,7 @@ from council.harness import (
     write_jsonl,
     write_tasks,
 )
-from council.memory import profile_records
+from council.memory import ExpertProfile, profile_records
 
 from conftest import make_trajectory, record_history
 
@@ -265,6 +265,23 @@ def test_an_empty_task_list_summarizes_to_nulls(tmp_path):
     assert output.summary["mean_reward"] is None
     metrics = (tmp_path / "out" / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(metrics) == 1
+
+
+def test_a_run_prunes_loaded_memory_to_its_capacity(tmp_path):
+    profile = ExpertProfile("amber-specialist", capacity=64)
+    for i in range(12):
+        seg = profile.insert(make_trajectory([(f"stored observation {i}", f"act {i}")]))
+        record_history(profile, seg.segment_id, [(i % 3 == 0, 1), (i % 4 == 0, 1)])
+    ranked = sorted(profile.segments(), key=lambda s: (profile.utility(s), s.created_at))
+    kept = {s.segment_id for s in ranked[8:]}
+    loaded, saved = tmp_path / "loaded.jsonl", tmp_path / "saved.jsonl"
+    save_memory(loaded, {"amber-specialist": profile})
+    memory = MemoryConfig(capacity=4, load_path=str(loaded), save_path=str(saved))
+    run(synth_run_config(tmp_path, warmup_tasks=0, memory=memory), tasks=[])
+    lines = saved.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["segment_id"] for line in lines] == [
+        s.segment_id for s in profile.segments() if s.segment_id in kept
+    ]
 
 
 def test_tasks_path_feeds_the_run(tmp_path):

@@ -208,6 +208,10 @@ def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
             profile = restore_profiles(records, embedder, capacity).get(
                 "x", ExpertProfile("x", capacity=capacity, embedder=embedder)
             )
+            assert len(profile) == len(records)
+            brute_force_check(profile, queries)
+            # A run prunes what it loads.
+            profile.prune()
             assert len(profile) <= capacity
         brute_force_check(profile, queries)
 
@@ -428,7 +432,7 @@ def test_restore_recomputes_embeddings_under_the_new_embedder():
     assert wide.match_scores(recomputed).tolist() == [similarity(recomputed, recomputed)]
 
 
-def test_loading_over_capacity_prunes_by_utility_then_age():
+def test_restoring_over_capacity_keeps_every_record_until_a_prune():
     profile = fresh_profile(capacity=64)
     for i in range(12):
         seg = profile.insert(make_trajectory([(f"stored observation {i}", f"act {i}")]))
@@ -438,9 +442,10 @@ def test_loading_over_capacity_prunes_by_utility_then_age():
     small = restore_profiles(
         profile_records({"expert-a": profile}), embedder=TrigramEmbedder(64), capacity=4
     )["expert-a"]
-    assert [s.segment_id for s in small.segments()] == [
-        s.segment_id for s in profile.segments() if s.segment_id in kept
-    ]
+    ids = [s.segment_id for s in profile.segments()]
+    assert [s.segment_id for s in small.segments()] == ids
+    assert sorted(small.prune()) == sorted(s.segment_id for s in ranked[:8])
+    assert [s.segment_id for s in small.segments()] == [i for i in ids if i in kept]
     brute_force_check(small, [small.embedder.embed("stored observation 9")])
 
 
