@@ -14,12 +14,14 @@ in so quick runs need no config file at all.
 
 Exit status reflects completion: a run whose tasks all fail still exits 0,
 while unreadable files, invalid configuration, or malformed task lines exit
-nonzero with a diagnostic naming the offending key or line.
+nonzero with a diagnostic naming the offending key or line. A closed stdout
+ends the command quietly with 141, the status of a writer killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -104,7 +106,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-capacity", type=int, help="segments kept per expert profile")
     parser.add_argument("--memory-cold-start", type=float, help="utility prior for unused segments")
     parser.add_argument("--memory-shared", type=_parse_bool, metavar="BOOL",
-                        help="share one memory across tasks (true) or isolate per task (false)")
+                        help="carry memory across tasks (true) or let every task read the loaded "
+                             "memory and none write to it (false)")
     parser.add_argument("--memory-load", help="memory file to preload profiles from")
     parser.add_argument("--memory-save", help="memory file to write after the run")
 
@@ -263,7 +266,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone (``| head``): exit as SIGPIPE would, with stdout
+        # on /dev/null so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, BackendConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,7 +117,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     _require(
         config.memory.save_path is None or config.memory.shared,
         "memory.save_path",
-        "requires memory.shared = true; unshared memory is discarded after each task",
+        "requires memory.shared = true; unshared memory is never written",
     )
     for i, spec in enumerate(config.council):
         _require(bool(spec.expert_id), f"council[{i}].expert_id", "must be non-empty")

@@ -153,6 +153,16 @@ class BackendUsage:
     requests: int = 0
     input_chars: int = 0
     output_chars: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def add(self, request: ChatRequest | None = None, reply: str = "") -> None:
+        """Count one sent ``request`` or one received ``reply``. Worker
+        threads share a backend, so the update holds a lock."""
+        with self._lock:
+            if request is not None:
+                self.requests += 1
+                self.input_chars += sum(len(m.content) for m in request.messages)
+            self.output_chars += len(reply)
 
 
 class Backend(Protocol):
@@ -170,7 +180,8 @@ class StubBackend:
 
     Replies come from a list (cycled) or a callable. A positive ``failures``
     makes the first N sends raise the configured exception, which is how the
-    retry path gets exercised.
+    retry path gets exercised. Sends from several threads are counted
+    exactly; the reply callable runs outside the lock.
     """
 
     def __init__(
@@ -187,21 +198,22 @@ class StubBackend:
         self._failure_exc = failure_exc
         self.usage = BackendUsage()
         self.requests_seen: list[ChatRequest] = []
+        self._lock = threading.Lock()
 
     def send(self, request: ChatRequest) -> str:
-        self.requests_seen.append(request)
-        self.usage.requests += 1
-        self.usage.input_chars += sum(len(m.content) for m in request.messages)
-        if self._calls < self._failures:
+        with self._lock:
+            self.requests_seen.append(request)
+            call = self._calls
             self._calls += 1
+        self.usage.add(request)
+        if call < self._failures:
             raise self._failure_exc("stub backend failure")
-        self._calls += 1
         if callable(self._replies):
             reply = self._replies(request)
         else:
             replies = list(self._replies)
-            reply = replies[(self._calls - 1 - self._failures) % len(replies)]
-        self.usage.output_chars += len(reply)
+            reply = replies[(call - self._failures) % len(replies)]
+        self.usage.add(reply=reply)
         return reply
 
 
@@ -243,8 +255,7 @@ class HTTPBackend:
             "max_tokens": request.max_tokens,
         }
         with self._gate:
-            self.usage.requests += 1
-            self.usage.input_chars += sum(len(m.content) for m in request.messages)
+            self.usage.add(request)
             try:
                 response = _requests.post(
                     self.endpoint,
@@ -262,7 +273,7 @@ class HTTPBackend:
             content = response.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, ValueError) as exc:
             raise ProviderError("malformed completion payload") from exc
-        self.usage.output_chars += len(content)
+        self.usage.add(reply=content)
         return str(content)
 
 

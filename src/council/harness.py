@@ -217,28 +217,29 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
     )
 
 
-def build_council(config: RunConfig, profiles: dict | None = None) -> Council:
+def build_council(
+    config: RunConfig, profiles: dict | None = None, embedder: Embedder | None = None
+) -> Council:
+    """The council a config names. Experts without a profile in ``profiles``
+    get an empty one under ``embedder`` (a fresh trigram embedder of the
+    config's width if none is given)."""
     if not config.council:
         raise ValueError("config key 'council': at least one expert is required")
     experts = [build_expert(spec, config.env, config.seed) for spec in config.council]
     return Council(
         experts,
         profiles=profiles,
-        embedder=TrigramEmbedder(config.embedding_dim),
+        embedder=embedder if embedder is not None else TrigramEmbedder(config.embedding_dim),
         capacity=config.memory.capacity,
         cold_start=config.memory.cold_start,
     )
 
 
-def _backend_usage(councils: list[Council]) -> dict:
+def _backend_usage(council: Council) -> dict:
     usage: dict[str, dict] = {}
-    seen: set[int] = set()
-    for council in councils:
-        for expert in council.experts:
-            backend = getattr(expert, "backend", None)
-            if backend is None or id(backend) in seen:
-                continue
-            seen.add(id(backend))
+    for expert in council.experts:
+        backend = getattr(expert, "backend", None)
+        if backend is not None:
             usage[backend.backend_id] = {
                 "requests": backend.usage.requests,
                 "input_chars": backend.usage.input_chars,
@@ -287,87 +288,66 @@ def summarize(rows: list[dict], warmup_tasks: int, backend_usage: dict | None = 
     }
 
 
-def _run_one(
-    index: int,
-    task: TaskSpec,
-    env: Environment,
-    council: Council,
-    planner: PlannerConfig,
-    seed: int,
-    warmup_tasks: int,
-) -> tuple[dict, list[dict]]:
-    rng = Random(derived_seed(seed, "task", index, task.task_id))
-    episode_id = f"{task.task_id}|{index}"
-    trace: list[dict] = []
-    result = search(task, env, council, planner, rng, episode_id=episode_id, trace=trace)
-    row = {
-        "index": index,
-        "task_id": task.task_id,
-        "episode_id": episode_id,
-        "warmup": index < warmup_tasks,
-        "success": result.success,
-        "reward": result.reward,
-        "iterations_used": result.iterations_used,
-        "nodes_expanded": result.nodes_expanded,
-        "max_depth_reached": result.max_depth_reached,
-        "depth": result.best_trajectory.depth,
-        "per_step_expert": list(result.episode.per_step_expert),
-    }
-    trace_rows = [
-        {"index": index, "task_id": task.task_id, "episode_id": episode_id, **event}
-        for event in trace
-    ]
-    return row, trace_rows
-
-
 def run_tasks(
     tasks: list[TaskSpec],
     env: Environment,
     planner: PlannerConfig,
     seed: int,
-    council: Council | None = None,
-    council_factory: Callable[[], Council] | None = None,
+    council: Council,
     warmup_tasks: int = 0,
     out_dir: str | Path | None = None,
     workers: int = 1,
+    shared: bool = True,
 ) -> RunOutput:
     """Run the planner over a task list and aggregate the results.
 
-    A shared ``council`` carries its memory across tasks and forces
-    sequential execution. A ``council_factory`` builds an isolated council
-    per task, which is what makes ``workers > 1`` sound; rows and traces are
-    emitted in task order either way.
+    With ``shared`` memory each task's episode is folded into the council's
+    profiles before the next task starts, so tasks run one after another.
+    Unshared, every task reads the council's memory as it was at the start
+    and none writes to it, which is what makes ``workers > 1`` sound: the
+    worker threads share the one council, whose profiles lock their scans.
+    Rows and traces are emitted in task order either way.
     """
-    if (council is None) == (council_factory is None):
-        raise ValueError("provide exactly one of council or council_factory")
-    if workers > 1 and council is not None:
-        raise ValueError("a shared council cannot run with workers > 1")
+    if shared and workers > 1:
+        raise ValueError("shared memory cannot run with workers > 1")
 
-    councils_seen: list[Council] = []
-    results: list[tuple[dict, list[dict]]] = []
-    if council is not None:
-        councils_seen.append(council)
-        for index, task in enumerate(tasks):
-            results.append(
-                _run_one(index, task, env, council, planner, seed, warmup_tasks)
-            )
+    def run_one(pair: tuple[int, TaskSpec]) -> tuple[dict, list[dict]]:
+        index, task = pair
+        rng = Random(derived_seed(seed, "task", index, task.task_id))
+        episode_id = f"{task.task_id}|{index}"
+        trace: list[dict] = []
+        result = search(
+            task, env, council, planner, rng, episode_id=episode_id, trace=trace,
+            update_memory=shared,
+        )
+        row = {
+            "index": index,
+            "task_id": task.task_id,
+            "episode_id": episode_id,
+            "warmup": index < warmup_tasks,
+            "success": result.success,
+            "reward": result.reward,
+            "iterations_used": result.iterations_used,
+            "nodes_expanded": result.nodes_expanded,
+            "max_depth_reached": result.max_depth_reached,
+            "depth": result.best_trajectory.depth,
+            "per_step_expert": list(result.episode.per_step_expert),
+        }
+        trace_rows = [
+            {"index": index, "task_id": task.task_id, "episode_id": episode_id, **event}
+            for event in trace
+        ]
+        return row, trace_rows
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_one, enumerate(tasks)))
     else:
-
-        def job(pair: tuple[int, TaskSpec]) -> tuple[dict, list[dict]]:
-            index, task = pair
-            fresh = council_factory()
-            councils_seen.append(fresh)
-            return _run_one(index, task, env, fresh, planner, seed, warmup_tasks)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, enumerate(tasks)))
-        else:
-            results = [job(pair) for pair in enumerate(tasks)]
+        results = list(map(run_one, enumerate(tasks)))
 
     rows = [row for row, _ in results]
     trace_rows = [event for _, events in results for event in events]
-    summary = summarize(rows, warmup_tasks, _backend_usage(councils_seen))
+    summary = summarize(rows, warmup_tasks, _backend_usage(council))
 
     output = RunOutput(rows=rows, summary=summary, trace_rows=trace_rows)
     if out_dir is not None:
@@ -429,46 +409,20 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
         # rule every later prune uses before any task reads it.
         for profile in loaded_profiles.values():
             profile.prune()
-
-    shared_council: Council | None = None
-    factory: Callable[[], Council] | None = None
-    if config.memory.shared:
-        shared_council = build_council(config, profiles=loaded_profiles)
-    else:
-        experts = [build_expert(spec, config.env, config.seed) for spec in config.council]
-        # Profiles hold locks, so per-task copies go through the record form.
-        base_records = profile_records(loaded_profiles) if loaded_profiles else None
-
-        def factory() -> Council:
-            profiles = None
-            if base_records:
-                profiles = restore_profiles(
-                    base_records,
-                    embedder=embedder,
-                    capacity=config.memory.capacity,
-                    cold_start=config.memory.cold_start,
-                )
-            return Council(
-                experts,
-                profiles=profiles,
-                embedder=embedder,
-                capacity=config.memory.capacity,
-                cold_start=config.memory.cold_start,
-            )
-
+    council = build_council(config, profiles=loaded_profiles, embedder=embedder)
     output = run_tasks(
         tasks,
         env,
         config.planner,
         config.seed,
-        council=shared_council,
-        council_factory=factory,
+        council=council,
         warmup_tasks=config.warmup_tasks,
         out_dir=config.out_dir,
         workers=config.workers,
+        shared=config.memory.shared,
     )
     if config.memory.save_path is not None:
-        save_memory(config.memory.save_path, shared_council.profiles)
+        save_memory(config.memory.save_path, council.profiles)
     return output
 
 

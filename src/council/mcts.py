@@ -258,14 +258,17 @@ def search(
     rng: random.Random,
     episode_id: str | None = None,
     trace: list[dict] | None = None,
+    update_memory: bool = True,
 ) -> PlanResult:
     """Run one budgeted search episode and fold its outcome into memory.
 
     Returns the best plan found: the first terminal node meeting the success
     threshold if one appears, otherwise the highest-valued candidate seen.
-    Memory profiles of the council are updated through episode finalization
-    whether or not the episode succeeded. When ``trace`` is given, one event
-    dict per iteration (plus a final result event) is appended to it.
+    The search only reads the council's memory; its one write is the episode
+    finalization at the end, succeeded or not. ``update_memory`` false skips
+    it, so concurrent searches may share the profiles. When ``trace`` is
+    given, one event dict per iteration (plus a final result event) is
+    appended to it.
     """
     budget = planner.budget
     episode = EpisodeContext(episode_id if episode_id is not None else task.task_id)
@@ -506,7 +509,8 @@ def search(
         per_step_expert=_ancestry_experts(tree, best),
         retrievals=episode.retrievals(),
     )
-    finalize_episode(council.profiles, record)
+    if update_memory:
+        finalize_episode(council.profiles, record)
     _emit(
         trace,
         type="result",

@@ -18,6 +18,7 @@ lookups wait in its :class:`EpisodeContext` and reach the segments only when
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -290,12 +291,13 @@ class ExpertProfile:
             if excess <= 0:
                 return []
             self._flush()
-            ranked = sorted(
+            ranked = heapq.nsmallest(
+                excess,
                 self._segments.values(),
                 key=lambda segment: (self.utility(segment), segment.created_at),
             )
-            victims = [segment.segment_id for segment in ranked[:excess]]
-            for victim in ranked[:excess]:
+            victims = [segment.segment_id for segment in ranked]
+            for victim in ranked:
                 del self._segments[victim.segment_id]
                 del self._by_text[serialize_trajectory(victim.prefix)]
                 slot = self._slot_of.pop(victim.segment_id)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import council
 from council.cli import main
 from council.envs.game24 import make_game24_tasks
 from council.envs.synth import SynthConfig, make_synth_tasks
@@ -418,3 +423,28 @@ def test_malformed_task_payloads_exit_two_naming_task_and_key(tmp_path, capsys, 
     assert code == 2
     assert len(err) == 1
     assert err[0].startswith(f"error: tasks file {tasks}: task 'bad-task': key 'payload")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_command_quietly_with_141(tmp_path, unbuffered):
+    tasks = game24_tasks_file(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    # Buffered, the first write fails only when stdout is flushed.
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(council.__file__).parents[1]),
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "council.cli", "oracle", str(tasks)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

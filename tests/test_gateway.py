@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
 from council.errors import (
     BackendConfigError,
     ExpertUnavailableError,
+    ProviderError,
     ScoreParseError,
 )
 from council.gateway import (
@@ -157,6 +161,42 @@ def test_stub_backend_cycles_replies_and_tracks_usage():
     assert backend.usage.input_chars == 3 * len("s" + "u")
     assert backend.usage.output_chars == 3
     assert len(backend.requests_seen) == 3
+
+
+def send_from_threads(backend: StubBackend, threads: int, sends: int) -> int:
+    """Send ``sends`` requests from each of ``threads`` threads at once;
+    returns how many raised ProviderError."""
+    failed: list[int] = []
+
+    def sender() -> None:
+        for _ in range(sends):
+            try:
+                backend.send(request())
+            except ProviderError:
+                failed.append(1)
+
+    workers = [threading.Thread(target=sender) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    return len(failed)
+
+
+def test_concurrent_sends_are_counted_exactly():
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so lost updates would show
+    try:
+        for _ in range(5):
+            backend = StubBackend(["ok"], failures=37)
+            assert send_from_threads(backend, threads=8, sends=200) == 37
+            assert backend.usage.requests == 8 * 200
+            assert backend.usage.input_chars == 8 * 200 * len("s" + "u")
+            assert backend.usage.output_chars == (8 * 200 - 37) * len("ok")
+            assert len(backend.requests_seen) == 8 * 200
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_request_for_carries_the_sampling_settings():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from council.harness import (
     write_tasks,
 )
 from council.memory import ExpertProfile, profile_records
+from council.trajectory import serialize_trajectory
 
 from conftest import make_trajectory, record_history
 
@@ -340,36 +342,82 @@ def test_warm_start_reruns_the_same_task_ids(tmp_path):
     assert output.summary["tasks"] == 12
 
 
+def saved_memory(tmp_path: Path) -> Path:
+    """A memory file written by a shared run over the standard synth tasks."""
+    path = tmp_path / "memory.jsonl"
+    run(
+        synth_run_config(
+            tmp_path, out_dir=str(tmp_path / "cold"), memory=MemoryConfig(save_path=str(path))
+        ),
+        tasks=synth_tasks(),
+    )
+    return path
+
+
 def test_unshared_memory_isolates_tasks_and_supports_workers(tmp_path):
-    sequential = synth_run_config(
-        tmp_path,
-        out_dir=str(tmp_path / "seq"),
-        memory=MemoryConfig(shared=False),
-        workers=1,
-    )
-    parallel = synth_run_config(
-        tmp_path,
-        out_dir=str(tmp_path / "par"),
-        memory=MemoryConfig(shared=False),
-        workers=2,
-    )
-    a = run(sequential, tasks=synth_tasks())
-    b = run(parallel, tasks=synth_tasks())
-    assert a.rows == b.rows
+    memory = MemoryConfig(shared=False, load_path=str(saved_memory(tmp_path)))
+    outputs = {
+        workers: run(
+            synth_run_config(
+                tmp_path, out_dir=str(tmp_path / f"w{workers}"), memory=memory, workers=workers
+            ),
+            tasks=synth_tasks(),
+        )
+        for workers in (1, 2)
+    }
+    assert outputs[1].rows == outputs[2].rows
+    for name in ("metrics.jsonl", "trace.jsonl"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
-def test_run_tasks_wants_exactly_one_council_source():
+def test_only_shared_runs_write_to_the_councils_memory(tmp_path):
+    config = synth_run_config(tmp_path, warmup_tasks=0)
+    council = build_council(
+        config, profiles=load_memory(saved_memory(tmp_path), embedder=TrigramEmbedder(256))
+    )
+    before = profile_records(council.profiles)
+    env = SynthEnv(SynthConfig(depth=2))
+    unshared = run_tasks(synth_tasks(), env, config.planner, 11, council=council, shared=False)
+    assert unshared.summary["successes"] > 0
+    assert profile_records(council.profiles) == before
+    shared = run_tasks(synth_tasks(), env, config.planner, 11, council=council)
+    assert shared.summary["successes"] > 0
+    assert profile_records(council.profiles) != before
+
+
+def test_an_unshared_run_embeds_each_loaded_segment_once(tmp_path, monkeypatch):
+    memory_file = saved_memory(tmp_path)
+    texts = {
+        serialize_trajectory(segment.prefix)
+        for profile in load_memory(memory_file).values()
+        for segment in profile.segments()
+    }
+    embedded: list[str] = []
+    original = TrigramEmbedder.embed
+
+    def counting(embedder, text):
+        embedded.append(text)
+        return original(embedder, text)
+
+    monkeypatch.setattr(TrigramEmbedder, "embed", counting)
+    memory = MemoryConfig(shared=False, load_path=str(memory_file))
+    for count in (1, 6):
+        embedded.clear()
+        config = synth_run_config(tmp_path, out_dir=str(tmp_path / f"n{count}"), memory=memory)
+        run(config, tasks=synth_tasks(count))
+        assert Counter(text for text in embedded if text in texts) == Counter(texts)
+
+
+def test_shared_memory_cannot_run_with_workers():
     env = SynthEnv(SynthConfig(depth=2))
     council = Council(
         [SynthSpecialistExpert("amber-specialist", "amber", SynthConfig(depth=2))],
         embedder=TrigramEmbedder(64),
     )
-    with pytest.raises(ValueError):
-        run_tasks([], env, PlannerConfig(), seed=1)
-    with pytest.raises(ValueError):
-        run_tasks([], env, PlannerConfig(), seed=1, council=council, council_factory=lambda: council)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="workers"):
         run_tasks([], env, PlannerConfig(), seed=1, council=council, workers=2)
+    output = run_tasks([], env, PlannerConfig(), seed=1, council=council, workers=2, shared=False)
+    assert output.summary["tasks"] == 0
 
 
 def test_scripted_councils_report_no_backend_usage(tmp_path):
