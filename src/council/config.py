@@ -9,7 +9,7 @@ silently ignored typo in an experiment config is a wasted run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 VALUE_MODES = ("full", "llm-only", "sms-only", "env-only")
@@ -69,9 +69,6 @@ class RunConfig:
     warmup_tasks: int = 0
     workers: int = 1
     embedding_dim: int = 256
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require(condition: bool, key: str, message: str) -> None:

@@ -15,6 +15,7 @@ actions at all. They exist to check each other.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -276,11 +277,21 @@ class Game24Env(Environment):
 
 
 def make_game24_tasks(count: int, seed: int, low: int = 1, high: int = 13) -> list[TaskSpec]:
-    """Sample ``count`` distinct solvable four-number tasks, deterministically."""
+    """Sample ``count`` distinct solvable four-number tasks, deterministically.
+
+    Raises ValueError once every multiset in ``[low, high]`` has been drawn
+    and fewer than ``count`` of them are solvable.
+    """
     rng = derived_rng("game24-tasks", seed)
+    multisets = math.comb(high - low + 4, 4)
     tasks: list[TaskSpec] = []
     seen: set[tuple[int, ...]] = set()
     while len(tasks) < count:
+        if len(seen) == multisets:
+            raise ValueError(
+                f"only {len(tasks)} of the {multisets} four-number multisets in "
+                f"[{low}, {high}] are solvable, fewer than the {count} asked for"
+            )
         combo = tuple(sorted(rng.randint(low, high) for _ in range(4)))
         if combo in seen:
             continue

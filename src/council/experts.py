@@ -35,13 +35,6 @@ from .envs.synth import SynthConfig, family_vocab, hidden_sequence, parse_view
 
 
 @dataclass(frozen=True)
-class ExpertDescriptor:
-    expert_id: str
-    display_name: str
-    kind: str  # "scripted" or "llm-backed"
-
-
-@dataclass(frozen=True)
 class ActionProposal:
     action: Action
     expert_id: str
@@ -66,17 +59,11 @@ def first_observation_text(prefix: Trajectory) -> str:
 
 
 class Expert:
-    kind = "scripted"
-
     def __init__(self, expert_id: str, display_name: str | None = None):
         if not expert_id:
             raise ValueError("expert_id must be non-empty")
         self.expert_id = expert_id
         self.display_name = display_name or expert_id
-
-    @property
-    def descriptor(self) -> ExpertDescriptor:
-        return ExpertDescriptor(self.expert_id, self.display_name, self.kind)
 
     def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
         raise NotImplementedError
@@ -323,8 +310,6 @@ class LLMExpert(Expert):
     observation, which is how every bundled environment presents the task.
     """
 
-    kind = "llm-backed"
-
     def __init__(
         self,
         expert_id: str,
@@ -400,13 +385,6 @@ class Council:
                     embedder=embedder,
                     cold_start=cold_start,
                 )
-
-    def __len__(self) -> int:
-        return len(self.experts)
-
-    @property
-    def members(self) -> list[ExpertDescriptor]:
-        return [e.descriptor for e in self.experts]
 
     def profile(self, expert_id: str) -> ExpertProfile:
         return self.profiles[expert_id]

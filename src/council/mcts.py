@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 from .config import PlannerConfig
 from .errors import ExpertUnavailableError
-from .experts import Council, Expert, propose_actions
+from .experts import ActionProposal, Council, Expert, propose_actions
 from .memory import EpisodeContext, finalize_episode
-from .routing import route
+from .routing import RoutingDecision, route
 from .trajectory import EpisodeRecord, Trajectory
 from .values import SiblingBatch, ValueSignals, fuse_batch, llm_value, normalize, sms_value
 
@@ -41,8 +41,6 @@ class SearchNode:
     reward: float | None = None
     children: list[int] = field(default_factory=list)
     fused_value: float | None = None
-    signals: ValueSignals | None = None
-    fusion: SiblingBatch | None = None
     visits: int = 0
     value: float = 0.0
 
@@ -169,21 +167,7 @@ def _ancestry_experts(tree: SearchTree, node: SearchNode) -> list[str]:
     return chain
 
 
-class _Candidates:
-    """Answer pool: every frontier pick and every terminal child, deduplicated
-    in first-seen order."""
-
-    def __init__(self) -> None:
-        self._seen: set[int] = set()
-        self.nodes: list[SearchNode] = []
-
-    def add(self, node: SearchNode) -> None:
-        if node.node_id not in self._seen:
-            self._seen.add(node.node_id)
-            self.nodes.append(node)
-
-
-def _routing_event(decision) -> dict:
+def _routing_event(decision: RoutingDecision) -> dict:
     return {
         "chosen": decision.chosen,
         "strategy": decision.strategy,
@@ -195,59 +179,89 @@ def _routing_event(decision) -> dict:
     }
 
 
-def _emit(trace: list[dict] | None, **event) -> None:
-    if trace is not None:
-        trace.append(event)
+def _act(
+    council: Council,
+    prefix: Trajectory,
+    planner: PlannerConfig,
+    rng: random.Random,
+    step_index: int,
+    episode: EpisodeContext,
+) -> tuple[RoutingDecision, list[ActionProposal]]:
+    """Route an expert for the prefix and take its proposals.
+
+    An unavailable expert earns one fresh route among the remaining members,
+    at the same step index. ExpertUnavailableError escapes when routing
+    fails, when no member remains, or when the second expert fails too.
+    """
+
+    def routed(members: Council, aggregator: str | None) -> RoutingDecision:
+        return route(
+            members,
+            prefix,
+            planner.routing_strategy,
+            rng,
+            step_index=step_index,
+            temperature=planner.routing_temperature,
+            episode=episode,
+            aggregator=aggregator,
+        )
+
+    def proposals(decision: RoutingDecision) -> list[ActionProposal]:
+        expert = council.by_id[decision.chosen]
+        return propose_actions(expert, prefix, decision.exemplar, planner.budget.expansion_width)
+
+    decision = routed(council, planner.aggregator)
+    try:
+        return decision, proposals(decision)
+    except ExpertUnavailableError:
+        remaining = [e.expert_id for e in council.experts if e.expert_id != decision.chosen]
+        if not remaining:
+            raise
+        aggregator = planner.aggregator if planner.aggregator in remaining else None
+        decision = routed(council.subset(remaining), aggregator)
+        return decision, proposals(decision)
 
 
 def _assign_values(
     children: list[SearchNode],
-    leaf: SearchNode,
+    parent_id: int,
     council: Council,
     acting_expert_id: str,
     mode: str,
     rng: random.Random,
     episode: EpisodeContext,
-) -> None:
-    """Fill fused_value (and the raw signals behind it) for a sibling set."""
-    if mode == "env-only":
-        for child in children:
-            child.fused_value = 0.5
-            child.value = 0.5
-        return
+) -> SiblingBatch | None:
+    """Set fused_value (and the starting value) of each child in a sibling set.
 
-    profile = council.profile(acting_expert_id)
-    for child in children:
-        v_llm = evaluator_id = None
-        v_sms = matched_id = None
-        if mode in ("full", "llm-only"):
-            v_llm, evaluator_id = llm_value(council, child.prefix, rng)
-        if mode in ("full", "sms-only"):
-            v_sms, matched_id = sms_value(profile, child.prefix, episode)
-        child.signals = ValueSignals(
-            v_llm=v_llm,
-            v_sms=v_sms,
-            evaluator_id=evaluator_id,
-            matched_segment_id=matched_id,
-        )
+    Only the judged signal draws from ``rng``, one draw per child in child
+    order. Returns the fused batch, which carries the batch's spreads and
+    weight, in ``full`` mode and None otherwise.
+    """
+    v_llm = v_sms = None
+    if mode in ("full", "llm-only"):
+        v_llm = [llm_value(council, c.prefix, rng)[0] for c in children]
+    if mode in ("full", "sms-only"):
+        profile = council.profile(acting_expert_id)
+        v_sms = [sms_value(profile, c.prefix, episode)[0] for c in children]
 
+    batch = None
     if mode == "full":
         batch = SiblingBatch(
-            parent=leaf.node_id,
-            children=[(c.node_id, c.signals) for c in children],
+            parent=parent_id,
+            children=[
+                (c.node_id, ValueSignals(v_llm=a, v_sms=b))
+                for c, a, b in zip(children, v_llm, v_sms)
+            ],
         )
-        fused = fuse_batch(batch)
-        leaf.fusion = batch
-        for child in children:
-            child.fused_value = fused[child.node_id]
-    elif mode == "llm-only":
-        for child, norm in zip(children, normalize([c.signals.v_llm for c in children])):
-            child.fused_value = norm
-    else:  # sms-only
-        for child, norm in zip(children, normalize([c.signals.v_sms for c in children])):
-            child.fused_value = norm
-    for child in children:
-        child.value = child.fused_value
+        by_id = fuse_batch(batch)
+        fused = [by_id[c.node_id] for c in children]
+    elif mode == "env-only":
+        fused = [0.5] * len(children)
+    else:
+        fused = normalize(v_llm if v_llm is not None else v_sms)
+    for child, value in zip(children, fused):
+        child.fused_value = child.value = value
+    return batch
 
 
 def search(
@@ -267,8 +281,8 @@ def search(
     The search only reads the council's memory; its one write is the episode
     finalization at the end, succeeded or not. ``update_memory`` false skips
     it, so concurrent searches may share the profiles. When ``trace`` is
-    given, one event dict per iteration (plus a final result event) is
-    appended to it.
+    given, one event dict per iteration, whatever its outcome, plus a final
+    result event is appended to it.
     """
     budget = planner.budget
     episode = EpisodeContext(episode_id if episode_id is not None else task.task_id)
@@ -281,12 +295,12 @@ def search(
         reward=root_replay.reward,
     )
 
-    candidates = _Candidates()
+    # Answer pool: every frontier pick and every terminal child, by node id.
+    candidates: dict[int, SearchNode] = {}
     success_node: SearchNode | None = None
     iterations_used = 0
     nodes_expanded = 0
     route_counter = 0
-    member_ids = [e.expert_id for e in council.experts]
 
     if root.terminal:
         if root.reward is not None and root.reward >= planner.success_threshold:
@@ -297,200 +311,121 @@ def search(
             path = select_path(tree, planner.exploration)
             leaf = path[-1]
             path_ids = [n.node_id for n in path]
-
-            if leaf.terminal:
-                reward = leaf.reward if leaf.reward is not None else 0.0
-                backpropagate(path, reward)
-                stopped = reward >= planner.success_threshold
-                _emit(
-                    trace,
-                    type="iteration",
-                    iteration=iteration,
-                    path=path_ids,
-                    outcome="terminal-leaf",
-                    backprop_reward=reward,
-                    success_stop=stopped,
-                )
-                if stopped:
-                    success_node = leaf
-                    break
-                continue
-
-            if leaf.depth >= budget.max_depth:
-                # Depth cap: the branch is abandoned as a failure.
-                _mark_failed(leaf)
-                backpropagate(path, 0.0)
-                _emit(
-                    trace,
-                    type="iteration",
-                    iteration=iteration,
-                    path=path_ids,
-                    outcome="depth-cap",
-                    backprop_reward=0.0,
-                )
-                continue
-
+            event = {"type": "iteration", "iteration": iteration, "path": path_ids}
             try:
-                decision = route(
-                    council,
-                    leaf.prefix,
-                    planner.routing_strategy,
-                    rng,
-                    step_index=route_counter,
-                    temperature=planner.routing_temperature,
-                    episode=episode,
-                    aggregator=planner.aggregator,
-                )
-            except ExpertUnavailableError:
-                route_counter += 1
-                _emit(
-                    trace,
-                    type="iteration",
-                    iteration=iteration,
-                    path=path_ids,
-                    outcome="routing-unavailable",
-                )
-                continue
-            route_counter += 1
-
-            expert = council.by_id[decision.chosen]
-            try:
-                proposals = propose_actions(
-                    expert, leaf.prefix, decision.exemplar, budget.expansion_width
-                )
-            except ExpertUnavailableError:
-                # One fresh route among the remaining members, then give up
-                # on this iteration; the spent iteration still counts.
-                remaining = [eid for eid in member_ids if eid != decision.chosen]
-                if not remaining:
-                    continue
-                aggregator = planner.aggregator if planner.aggregator in remaining else None
-                try:
-                    decision = route(
-                        council.subset(remaining),
-                        leaf.prefix,
-                        planner.routing_strategy,
-                        rng,
-                        step_index=route_counter - 1,
-                        temperature=planner.routing_temperature,
-                        episode=episode,
-                        aggregator=aggregator,
+                if leaf.terminal:
+                    reward = leaf.reward if leaf.reward is not None else 0.0
+                    backpropagate(path, reward)
+                    stopped = reward >= planner.success_threshold
+                    event.update(
+                        outcome="terminal-leaf", backprop_reward=reward, success_stop=stopped
                     )
-                    expert = council.by_id[decision.chosen]
-                    proposals = propose_actions(
-                        expert, leaf.prefix, decision.exemplar, budget.expansion_width
+                    if stopped:
+                        success_node = leaf
+                        break
+                    continue
+
+                if leaf.depth >= budget.max_depth:
+                    # Depth cap: the branch is abandoned as a failure.
+                    _mark_failed(leaf)
+                    backpropagate(path, 0.0)
+                    event.update(outcome="depth-cap", backprop_reward=0.0)
+                    continue
+
+                step_index = route_counter
+                route_counter += 1
+                try:
+                    decision, proposals = _act(
+                        council, leaf.prefix, planner, rng, step_index, episode
                     )
                 except ExpertUnavailableError:
-                    _emit(
-                        trace,
-                        type="iteration",
-                        iteration=iteration,
-                        path=path_ids,
-                        outcome="routing-unavailable",
-                    )
+                    # No member could act; the spent iteration still counts.
+                    event["outcome"] = "routing-unavailable"
+                    continue
+                event["routing"] = _routing_event(decision)
+
+                if not proposals:
+                    # Nothing to expand with; the leaf dead-ends as a failure.
+                    _mark_failed(leaf)
+                    backpropagate(path, 0.0)
+                    event.update(outcome="no-proposals", backprop_reward=0.0)
                     continue
 
-            if not proposals:
-                # Nothing to expand with; the leaf dead-ends as a failure.
-                _mark_failed(leaf)
-                backpropagate(path, 0.0)
-                _emit(
-                    trace,
-                    type="iteration",
-                    iteration=iteration,
-                    path=path_ids,
-                    outcome="no-proposals",
-                    routing=_routing_event(decision),
-                    backprop_reward=0.0,
+                base_actions = [a.text for a in leaf.prefix.actions()]
+                children: list[SearchNode] = []
+                for proposal in proposals:
+                    replayed = env.replay(task, base_actions + [proposal.action.text])
+                    last = replayed.outcomes[-1]
+                    child = tree.add(
+                        prefix=leaf.prefix.extend(proposal.action, last.observation),
+                        parent=leaf.node_id,
+                        action=proposal.action.text,
+                        expert_id=proposal.expert_id,
+                        terminal=last.terminal,
+                        reward=last.reward,
+                    )
+                    leaf.children.append(child.node_id)
+                    children.append(child)
+                    if child.terminal:
+                        candidates[child.node_id] = child
+                nodes_expanded += len(children)
+
+                mode = planner.value_mode
+                batch = _assign_values(
+                    children, leaf.node_id, council, decision.chosen, mode, rng, episode
                 )
-                continue
-
-            base_actions = [a.text for a in leaf.prefix.actions()]
-            children: list[SearchNode] = []
-            for proposal in proposals:
-                replayed = env.replay(task, base_actions + [proposal.action.text])
-                last = replayed.outcomes[-1]
-                child = tree.add(
-                    prefix=leaf.prefix.extend(proposal.action, last.observation),
-                    parent=leaf.node_id,
-                    action=proposal.action.text,
-                    expert_id=proposal.expert_id,
-                    terminal=last.terminal,
-                    reward=last.reward,
+                event.update(
+                    outcome="expanded",
+                    children=[
+                        {
+                            "node_id": c.node_id,
+                            "action": c.action,
+                            "terminal": c.terminal,
+                            "reward": c.reward,
+                            "fused_value": c.fused_value,
+                        }
+                        for c in children
+                    ],
+                    sigma_llm=batch.sigma_llm if batch else None,
+                    sigma_sms=batch.sigma_sms if batch else None,
+                    alpha=batch.alpha if batch else None,
                 )
-                leaf.children.append(child.node_id)
-                children.append(child)
-            nodes_expanded += len(children)
 
-            _assign_values(
-                children, leaf, council, decision.chosen, planner.value_mode, rng, episode
-            )
-            for child in children:
-                if child.terminal:
-                    candidates.add(child)
-
-            batch = leaf.fusion
-            expansion_event = {
-                "type": "iteration",
-                "iteration": iteration,
-                "path": path_ids,
-                "outcome": "expanded",
-                "routing": _routing_event(decision),
-                "children": [
-                    {
-                        "node_id": c.node_id,
-                        "action": c.action,
-                        "terminal": c.terminal,
-                        "reward": c.reward,
-                        "fused_value": c.fused_value,
-                    }
+                winners = [
+                    c
                     for c in children
-                ],
-                "sigma_llm": batch.sigma_llm if batch else None,
-                "sigma_sms": batch.sigma_sms if batch else None,
-                "alpha": batch.alpha if batch else None,
-            }
-
-            winners = [
-                c
-                for c in children
-                if c.terminal
-                and c.reward is not None
-                and c.reward >= planner.success_threshold
-            ]
-            if winners:
-                best_child = max(winners, key=lambda c: (c.reward, -c.node_id))
-                backpropagate(path + [best_child], best_child.reward)
-                success_node = best_child
-                expansion_event["frontier"] = best_child.node_id
-                expansion_event["backprop_reward"] = best_child.reward
-                expansion_event["success_stop"] = True
-                _emit(trace, **expansion_event)
-                break
-
-            if planner.value_mode == "env-only":
-                frontier = rng.choice(children)
-                if frontier.terminal:
-                    reward = frontier.reward if frontier.reward is not None else 0.0
+                    if c.terminal
+                    and c.reward is not None
+                    and c.reward >= planner.success_threshold
+                ]
+                if winners:
+                    frontier = success_node = max(winners, key=lambda c: (c.reward, -c.node_id))
+                elif mode == "env-only":
+                    frontier = rng.choice(children)
                 else:
-                    reward = _rollout(env, task, expert, frontier, budget.max_depth)
-            else:
-                frontier = max(children, key=lambda c: (c.fused_value, -c.node_id))
+                    frontier = max(children, key=lambda c: (c.fused_value, -c.node_id))
                 if frontier.terminal:
                     reward = frontier.reward if frontier.reward is not None else 0.0
+                elif mode == "env-only":
+                    expert = council.by_id[decision.chosen]
+                    reward = _rollout(env, task, expert, frontier, budget.max_depth)
                 else:
                     reward = frontier.fused_value
-            backpropagate(path + [frontier], reward)
-            candidates.add(frontier)
-            expansion_event["frontier"] = frontier.node_id
-            expansion_event["backprop_reward"] = reward
-            expansion_event["success_stop"] = False
-            _emit(trace, **expansion_event)
+                backpropagate(path + [frontier], reward)
+                candidates[frontier.node_id] = frontier
+                event.update(
+                    frontier=frontier.node_id, backprop_reward=reward, success_stop=bool(winners)
+                )
+                if winners:
+                    break
+            finally:
+                if trace is not None:
+                    trace.append(event)
 
     if success_node is not None:
         best = success_node
-    elif candidates.nodes:
-        best = max(candidates.nodes, key=lambda n: (n.value, -n.node_id))
+    elif candidates:
+        best = max(candidates.values(), key=lambda n: (n.value, -n.node_id))
     else:
         best = root
 
@@ -511,17 +446,19 @@ def search(
     )
     if update_memory:
         finalize_episode(council.profiles, record)
-    _emit(
-        trace,
-        type="result",
-        best_node=best.node_id,
-        success=success,
-        reward=final_reward,
-        actions=[step.action.text for step in record.final_trajectory.steps],
-        per_step_expert=list(record.per_step_expert),
-        iterations_used=iterations_used,
-        nodes_expanded=nodes_expanded,
-    )
+    if trace is not None:
+        trace.append(
+            {
+                "type": "result",
+                "best_node": best.node_id,
+                "success": success,
+                "reward": final_reward,
+                "actions": [step.action.text for step in record.final_trajectory.steps],
+                "per_step_expert": list(record.per_step_expert),
+                "iterations_used": iterations_used,
+                "nodes_expanded": nodes_expanded,
+            }
+        )
 
     return PlanResult(
         task_id=task.task_id,

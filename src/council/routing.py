@@ -56,14 +56,10 @@ class RoutingDecision:
     distribution: RoutingDistribution | None = None
 
 
-def routing_scores(council: Council, query: Trajectory) -> RoutingScores:
-    """Maximum query similarity against each expert's stored segments."""
-    return _routing_scores(council, query, {})
-
-
 def _routing_scores(
     council: Council, query: Trajectory, vectors: dict[int, np.ndarray]
 ) -> RoutingScores:
+    """Maximum query similarity against each expert's stored segments."""
     per_expert: dict[str, float] = {}
     for expert in council.experts:
         profile = council.profile(expert.expert_id)

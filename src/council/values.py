@@ -27,12 +27,10 @@ from .trajectory import Trajectory
 
 @dataclass
 class ValueSignals:
-    """Raw per-child signals and where they came from."""
+    """Raw per-child signals, each in [0, 1] when present."""
 
     v_llm: float | None = None
     v_sms: float | None = None
-    evaluator_id: str | None = None
-    matched_segment_id: str | None = None
 
     def __post_init__(self) -> None:
         for name, value in (("v_llm", self.v_llm), ("v_sms", self.v_sms)):

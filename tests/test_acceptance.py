@@ -34,7 +34,7 @@ from council.experts import Council, TableExpert
 from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
 from council.memory import ExpertProfile, sms_utility
-from council.routing import RoutingScores, route, routing_distribution, routing_scores
+from council.routing import RoutingScores, route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 from council.values import SiblingBatch, ValueSignals, fuse_batch, fusion_weight
 
@@ -313,7 +313,7 @@ def test_criterion_04_retrieval_linear_scan_oracle(capsys):
         _fill_profile(council.profile(expert_id), 200, rng)
     for probe in range(20):
         query = make_trajectory([(_random_text(rng, 10000 + probe), "probe")])
-        scores = routing_scores(council, query)
+        scores = route(council, query, "task-aware", random.Random(0)).scores
         for expert_id in ("a", "b", "c"):
             profile = council.profile(expert_id)
             sims = _scan_sims(profile, profile.embed_query(query))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from council.config import (
@@ -103,7 +105,7 @@ def test_validate_returns_the_same_object():
     assert validate_config(config) is config
 
 
-def test_round_trip_through_to_dict():
+def test_round_trip_through_asdict():
     config = config_from_dict(
         {
             "seed": 9,
@@ -112,7 +114,7 @@ def test_round_trip_through_to_dict():
             "planner": {"budget": {"iterations": 3}},
         }
     )
-    again = config_from_dict(config.to_dict())
+    again = config_from_dict(dataclasses.asdict(config))
     assert again == config
 
 

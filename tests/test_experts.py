@@ -306,11 +306,11 @@ def test_council_builds_one_profile_per_expert():
     council = Council([ConstantEvaluatorExpert("a", 0.5), ConstantEvaluatorExpert("b", 0.5)])
     assert set(council.profiles) == {"a", "b"}
     assert council.profile("a").expert_id == "a"
-    assert [d.expert_id for d in council.members] == ["a", "b"]
+    assert [e.expert_id for e in council.experts] == ["a", "b"]
 
 
 def test_subset_shares_profile_objects():
     council = Council([ConstantEvaluatorExpert("a", 0.5), ConstantEvaluatorExpert("b", 0.5)])
     sub = council.subset(["b"])
-    assert len(sub) == 1
+    assert [e.expert_id for e in sub.experts] == ["b"]
     assert sub.profile("b") is council.profile("b")

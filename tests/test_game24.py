@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,3 +223,23 @@ def test_different_seeds_give_different_task_lists():
     a = [t.task_id for t in make_game24_tasks(15, seed=1)]
     b = [t.task_id for t in make_game24_tasks(15, seed=2)]
     assert a != b
+
+
+def test_asking_for_more_tasks_than_the_range_holds_raises_promptly():
+    # 1..3 holds 15 four-number multisets, 6 of them solvable.
+    assert len(make_game24_tasks(6, seed=1, low=1, high=3)) == 6
+    errors: list[str] = []
+
+    def ask() -> None:
+        try:
+            make_game24_tasks(7, seed=1, low=1, high=3)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    worker = threading.Thread(target=ask, daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    assert errors == [
+        "only 6 of the 15 four-number multisets in [1, 3] are solvable, fewer than the 7 asked for"
+    ]

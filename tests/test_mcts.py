@@ -317,20 +317,39 @@ def test_env_only_mode_assigns_flat_values_and_still_solves():
     assert result.success
 
 
-def test_search_emits_one_event_per_iteration_plus_a_result():
+@pytest.mark.parametrize(
+    "value_mode,failing",
+    [
+        pytest.param("full", 0, id="healthy"),
+        pytest.param("full", 1, id="one-failing-member"),
+        pytest.param("full", 2, id="two-failing-members"),
+        pytest.param("env-only", 0, id="env-only"),
+        pytest.param("llm-only", 0, id="llm-only"),
+        pytest.param("sms-only", 0, id="sms-only"),
+    ],
+)
+def test_search_emits_one_event_per_iteration_plus_a_result(value_mode, failing):
     cfg = SynthConfig(depth=2)
+    if failing:
+        experts = [FailingExpert(f"dead-{i}") for i in range(failing)]
+        council = Council(experts, embedder=TrigramEmbedder(64))
+    else:
+        council = synth_council(cfg, "amber")
     trace: list[dict] = []
     result = search(
         synth_task(),
         SynthEnv(cfg),
-        synth_council(cfg, "amber"),
-        planner(),
+        council,
+        planner(value_mode=value_mode, iterations=3 if failing else 10),
         random.Random(0),
         trace=trace,
     )
     iteration_events = [e for e in trace if e["type"] == "iteration"]
     result_events = [e for e in trace if e["type"] == "result"]
-    assert len(iteration_events) == result.iterations_used
+    assert [e["iteration"] for e in iteration_events] == list(range(result.iterations_used))
+    if failing:
+        assert result.iterations_used == 3
+        assert {e["outcome"] for e in iteration_events} == {"routing-unavailable"}
     assert len(result_events) == 1
     assert result_events[-1]["success"] == result.success
     assert result_events[-1]["best_node"] == result.best_node_id

@@ -12,12 +12,7 @@ from council.embedding import TrigramEmbedder, similarity
 from council.errors import ExpertUnavailableError
 from council.experts import ConstantEvaluatorExpert, Council, Expert
 from council.memory import EpisodeContext
-from council.routing import (
-    RoutingScores,
-    route,
-    routing_distribution,
-    routing_scores,
-)
+from council.routing import RoutingScores, route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 
 from conftest import make_trajectory, record_history
@@ -28,9 +23,13 @@ def council_of(n: int, embedder=None) -> Council:
     return Council(experts, embedder=embedder or TrigramEmbedder(64))
 
 
+def task_aware_scores(council: Council, query: Trajectory) -> RoutingScores:
+    return route(council, query, "task-aware", random.Random(0)).scores
+
+
 def test_scores_are_zero_for_empty_profiles():
     council = council_of(3)
-    scores = routing_scores(council, make_trajectory([("obs", "act")]))
+    scores = task_aware_scores(council, make_trajectory([("obs", "act")]))
     assert scores.per_expert == {"e0": 0.0, "e1": 0.0, "e2": 0.0}
 
 
@@ -38,7 +37,7 @@ def test_score_is_near_one_for_a_stored_copy_of_the_query():
     council = council_of(2)
     query = make_trajectory([("a long observation body", "the move taken")])
     council.profile("e0").insert(query)
-    scores = routing_scores(council, query)
+    scores = task_aware_scores(council, query)
     assert scores.per_expert["e0"] == pytest.approx(1.0)
     assert scores.per_expert["e1"] == 0.0
 
@@ -52,7 +51,7 @@ def test_scores_match_a_direct_similarity_scan():
     for i, t in enumerate(stored):
         council.profile(f"e{i % 2}").insert(t)
     query = make_trajectory([("observation number 7 nearby", "act x")])
-    scores = routing_scores(council, query)
+    scores = task_aware_scores(council, query)
     qvec = embedder.embed(serialize_trajectory(query))
     for eid in ("e0", "e1"):
         expected = max(
