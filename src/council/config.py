@@ -54,7 +54,6 @@ class ExpertSpec:
     expert_id: str
     kind: str = "scripted"  # or "llm-backed"
     params: dict = field(default_factory=dict)
-    display_name: str | None = None
 
 
 @dataclass

@@ -4,7 +4,9 @@ The package does not depend on any particular embedding model. Anything with
 an ``embed(text) -> ndarray`` method and a fixed ``dim`` works, including a
 network-backed provider. The bundled :class:`TrigramEmbedder` hashes character
 trigrams into a fixed-width count vector; it is fully deterministic, needs no
-model weights, and is what every offline test and scripted run uses.
+model weights, and is what every offline test and scripted run uses. An
+embedder whose vectors only ever hold whole numbers may say so with a true
+``integer_output`` class attribute.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class TrigramEmbedder:
     Strings shorter than three characters embed to the zero vector, which the
     similarity rule maps to score 0 against everything.
     """
+
+    # Every component is a whole number, which lets a success-memory index
+    # store these vectors exactly in float32.
+    integer_output = True
 
     def __init__(self, dim: int = 256):
         if dim < 1:

@@ -59,11 +59,10 @@ def first_observation_text(prefix: Trajectory) -> str:
 
 
 class Expert:
-    def __init__(self, expert_id: str, display_name: str | None = None):
+    def __init__(self, expert_id: str):
         if not expert_id:
             raise ValueError("expert_id must be non-empty")
         self.expert_id = expert_id
-        self.display_name = display_name or expert_id
 
     def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
         raise NotImplementedError
@@ -133,9 +132,8 @@ class TableExpert(Expert):
         expert_id: str,
         table: Mapping[str, Sequence[str]],
         score: float = 0.5,
-        display_name: str | None = None,
     ):
-        super().__init__(expert_id, display_name)
+        super().__init__(expert_id)
         self.table = dict(table)
         self.score = score
 
@@ -154,9 +152,8 @@ class ConstantEvaluatorExpert(Expert):
         expert_id: str,
         score: float,
         actions: Sequence[str] = (),
-        display_name: str | None = None,
     ):
-        super().__init__(expert_id, display_name)
+        super().__init__(expert_id)
         self.score = score
         self.actions = list(actions)
 
@@ -175,9 +172,8 @@ class RandomExpert(Expert):
         expert_id: str,
         pool: Sequence[str],
         seed: int = 0,
-        display_name: str | None = None,
     ):
-        super().__init__(expert_id, display_name)
+        super().__init__(expert_id)
         if not pool:
             raise ValueError("action pool must be non-empty")
         self.pool = list(pool)
@@ -201,8 +197,8 @@ class Game24OracleExpert(Expert):
     of the current multiset, which makes it a sharp value source.
     """
 
-    def __init__(self, expert_id: str, display_name: str | None = None):
-        super().__init__(expert_id, display_name)
+    def __init__(self, expert_id: str):
+        super().__init__(expert_id)
 
     def _numbers(self, prefix: Trajectory) -> tuple[float, ...] | None:
         return parse_numbers(current_observation_text(prefix))
@@ -250,9 +246,8 @@ class SynthSpecialistExpert(Expert):
         config: SynthConfig | None = None,
         seed: int = 0,
         eval_noise: float = 0.0,
-        display_name: str | None = None,
     ):
-        super().__init__(expert_id, display_name)
+        super().__init__(expert_id)
         self.family = family
         self.config = config if config is not None else SynthConfig()
         self.seed = seed
@@ -319,9 +314,8 @@ class LLMExpert(Expert):
         eval_temperature: float = 0.0,
         max_tokens: int = 256,
         timeout: float = 60.0,
-        display_name: str | None = None,
     ):
-        super().__init__(expert_id, display_name)
+        super().__init__(expert_id)
         self.backend = backend
         self.templates = templates
         self.act_temperature = act_temperature

@@ -163,7 +163,7 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
     if spec.kind == "scripted":
         role = params.pop("role", None)
         if role == "game24-oracle":
-            return Game24OracleExpert(spec.expert_id, display_name=spec.display_name)
+            return Game24OracleExpert(spec.expert_id)
         if role == "synth-specialist":
             return SynthSpecialistExpert(
                 spec.expert_id,
@@ -171,28 +171,24 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
                 config=SynthConfig.from_params(env_spec.params),
                 seed=derived_seed(run_seed, "expert", spec.expert_id),
                 eval_noise=float(params.get("eval_noise", 0.0)),
-                display_name=spec.display_name,
             )
         if role == "random":
             return RandomExpert(
                 spec.expert_id,
                 pool=list(params["pool"]),
                 seed=derived_seed(run_seed, "expert", spec.expert_id),
-                display_name=spec.display_name,
             )
         if role == "table":
             return TableExpert(
                 spec.expert_id,
                 table=dict(params["table"]),
                 score=float(params.get("score", 0.5)),
-                display_name=spec.display_name,
             )
         if role == "constant":
             return ConstantEvaluatorExpert(
                 spec.expert_id,
                 score=float(params.get("score", 0.5)),
                 actions=list(params.get("actions", [])),
-                display_name=spec.display_name,
             )
         raise ValueError(f"expert {spec.expert_id}: unknown scripted role {role!r}")
     # llm-backed
@@ -213,7 +209,6 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
         eval_temperature=float(params.get("eval_temperature", 0.0)),
         max_tokens=int(params.get("max_tokens", 256)),
         timeout=float(params.get("timeout", 60.0)),
-        display_name=spec.display_name,
     )
 
 

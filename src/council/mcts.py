@@ -224,7 +224,6 @@ def _act(
 
 def _assign_values(
     children: list[SearchNode],
-    parent_id: int,
     council: Council,
     acting_expert_id: str,
     mode: str,
@@ -239,15 +238,14 @@ def _assign_values(
     """
     v_llm = v_sms = None
     if mode in ("full", "llm-only"):
-        v_llm = [llm_value(council, c.prefix, rng)[0] for c in children]
+        v_llm = [llm_value(council, c.prefix, rng) for c in children]
     if mode in ("full", "sms-only"):
         profile = council.profile(acting_expert_id)
-        v_sms = [sms_value(profile, c.prefix, episode)[0] for c in children]
+        v_sms = [sms_value(profile, c.prefix, episode) for c in children]
 
     batch = None
     if mode == "full":
         batch = SiblingBatch(
-            parent=parent_id,
             children=[
                 (c.node_id, ValueSignals(v_llm=a, v_sms=b))
                 for c, a, b in zip(children, v_llm, v_sms)
@@ -371,9 +369,7 @@ def search(
                 nodes_expanded += len(children)
 
                 mode = planner.value_mode
-                batch = _assign_values(
-                    children, leaf.node_id, council, decision.chosen, mode, rng, episode
-                )
+                batch = _assign_values(children, council, decision.chosen, mode, rng, episode)
                 event.update(
                     outcome="expanded",
                     children=[

@@ -18,7 +18,6 @@ lookups wait in its :class:`EpisodeContext` and reach the segments only when
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,6 +41,12 @@ DEFAULT_COLD_START = 0.5
 # Staged embeddings are written into a profile's index as one block once this
 # many wait, or sooner when a scan or prune needs them.
 _STAGE_LIMIT = 256
+# A profile's scan memo is emptied when it holds this many query vectors.
+_MEMO_LIMIT = 64
+# A scan gathers and multiplies the index this many slots at a time.
+_SCAN_BLOCK = 1024
+# binary32 holds every integer of magnitude up to 2**24 exactly.
+_FLOAT32_EXACT = 2**24
 
 
 @dataclass
@@ -72,26 +77,39 @@ class ExpertProfile:
     """The segment store for a single expert.
 
     Lookups are exact cosine scans over an index updated in place: one
-    bucket-major float64 matrix of shape ``(embedder.dim, slots)``, whose
-    column per slot holds a segment's embedding, and the norm of each
-    column. Slots follow insertion order, so the first maximum is the
-    earliest-inserted segment among ties. New embeddings are staged and
-    written as one block on the next scan or prune, or once 256 wait.
+    bucket-major matrix of shape ``(embedder.dim, slots)``, whose column per
+    slot holds a segment's embedding, and the norm of each column. Slots
+    follow insertion order, so the first maximum is the earliest-inserted
+    segment among ties. New embeddings are staged and written as one block
+    on the next scan, prune or credit, or once 256 wait.
 
     An eviction only marks its slot dead. Dead slots are never returned, and
     the live slots are compacted in order when the matrix runs out of slots
     or when a prune leaves more dead slots than live ones. The matrix grows
     fourfold, except that the growth that reaches ``capacity`` stops at
     ``capacity + capacity // 8`` slots, so a profile held at capacity keeps
-    one matrix size.
+    one matrix size. Each slot also keeps its segment's utility and creation
+    index, so a prune ranks the live slots with one array sort.
 
     A scan multiplies only the matrix rows of the query's nonzero buckets.
     With integer embeddings such as trigram counts every product and partial
-    sum is exact, so the scores equal a dense product bit for bit.
+    sum is exact, so the scores equal a dense float64 product bit for bit.
+    An embedder that declares ``integer_output`` gets a float32 matrix, half
+    the size. Its scans stay exact: a query whose weights are integers and
+    whose ``‖q‖₁`` times the largest value ever written to the matrix is
+    below 2**24 is multiplied in float32, where every product and partial sum
+    is then an integer below 2**24; any other query accumulates the same
+    columns in float64. Norms and the division are always float64.
+
+    Each distinct query vector is scanned once per index state: the
+    similarity vector is kept, read-only, in a memo keyed by the query's
+    bytes. Anything that moves or adds a slot (an insert, a restore, a prune
+    that evicts, a compaction) empties the memo, and so does a scan that
+    finds 64 entries in it. Credits change utilities only, so they keep it.
 
     Every method that reads the index or changes the store holds the
-    profile's lock throughout, scans included, so a profile can be shared
-    between threads.
+    profile's lock throughout, scans and the memo included, so a profile can
+    be shared between threads.
     """
 
     def __init__(
@@ -112,14 +130,21 @@ class ExpertProfile:
         self._next_created = 0
         # The index: slot i is _slots[i] (None once evicted), its embedding is
         # column i of _cols once written, and slots [0, _written) are written.
-        self._cols = np.zeros((self.embedder.dim, 0), dtype=np.float64)
+        # _util and _created hold each written slot's utility and created_at.
+        exact32 = getattr(self.embedder, "integer_output", False)
+        dtype = np.float32 if exact32 else np.float64
+        self._cols = np.zeros((self.embedder.dim, 0), dtype=dtype)
         self._norms = np.zeros(0, dtype=np.float64)
         self._live = np.zeros(0, dtype=bool)
+        self._util = np.zeros(0, dtype=np.float64)
+        self._created = np.zeros(0, dtype=np.int64)
+        self._peak = 0.0
         self._slots: list[SMSegment | None] = []
         self._slot_of: dict[str, int] = {}
         self._written = 0
         self._dead = 0
         self._staged: list[np.ndarray] = []
+        self._memo: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -176,8 +201,22 @@ class ExpertProfile:
         self._slot_of[segment.segment_id] = len(self._slots)
         self._slots.append(segment)
         self._staged.append(embedding)
+        self._memo.clear()
         if len(self._staged) >= _STAGE_LIMIT:
             self._flush()
+
+    def credit(self, segment_id: str, count: int, success: bool) -> None:
+        """Add ``count`` finished lookups of a segment to its ``uses``, and on
+        success to its ``wins``. An unknown segment is an invalid state."""
+        with self._lock:
+            segment = self._segments.get(segment_id)
+            if segment is None:
+                raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
+            self._flush()
+            segment.uses += count
+            if success:
+                segment.wins += count
+            self._util[self._slot_of[segment_id]] = self.utility(segment)
 
     # -- the index ------------------------------------------------------------
 
@@ -190,9 +229,13 @@ class ExpertProfile:
         if self._written + len(block) > self._cols.shape[1]:
             self._make_room(len(block))
         start, stop = self._written, self._written + len(block)
+        segments = self._slots[start:stop]
         self._cols[:, start:stop] = block.T
         self._norms[start:stop] = np.linalg.norm(block, axis=1)
         self._live[start:stop] = True
+        self._util[start:stop] = [self.utility(segment) for segment in segments]
+        self._created[start:stop] = [segment.created_at for segment in segments]
+        self._peak = max(self._peak, float(np.abs(block).max()))
         self._written = stop
         self._staged = []
 
@@ -209,13 +252,14 @@ class ExpertProfile:
         grown = max(needed, 4 * size)
         if size < limit and grown >= self.capacity:
             grown = max(needed, limit)
-        cols = np.zeros((self._cols.shape[0], grown), dtype=np.float64)
+        cols = np.zeros((self._cols.shape[0], grown), dtype=self._cols.dtype)
         cols[:, :written] = self._cols[:, :written]
-        norms = np.zeros(grown, dtype=np.float64)
-        norms[:written] = self._norms[:written]
-        live = np.zeros(grown, dtype=bool)
-        live[:written] = True
-        self._cols, self._norms, self._live = cols, norms, live
+        self._cols = cols
+        for name in ("_norms", "_live", "_util", "_created"):
+            old = getattr(self, name)
+            new = np.zeros(grown, dtype=old.dtype)
+            new[:written] = old[:written]
+            setattr(self, name, new)
 
     def _compact(self) -> None:
         """Move the live slots to the front, in order. The lock is held."""
@@ -224,39 +268,67 @@ class ExpertProfile:
         # Row by row, so the copy needs one row of scratch, not a matrix.
         for row in self._cols:
             row[:kept] = row[keep]
-        self._norms[:kept] = self._norms[keep]
+        for column in (self._norms, self._util, self._created):
+            column[:kept] = column[keep]
         self._live[:kept] = True
         self._slots = [segment for segment in self._slots if segment is not None]
         self._slot_of = {segment.segment_id: i for i, segment in enumerate(self._slots)}
         self._written, self._dead = kept, 0
+        self._memo.clear()
 
     # -- retrieval ----------------------------------------------------------
 
     def _scan(self, query_vec: np.ndarray) -> np.ndarray:
         """Cosine similarity of the query against every written slot, dead
-        ones included. The lock is held."""
+        ones included, as a read-only array kept in the memo. The lock is
+        held."""
         if query_vec.shape != (self._cols.shape[0],):
             raise ValueError(
                 f"dimension mismatch: query {query_vec.shape} vs index {self._cols.shape[:1]}"
             )
         self._flush()
+        key = query_vec.tobytes()
+        sims = self._memo.get(key)
+        if sims is not None:
+            return sims
         written = self._written
         sims = np.zeros(written, dtype=np.float64)
         qnorm = float(np.linalg.norm(query_vec))
-        if qnorm == 0.0:
-            return sims
-        buckets = np.flatnonzero(query_vec)
-        dots = query_vec[buckets] @ self._cols[buckets, :written]
-        norms = self._norms[:written]
-        nonzero = norms > 0.0
-        sims[nonzero] = dots[nonzero] / (norms[nonzero] * qnorm)
+        if qnorm != 0.0:
+            buckets = np.flatnonzero(query_vec)
+            weights = query_vec[buckets]
+            if self._cols.dtype == np.float32 and self._exact_in_float32(weights):
+                weights = weights.astype(np.float32)
+            # Float64 weights make the product widen float32 columns exactly.
+            dots = np.empty(written, dtype=np.result_type(weights, self._cols))
+            # Block by block, so each gathered block is still in cache when
+            # it is multiplied.
+            for start in range(0, written, _SCAN_BLOCK):
+                stop = min(start + _SCAN_BLOCK, written)
+                np.matmul(weights, self._cols[buckets, start:stop], out=dots[start:stop])
+            norms = self._norms[:written]
+            # A float32 product is an exact integer, so widening it to divide
+            # in float64 changes no bit.
+            np.divide(dots, norms * qnorm, out=sims, where=norms > 0.0)
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        sims.flags.writeable = False
+        self._memo[key] = sims
         return sims
+
+    def _exact_in_float32(self, weights: np.ndarray) -> bool:
+        """Whether every product and partial sum of these query weights
+        against the float32 matrix is an integer below 2**24."""
+        if np.add.reduce(np.abs(weights)) * self._peak >= _FLOAT32_EXACT:
+            return False
+        return bool(np.logical_and.reduce(weights == np.rint(weights)))
 
     def embed_query(self, query: Trajectory) -> np.ndarray:
         return self.embedder.embed(serialize_trajectory(query))
 
     def match_scores(self, query_vec: np.ndarray) -> np.ndarray:
-        """Similarity of the query against every segment, in insertion order."""
+        """Similarity of the query against every segment, in insertion order.
+        The array is read-only."""
         if not self._segments:
             return np.zeros(0, dtype=np.float64)
         with self._lock:
@@ -275,7 +347,7 @@ class ExpertProfile:
         with self._lock:
             sims = self._scan(query_vec)
             if self._dead:
-                sims[~self._live[: self._written]] = -np.inf
+                sims = np.where(self._live[: self._written], sims, -np.inf)
             slot = int(np.argmax(sims))
             return self._slots[slot], float(sims[slot])
 
@@ -284,26 +356,28 @@ class ExpertProfile:
     def prune(self) -> list[str]:
         """Evict lowest-utility segments until within capacity.
 
-        Utility ties evict the oldest segment first. Returns the evicted ids.
+        Utility ties evict the oldest segment first, and a remaining tie the
+        earliest inserted. Returns the evicted ids.
         """
         with self._lock:
             excess = len(self._segments) - self.capacity
             if excess <= 0:
                 return []
             self._flush()
-            ranked = heapq.nsmallest(
-                excess,
-                self._segments.values(),
-                key=lambda segment: (self.utility(segment), segment.created_at),
-            )
-            victims = [segment.segment_id for segment in ranked]
-            for victim in ranked:
+            live = np.flatnonzero(self._live[: self._written])
+            # lexsort is stable and sorts by its last key first.
+            ranked = live[np.lexsort((self._created[live], self._util[live]))[:excess]]
+            victims = []
+            for slot in ranked.tolist():
+                victim = self._slots[slot]
+                victims.append(victim.segment_id)
                 del self._segments[victim.segment_id]
                 del self._by_text[serialize_trajectory(victim.prefix)]
-                slot = self._slot_of.pop(victim.segment_id)
+                del self._slot_of[victim.segment_id]
                 self._slots[slot] = None
-                self._live[slot] = False
+            self._live[ranked] = False
             self._dead += excess
+            self._memo.clear()
             if self._dead > len(self._segments):
                 self._compact()
             return victims
@@ -352,13 +426,7 @@ def finalize_episode(profiles: Mapping[str, ExpertProfile], record: EpisodeRecor
         profile = profiles.get(expert_id)
         if profile is None:
             raise InvalidStateError(f"retrieval references unknown expert: {expert_id}")
-        with profile._lock:
-            segment = profile._segments.get(segment_id)
-            if segment is None:
-                raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
-            segment.uses += count
-            if record.success:
-                segment.wins += count
+        profile.credit(segment_id, count, record.success)
 
     if record.success:
         touched: set[str] = set()

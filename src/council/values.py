@@ -42,36 +42,32 @@ class ValueSignals:
 class SiblingBatch:
     """One expansion's children, keyed by any hashable id, plus fusion stats."""
 
-    parent: Hashable
     children: list[tuple[Hashable, ValueSignals]]
     sigma_llm: float | None = None
     sigma_sms: float | None = None
     alpha: float | None = None
 
 
-def llm_value(
-    council: Council, prefix: Trajectory, rng: random.Random
-) -> tuple[float, str]:
-    """Score from one uniformly sampled council member, with its identity."""
-    evaluator = rng.choice(council.experts)
-    return evaluate_plausibility(evaluator, prefix), evaluator.expert_id
+def llm_value(council: Council, prefix: Trajectory, rng: random.Random) -> float:
+    """Score from one uniformly sampled council member."""
+    return evaluate_plausibility(rng.choice(council.experts), prefix)
 
 
 def sms_value(
     profile: ExpertProfile, prefix: Trajectory, episode: EpisodeContext | None = None
-) -> tuple[float, str | None]:
+) -> float:
     """Utility of the profile's closest stored segment.
 
-    An empty profile yields the cold-start prior with no match. A consulted
-    match is recorded against the episode when one is supplied.
+    An empty profile yields the cold-start prior. A consulted match is
+    recorded against the episode when one is supplied.
     """
     match = profile.best_match(prefix)
     if match is None:
-        return profile.cold_start, None
+        return profile.cold_start
     segment, _score = match
     if episode is not None:
         episode.record(profile, segment.segment_id)
-    return profile.utility(segment), segment.segment_id
+    return profile.utility(segment)
 
 
 def normalize(values: Sequence[float]) -> list[float]:

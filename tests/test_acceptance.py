@@ -350,7 +350,7 @@ def _batch(llm: list[float], sms: list[float]) -> SiblingBatch:
     children = [
         (i, ValueSignals(v_llm=a, v_sms=b)) for i, (a, b) in enumerate(zip(llm, sms))
     ]
-    return SiblingBatch(parent="p", children=children)
+    return SiblingBatch(children=children)
 
 
 def test_criterion_05_fusion_suite(capsys):

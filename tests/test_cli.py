@@ -139,6 +139,16 @@ def test_unknown_config_keys_exit_two_with_the_key_named(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+def test_an_expert_display_name_is_an_unknown_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    expert = {"expert_id": "oracle", "params": {"role": "game24-oracle"}, "display_name": "O"}
+    config.write_text(json.dumps({"seed": 1, "council": [expert]}))
+    code = main(["run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config key 'council[0].display_name': unknown key" in err
+
+
 def test_a_missing_task_file_exits_two(tmp_path, capsys):
     code = main(run_flags(tmp_path, tmp_path / "nowhere.jsonl"))
     assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from council.embedding import TrigramEmbedder, similarity
 from council.errors import InvalidStateError
 from council.memory import (
+    _MEMO_LIMIT,
     EpisodeContext,
     ExpertProfile,
     SMSegment,
@@ -173,11 +174,27 @@ _STEP = st.one_of(
 )
 
 
+class Float64Trigrams(TrigramEmbedder):
+    """Trigram counts from an embedder that does not declare integer output."""
+
+    integer_output = False
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.lists(_STEP, max_size=25))
 def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
-    embedder = TrigramEmbedder(8)
+    run_steps(TrigramEmbedder(8), np.float32, capacity, steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.lists(_STEP, max_size=25))
+def test_a_float64_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
+    run_steps(Float64Trigrams(8), np.float64, capacity, steps)
+
+
+def run_steps(embedder, dtype, capacity: int, steps: list) -> None:
     profile = ExpertProfile("x", capacity=capacity, embedder=embedder)
+    assert profile._cols.dtype == dtype
     queries = [embedder.embed(text) for text in ("obs 3 zz", "ababobs 7", "")]
     queries.append(embedder.embed(serialize_trajectory(make_trajectory([(_TEXTS[5], "a")]))))
     for step in steps:
@@ -216,6 +233,33 @@ def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
         brute_force_check(profile, queries)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        # Odd integers far above 2**24 / peak: a float32 product would round.
+        pytest.param(3_000_001.0 + 2.0 * np.arange(16), id="past-float32-range"),
+        pytest.param(np.linspace(0.1, 7.3, 16), id="fractional"),
+    ],
+)
+def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
+    kinds = (TrigramEmbedder, Float64Trigrams)
+    profiles = [ExpertProfile("expert-a", embedder=kind(16)) for kind in kinds]
+    for profile in profiles:
+        for i in range(40):
+            profile.insert(make_trajectory([(f"aaaaaaaa observation {i * 13}", f"act {i % 7}")]))
+    narrow, wide = profiles
+    matrix = np.vstack(
+        [narrow.embedder.embed(serialize_trajectory(s.prefix)) for s in narrow.segments()]
+    )
+    in_float32 = (matrix.astype(np.float32) @ query.astype(np.float32)).astype(np.float64)
+    assert not np.array_equal(in_float32, matrix @ query)
+    assert np.array_equal(narrow.match_scores(query), wide.match_scores(query))
+    assert (narrow._cols.dtype, wide._cols.dtype) == (np.float32, np.float64)
+    assert not narrow._exact_in_float32(query)
+    (mine, score), (theirs, expected) = narrow.best_match(query), wide.best_match(query)
+    assert (mine.segment_id, score) == (theirs.segment_id, expected)
+
+
 def test_a_profile_held_at_capacity_never_doubles_its_matrix():
     profile = fresh_profile(capacity=64)
     for i in range(64):
@@ -236,6 +280,61 @@ def test_a_profile_held_at_capacity_never_doubles_its_matrix():
         assert len(profile) == 64
         assert profile._cols.shape[1] == 64 + 64 // 8
     brute_force_check(profile, [profile.embedder.embed("episode 39 step 2")])
+
+
+# -- the scan memo ------------------------------------------------------------
+
+
+def test_a_scan_after_an_insert_scores_the_new_segment():
+    profile = fresh_profile()
+    profile.insert(make_trajectory([("an older observation", "an older act")]))
+    query = profile.embed_query(make_trajectory([("a newer observation", "a newer act")]))
+    assert len(profile.match_scores(query)) == 1
+    segment = profile.insert(make_trajectory([("a newer observation", "a newer act")]))
+    stored = profile.embedder.embed(serialize_trajectory(segment.prefix))
+    assert profile.match_scores(query)[1] == similarity(query, stored)
+    assert profile.best_match(query)[0] is segment
+
+
+def test_a_prune_between_two_scans_hides_the_evicted_segment():
+    profile = fresh_profile(capacity=2)
+    stored = make_trajectory([("the nearest observation", "the nearest act")])
+    nearest = profile.insert(stored)
+    for i in range(2):
+        profile.insert(make_trajectory([(f"far away text {i}", f"other {i}")]))
+    query = profile.embed_query(stored)
+    assert profile.best_match(query)[0] is nearest
+    # A credit keeps the memo; the prune that follows must not.
+    decide(profile, nearest, [False])
+    assert profile.prune() == [nearest.segment_id]
+    assert profile.best_match(query)[0] is not nearest
+    brute_force_check(profile, [query])
+
+
+def test_the_memo_never_holds_more_than_its_cap():
+    profile = fresh_profile()
+    for i in range(20):
+        profile.insert(make_trajectory([(f"stored observation {i}", "act")]))
+    for i in range(200):
+        profile.best_match(profile.embedder.embed(f"query number {i} of many"))
+        assert 0 < len(profile._memo) <= _MEMO_LIMIT
+
+
+def test_mutating_a_returned_array_cannot_change_a_later_result():
+    profile = fresh_profile(capacity=6)
+    for i in range(8):
+        profile.insert(make_trajectory([(f"observation {i}", f"act {i}")]))
+    query = profile.embedder.embed("observation 3, act 3")
+    for state in ("every slot live", "dead slots after a prune"):
+        sims = profile.match_scores(query)
+        expected, best = sims.copy(), profile.best_match(query)
+        try:
+            sims[:] = 2.0
+        except ValueError:
+            assert not sims.flags.writeable, state
+        assert np.array_equal(profile.match_scores(query), expected), state
+        assert profile.best_match(query) == best, state
+        profile.prune()
 
 
 # -- retrieval counts -----------------------------------------------------------
@@ -391,6 +490,51 @@ def test_prune_evicts_in_repeated_minimum_order(histories, capacity):
     for i, (wins, losses) in enumerate(histories):
         seg = profile.insert(make_trajectory([(f"unique obs {i} body", f"act {i}")]))
         decide(profile, seg, [True] * wins + [False] * losses)
+    remaining = profile.segments()
+    expected = []
+    while len(remaining) > capacity:
+        victim = min(remaining, key=lambda seg: (profile.utility(seg), seg.created_at))
+        remaining.remove(victim)
+        expected.append(victim.segment_id)
+    assert profile.prune() == expected
+    assert profile.segments() == remaining
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3), st.booleans()),
+        min_size=2,
+        max_size=9,
+    ),
+    st.integers(1, 8),
+)
+def test_restored_and_credited_segments_evict_in_repeated_minimum_order(rows, capacity):
+    # Each row: created_at (repeats and any order allowed), restored wins and
+    # losses, then one credit of that many lookups in a won or lost episode.
+    records = [
+        {
+            "expert_id": "expert-a",
+            "segment_id": f"expert-a:{i}",
+            "prefix_steps": [[f"restored obs {i}", f"act {i}"]],
+            "created_at": created,
+            "wins": wins,
+            "uses": wins + losses,
+        }
+        for i, (created, wins, losses, _) in enumerate(rows)
+    ]
+    profile = restore_profiles(records, TrigramEmbedder(64), capacity)["expert-a"]
+    episodes = [(i, losses, won) for i, (_, _, losses, won) in enumerate(rows) if losses]
+    for i, count, won in episodes:
+        record = EpisodeRecord(
+            episode_id=f"e{i}",
+            task_id="t",
+            final_trajectory=Trajectory(),
+            reward=1.0 if won else 0.0,
+            success=won,
+            retrievals=[("expert-a", f"expert-a:{i}", count)],
+        )
+        finalize_episode({"expert-a": profile}, record)
     remaining = profile.segments()
     expected = []
     while len(remaining) > capacity:

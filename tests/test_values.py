@@ -27,9 +27,7 @@ from conftest import make_trajectory, record_history
 
 def test_llm_value_uses_the_only_member():
     council = Council([ConstantEvaluatorExpert("a", 0.9)])
-    value, evaluator = llm_value(council, Trajectory(), random.Random(0))
-    assert value == 0.9
-    assert evaluator == "a"
+    assert llm_value(council, Trajectory(), random.Random(0)) == 0.9
 
 
 def test_llm_value_samples_members_uniformly():
@@ -37,15 +35,17 @@ def test_llm_value_samples_members_uniformly():
         [ConstantEvaluatorExpert("a", 0.0), ConstantEvaluatorExpert("b", 1.0)]
     )
     rng = random.Random(7)
-    draws = [llm_value(council, Trajectory(), rng)[0] for _ in range(10_000)]
+    draws = [llm_value(council, Trajectory(), rng) for _ in range(10_000)]
     assert abs(statistics.mean(draws) - 0.5) < 0.02
 
 
 def test_sms_value_cold_start_on_an_empty_profile():
     profile = ExpertProfile("a", embedder=TrigramEmbedder(64))
-    assert sms_value(profile, Trajectory()) == (0.5, None)
+    episode = EpisodeContext("ep-cold")
+    assert sms_value(profile, Trajectory(), episode=episode) == 0.5
     custom = ExpertProfile("a", embedder=TrigramEmbedder(64), cold_start=0.3)
-    assert sms_value(custom, Trajectory()) == (0.3, None)
+    assert sms_value(custom, Trajectory(), episode=episode) == 0.3
+    assert episode.retrievals() == []
 
 
 def test_sms_value_is_the_best_matches_utility():
@@ -53,9 +53,11 @@ def test_sms_value_is_the_best_matches_utility():
     stored = make_trajectory([("a task description", "the move")])
     segment = profile.insert(stored)
     record_history(profile, segment.segment_id, [(True, 1), (False, 2)])
-    value, matched = sms_value(profile, stored)
+    profile.insert(make_trajectory([("an unrelated observation", "another move")]))
+    episode = EpisodeContext("ep-match")
+    value = sms_value(profile, stored, episode=episode)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert matched == segment.segment_id
+    assert episode.retrievals() == [("a", segment.segment_id, 1)]
 
 
 def test_sms_value_records_the_retrieval():
@@ -123,7 +125,7 @@ def batch_of(pairs: list[tuple[float, float]]) -> SiblingBatch:
     children = [
         (i, ValueSignals(v_llm=llm, v_sms=sms)) for i, (llm, sms) in enumerate(pairs)
     ]
-    return SiblingBatch(parent="p", children=children)
+    return SiblingBatch(children=children)
 
 
 def test_single_child_fuses_to_neutral():
@@ -162,13 +164,13 @@ def test_fusion_fills_in_the_raw_spreads():
 
 
 def test_missing_signal_is_an_error():
-    batch = SiblingBatch(parent="p", children=[(0, ValueSignals(v_llm=0.5))])
+    batch = SiblingBatch(children=[(0, ValueSignals(v_llm=0.5))])
     with pytest.raises(ValueError):
         fuse_batch(batch)
 
 
 def test_empty_batch_fuses_to_nothing():
-    assert fuse_batch(SiblingBatch(parent="p", children=[])) == {}
+    assert fuse_batch(SiblingBatch(children=[])) == {}
 
 
 signal_lists = st.lists(
