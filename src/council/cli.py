@@ -28,13 +28,15 @@ from pathlib import Path
 from .config import (
     ROUTING_STRATEGIES,
     VALUE_MODES,
+    EnvSpec,
+    ExpertSpec,
     RunConfig,
     config_from_dict,
     read_config_file,
 )
 from .embedding import TrigramEmbedder
 from .envs.game24 import Game24Env, game24_oracle
-from .envs.synth import DEFAULT_FAMILIES
+from .envs.synth import SynthConfig
 from .errors import BackendConfigError
 from .harness import (
     ABLATION_AXES,
@@ -113,25 +115,23 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _set_path(data: dict, path: tuple[str, ...], value) -> None:
-    for key in path[:-1]:
+    for depth, key in enumerate(path[:-1]):
         data = data.setdefault(key, {})
+        if not isinstance(data, dict):
+            raise ValueError(f"config key '{'.'.join(path[: depth + 1])}': must be an object")
     data[path[-1]] = value
 
 
-def _default_council(env_name: str, env_params: dict) -> list[dict]:
+def _default_council(env: EnvSpec) -> list[ExpertSpec]:
     """The standard scripted council for a bundled environment."""
-    if env_name == "game24":
-        return [{"expert_id": "solver", "params": {"role": "game24-oracle"}}]
-    if env_name == "synth":
-        families = env_params.get("families", list(DEFAULT_FAMILIES))
-        return [
-            {
-                "expert_id": f"{family}-specialist",
-                "params": {"role": "synth-specialist", "family": family},
-            }
-            for family in families
-        ]
-    return []
+    if env.name == "game24":
+        return [ExpertSpec("solver", params={"role": "game24-oracle"})]
+    if env.name != "synth":
+        return []
+    return [
+        ExpertSpec(f"{family}-specialist", params={"role": "synth-specialist", "family": family})
+        for family in SynthConfig.from_params(env.params).families
+    ]
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -141,12 +141,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, dest)
         if value is not None:
             _set_path(data, path, value)
-    if not data.get("council"):
-        env = data.get("env", {})
-        council = _default_council(env.get("name", "game24"), env.get("params", {}))
-        if council:
-            data["council"] = council
-    return config_from_dict(data)
+    config = config_from_dict(data)
+    if not config.council:
+        config.council = _default_council(config.env)
+    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -1,16 +1,21 @@
 """Run configuration.
 
 Everything an experiment needs is a plain dataclass, buildable in code or
-loaded from a JSON file. File loading is strict: unknown keys and
-out-of-range values are rejected with the offending key named, because a
-silently ignored typo in an experiment config is a wasted run.
+loaded from a JSON file. File loading is strict: every value is checked
+against its field's type, and unknown keys, missing keys and out-of-range
+values are rejected with the offending key named, because a silently
+ignored typo in an experiment config is a wasted run. Each council entry's
+``params`` are checked the same way, against the params type of its role.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 VALUE_MODES = ("full", "llm-only", "sms-only", "env-only")
 ROUTING_STRATEGIES = ("task-aware", "random", "round-robin", "voting", "collaborative")
@@ -57,6 +62,57 @@ class ExpertSpec:
 
 
 @dataclass
+class OracleParams:
+    """The game24 oracle takes no params."""
+
+
+@dataclass
+class SynthSpecialistParams:
+    family: str
+    eval_noise: float = 0.0
+
+
+@dataclass
+class RandomParams:
+    pool: list[str]
+
+
+@dataclass
+class TableParams:
+    table: dict[str, list[str]]
+    score: float = 0.5
+
+
+@dataclass
+class ConstantParams:
+    score: float = 0.5
+    actions: list[str] = field(default_factory=list)
+
+
+@dataclass
+class LLMParams:
+    endpoint: str
+    model: str
+    credential_env: str
+    backend_id: str | None = None  # None: the expert id
+    concurrency: int = 4
+    act_temperature: float = 0.7
+    eval_temperature: float = 0.0
+    max_tokens: int = 256
+    timeout: float = 60.0
+
+
+# A scripted entry's ``params.role`` names its params type.
+SCRIPTED_ROLES = {
+    "game24-oracle": OracleParams,
+    "synth-specialist": SynthSpecialistParams,
+    "random": RandomParams,
+    "table": TableParams,
+    "constant": ConstantParams,
+}
+
+
+@dataclass
 class RunConfig:
     seed: int
     env: EnvSpec = field(default_factory=EnvSpec)
@@ -73,6 +129,67 @@ class RunConfig:
 def _require(condition: bool, key: str, message: str) -> None:
     if not condition:
         raise ValueError(f"config key '{key}': {message}")
+
+
+def _join(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
+
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _checked(kind, value, key: str):
+    """``value`` checked against the annotation ``kind``: a dataclass, ``X |
+    None``, ``list[X]``, ``tuple[X, ...]`` (read from a list), ``dict`` or
+    ``dict[str, X]``, or a scalar. A bool is no integer; an integer is
+    accepted, and kept, for a float."""
+    if is_dataclass(kind):
+        return read_fields(kind, value, key)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is types.UnionType:
+        return None if value is None else _checked(args[0], value, key)
+    if origin in (list, tuple):
+        _require(isinstance(value, list), key, "must be a list")
+        items = [_checked(args[0], item, f"{key}[{i}]") for i, item in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if dict in (kind, origin):
+        _require(isinstance(value, dict), key, "must be an object")
+        if not args:
+            return value
+        return {name: _checked(args[1], item, _join(key, name)) for name, item in value.items()}
+    ok = type(value) is kind or (kind is float and type(value) is int)
+    if kind is float and ok:
+        ok = abs(value) <= sys.float_info.max
+    _require(ok, key, f"must be {_SCALARS[kind]}, got {value!r}")
+    return value
+
+
+def read_fields(cls, data, key: str = ""):
+    """Build the dataclass ``cls`` from a JSON object, every value checked
+    against its field's annotation. An unknown key, a missing required key
+    or a wrong type raises ValueError naming the key under ``key``."""
+    _require(isinstance(data, dict), key, "must be an object")
+    names = {f.name: f for f in fields(cls)}
+    for name in data:
+        _require(name in names, _join(key, name), "unknown key")
+    for name, f in names.items():
+        required = f.default is MISSING and f.default_factory is MISSING
+        _require(name in data or not required, _join(key, name), "required")
+    hints = get_type_hints(cls)
+    return cls(**{name: _checked(hints[name], data[name], _join(key, name)) for name in data})
+
+
+def expert_params(spec: ExpertSpec, key: str):
+    """The checked ``params`` of a council entry, errors naming keys under
+    ``key``: an ``LLMParams`` for an llm-backed entry, else the type
+    ``SCRIPTED_ROLES`` gives its ``role``."""
+    if spec.kind == "llm-backed":
+        return read_fields(LLMParams, spec.params, key)
+    params = dict(spec.params)
+    role = params.pop("role", None)
+    roles = tuple(SCRIPTED_ROLES)
+    _require(role in roles, _join(key, "role"), f"must be one of {roles}, got {role!r}")
+    return read_fields(SCRIPTED_ROLES[role], params, key)
 
 
 def validate_config(config: RunConfig) -> RunConfig:
@@ -122,39 +239,12 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"council[{i}].kind",
             "must be 'scripted' or 'llm-backed'",
         )
+        expert_params(spec, f"council[{i}].params")
     return config
 
 
-def _build(cls, data: dict, path: str):
-    """Construct a config dataclass from a dict, rejecting unknown keys."""
-    fields = {f for f in cls.__dataclass_fields__}
-    for key in data:
-        if key not in fields:
-            raise ValueError(f"config key '{path}{key}': unknown key")
-    return data
-
-
 def config_from_dict(data: dict) -> RunConfig:
-    data = dict(_build(RunConfig, data, ""))
-    if "seed" not in data:
-        raise ValueError("config key 'seed': required")
-    if "planner" in data:
-        planner = dict(_build(PlannerConfig, data["planner"], "planner."))
-        if "budget" in planner:
-            planner["budget"] = SearchBudget(
-                **_build(SearchBudget, planner["budget"], "planner.budget.")
-            )
-        data["planner"] = PlannerConfig(**planner)
-    if "memory" in data:
-        data["memory"] = MemoryConfig(**_build(MemoryConfig, data["memory"], "memory."))
-    if "env" in data:
-        data["env"] = EnvSpec(**_build(EnvSpec, data["env"], "env."))
-    if "council" in data:
-        data["council"] = [
-            ExpertSpec(**_build(ExpertSpec, item, f"council[{i}]."))
-            for i, item in enumerate(data["council"])
-        ]
-    return validate_config(RunConfig(**data))
+    return validate_config(read_fields(RunConfig, data))
 
 
 def read_config_file(path: str | Path) -> dict:

@@ -8,9 +8,12 @@ __all__ = ["Environment", "Game24Env", "SynthConfig", "SynthEnv", "build_environ
 
 
 def build_environment(name: str, params: dict | None = None) -> Environment:
-    """Construct a bundled environment by name."""
+    """Construct a bundled environment by name from its ``env.params``;
+    game24 takes none."""
     if name == "game24":
+        if params:
+            raise ValueError(f"config key 'env.params.{next(iter(params))}': unknown key")
         return Game24Env()
     if name == "synth":
         return SynthEnv(SynthConfig.from_params(params or {}))
-    raise ValueError(f"unknown environment: {name}")
+    raise ValueError(f"config key 'env.name': unknown environment {name!r}")

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
+from ..config import read_fields
 from ..seeding import derived_rng, derived_seed
 from ..trajectory import Observation
 from .base import Environment, StepOutcome, TaskSpec
@@ -51,13 +52,9 @@ class SynthConfig:
 
     @classmethod
     def from_params(cls, params: dict) -> SynthConfig:
-        """Build from a config file's ``env.params``, rejecting unknown keys."""
-        unknown = sorted(set(params) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown synth parameter: {unknown[0]}")
-        if "families" in params:
-            params = dict(params, families=tuple(params["families"]))
-        return cls(**params)
+        """Build from a config file's ``env.params``; an unknown key or a
+        value of the wrong type raises ValueError naming the key."""
+        return read_fields(cls, params, "env.params")
 
 
 def family_letters(family: str, config: SynthConfig) -> str:

@@ -324,10 +324,10 @@ class LLMExpert(Expert):
         self.timeout = timeout
 
     def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
-        bundle = compose_prompt(
+        messages = compose_prompt(
             first_observation_text(prefix), prefix, exemplar, "act", self.templates
         )
-        request = request_for(bundle, self.act_temperature, self.max_tokens, self.timeout)
+        request = request_for(messages, self.act_temperature, self.max_tokens, self.timeout)
         actions: list[str] = []
         for _ in range(k):
             reply = complete(self.backend, request)
@@ -339,10 +339,10 @@ class LLMExpert(Expert):
         return actions
 
     def plausibility(self, prefix: Trajectory) -> float:
-        bundle = compose_prompt(
+        messages = compose_prompt(
             first_observation_text(prefix), prefix, None, "evaluate", self.templates
         )
-        request = request_for(bundle, self.eval_temperature, self.max_tokens, self.timeout)
+        request = request_for(messages, self.eval_temperature, self.max_tokens, self.timeout)
         reply = complete(self.backend, request)
         return parse_score(reply)
 

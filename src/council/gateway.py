@@ -1,10 +1,10 @@
 """Chat-completion plumbing for language-model backed experts.
 
-Prompt text is assembled from swappable templates, so wording changes are a
-configuration edit rather than a code change. The retrieved exemplar, when
-present, is fenced into its own clearly-labeled region: it is reference
-material from a past success, and the directives tell the model not to
-continue it. Scoring replies are parsed with a first-number rule mapped onto
+Prompt text is assembled from templates kept apart from the code that
+fills them; an expert built in code may pass its own. The retrieved
+exemplar, when present, is fenced into its own clearly-labeled region: it
+is reference material from a past success, and the directives tell the
+model not to continue it. Scoring replies are parsed with a first-number rule mapped onto
 [0, 1].
 
 Credentials are read from an environment variable named in the backend
@@ -73,38 +73,14 @@ class PromptTemplates:
 DEFAULT_TEMPLATES = PromptTemplates()
 
 
-@dataclass
-class PromptBundle:
-    """A composed prompt, kept in regions until rendered to chat messages."""
-
-    mode: str
-    task_instruction: str
-    current_text: str
-    exemplar_text: str | None
-    templates: PromptTemplates = field(default_factory=PromptTemplates)
-
-    def to_messages(self) -> list[ChatMessage]:
-        t = self.templates
-        system = t.system_act if self.mode == "act" else t.system_evaluate
-        parts = [f"Task: {self.task_instruction}"]
-        if self.exemplar_text is not None:
-            parts.append(f"{t.exemplar_header}\n{self.exemplar_text}{t.exemplar_footer}")
-        directive = t.act_directive if self.mode == "act" else t.evaluate_directive
-        parts.append(f"{t.current_header}\n{self.current_text}{directive}")
-        return [
-            ChatMessage(role="system", content=system),
-            ChatMessage(role="user", content="\n\n".join(parts)),
-        ]
-
-
 def compose_prompt(
     task_instruction: str,
     prefix: Trajectory,
     exemplar: Trajectory | None,
     mode: str,
     templates: PromptTemplates = DEFAULT_TEMPLATES,
-) -> PromptBundle:
-    """Build the prompt for one act or evaluate call.
+) -> list[ChatMessage]:
+    """The system and user messages of one act or evaluate call.
 
     Deterministic in its inputs. The exemplar region is present exactly when
     an exemplar is supplied and never interleaves with the current-trajectory
@@ -112,13 +88,16 @@ def compose_prompt(
     """
     if mode not in ("act", "evaluate"):
         raise ValueError(f"unknown prompt mode: {mode}")
-    return PromptBundle(
-        mode=mode,
-        task_instruction=task_instruction,
-        current_text=serialize_trajectory(prefix),
-        exemplar_text=None if exemplar is None else serialize_trajectory(exemplar),
-        templates=templates,
-    )
+    t = templates
+    parts = [f"Task: {task_instruction}"]
+    if exemplar is not None:
+        parts.append(f"{t.exemplar_header}\n{serialize_trajectory(exemplar)}{t.exemplar_footer}")
+    directive = t.act_directive if mode == "act" else t.evaluate_directive
+    parts.append(f"{t.current_header}\n{serialize_trajectory(prefix)}{directive}")
+    return [
+        ChatMessage(role="system", content=t.system_act if mode == "act" else t.system_evaluate),
+        ChatMessage(role="user", content="\n\n".join(parts)),
+    ]
 
 
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
@@ -302,28 +281,12 @@ def complete(
 
 
 def request_for(
-    bundle: PromptBundle, temperature: float, max_tokens: int = 256, timeout: float = 60.0
+    messages: list[ChatMessage], temperature: float, max_tokens: int = 256, timeout: float = 60.0
 ) -> ChatRequest:
     return ChatRequest(
-        messages=bundle.to_messages(),
+        messages=messages,
         temperature=temperature,
         max_tokens=max_tokens,
         timeout=timeout,
     )
 
-
-__all__ = [
-    "ChatMessage",
-    "ChatRequest",
-    "PromptTemplates",
-    "DEFAULT_TEMPLATES",
-    "PromptBundle",
-    "compose_prompt",
-    "parse_score",
-    "BackendUsage",
-    "Backend",
-    "StubBackend",
-    "HTTPBackend",
-    "complete",
-    "request_for",
-]

@@ -25,6 +25,7 @@ from .config import (
     ExpertSpec,
     PlannerConfig,
     RunConfig,
+    expert_params,
     validate_config,
 )
 from .embedding import Embedder, TrigramEmbedder
@@ -159,57 +160,41 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
     environment variable named by ``credential_env``; only the variable's
     name is ever stored or logged.
     """
-    params = dict(spec.params)
-    if spec.kind == "scripted":
-        role = params.pop("role", None)
-        if role == "game24-oracle":
-            return Game24OracleExpert(spec.expert_id)
-        if role == "synth-specialist":
-            return SynthSpecialistExpert(
-                spec.expert_id,
-                family=params["family"],
-                config=SynthConfig.from_params(env_spec.params),
-                seed=derived_seed(run_seed, "expert", spec.expert_id),
-                eval_noise=float(params.get("eval_noise", 0.0)),
-            )
-        if role == "random":
-            return RandomExpert(
-                spec.expert_id,
-                pool=list(params["pool"]),
-                seed=derived_seed(run_seed, "expert", spec.expert_id),
-            )
-        if role == "table":
-            return TableExpert(
-                spec.expert_id,
-                table=dict(params["table"]),
-                score=float(params.get("score", 0.5)),
-            )
-        if role == "constant":
-            return ConstantEvaluatorExpert(
-                spec.expert_id,
-                score=float(params.get("score", 0.5)),
-                actions=list(params.get("actions", [])),
-            )
-        raise ValueError(f"expert {spec.expert_id}: unknown scripted role {role!r}")
-    # llm-backed
-    for key in ("endpoint", "model", "credential_env"):
-        if key not in params:
-            raise BackendConfigError(f"expert {spec.expert_id}: missing backend key '{key}'")
-    backend = HTTPBackend(
-        backend_id=params.get("backend_id", spec.expert_id),
-        endpoint=params["endpoint"],
-        model=params["model"],
-        credential_env=params["credential_env"],
-        concurrency=int(params.get("concurrency", 4)),
-    )
-    return LLMExpert(
-        spec.expert_id,
-        backend=backend,
-        act_temperature=float(params.get("act_temperature", 0.7)),
-        eval_temperature=float(params.get("eval_temperature", 0.0)),
-        max_tokens=int(params.get("max_tokens", 256)),
-        timeout=float(params.get("timeout", 60.0)),
-    )
+    seed = derived_seed(run_seed, "expert", spec.expert_id)
+    if spec.kind == "llm-backed":
+        try:
+            p = expert_params(spec, "")
+        except ValueError as exc:
+            raise BackendConfigError(f"expert {spec.expert_id}: {exc}") from None
+        backend = HTTPBackend(
+            backend_id=p.backend_id if p.backend_id is not None else spec.expert_id,
+            endpoint=p.endpoint,
+            model=p.model,
+            credential_env=p.credential_env,
+            concurrency=p.concurrency,
+        )
+        return LLMExpert(
+            spec.expert_id,
+            backend=backend,
+            act_temperature=p.act_temperature,
+            eval_temperature=p.eval_temperature,
+            max_tokens=p.max_tokens,
+            timeout=p.timeout,
+        )
+    p = expert_params(spec, "")
+    role = spec.params["role"]
+    if role == "synth-specialist":
+        config = SynthConfig.from_params(env_spec.params)
+        return SynthSpecialistExpert(
+            spec.expert_id, family=p.family, config=config, seed=seed, eval_noise=p.eval_noise
+        )
+    if role == "random":
+        return RandomExpert(spec.expert_id, pool=p.pool, seed=seed)
+    if role == "table":
+        return TableExpert(spec.expert_id, table=p.table, score=p.score)
+    if role == "constant":
+        return ConstantEvaluatorExpert(spec.expert_id, score=p.score, actions=p.actions)
+    return Game24OracleExpert(spec.expert_id)
 
 
 def build_council(

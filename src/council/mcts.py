@@ -21,7 +21,7 @@ from .experts import ActionProposal, Council, Expert, propose_actions
 from .memory import EpisodeContext, finalize_episode
 from .routing import RoutingDecision, route
 from .trajectory import EpisodeRecord, Trajectory
-from .values import SiblingBatch, ValueSignals, fuse_batch, llm_value, normalize, sms_value
+from .values import Fusion, fuse_batch, llm_value, normalize, sms_value
 
 from .envs.base import Environment, TaskSpec
 
@@ -172,10 +172,8 @@ def _routing_event(decision: RoutingDecision) -> dict:
         "chosen": decision.chosen,
         "strategy": decision.strategy,
         "exemplar_segment_id": decision.exemplar_segment_id,
-        "scores": dict(decision.scores.per_expert) if decision.scores else None,
-        "distribution": (
-            dict(decision.distribution.per_expert) if decision.distribution else None
-        ),
+        "scores": decision.scores,
+        "distribution": decision.distribution,
     }
 
 
@@ -229,12 +227,12 @@ def _assign_values(
     mode: str,
     rng: random.Random,
     episode: EpisodeContext,
-) -> SiblingBatch | None:
+) -> Fusion | None:
     """Set fused_value (and the starting value) of each child in a sibling set.
 
     Only the judged signal draws from ``rng``, one draw per child in child
-    order. Returns the fused batch, which carries the batch's spreads and
-    weight, in ``full`` mode and None otherwise.
+    order. Returns the fusion, which carries the set's spreads and weight, in
+    ``full`` mode and None otherwise.
     """
     v_llm = v_sms = None
     if mode in ("full", "llm-only"):
@@ -243,23 +241,17 @@ def _assign_values(
         profile = council.profile(acting_expert_id)
         v_sms = [sms_value(profile, c.prefix, episode) for c in children]
 
-    batch = None
+    fusion = None
     if mode == "full":
-        batch = SiblingBatch(
-            children=[
-                (c.node_id, ValueSignals(v_llm=a, v_sms=b))
-                for c, a, b in zip(children, v_llm, v_sms)
-            ],
-        )
-        by_id = fuse_batch(batch)
-        fused = [by_id[c.node_id] for c in children]
+        fusion = fuse_batch(v_llm, v_sms)
+        fused = fusion.values
     elif mode == "env-only":
         fused = [0.5] * len(children)
     else:
         fused = normalize(v_llm if v_llm is not None else v_sms)
     for child, value in zip(children, fused):
         child.fused_value = child.value = value
-    return batch
+    return fusion
 
 
 def search(
@@ -369,7 +361,7 @@ def search(
                 nodes_expanded += len(children)
 
                 mode = planner.value_mode
-                batch = _assign_values(children, council, decision.chosen, mode, rng, episode)
+                fusion = _assign_values(children, council, decision.chosen, mode, rng, episode)
                 event.update(
                     outcome="expanded",
                     children=[
@@ -382,9 +374,9 @@ def search(
                         }
                         for c in children
                     ],
-                    sigma_llm=batch.sigma_llm if batch else None,
-                    sigma_sms=batch.sigma_sms if batch else None,
-                    alpha=batch.alpha if batch else None,
+                    sigma_llm=fusion.sigma_llm if fusion else None,
+                    sigma_sms=fusion.sigma_sms if fusion else None,
+                    alpha=fusion.alpha if fusion else None,
                 )
 
                 winners = [

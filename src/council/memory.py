@@ -351,6 +351,23 @@ class ExpertProfile:
             slot = int(np.argmax(sims))
             return self._slots[slot], float(sims[slot])
 
+    def exemplar(self, query_vec: np.ndarray) -> SMSegment | None:
+        """The segment to cite as an exemplar for the query: among the
+        segments tied on the top similarity, the highest utility wins, then
+        the smallest ``created_at``, then the earliest inserted. Returns None
+        on an empty profile."""
+        if not self._segments:
+            return None
+        with self._lock:
+            sims = self._scan(query_vec)
+            if self._dead:
+                sims = np.where(self._live[: self._written], sims, -np.inf)
+            tied = np.flatnonzero(sims == sims.max())
+            if len(tied) > 1:
+                # lexsort is stable and sorts by its last key first.
+                tied = tied[np.lexsort((self._created[tied], -self._util[tied]))]
+            return self._slots[tied[0]]
+
     # -- capacity -----------------------------------------------------------
 
     def prune(self) -> list[str]:

@@ -3,10 +3,12 @@
 The task-aware strategy scores each expert by how close the current
 trajectory sits to anything in that expert's success memory (the maximum
 cosine similarity over the profile), turns the scores into a softmax
-distribution, and samples. Whichever strategy is in play, consulting a
-profile has a side effect: the top-matching segment's retrieval is recorded
-against the running episode, because the retrieval counts credited at
-episode end are the raw material of every later utility estimate.
+distribution, and samples. Scores and distribution are plain dicts from
+expert id to number, in council order. Whichever strategy is in play,
+consulting a profile has a side effect: the top-matching segment's
+retrieval is recorded against the running episode, because the retrieval
+counts credited at episode end are the raw material of every later utility
+estimate.
 
 The remaining strategies are baselines for ablation: uniform random,
 round-robin on a planner-owned counter, majority voting over one-shot
@@ -25,25 +27,8 @@ import numpy as np
 from .config import ROUTING_STRATEGIES
 from .errors import ExpertUnavailableError
 from .experts import Council, propose_actions
-from .memory import EpisodeContext, ExpertProfile, SMSegment, sms_utility
+from .memory import EpisodeContext, ExpertProfile
 from .trajectory import Trajectory
-
-
-@dataclass
-class RoutingScores:
-    """Best-match similarity per expert, in council order. Empty profiles
-    score 0."""
-
-    per_expert: dict[str, float]
-
-
-@dataclass
-class RoutingDistribution:
-    """Softmax over routing scores. Probabilities are strictly positive and
-    sum to 1 within floating-point tolerance."""
-
-    per_expert: dict[str, float]
-    temperature: float
 
 
 @dataclass
@@ -52,23 +37,24 @@ class RoutingDecision:
     strategy: str
     exemplar: Trajectory | None = None
     exemplar_segment_id: str | None = None
-    scores: RoutingScores | None = None
-    distribution: RoutingDistribution | None = None
+    scores: dict[str, float] | None = None
+    distribution: dict[str, float] | None = None
 
 
 def _routing_scores(
     council: Council, query: Trajectory, vectors: dict[int, np.ndarray]
-) -> RoutingScores:
-    """Maximum query similarity against each expert's stored segments."""
-    per_expert: dict[str, float] = {}
+) -> dict[str, float]:
+    """Maximum query similarity against each expert's stored segments, by
+    expert id in council order. An empty profile scores 0."""
+    scores: dict[str, float] = {}
     for expert in council.experts:
         profile = council.profile(expert.expert_id)
         if len(profile) == 0:
-            per_expert[expert.expert_id] = 0.0
+            scores[expert.expert_id] = 0.0
             continue
         match = profile.best_match(_query_vector(profile, query, vectors))
-        per_expert[expert.expert_id] = match[1] if match is not None else 0.0
-    return RoutingScores(per_expert=per_expert)
+        scores[expert.expert_id] = match[1] if match is not None else 0.0
+    return scores
 
 
 def _query_vector(
@@ -82,48 +68,20 @@ def _query_vector(
     return vectors[key]
 
 
-def routing_distribution(scores: RoutingScores, temperature: float) -> RoutingDistribution:
-    """Temperature softmax over the scores, stabilized by max subtraction."""
-    if not scores.per_expert:
+def routing_distribution(scores: dict[str, float], temperature: float) -> dict[str, float]:
+    """Temperature softmax over the scores, stabilized by max subtraction.
+
+    The probabilities keep the scores' keys and order; each is strictly
+    positive and they sum to 1 within floating-point tolerance.
+    """
+    if not scores:
         raise ValueError("cannot build a distribution over zero experts")
     if not math.isfinite(temperature) or temperature <= 0.0:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    values = list(scores.per_expert.values())
-    top = max(values)
-    weights = [math.exp((v - top) / temperature) for v in values]
+    top = max(scores.values())
+    weights = [math.exp((v - top) / temperature) for v in scores.values()]
     total = sum(weights)
-    return RoutingDistribution(
-        per_expert={
-            eid: w / total for eid, w in zip(scores.per_expert.keys(), weights)
-        },
-        temperature=temperature,
-    )
-
-
-def _pick_exemplar(
-    profile: ExpertProfile,
-    query: Trajectory,
-    episode: EpisodeContext | None,
-    vectors: dict[int, np.ndarray],
-) -> SMSegment | None:
-    """Best stored segment for the query, with deterministic tie handling.
-
-    Among segments tied on similarity the one with the higher utility wins,
-    and a remaining tie goes to the oldest. The retrieval is recorded against
-    the episode when one is supplied.
-    """
-    if len(profile) == 0:
-        return None
-    sims = profile.match_scores(_query_vector(profile, query, vectors))
-    best = float(sims.max())
-    segments = profile.segments()
-    tied = [segments[i] for i in np.flatnonzero(sims == best)]
-    winner = max(
-        tied, key=lambda seg: (sms_utility(seg, cold_start=profile.cold_start), -seg.created_at)
-    )
-    if episode is not None:
-        episode.record(profile, winner.segment_id)
-    return winner
+    return {eid: w / total for eid, w in zip(scores, weights)}
 
 
 def route(
@@ -139,20 +97,21 @@ def route(
     """Choose the acting expert for this decision point.
 
     Every single-expert strategy retrieves an exemplar from the chosen
-    expert's profile when it has one; the exemplar accompanies the decision
-    so proposal prompts can cite it.
+    expert's profile when it has one (see ``ExpertProfile.exemplar``) and
+    records the retrieval against the episode when one is supplied; the
+    exemplar accompanies the decision so proposal prompts can cite it.
     """
     if strategy not in ROUTING_STRATEGIES:
         raise ValueError(f"unknown routing strategy: {strategy}")
     ids = [e.expert_id for e in council.experts]
     vectors: dict[int, np.ndarray] = {}
-    scores: RoutingScores | None = None
-    distribution: RoutingDistribution | None = None
+    scores: dict[str, float] | None = None
+    distribution: dict[str, float] | None = None
 
     if strategy == "task-aware":
         scores = _routing_scores(council, query, vectors)
         distribution = routing_distribution(scores, temperature)
-        chosen = rng.choices(ids, weights=[distribution.per_expert[eid] for eid in ids])[0]
+        chosen = rng.choices(ids, weights=[distribution[eid] for eid in ids])[0]
     elif strategy == "random":
         chosen = rng.choice(ids)
     elif strategy == "round-robin":
@@ -164,7 +123,10 @@ def route(
         if chosen not in council.by_id:
             raise ValueError(f"aggregator {chosen!r} is not a council member")
 
-    exemplar = _pick_exemplar(council.profile(chosen), query, episode, vectors)
+    profile = council.profile(chosen)
+    exemplar = profile.exemplar(_query_vector(profile, query, vectors)) if len(profile) else None
+    if exemplar is not None and episode is not None:
+        episode.record(profile, exemplar.segment_id)
     return RoutingDecision(
         chosen=chosen,
         strategy=strategy,

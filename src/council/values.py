@@ -6,46 +6,34 @@ comes from the routed expert's profile: find the stored segment most similar
 to the child and adopt that segment's utility, which is the usage-weighted
 success rate (``wins / uses``) of the finished episodes that retrieved it.
 
-Both signal lists are min-max normalized over the sibling set and blended
-with a weight that favors whichever signal actually spreads the siblings
-apart: the weight on the judged signal is its population standard deviation
-over the batch divided by the two deviations' sum. A signal that rates every
-sibling identically carries no ranking information and is weighted out.
+Both signal lists, in child order, are min-max normalized over the sibling
+set and blended with a weight that favors whichever signal actually spreads
+the siblings apart: the weight on the judged signal is its population
+standard deviation over the set divided by the two deviations' sum. A signal
+that rates every sibling identically carries no ranking information and is
+weighted out. The fused values come back as a list in child order, beside
+the two spreads and the weight.
 """
 
 from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import NamedTuple, Sequence
 
 from .experts import Council, evaluate_plausibility
 from .memory import EpisodeContext, ExpertProfile
 from .trajectory import Trajectory
 
 
-@dataclass
-class ValueSignals:
-    """Raw per-child signals, each in [0, 1] when present."""
+class Fusion(NamedTuple):
+    """One sibling set's fused values, in child order, with the spreads of
+    the two raw signals and the weight on the judged one."""
 
-    v_llm: float | None = None
-    v_sms: float | None = None
-
-    def __post_init__(self) -> None:
-        for name, value in (("v_llm", self.v_llm), ("v_sms", self.v_sms)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-@dataclass
-class SiblingBatch:
-    """One expansion's children, keyed by any hashable id, plus fusion stats."""
-
-    children: list[tuple[Hashable, ValueSignals]]
-    sigma_llm: float | None = None
-    sigma_sms: float | None = None
-    alpha: float | None = None
+    values: list[float]
+    sigma_llm: float
+    sigma_sms: float
+    alpha: float
 
 
 def llm_value(council: Council, prefix: Trajectory, rng: random.Random) -> float:
@@ -92,26 +80,24 @@ def fusion_weight(spread_llm: float, spread_sms: float) -> float:
     return spread_llm / total
 
 
-def fuse_batch(batch: SiblingBatch) -> dict[Hashable, float]:
-    """Blend both signals into one fused value per child.
+def fuse_batch(v_llm: Sequence[float], v_sms: Sequence[float]) -> Fusion:
+    """Blend one sibling set's two raw signals, given in child order, into
+    one fused value per child.
 
     Spreads are computed on the raw signals, normalization happens per signal
-    over the whole sibling set, and the blend weight is shared by the batch.
-    The batch's sigma and alpha fields are filled in as a side effect.
+    over the whole sibling set, and the blend weight is shared by the set.
+    Every child needs both signals, each in [0, 1].
     """
-    if not batch.children:
-        return {}
-    for key, signals in batch.children:
-        if signals.v_llm is None or signals.v_sms is None:
-            raise ValueError(f"child {key!r} is missing a raw signal")
-    raw_llm = [signals.v_llm for _, signals in batch.children]
-    raw_sms = [signals.v_sms for _, signals in batch.children]
-    batch.sigma_llm = statistics.pstdev(raw_llm)
-    batch.sigma_sms = statistics.pstdev(raw_sms)
-    batch.alpha = fusion_weight(batch.sigma_llm, batch.sigma_sms)
-    norm_llm = normalize(raw_llm)
-    norm_sms = normalize(raw_sms)
-    return {
-        key: batch.alpha * nl + (1.0 - batch.alpha) * ns
-        for (key, _), nl, ns in zip(batch.children, norm_llm, norm_sms)
-    }
+    if not v_llm or len(v_llm) != len(v_sms):
+        raise ValueError(f"a sibling set needs children with both signals, got {v_llm}, {v_sms}")
+    for name, signal in (("v_llm", v_llm), ("v_sms", v_sms)):
+        for value in signal:
+            if value is None or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    sigma_llm = statistics.pstdev(v_llm)
+    sigma_sms = statistics.pstdev(v_sms)
+    alpha = fusion_weight(sigma_llm, sigma_sms)
+    fused = [
+        alpha * nl + (1.0 - alpha) * ns for nl, ns in zip(normalize(v_llm), normalize(v_sms))
+    ]
+    return Fusion(fused, sigma_llm, sigma_sms, alpha)

@@ -34,9 +34,9 @@ from council.experts import Council, TableExpert
 from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
 from council.memory import ExpertProfile, sms_utility
-from council.routing import RoutingScores, route, routing_distribution
+from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
-from council.values import SiblingBatch, ValueSignals, fuse_batch, fusion_weight
+from council.values import fuse_batch, fusion_weight
 
 from conftest import make_trajectory, record_history
 
@@ -206,23 +206,16 @@ def test_criterion_03_routing_distribution_suite(capsys):
         n = rng.randrange(1, 7)
         mu = {f"e{i}": rng.uniform(-2.0, 2.0) for i in range(n)}
         temperature = rng.choice([0.1, 0.5, 1.0, 3.0])
-        dist = routing_distribution(RoutingScores(per_expert=mu), temperature)
-        norm_err = max(norm_err, abs(sum(dist.per_expert.values()) - 1.0))
+        dist = routing_distribution(mu, temperature)
+        norm_err = max(norm_err, abs(sum(dist.values()) - 1.0))
         shift = rng.uniform(-5.0, 5.0)
-        shifted = routing_distribution(
-            RoutingScores(per_expert={k: v + shift for k, v in mu.items()}),
-            temperature,
-        )
+        shifted = routing_distribution({k: v + shift for k, v in mu.items()}, temperature)
         for key in mu:
-            shift_err = max(shift_err, abs(dist.per_expert[key] - shifted.per_expert[key]))
-    uniform = routing_distribution(
-        RoutingScores(per_expert={"a": 0.7, "b": 0.7, "c": 0.7}), 0.5
-    )
-    sym_err = max(abs(p - 1.0 / 3.0) for p in uniform.per_expert.values())
-    hand = routing_distribution(RoutingScores(per_expert={"a": 1.0, "b": 0.0}), 0.5)
-    hand_err = max(
-        abs(hand.per_expert["a"] - 0.88080), abs(hand.per_expert["b"] - 0.11920)
-    )
+            shift_err = max(shift_err, abs(dist[key] - shifted[key]))
+    uniform = routing_distribution({"a": 0.7, "b": 0.7, "c": 0.7}, 0.5)
+    sym_err = max(abs(p - 1.0 / 3.0) for p in uniform.values())
+    hand = routing_distribution({"a": 1.0, "b": 0.0}, 0.5)
+    hand_err = max(abs(hand["a"] - 0.88080), abs(hand["b"] - 0.11920))
     elapsed = time.perf_counter() - start
     ok = (
         norm_err < 1e-12
@@ -317,7 +310,7 @@ def test_criterion_04_retrieval_linear_scan_oracle(capsys):
         for expert_id in ("a", "b", "c"):
             profile = council.profile(expert_id)
             sims = _scan_sims(profile, profile.embed_query(query))
-            score_err = max(score_err, abs(scores.per_expert[expert_id] - max(sims)))
+            score_err = max(score_err, abs(scores[expert_id] - max(sims)))
 
         # Exemplar choice, checked where the scan's winner is unambiguous.
         decision = route(council, query, "round-robin", random.Random(0), step_index=0)
@@ -346,13 +339,6 @@ def test_criterion_04_retrieval_linear_scan_oracle(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _batch(llm: list[float], sms: list[float]) -> SiblingBatch:
-    children = [
-        (i, ValueSignals(v_llm=a, v_sms=b)) for i, (a, b) in enumerate(zip(llm, sms))
-    ]
-    return SiblingBatch(children=children)
-
-
 def test_criterion_05_fusion_suite(capsys):
     rng = random.Random(505)
     start = time.perf_counter()
@@ -369,10 +355,10 @@ def test_criterion_05_fusion_suite(capsys):
         llm = [rng.uniform(0.0, 0.5) for _ in range(n)]
         sms = [rng.uniform(0.0, 1.0) for _ in range(n)]
         shift = rng.uniform(0.0, 0.5)
-        base = fuse_batch(_batch(llm, sms))
-        moved = fuse_batch(_batch([v + shift for v in llm], sms))
-        for key in base:
-            shift_err = max(shift_err, abs(base[key] - moved[key]))
+        base = fuse_batch(llm, sms).values
+        moved = fuse_batch([v + shift for v in llm], sms).values
+        for a, b in zip(base, moved):
+            shift_err = max(shift_err, abs(a - b))
 
     dominance_holds = True
     for _ in range(1000):
@@ -382,8 +368,8 @@ def test_criterion_05_fusion_suite(capsys):
         lead = rng.randrange(n)
         llm[lead] = max(llm) + 0.05
         sms[lead] = max(sms) + 0.05
-        fused = fuse_batch(_batch(llm, sms))
-        if fused[lead] < max(fused.values()):
+        fused = fuse_batch(llm, sms).values
+        if fused[lead] < max(fused):
             dominance_holds = False
 
     elapsed = time.perf_counter() - start

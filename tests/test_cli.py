@@ -149,6 +149,42 @@ def test_an_expert_display_name_is_an_unknown_key(tmp_path, capsys):
     assert "config key 'council[0].display_name': unknown key" in err
 
 
+def _expert(role: str, **params) -> dict:
+    return {"expert_id": "x", "params": {"role": role, **params}}
+
+
+@pytest.mark.parametrize(
+    "change,flags,key",
+    [
+        ({"planner": 5}, (), "planner"),
+        ({"planner": 5}, ("--iterations", "3"), "planner"),
+        ({"planner": {"budget": {"iterations": "ten"}}}, (), "planner.budget.iterations"),
+        ({"seed": True}, (), "seed"),
+        ({"env": {"name": "synth", "params": []}}, (), "env.params"),
+        ({"env": {"name": "synth", "params": {"depth": "3"}}}, (), "env.params.depth"),
+        ({"council": [_expert("synth-specialist")]}, (), "council[0].params.family"),
+        ({"council": [_expert("random", pool=5)]}, (), "council[0].params.pool"),
+        ({"council": [_expert("table", table=[1])]}, (), "council[0].params.table"),
+        (
+            {"council": [_expert("synth-specialist", family="amber", eval_nosie=0.3)]},
+            (),
+            "council[0].params.eval_nosie",
+        ),
+        ({"council": [_expert("psychic")]}, (), "council[0].params.role"),
+        ({"env": {"name": "game24", "params": {"depth": 3}}}, (), "env.params.depth"),
+        ({"env": {"name": "chess"}}, (), "env.name"),
+    ],
+)
+def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "env": {"name": "synth"}, **change}))
+    tasks = synth_tasks_file(tmp_path)
+    code = main(["run", "--config", str(config), "--tasks", str(tasks), *flags])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': ")
+
+
 def test_a_missing_task_file_exits_two(tmp_path, capsys):
     code = main(run_flags(tmp_path, tmp_path / "nowhere.jsonl"))
     assert code == 2

@@ -85,6 +85,40 @@ def test_out_of_range_values_name_the_offending_key(overrides, key):
     assert f"'{key}'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        ({"seed": True}, "seed"),
+        ({"workers": 1.0}, "workers"),
+        ({"planner": {"exploration": "1"}}, "planner.exploration"),
+        ({"planner": {"exploration": float("nan")}}, "planner.exploration"),
+        ({"planner": {"success_threshold": float("inf")}}, "planner.success_threshold"),
+        ({"memory": {"shared": 1}}, "memory.shared"),
+        ({"memory": {"save_path": 3}}, "memory.save_path"),
+        ({"council": {"expert_id": "a"}}, "council"),
+        ({"council": [{"expert_id": "a", "params": {"role": "table", "table": {"k": "v"}}}]},
+         "council[0].params.table.k"),
+        ({"council": [{"expert_id": "a", "params": {"role": "constant", "actions": [1]}}]},
+         "council[0].params.actions[0]"),
+        ({"council": [{"expert_id": "a", "params": {"role": ["table"]}}]}, "council[0].params.role"),
+        ({"council": [{"expert_id": "a", "kind": "llm-backed", "params": {"model": "m"}}]},
+         "council[0].params.endpoint"),
+    ],
+)
+def test_values_of_the_wrong_type_name_the_offending_key(overrides, key):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_dict({"seed": 1, **overrides})
+    assert str(excinfo.value).startswith(f"config key '{key}': ")
+
+
+def test_integers_stand_for_floats_as_given_and_null_fills_an_optional():
+    config = config_from_dict(
+        {"seed": 1, "planner": {"exploration": 2, "aggregator": None}, "memory": {"load_path": None}}
+    )
+    assert config.planner.exploration == 2 and type(config.planner.exploration) is int
+    assert config.planner.aggregator is None and config.memory.load_path is None
+
+
 def test_strategy_and_mode_vocabularies_are_accepted():
     for strategy in ROUTING_STRATEGIES:
         config_from_dict({"seed": 1, "planner": {"routing_strategy": strategy}})

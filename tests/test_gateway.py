@@ -15,6 +15,7 @@ from council.errors import (
     ScoreParseError,
 )
 from council.gateway import (
+    DEFAULT_TEMPLATES as T,
     ChatMessage,
     ChatRequest,
     HTTPBackend,
@@ -30,36 +31,33 @@ from conftest import make_trajectory
 
 
 def test_prompt_without_exemplar_has_no_reference_region():
-    bundle = compose_prompt("make 24", make_trajectory([], pending="numbers: 1 2"), None, "act")
-    messages = bundle.to_messages()
+    messages = compose_prompt("make 24", make_trajectory([], pending="numbers: 1 2"), None, "act")
     assert [m.role for m in messages] == ["system", "user"]
     assert "Task: make 24" in messages[1].content
-    assert bundle.templates.exemplar_header not in messages[1].content
-    assert bundle.templates.exemplar_footer not in messages[1].content
+    assert T.exemplar_header not in messages[1].content
+    assert T.exemplar_footer not in messages[1].content
 
 
 def test_prompt_composition_is_deterministic():
     prefix = make_trajectory([("o", "a")], pending="next")
-    first = compose_prompt("task", prefix, None, "evaluate").to_messages()
-    second = compose_prompt("task", prefix, None, "evaluate").to_messages()
+    first = compose_prompt("task", prefix, None, "evaluate")
+    second = compose_prompt("task", prefix, None, "evaluate")
     assert first == second
 
 
 def test_exemplar_region_is_fenced_and_never_interleaved():
     exemplar = make_trajectory([("seen obs 0", "seen act 0"), ("seen obs 1", "seen act 1")])
     prefix = make_trajectory([("live obs", "live act")], pending="now")
-    bundle = compose_prompt("task text", prefix, exemplar, "act")
-    user = bundle.to_messages()[1].content
-    t = bundle.templates
-    header = user.index(t.exemplar_header)
-    footer = user.index(t.exemplar_footer)
+    user = compose_prompt("task text", prefix, exemplar, "act")[1].content
+    header = user.index(T.exemplar_header)
+    footer = user.index(T.exemplar_footer)
     exemplar_body = serialize_trajectory(exemplar)
     region = user[header:footer]
     assert exemplar_body in region
     assert exemplar_body.count("OBS: ") == 2
     # Everything about the live trajectory stays outside the fenced region.
     assert "live obs" not in region
-    assert user.index(t.current_header) > footer
+    assert user.index(T.current_header) > footer
     assert serialize_trajectory(prefix) in user[footer:]
 
 
@@ -67,9 +65,9 @@ def test_act_and_evaluate_modes_swap_directives():
     prefix = Trajectory()
     act = compose_prompt("t", prefix, None, "act")
     ev = compose_prompt("t", prefix, None, "evaluate")
-    assert act.templates.act_directive in act.to_messages()[1].content
-    assert ev.templates.evaluate_directive in ev.to_messages()[1].content
-    assert act.to_messages()[0].content != ev.to_messages()[0].content
+    assert T.act_directive in act[1].content
+    assert T.evaluate_directive in ev[1].content
+    assert act[0].content != ev[0].content
 
 
 def test_unknown_prompt_mode_is_rejected():
@@ -200,12 +198,12 @@ def test_concurrent_sends_are_counted_exactly():
 
 
 def test_request_for_carries_the_sampling_settings():
-    bundle = compose_prompt("t", Trajectory(), None, "act")
-    req = request_for(bundle, 0.7, max_tokens=128, timeout=9.0)
+    messages = compose_prompt("t", Trajectory(), None, "act")
+    req = request_for(messages, 0.7, max_tokens=128, timeout=9.0)
     assert req.temperature == 0.7
     assert req.max_tokens == 128
     assert req.timeout == 9.0
-    assert req.messages == bundle.to_messages()
+    assert req.messages == messages
 
 
 # -- credentials ------------------------------------------------------------------

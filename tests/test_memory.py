@@ -545,6 +545,60 @@ def test_restored_and_credited_segments_evict_in_repeated_minimum_order(rows, ca
     assert profile.segments() == remaining
 
 
+def old_rule_exemplar(profile: ExpertProfile, query: np.ndarray) -> SMSegment:
+    """The exemplar rule over a copy of the segments: the highest utility
+    among the tied best, then the smallest created_at, then the earliest."""
+    sims = profile.match_scores(query)
+    segments = profile.segments()
+    tied = [segments[i] for i in np.flatnonzero(sims == sims.max())]
+    return max(tied, key=lambda seg: (profile.utility(seg), -seg.created_at))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 5)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 5), max_size=4),
+)
+def test_exemplar_matches_the_tie_rule_over_restores_evictions_and_inserts(
+    rows, capacity, inserts
+):
+    # Each row: created_at (repeats allowed), wins, losses and one of six
+    # observations. A 4-bucket embedder makes similarity ties common.
+    embedder = TrigramEmbedder(4)
+    records = [
+        {
+            "expert_id": "expert-a",
+            "segment_id": f"expert-a:r{i}",
+            "prefix_steps": [[f"obs {text}", f"act {i}"]],
+            "created_at": created,
+            "wins": wins,
+            "uses": wins + losses,
+        }
+        for i, (created, wins, losses, text) in enumerate(rows)
+    ]
+    profile = restore_profiles(records, embedder, capacity)["expert-a"]
+    queries = [np.zeros(4)] + [embedder.embed(f"obs {text}") for text in range(3)]
+
+    def check():
+        for query in queries:
+            assert profile.exemplar(query) is old_rule_exemplar(profile, query)
+
+    check()
+    profile.prune()
+    check()
+    for text in inserts:
+        profile.insert(make_trajectory([(f"obs {text}", "new act")]))
+        check()
+    profile.prune()
+    check()
+    assert ExpertProfile("empty").exemplar(np.zeros(256)) is None
+
+
 # -- persistence ---------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from council.embedding import TrigramEmbedder, similarity
 from council.errors import ExpertUnavailableError
 from council.experts import ConstantEvaluatorExpert, Council, Expert
 from council.memory import EpisodeContext
-from council.routing import RoutingScores, route, routing_distribution
+from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 
 from conftest import make_trajectory, record_history
@@ -23,14 +23,14 @@ def council_of(n: int, embedder=None) -> Council:
     return Council(experts, embedder=embedder or TrigramEmbedder(64))
 
 
-def task_aware_scores(council: Council, query: Trajectory) -> RoutingScores:
+def task_aware_scores(council: Council, query: Trajectory) -> dict[str, float]:
     return route(council, query, "task-aware", random.Random(0)).scores
 
 
 def test_scores_are_zero_for_empty_profiles():
     council = council_of(3)
     scores = task_aware_scores(council, make_trajectory([("obs", "act")]))
-    assert scores.per_expert == {"e0": 0.0, "e1": 0.0, "e2": 0.0}
+    assert scores == {"e0": 0.0, "e1": 0.0, "e2": 0.0}
 
 
 def test_score_is_near_one_for_a_stored_copy_of_the_query():
@@ -38,8 +38,8 @@ def test_score_is_near_one_for_a_stored_copy_of_the_query():
     query = make_trajectory([("a long observation body", "the move taken")])
     council.profile("e0").insert(query)
     scores = task_aware_scores(council, query)
-    assert scores.per_expert["e0"] == pytest.approx(1.0)
-    assert scores.per_expert["e1"] == 0.0
+    assert scores["e0"] == pytest.approx(1.0)
+    assert scores["e1"] == 0.0
 
 
 def test_scores_match_a_direct_similarity_scan():
@@ -58,48 +58,48 @@ def test_scores_match_a_direct_similarity_scan():
             similarity(qvec, embedder.embed(serialize_trajectory(seg.prefix)))
             for seg in council.profile(eid).segments()
         )
-        assert scores.per_expert[eid] == pytest.approx(expected, abs=1e-12)
+        assert scores[eid] == pytest.approx(expected, abs=1e-12)
 
 
 # -- softmax -------------------------------------------------------------------
 
 
 def test_distribution_sums_to_one():
-    dist = routing_distribution(RoutingScores({"a": 0.3, "b": 0.9, "c": 0.1}), 0.5)
-    assert abs(sum(dist.per_expert.values()) - 1.0) < 1e-12
-    assert all(p > 0.0 for p in dist.per_expert.values())
+    dist = routing_distribution({"a": 0.3, "b": 0.9, "c": 0.1}, 0.5)
+    assert abs(sum(dist.values()) - 1.0) < 1e-12
+    assert all(p > 0.0 for p in dist.values())
 
 
 def test_equal_scores_give_the_uniform_distribution():
-    dist = routing_distribution(RoutingScores({"a": 0.4, "b": 0.4, "c": 0.4}), 0.25)
-    for p in dist.per_expert.values():
+    dist = routing_distribution({"a": 0.4, "b": 0.4, "c": 0.4}, 0.25)
+    for p in dist.values():
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_distribution_hand_value():
-    dist = routing_distribution(RoutingScores({"a": 1.0, "b": 0.0}), 0.5)
-    assert dist.per_expert["a"] == pytest.approx(0.880797, abs=1e-5)
-    assert dist.per_expert["b"] == pytest.approx(0.119203, abs=1e-5)
+    dist = routing_distribution({"a": 1.0, "b": 0.0}, 0.5)
+    assert dist["a"] == pytest.approx(0.880797, abs=1e-5)
+    assert dist["b"] == pytest.approx(0.119203, abs=1e-5)
 
 
 def test_high_temperature_flattens_toward_uniform():
-    dist = routing_distribution(RoutingScores({"a": 1.0, "b": 0.0, "c": 0.5}), 100.0)
-    for p in dist.per_expert.values():
+    dist = routing_distribution({"a": 1.0, "b": 0.0, "c": 0.5}, 100.0)
+    for p in dist.values():
         assert abs(p - 1.0 / 3.0) < 0.01
 
 
 def test_low_temperature_concentrates_on_the_top_score():
-    dist = routing_distribution(RoutingScores({"a": 0.9, "b": 0.8, "c": 0.1}), 1e-3)
-    assert dist.per_expert["a"] >= 1.0 - 1e-6
+    dist = routing_distribution({"a": 0.9, "b": 0.8, "c": 0.1}, 1e-3)
+    assert dist["a"] >= 1.0 - 1e-6
 
 
 def test_temperature_validation():
-    scores = RoutingScores({"a": 1.0})
+    scores = {"a": 1.0}
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             routing_distribution(scores, bad)
     with pytest.raises(ValueError):
-        routing_distribution(RoutingScores({}), 0.5)
+        routing_distribution({}, 0.5)
 
 
 @given(
@@ -108,10 +108,10 @@ def test_temperature_validation():
     st.floats(-3, 3),
 )
 def test_distribution_is_shift_invariant(values, temperature, shift):
-    base = RoutingScores({f"e{i}": v for i, v in enumerate(values)})
-    moved = RoutingScores({f"e{i}": v + shift for i, v in enumerate(values)})
-    a = routing_distribution(base, temperature).per_expert
-    b = routing_distribution(moved, temperature).per_expert
+    base = {f"e{i}": v for i, v in enumerate(values)}
+    moved = {f"e{i}": v + shift for i, v in enumerate(values)}
+    a = routing_distribution(base, temperature)
+    b = routing_distribution(moved, temperature)
     for eid in a:
         assert abs(a[eid] - b[eid]) < 1e-10
     assert abs(sum(a.values()) - 1.0) < 1e-9
@@ -155,8 +155,8 @@ def test_task_aware_with_cold_profiles_is_uniform_and_exemplar_free():
     decision = route(council, Trajectory(), "task-aware", random.Random(1))
     assert decision.exemplar is None
     assert decision.exemplar_segment_id is None
-    assert decision.distribution.per_expert["e0"] == pytest.approx(0.5)
-    assert decision.scores.per_expert == {"e0": 0.0, "e1": 0.0}
+    assert decision.distribution["e0"] == pytest.approx(0.5)
+    assert decision.scores == {"e0": 0.0, "e1": 0.0}
 
 
 def test_routing_records_the_exemplar_retrieval():

@@ -13,8 +13,6 @@ from council.experts import ConstantEvaluatorExpert, Council
 from council.memory import EpisodeContext, ExpertProfile
 from council.trajectory import Trajectory
 from council.values import (
-    SiblingBatch,
-    ValueSignals,
     fuse_batch,
     fusion_weight,
     llm_value,
@@ -70,12 +68,11 @@ def test_sms_value_records_the_retrieval():
 
 
 def test_signals_validate_their_range():
-    ValueSignals(v_llm=0.0, v_sms=1.0)
-    ValueSignals()
-    with pytest.raises(ValueError):
-        ValueSignals(v_llm=1.2)
-    with pytest.raises(ValueError):
-        ValueSignals(v_sms=-0.1)
+    fuse_batch([0.0], [1.0])
+    with pytest.raises(ValueError, match="v_llm"):
+        fuse_batch([1.2], [0.5])
+    with pytest.raises(ValueError, match="v_sms"):
+        fuse_batch([0.5], [-0.1])
 
 
 # -- normalization -----------------------------------------------------------
@@ -121,56 +118,50 @@ def test_fusion_weight_rejects_negative_spreads():
 # -- batch fusion -----------------------------------------------------------------
 
 
-def batch_of(pairs: list[tuple[float, float]]) -> SiblingBatch:
-    children = [
-        (i, ValueSignals(v_llm=llm, v_sms=sms)) for i, (llm, sms) in enumerate(pairs)
-    ]
-    return SiblingBatch(children=children)
+def fuse_pairs(pairs: list[tuple[float, float]]):
+    return fuse_batch([llm for llm, _ in pairs], [sms for _, sms in pairs])
 
 
 def test_single_child_fuses_to_neutral():
-    batch = batch_of([(0.9, 0.1)])
-    assert fuse_batch(batch) == {0: 0.5}
-    assert batch.alpha == 0.5
+    fusion = fuse_pairs([(0.9, 0.1)])
+    assert fusion.values == [0.5]
+    assert fusion.alpha == 0.5
 
 
 def test_flat_memory_signal_is_weighted_out():
-    batch = batch_of([(0.2, 0.5), (0.8, 0.5)])
-    fused = fuse_batch(batch)
-    assert batch.alpha == 1.0
-    assert fused == {0: 0.0, 1: 1.0}
+    fusion = fuse_pairs([(0.2, 0.5), (0.8, 0.5)])
+    assert fusion.alpha == 1.0
+    assert fusion.values == [0.0, 1.0]
 
 
 def test_flat_judge_signal_is_weighted_out():
-    batch = batch_of([(0.5, 0.2), (0.5, 0.8)])
-    fused = fuse_batch(batch)
-    assert batch.alpha == 0.0
-    assert fused == {0: 0.0, 1: 1.0}
+    fusion = fuse_pairs([(0.5, 0.2), (0.5, 0.8)])
+    assert fusion.alpha == 0.0
+    assert fusion.values == [0.0, 1.0]
 
 
 def test_equal_spreads_blend_evenly():
-    batch = batch_of([(0.2, 0.8), (0.8, 0.2)])
-    fused = fuse_batch(batch)
-    assert batch.alpha == pytest.approx(0.5)
-    assert fused[0] == pytest.approx(0.5)
-    assert fused[1] == pytest.approx(0.5)
+    fusion = fuse_pairs([(0.2, 0.8), (0.8, 0.2)])
+    assert fusion.alpha == pytest.approx(0.5)
+    assert fusion.values == pytest.approx([0.5, 0.5])
 
 
 def test_fusion_fills_in_the_raw_spreads():
-    batch = batch_of([(0.2, 0.1), (0.8, 0.9)])
-    fuse_batch(batch)
-    assert batch.sigma_llm == pytest.approx(statistics.pstdev([0.2, 0.8]))
-    assert batch.sigma_sms == pytest.approx(statistics.pstdev([0.1, 0.9]))
+    fusion = fuse_pairs([(0.2, 0.1), (0.8, 0.9)])
+    assert fusion.sigma_llm == pytest.approx(statistics.pstdev([0.2, 0.8]))
+    assert fusion.sigma_sms == pytest.approx(statistics.pstdev([0.1, 0.9]))
 
 
 def test_missing_signal_is_an_error():
-    batch = SiblingBatch(children=[(0, ValueSignals(v_llm=0.5))])
+    with pytest.raises(ValueError, match="v_sms"):
+        fuse_batch([0.5], [None])
     with pytest.raises(ValueError):
-        fuse_batch(batch)
+        fuse_batch([0.5, 0.4], [0.5])
 
 
-def test_empty_batch_fuses_to_nothing():
-    assert fuse_batch(SiblingBatch(children=[])) == {}
+def test_empty_sibling_set_is_an_error():
+    with pytest.raises(ValueError):
+        fuse_batch([], [])
 
 
 signal_lists = st.lists(
@@ -180,20 +171,19 @@ signal_lists = st.lists(
 
 @given(signal_lists)
 def test_fused_values_stay_in_unit_range(pairs):
-    fused = fuse_batch(batch_of(pairs))
-    assert all(0.0 <= v <= 1.0 for v in fused.values())
+    fusion = fuse_pairs(pairs)
+    assert len(fusion.values) == len(pairs)
+    assert all(0.0 <= v <= 1.0 for v in fusion.values)
 
 
 @given(st.lists(st.tuples(st.floats(0.2, 0.7), st.floats(0, 1)), min_size=2, max_size=6), st.floats(-0.2, 0.3))
 def test_shifting_the_judged_signal_changes_nothing(pairs, shift):
-    base = batch_of(pairs)
-    moved = batch_of([(llm + shift, sms) for llm, sms in pairs])
-    fused_base = fuse_batch(base)
-    fused_moved = fuse_batch(moved)
+    base = fuse_pairs(pairs)
+    moved = fuse_pairs([(llm + shift, sms) for llm, sms in pairs])
     assert abs(base.sigma_llm - moved.sigma_llm) < 1e-10
     assert abs(base.alpha - moved.alpha) < 1e-10
-    for key in fused_base:
-        assert abs(fused_base[key] - fused_moved[key]) < 1e-10
+    for a, b in zip(base.values, moved.values):
+        assert abs(a - b) < 1e-10
 
 
 @given(signal_lists.filter(lambda ps: len(ps) >= 2))
@@ -201,6 +191,5 @@ def test_a_child_dominant_in_both_signals_gets_the_top_fused_value(pairs):
     best_llm = max(p[0] for p in pairs)
     best_sms = max(p[1] for p in pairs)
     pairs = pairs + [(min(1.0, best_llm + 0.1), min(1.0, best_sms + 0.1))]
-    fused = fuse_batch(batch_of(pairs))
-    dominant = len(pairs) - 1
-    assert fused[dominant] == max(fused.values())
+    fused = fuse_pairs(pairs).values
+    assert fused[-1] == max(fused)
