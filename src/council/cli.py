@@ -51,32 +51,6 @@ from .harness import (
     write_jsonl,
 )
 
-# Maps each flag destination to its key path inside the config dict. Flags
-# stay None unless given, so only explicit flags override file values.
-_FLAG_PATHS: dict[str, tuple[str, ...]] = {
-    "seed": ("seed",),
-    "env": ("env", "name"),
-    "tasks": ("tasks_path",),
-    "out_dir": ("out_dir",),
-    "warmup_tasks": ("warmup_tasks",),
-    "workers": ("workers",),
-    "embedding_dim": ("embedding_dim",),
-    "routing_strategy": ("planner", "routing_strategy"),
-    "routing_temperature": ("planner", "routing_temperature"),
-    "value_mode": ("planner", "value_mode"),
-    "success_threshold": ("planner", "success_threshold"),
-    "exploration": ("planner", "exploration"),
-    "aggregator": ("planner", "aggregator"),
-    "iterations": ("planner", "budget", "iterations"),
-    "expansion_width": ("planner", "budget", "expansion_width"),
-    "max_depth": ("planner", "budget", "max_depth"),
-    "memory_capacity": ("memory", "capacity"),
-    "memory_cold_start": ("memory", "cold_start"),
-    "memory_shared": ("memory", "shared"),
-    "memory_load": ("memory", "load_path"),
-    "memory_save": ("memory", "save_path"),
-}
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
@@ -87,31 +61,49 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
+# Each run flag: its name, its key path inside the config dict, and its
+# argparse options. Flags stay None unless given, so only explicit flags
+# override file values.
+_RUN_FLAGS: tuple[tuple[str, tuple[str, ...], dict], ...] = (
+    ("--seed", ("seed",), {"type": int, "help": "run seed (required here or in the file)"}),
+    ("--env", ("env", "name"), {"help": "environment name: game24 or synth"}),
+    ("--tasks", ("tasks_path",), {"help": "JSONL task file"}),
+    ("--out-dir", ("out_dir",), {"help": "directory for metrics and trace files"}),
+    ("--warmup-tasks", ("warmup_tasks",),
+     {"type": int, "help": "leading tasks excluded from scored aggregates"}),
+    ("--workers", ("workers",), {"type": int, "help": "parallel tasks; needs --memory-shared false"}),
+    ("--embedding-dim", ("embedding_dim",), {"type": int, "help": "hashed trigram embedding width"}),
+    ("--routing-strategy", ("planner", "routing_strategy"), {"choices": ROUTING_STRATEGIES}),
+    ("--routing-temperature", ("planner", "routing_temperature"),
+     {"type": float, "help": "softmax temperature for routing"}),
+    ("--value-mode", ("planner", "value_mode"), {"choices": VALUE_MODES}),
+    ("--success-threshold", ("planner", "success_threshold"),
+     {"type": float, "help": "reward at which search stops early"}),
+    ("--exploration", ("planner", "exploration"), {"type": float, "help": "UCT exploration constant"}),
+    ("--aggregator", ("planner", "aggregator"),
+     {"help": "expert id that merges proposals under collaborative routing"}),
+    ("--iterations", ("planner", "budget", "iterations"),
+     {"type": int, "help": "search iterations per task"}),
+    ("--expansion-width", ("planner", "budget", "expansion_width"),
+     {"type": int, "help": "children proposed per expansion"}),
+    ("--max-depth", ("planner", "budget", "max_depth"), {"type": int, "help": "depth cap per trajectory"}),
+    ("--memory-capacity", ("memory", "capacity"),
+     {"type": int, "help": "segments kept per expert profile"}),
+    ("--memory-cold-start", ("memory", "cold_start"),
+     {"type": float, "help": "utility prior for unused segments"}),
+    ("--memory-shared", ("memory", "shared"),
+     {"type": _parse_bool, "metavar": "BOOL",
+      "help": "carry memory across tasks (true) or let every task read the loaded "
+              "memory and none write to it (false)"}),
+    ("--memory-load", ("memory", "load_path"), {"help": "memory file to preload profiles from"}),
+    ("--memory-save", ("memory", "save_path"), {"help": "memory file to write after the run"}),
+)
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file supplying defaults")
-    parser.add_argument("--seed", type=int, help="run seed (required here or in the file)")
-    parser.add_argument("--env", help="environment name: game24 or synth")
-    parser.add_argument("--tasks", help="JSONL task file")
-    parser.add_argument("--out-dir", help="directory for metrics and trace files")
-    parser.add_argument("--warmup-tasks", type=int, help="leading tasks excluded from scored aggregates")
-    parser.add_argument("--workers", type=int, help="parallel tasks; needs --memory-shared false")
-    parser.add_argument("--embedding-dim", type=int, help="hashed trigram embedding width")
-    parser.add_argument("--routing-strategy", choices=ROUTING_STRATEGIES)
-    parser.add_argument("--routing-temperature", type=float, help="softmax temperature for routing")
-    parser.add_argument("--value-mode", choices=VALUE_MODES)
-    parser.add_argument("--success-threshold", type=float, help="reward at which search stops early")
-    parser.add_argument("--exploration", type=float, help="UCT exploration constant")
-    parser.add_argument("--aggregator", help="expert id that merges proposals under collaborative routing")
-    parser.add_argument("--iterations", type=int, help="search iterations per task")
-    parser.add_argument("--expansion-width", type=int, help="children proposed per expansion")
-    parser.add_argument("--max-depth", type=int, help="depth cap per trajectory")
-    parser.add_argument("--memory-capacity", type=int, help="segments kept per expert profile")
-    parser.add_argument("--memory-cold-start", type=float, help="utility prior for unused segments")
-    parser.add_argument("--memory-shared", type=_parse_bool, metavar="BOOL",
-                        help="carry memory across tasks (true) or let every task read the loaded "
-                             "memory and none write to it (false)")
-    parser.add_argument("--memory-load", help="memory file to preload profiles from")
-    parser.add_argument("--memory-save", help="memory file to write after the run")
+    for flag, _, options in _RUN_FLAGS:
+        parser.add_argument(flag, **options)
 
 
 def _set_path(data: dict, path: tuple[str, ...], value) -> None:
@@ -137,8 +129,8 @@ def _default_council(env: EnvSpec) -> list[ExpertSpec]:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Layer config file and flags into a validated run configuration."""
     data = read_config_file(args.config) if args.config else {}
-    for dest, path in _FLAG_PATHS.items():
-        value = getattr(args, dest)
+    for flag, path, _ in _RUN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
         if value is not None:
             _set_path(data, path, value)
     config = config_from_dict(data)

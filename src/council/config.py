@@ -239,7 +239,18 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"council[{i}].kind",
             "must be 'scripted' or 'llm-backed'",
         )
-        expert_params(spec, f"council[{i}].params")
+        key = f"council[{i}].params"
+        params = expert_params(spec, key)
+        if isinstance(params, LLMParams):
+            _require(params.concurrency >= 1, f"{key}.concurrency", "must be at least 1")
+            _require(params.max_tokens >= 1, f"{key}.max_tokens", "must be at least 1")
+            _require(params.timeout > 0.0, f"{key}.timeout", "must be positive")
+            for name in ("act_temperature", "eval_temperature"):
+                _require(getattr(params, name) >= 0.0, f"{key}.{name}", "must be non-negative")
+    aggregator, ids = config.planner.aggregator, [spec.expert_id for spec in config.council]
+    # An empty council is filled in later with the environment's default.
+    if aggregator is not None and ids:
+        _require(aggregator in ids, "planner.aggregator", f"must be one of the expert ids {ids}")
     return config
 
 

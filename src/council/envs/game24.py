@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import InvalidStateError
 from ..seeding import derived_rng
@@ -138,27 +138,32 @@ def game24_step(numbers: Sequence[float], action: str) -> tuple[tuple[float, ...
     return new_numbers, StepOutcome(observation=_observation(new_numbers), terminal=False)
 
 
-def legal_actions(numbers: Sequence[float]) -> list[str]:
-    """Every applicable action from this multiset, in a canonical order."""
-    out: list[str] = []
-    seen: set[str] = set()
-    items = sorted(numbers)
-    for i in range(len(items)):
-        for j in range(len(items)):
+def _moves(numbers: Sequence[float]) -> Iterator[tuple[float, str, float, float, list[float]]]:
+    """Every ``(a, op, b, value, rest)`` that combines two of ``numbers`` by
+    position, ``rest`` holding the others. Sums and products take their
+    operands in position order only, and a division by (near) zero is no
+    move."""
+    for i, a in enumerate(numbers):
+        for j, b in enumerate(numbers):
             if i == j:
                 continue
-            a, b = items[i], items[j]
+            rest = [x for t, x in enumerate(numbers) if t not in (i, j)]
             for op in "+-*/":
                 if op in "+*" and j < i:
                     continue
                 value = _apply_op(a, op, b)
-                if value is None:
-                    continue
-                action = f"{format_number(a)}{op}{format_number(b)}={format_number(value)}"
-                if action not in seen:
-                    seen.add(action)
-                    out.append(action)
-    return out
+                if value is not None:
+                    yield a, op, b, value, rest
+
+
+def _action(a: float, op: str, b: float, value: float) -> str:
+    return f"{format_number(a)}{op}{format_number(b)}={format_number(value)}"
+
+
+def legal_actions(numbers: Sequence[float]) -> list[str]:
+    """Every applicable action from this multiset, in a canonical order."""
+    moves = _moves(sorted(numbers))
+    return list(dict.fromkeys(_action(a, op, b, value) for a, op, b, value, _ in moves))
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +177,12 @@ def _memo_key(numbers: Sequence[float]) -> tuple[float, ...]:
 
 @lru_cache(maxsize=200_000)
 def _solve(key: tuple[float, ...]) -> tuple[str, ...] | None:
-    numbers = list(key)
-    if len(numbers) == 1:
-        return () if abs(numbers[0] - TARGET) <= MATCH_TOL else None
-    for i in range(len(numbers)):
-        for j in range(len(numbers)):
-            if i == j:
-                continue
-            a, b = numbers[i], numbers[j]
-            rest = [numbers[t] for t in range(len(numbers)) if t not in (i, j)]
-            for op in "+-*/":
-                if op in "+*" and j < i:
-                    continue
-                value = _apply_op(a, op, b)
-                if value is None:
-                    continue
-                tail = _solve(_memo_key(rest + [value]))
-                if tail is not None:
-                    action = f"{format_number(a)}{op}{format_number(b)}={format_number(value)}"
-                    return (action,) + tail
+    if len(key) == 1:
+        return () if abs(key[0] - TARGET) <= MATCH_TOL else None
+    for a, op, b, value, rest in _moves(key):
+        tail = _solve(_memo_key(rest + [value]))
+        if tail is not None:
+            return (_action(a, op, b, value),) + tail
     return None
 
 

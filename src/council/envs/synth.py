@@ -184,6 +184,9 @@ class SynthEnv(Environment):
         payload, where = task.payload, f"task {task.task_id!r}: key 'payload"
         if not isinstance(payload, dict):
             raise ValueError(f"{where}': expected an object with 'family' and 'seed'")
+        unknown = payload.keys() - {"family", "seed"}
+        if unknown:
+            raise ValueError(f"{where}.{min(unknown)}': unknown key")
         if payload.get("family") not in self.config.families:
             raise ValueError(f"{where}.family': expected one of {list(self.config.families)}")
         if type(payload.get("seed")) is not int or payload["seed"] < 0:
@@ -204,29 +207,17 @@ class SynthEnv(Environment):
                 terminal=False,
                 invalid=True,
             )
-        answer = self.hidden(task)
-        if action == answer[state.done]:
+        if action == self.hidden(task)[state.done]:
             new = _State(done=state.done + 1, missed=0)
-            if new.done == cfg.depth:
-                return new, StepOutcome(
-                    observation=Observation(self._status(task, "win", new, counters=False)),
-                    terminal=True,
-                    reward=1.0,
-                )
-            return new, StepOutcome(
-                observation=Observation(self._status(task, "ok", new)),
-                terminal=False,
-            )
-        new = _State(done=state.done, missed=state.missed + 1)
-        if new.missed >= cfg.budget:
-            return new, StepOutcome(
-                observation=Observation(self._status(task, "lose", new, counters=False)),
-                terminal=True,
-                reward=0.0,
-            )
+            word, reward = ("win", 1.0) if new.done == cfg.depth else ("ok", None)
+        else:
+            new = _State(done=state.done, missed=state.missed + 1)
+            word, reward = ("lose", 0.0) if new.missed >= cfg.budget else ("no", None)
+        terminal = reward is not None
         return new, StepOutcome(
-            observation=Observation(self._status(task, "no", new)),
-            terminal=False,
+            observation=Observation(self._status(task, word, new, counters=not terminal)),
+            terminal=terminal,
+            reward=reward,
         )
 
 

@@ -13,31 +13,16 @@ Language-model experts share the same interface through the gateway module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .embedding import Embedder
 from .errors import ExpertUnavailableError, ProviderError, ScoreParseError
-from .gateway import (
-    DEFAULT_TEMPLATES,
-    Backend,
-    PromptTemplates,
-    complete,
-    compose_prompt,
-    parse_score,
-    request_for,
-)
+from .gateway import Backend, complete, compose_prompt, parse_score, request_for
 from .memory import DEFAULT_CAPACITY, DEFAULT_COLD_START, ExpertProfile
 from .seeding import derived_rng
 from .trajectory import Action, Trajectory, serialize_trajectory
 from .envs.game24 import game24_oracle, legal_actions, parse_numbers
 from .envs.synth import SynthConfig, family_vocab, hidden_sequence, parse_view
-
-
-@dataclass(frozen=True)
-class ActionProposal:
-    action: Action
-    expert_id: str
 
 
 def current_observation_text(prefix: Trajectory) -> str:
@@ -78,7 +63,7 @@ class Expert:
 
 def propose_actions(
     expert: Expert, prefix: Trajectory, exemplar: Trajectory | None, k: int
-) -> list[ActionProposal]:
+) -> list[Action]:
     """Ask an expert for up to ``k`` distinct candidate actions.
 
     Exact duplicates (by action text) are dropped, order preserved, and the
@@ -87,17 +72,8 @@ def propose_actions(
     """
     if k < 1:
         raise ValueError("proposal count k must be at least 1")
-    raw = expert.propose(prefix, exemplar, k)
-    seen: set[str] = set()
-    proposals: list[ActionProposal] = []
-    for text in raw:
-        if text in seen:
-            continue
-        seen.add(text)
-        proposals.append(ActionProposal(action=Action(text), expert_id=expert.expert_id))
-        if len(proposals) == k:
-            break
-    return proposals
+    distinct = dict.fromkeys(expert.propose(prefix, exemplar, k))
+    return [Action(text) for text in list(distinct)[:k]]
 
 
 def evaluate_plausibility(expert: Expert, prefix: Trajectory) -> float:
@@ -309,7 +285,6 @@ class LLMExpert(Expert):
         self,
         expert_id: str,
         backend: Backend,
-        templates: PromptTemplates = DEFAULT_TEMPLATES,
         act_temperature: float = 0.7,
         eval_temperature: float = 0.0,
         max_tokens: int = 256,
@@ -317,16 +292,13 @@ class LLMExpert(Expert):
     ):
         super().__init__(expert_id)
         self.backend = backend
-        self.templates = templates
         self.act_temperature = act_temperature
         self.eval_temperature = eval_temperature
         self.max_tokens = max_tokens
         self.timeout = timeout
 
     def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
-        messages = compose_prompt(
-            first_observation_text(prefix), prefix, exemplar, "act", self.templates
-        )
+        messages = compose_prompt(first_observation_text(prefix), prefix, exemplar, "act")
         request = request_for(messages, self.act_temperature, self.max_tokens, self.timeout)
         actions: list[str] = []
         for _ in range(k):
@@ -339,9 +311,7 @@ class LLMExpert(Expert):
         return actions
 
     def plausibility(self, prefix: Trajectory) -> float:
-        messages = compose_prompt(
-            first_observation_text(prefix), prefix, None, "evaluate", self.templates
-        )
+        messages = compose_prompt(first_observation_text(prefix), prefix, None, "evaluate")
         request = request_for(messages, self.eval_temperature, self.max_tokens, self.timeout)
         reply = complete(self.backend, request)
         return parse_score(reply)

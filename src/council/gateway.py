@@ -1,11 +1,10 @@
 """Chat-completion plumbing for language-model backed experts.
 
 Prompt text is assembled from templates kept apart from the code that
-fills them; an expert built in code may pass its own. The retrieved
-exemplar, when present, is fenced into its own clearly-labeled region: it
-is reference material from a past success, and the directives tell the
-model not to continue it. Scoring replies are parsed with a first-number rule mapped onto
-[0, 1].
+fills them. The retrieved exemplar, when present, is fenced into its own
+clearly-labeled region: it is reference material from a past success, and
+the directives tell the model not to continue it. Scoring replies are
+parsed with a first-number rule mapped onto [0, 1].
 
 Credentials are read from an environment variable named in the backend
 configuration, never from the config itself, and are not echoed into logs or
@@ -78,7 +77,6 @@ def compose_prompt(
     prefix: Trajectory,
     exemplar: Trajectory | None,
     mode: str,
-    templates: PromptTemplates = DEFAULT_TEMPLATES,
 ) -> list[ChatMessage]:
     """The system and user messages of one act or evaluate call.
 
@@ -88,7 +86,7 @@ def compose_prompt(
     """
     if mode not in ("act", "evaluate"):
         raise ValueError(f"unknown prompt mode: {mode}")
-    t = templates
+    t = DEFAULT_TEMPLATES
     parts = [f"Task: {task_instruction}"]
     if exemplar is not None:
         parts.append(f"{t.exemplar_header}\n{serialize_trajectory(exemplar)}{t.exemplar_footer}")
@@ -256,12 +254,12 @@ class HTTPBackend:
         return str(content)
 
 
+_RETRIES = 1
+_BACKOFF_S = 0.25
+
+
 def complete(
-    backend: Backend,
-    request: ChatRequest,
-    retries: int = 1,
-    backoff: float = 0.25,
-    sleep: Callable[[float], None] = time.sleep,
+    backend: Backend, request: ChatRequest, sleep: Callable[[float], None] = time.sleep
 ) -> str:
     """Run one completion with a single retry under exponential backoff.
 
@@ -270,13 +268,13 @@ def complete(
     through, retrying cannot fix them.
     """
     last: ProviderError | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         try:
             return backend.send(request)
         except ProviderError as exc:
             last = exc
-            if attempt < retries:
-                sleep(backoff * (2.0 ** attempt))
+            if attempt < _RETRIES:
+                sleep(_BACKOFF_S * (2.0 ** attempt))
     raise ExpertUnavailableError(f"backend {backend.backend_id} unavailable: {last}") from last
 
 

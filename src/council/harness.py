@@ -106,9 +106,13 @@ def _read_jsonl(path: str | Path, kind: str, consume: Callable[[Iterable], objec
 def _task(data) -> TaskSpec:
     if not isinstance(data, dict):
         raise ValueError("expected an object")
-    for key in ("task_id", "environment", "payload"):
+    keys = ("task_id", "environment", "payload")
+    for key in keys:
         if key not in data:
             raise ValueError(f"missing key '{key}'")
+    unknown = data.keys() - set(keys)
+    if unknown:
+        raise ValueError(f"unknown key '{min(unknown)}'")
     return TaskSpec(
         task_id=str(data["task_id"]), environment=str(data["environment"]), payload=data["payload"]
     )
@@ -205,6 +209,13 @@ def build_council(
     config's width if none is given)."""
     if not config.council:
         raise ValueError("config key 'council': at least one expert is required")
+    for i, spec in enumerate(config.council):
+        if spec.params.get("role") == "synth-specialist":
+            families = list(SynthConfig.from_params(config.env.params).families)
+            family = spec.params.get("family")
+            if family not in families:
+                key = f"council[{i}].params.family"
+                raise ValueError(f"config key '{key}': must be one of {families}, got {family!r}")
     experts = [build_expert(spec, config.env, config.seed) for spec in config.council]
     return Council(
         experts,

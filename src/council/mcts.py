@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 from .config import PlannerConfig
 from .errors import ExpertUnavailableError
-from .experts import ActionProposal, Council, Expert, propose_actions
+from .experts import Council, Expert, propose_actions
 from .memory import EpisodeContext, finalize_episode
 from .routing import RoutingDecision, route
-from .trajectory import EpisodeRecord, Trajectory
+from .trajectory import Action, EpisodeRecord, Trajectory
 from .values import Fusion, fuse_batch, llm_value, normalize, sms_value
 
 from .envs.base import Environment, TaskSpec
@@ -30,7 +30,9 @@ from .envs.base import Environment, TaskSpec
 class SearchNode:
     """One tree node. ``prefix`` holds the completed steps from the root plus
     the observation now awaiting an action; ``value`` and ``visits`` carry the
-    running mean reward used by selection."""
+    running mean reward used by selection. A terminal node always carries its
+    ``reward``: a ``StepOutcome`` or ``replay`` that ends the episode sets
+    one, and ``_mark_failed`` sets 0.0."""
 
     node_id: int
     prefix: Trajectory
@@ -147,11 +149,11 @@ def _rollout(
             return 0.0
         if not proposals:
             return 0.0
-        action = proposals[0].action
+        action = proposals[0]
         state, outcome = env.apply(task, state, action.text)
         prefix = prefix.extend(action, outcome.observation)
         if outcome.terminal:
-            return outcome.reward if outcome.reward is not None else 0.0
+            return outcome.reward
     return 0.0
 
 
@@ -184,7 +186,7 @@ def _act(
     rng: random.Random,
     step_index: int,
     episode: EpisodeContext,
-) -> tuple[RoutingDecision, list[ActionProposal]]:
+) -> tuple[RoutingDecision, list[Action]]:
     """Route an expert for the prefix and take its proposals.
 
     An unavailable expert earns one fresh route among the remaining members,
@@ -204,7 +206,7 @@ def _act(
             aggregator=aggregator,
         )
 
-    def proposals(decision: RoutingDecision) -> list[ActionProposal]:
+    def proposals(decision: RoutingDecision) -> list[Action]:
         expert = council.by_id[decision.chosen]
         return propose_actions(expert, prefix, decision.exemplar, planner.budget.expansion_width)
 
@@ -293,7 +295,7 @@ def search(
     route_counter = 0
 
     if root.terminal:
-        if root.reward is not None and root.reward >= planner.success_threshold:
+        if root.reward >= planner.success_threshold:
             success_node = root
     else:
         for iteration in range(budget.iterations):
@@ -304,7 +306,7 @@ def search(
             event = {"type": "iteration", "iteration": iteration, "path": path_ids}
             try:
                 if leaf.terminal:
-                    reward = leaf.reward if leaf.reward is not None else 0.0
+                    reward = leaf.reward
                     backpropagate(path, reward)
                     stopped = reward >= planner.success_threshold
                     event.update(
@@ -343,14 +345,14 @@ def search(
 
                 base_actions = [a.text for a in leaf.prefix.actions()]
                 children: list[SearchNode] = []
-                for proposal in proposals:
-                    replayed = env.replay(task, base_actions + [proposal.action.text])
+                for action in proposals:
+                    replayed = env.replay(task, base_actions + [action.text])
                     last = replayed.outcomes[-1]
                     child = tree.add(
-                        prefix=leaf.prefix.extend(proposal.action, last.observation),
+                        prefix=leaf.prefix.extend(action, last.observation),
                         parent=leaf.node_id,
-                        action=proposal.action.text,
-                        expert_id=proposal.expert_id,
+                        action=action.text,
+                        expert_id=decision.chosen,
                         terminal=last.terminal,
                         reward=last.reward,
                     )
@@ -380,11 +382,7 @@ def search(
                 )
 
                 winners = [
-                    c
-                    for c in children
-                    if c.terminal
-                    and c.reward is not None
-                    and c.reward >= planner.success_threshold
+                    c for c in children if c.terminal and c.reward >= planner.success_threshold
                 ]
                 if winners:
                     frontier = success_node = max(winners, key=lambda c: (c.reward, -c.node_id))
@@ -393,7 +391,7 @@ def search(
                 else:
                     frontier = max(children, key=lambda c: (c.fused_value, -c.node_id))
                 if frontier.terminal:
-                    reward = frontier.reward if frontier.reward is not None else 0.0
+                    reward = frontier.reward
                 elif mode == "env-only":
                     expert = council.by_id[decision.chosen]
                     reward = _rollout(env, task, expert, frontier, budget.max_depth)
@@ -417,12 +415,8 @@ def search(
     else:
         best = root
 
-    final_reward = (
-        best.reward if best.terminal and best.reward is not None else 0.0
-    )
-    success = best.terminal and best.reward is not None and (
-        best.reward >= planner.success_threshold
-    )
+    final_reward = best.reward if best.terminal else 0.0
+    success = best.terminal and best.reward >= planner.success_threshold
     record = EpisodeRecord(
         episode_id=episode.episode_id,
         task_id=task.task_id,

@@ -125,12 +125,13 @@ class ExpertProfile:
         self.capacity = capacity
         self.embedder: Embedder = embedder if embedder is not None else TrigramEmbedder()
         self.cold_start = cold_start
-        self._segments: dict[str, SMSegment] = {}
         self._by_text: dict[str, str] = {}
         self._next_created = 0
-        # The index: slot i is _slots[i] (None once evicted), its embedding is
-        # column i of _cols once written, and slots [0, _written) are written.
-        # _util and _created hold each written slot's utility and created_at.
+        # The segment table and index: slot i holds _slots[i] (None once
+        # evicted), _slot_of maps each stored segment id to its slot, the
+        # slot's embedding is column i of _cols once written, and slots
+        # [0, _written) are written. _util and _created hold each written
+        # slot's utility and created_at.
         exact32 = getattr(self.embedder, "integer_output", False)
         dtype = np.float32 if exact32 else np.float64
         self._cols = np.zeros((self.embedder.dim, 0), dtype=dtype)
@@ -142,21 +143,25 @@ class ExpertProfile:
         self._slots: list[SMSegment | None] = []
         self._slot_of: dict[str, int] = {}
         self._written = 0
-        self._dead = 0
         self._staged: list[np.ndarray] = []
         self._memo: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._slot_of)
 
     def __contains__(self, segment_id: str) -> bool:
-        return segment_id in self._segments
+        return segment_id in self._slot_of
+
+    @property
+    def _dead(self) -> int:
+        """Evicted slots not yet compacted away."""
+        return len(self._slots) - len(self._slot_of)
 
     def segments(self) -> list[SMSegment]:
         """Segments in insertion order."""
         with self._lock:
-            return list(self._segments.values())
+            return [segment for segment in self._slots if segment is not None]
 
     def utility(self, segment: SMSegment) -> float:
         return sms_utility(segment, cold_start=self.cold_start)
@@ -172,10 +177,10 @@ class ExpertProfile:
         with self._lock:
             existing = self._by_text.get(text)
             if existing is not None:
-                return self._segments[existing]
+                return self._slots[self._slot_of[existing]]
             created = self._next_created
             segment_id = f"{self.expert_id}:{created}"
-            while segment_id in self._segments:
+            while segment_id in self._slot_of:
                 created += 1
                 segment_id = f"{self.expert_id}:{created}"
             segment = SMSegment(segment_id=segment_id, prefix=prefix, created_at=created)
@@ -187,7 +192,7 @@ class ExpertProfile:
         """Used by persistence: re-attach a fully-built segment."""
         text = serialize_trajectory(segment.prefix)
         with self._lock:
-            if segment.segment_id in self._segments or text in self._by_text:
+            if segment.segment_id in self._slot_of or text in self._by_text:
                 raise ValueError(f"duplicate segment on restore: {segment.segment_id}")
             self._add(segment, text)
             self._next_created = max(self._next_created, segment.created_at + 1)
@@ -196,7 +201,6 @@ class ExpertProfile:
         """Give a new segment the next slot and stage its embedding. The lock
         is held."""
         embedding = self.embedder.embed(text)
-        self._segments[segment.segment_id] = segment
         self._by_text[text] = segment.segment_id
         self._slot_of[segment.segment_id] = len(self._slots)
         self._slots.append(segment)
@@ -209,14 +213,15 @@ class ExpertProfile:
         """Add ``count`` finished lookups of a segment to its ``uses``, and on
         success to its ``wins``. An unknown segment is an invalid state."""
         with self._lock:
-            segment = self._segments.get(segment_id)
-            if segment is None:
+            if segment_id not in self._slot_of:
                 raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
-            self._flush()
+            self._flush()  # a compaction may move the slot
+            slot = self._slot_of[segment_id]
+            segment = self._slots[slot]
             segment.uses += count
             if success:
                 segment.wins += count
-            self._util[self._slot_of[segment_id]] = self.utility(segment)
+            self._util[slot] = self.utility(segment)
 
     # -- the index ------------------------------------------------------------
 
@@ -273,7 +278,7 @@ class ExpertProfile:
         self._live[:kept] = True
         self._slots = [segment for segment in self._slots if segment is not None]
         self._slot_of = {segment.segment_id: i for i, segment in enumerate(self._slots)}
-        self._written, self._dead = kept, 0
+        self._written = kept
         self._memo.clear()
 
     # -- retrieval ----------------------------------------------------------
@@ -329,7 +334,7 @@ class ExpertProfile:
     def match_scores(self, query_vec: np.ndarray) -> np.ndarray:
         """Similarity of the query against every segment, in insertion order.
         The array is read-only."""
-        if not self._segments:
+        if not self._slot_of:
             return np.zeros(0, dtype=np.float64)
         with self._lock:
             sims = self._scan(query_vec)
@@ -341,7 +346,7 @@ class ExpertProfile:
         Ties are resolved toward the earliest-inserted segment. Returns None
         on an empty profile.
         """
-        if not self._segments:
+        if not self._slot_of:
             return None
         query_vec = query if isinstance(query, np.ndarray) else self.embed_query(query)
         with self._lock:
@@ -356,7 +361,7 @@ class ExpertProfile:
         segments tied on the top similarity, the highest utility wins, then
         the smallest ``created_at``, then the earliest inserted. Returns None
         on an empty profile."""
-        if not self._segments:
+        if not self._slot_of:
             return None
         with self._lock:
             sims = self._scan(query_vec)
@@ -377,7 +382,7 @@ class ExpertProfile:
         earliest inserted. Returns the evicted ids.
         """
         with self._lock:
-            excess = len(self._segments) - self.capacity
+            excess = len(self._slot_of) - self.capacity
             if excess <= 0:
                 return []
             self._flush()
@@ -388,14 +393,12 @@ class ExpertProfile:
             for slot in ranked.tolist():
                 victim = self._slots[slot]
                 victims.append(victim.segment_id)
-                del self._segments[victim.segment_id]
                 del self._by_text[serialize_trajectory(victim.prefix)]
                 del self._slot_of[victim.segment_id]
                 self._slots[slot] = None
             self._live[ranked] = False
-            self._dead += excess
             self._memo.clear()
-            if self._dead > len(self._segments):
+            if self._dead > len(self._slot_of):
                 self._compact()
             return victims
 
@@ -504,6 +507,9 @@ def _fold_ledger(ledger: object) -> tuple[int, int]:
     for index, entry in enumerate(ledger):
         key = f"ledger[{index}]"
         _check(isinstance(entry, dict), key, "an object")
+        unknown = entry.keys() - {"episode_id", "usage_count", "outcome"}
+        if unknown:
+            raise ValueError(f"unknown key '{key}.{min(unknown)}'")
         usage, outcome = entry.get("usage_count"), entry.get("outcome", "absent")
         _check(type(usage) is int and usage >= 1, f"{key}.usage_count", "an integer >= 1")
         valid = outcome is None or isinstance(outcome, bool)
@@ -516,14 +522,18 @@ def _fold_ledger(ledger: object) -> tuple[int, int]:
 def segment_from_record(record: object) -> tuple[str, SMSegment]:
     """Check one persistence record field by field and build its segment,
     returned with its expert id. The older form with a ``ledger`` list in
-    place of ``wins``/``uses`` is folded into the two sums. A bad field
-    raises ValueError naming its key."""
+    place of ``wins``/``uses`` is folded into the two sums. A bad field or
+    an unknown key raises ValueError naming the key."""
     if not isinstance(record, dict):
         raise ValueError("expected an object")
     history = ("ledger",) if "ledger" in record else ("wins", "uses")
-    for key in ("expert_id", "segment_id", "prefix_steps", "created_at") + history:
+    keys = ("expert_id", "segment_id", "prefix_steps", "created_at") + history
+    for key in keys:
         if key not in record:
             raise ValueError(f"missing key '{key}'")
+    unknown = record.keys() - set(keys)
+    if unknown:
+        raise ValueError(f"unknown key '{min(unknown)}'")
     for key in ("expert_id", "segment_id"):
         _check(isinstance(record[key], str) and record[key] != "", key, "a non-empty string")
     pairs, created = record["prefix_steps"], record["created_at"]
@@ -538,8 +548,6 @@ def segment_from_record(record: object) -> tuple[str, SMSegment]:
     )
     _check(type(created) is int and created >= 0, "created_at", "an integer >= 0")
     if history == ("ledger",):
-        beside = "wins" in record or "uses" in record
-        _check(not beside, "ledger", "no 'wins' or 'uses' beside it")
         wins, uses = _fold_ledger(record["ledger"])
     else:
         wins, uses = record["wins"], record["uses"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,15 +151,9 @@ def _voting_choice(council: Council, query: Trajectory) -> str:
         except ExpertUnavailableError:
             continue
         if proposals:
-            votes.append((proposals[0].action.text, expert.expert_id))
+            votes.append((proposals[0].text, expert.expert_id))
     if not votes:
         raise ExpertUnavailableError("no council member could cast a voting proposal")
-    counts: dict[str, int] = {}
-    for action, _ in votes:
-        counts[action] = counts.get(action, 0) + 1
-    first_seen = {action: i for i, (action, _) in reversed(list(enumerate(votes)))}
-    winner_action = max(counts, key=lambda a: (counts[a], -first_seen[a]))
-    for action, expert_id in votes:
-        if action == winner_action:
-            return expert_id
-    raise AssertionError("unreachable: winner action has no proposer")
+    counts = Counter(action for action, _ in votes)
+    top = max(counts.values())
+    return next(expert_id for action, expert_id in votes if counts[action] == top)

@@ -6,12 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import council
-from council.cli import main
+from council.cli import _RUN_FLAGS, main
+from council.config import RunConfig
 from council.envs.game24 import make_game24_tasks
 from council.envs.synth import SynthConfig, make_synth_tasks
 from council.harness import write_jsonl, write_tasks
@@ -153,6 +156,11 @@ def _expert(role: str, **params) -> dict:
     return {"expert_id": "x", "params": {"role": role, **params}}
 
 
+def _llm(**params) -> dict:
+    required = {"endpoint": "http://localhost:9", "model": "m", "credential_env": "NO_SUCH_KEY"}
+    return {"expert_id": "x", "kind": "llm-backed", "params": {**required, **params}}
+
+
 @pytest.mark.parametrize(
     "change,flags,key",
     [
@@ -173,6 +181,15 @@ def _expert(role: str, **params) -> dict:
         ({"council": [_expert("psychic")]}, (), "council[0].params.role"),
         ({"env": {"name": "game24", "params": {"depth": 3}}}, (), "env.params.depth"),
         ({"env": {"name": "chess"}}, (), "env.name"),
+        ({"council": [_expert("synth-specialist", family="onyx")]}, (), "council[0].params.family"),
+        ({"planner": {"aggregator": "ghost"}}, (), "planner.aggregator"),
+        ({}, ("--aggregator", "ghost", "--routing-strategy", "collaborative"), "planner.aggregator"),
+        ({"council": [_llm(concurrency=0)]}, (), "council[0].params.concurrency"),
+        ({"council": [_llm(concurrency=-1)]}, (), "council[0].params.concurrency"),
+        ({"council": [_llm(max_tokens=0)]}, (), "council[0].params.max_tokens"),
+        ({"council": [_llm(timeout=0)]}, (), "council[0].params.timeout"),
+        ({"council": [_llm(act_temperature=-0.1)]}, (), "council[0].params.act_temperature"),
+        ({"council": [_llm(eval_temperature=-1)]}, (), "council[0].params.eval_temperature"),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):
@@ -183,6 +200,23 @@ def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, cha
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': ")
+
+
+def _scalar_keys(cls, path=()):
+    """The key path of every field of a config dataclass, nested ones
+    flattened into their own fields."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _scalar_keys(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,)
+
+
+def test_every_scalar_config_key_has_exactly_one_run_flag():
+    structured = {("council",), ("env", "params")}
+    keys = [key for key in _scalar_keys(RunConfig) if key not in structured]
+    assert sorted(path for _, path, _ in _RUN_FLAGS) == sorted(keys)
 
 
 def test_a_missing_task_file_exits_two(tmp_path, capsys):
@@ -201,6 +235,16 @@ def test_a_corrupt_task_line_exits_two_naming_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_an_unknown_key_in_a_task_line_exits_two_naming_the_line(tmp_path, capsys):
+    tasks = tmp_path / "tasks.jsonl"
+    line = {"task_id": "a", "environment": "game24", "payload": [1, 2, 3, 4], "priority": 3}
+    tasks.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    code = main(run_flags(tmp_path, tasks))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [f"error: tasks file {tasks}: line 1: unknown key 'priority'"]
 
 
 def test_tasks_from_another_environment_exit_two(tmp_path, capsys):
@@ -430,8 +474,25 @@ def _memory_line(**changes) -> str:
         (_memory_line(created_at="zero"), "key 'created_at'"),
         (_memory_line(prefix_steps=[["only-one"]]), "key 'prefix_steps'"),
         (_memory_line(wins=3), "key 'wins'"),
+        (_memory_line(note="x"), "unknown key 'note'"),
+        (
+            _memory_line(
+                wins=None,
+                uses=None,
+                ledger=[{"episode_id": "e", "usage_count": 1, "outcome": True, "note": "x"}],
+            ),
+            "unknown key 'ledger[0].note'",
+        ),
     ],
-    ids=["not-json", "ledger-without-usage", "created-at-text", "half-step", "wins-above-uses"],
+    ids=[
+        "not-json",
+        "ledger-without-usage",
+        "created-at-text",
+        "half-step",
+        "wins-above-uses",
+        "unknown-key",
+        "ledger-unknown-key",
+    ],
 )
 def test_corrupt_memory_files_exit_two_naming_the_line(tmp_path, capsys, line, complaint):
     memory_path = memory_file_from_run(tmp_path)
@@ -449,16 +510,19 @@ def test_corrupt_memory_files_exit_two_naming_the_line(tmp_path, capsys, line, c
 
 
 @pytest.mark.parametrize(
-    "env, payload",
+    "env, payload, key",
     [
-        ("synth", {"seed": 3}),
-        ("synth", {"family": "amber", "seed": "x"}),
-        ("synth", [1, 2]),
-        ("game24", 5),
+        ("synth", {"seed": 3}, "payload.family"),
+        ("synth", {"family": "amber", "seed": "x"}, "payload.seed"),
+        ("synth", [1, 2], "payload"),
+        ("game24", 5, "payload"),
+        ("synth", {"family": "amber", "seed": 3, "priority": 3}, "payload.priority"),
     ],
-    ids=["synth-no-family", "synth-text-seed", "synth-list", "game24-number"],
+    ids=["synth-no-family", "synth-text-seed", "synth-list", "game24-number", "synth-extra-key"],
 )
-def test_malformed_task_payloads_exit_two_naming_task_and_key(tmp_path, capsys, env, payload):
+def test_malformed_task_payloads_exit_two_naming_task_and_key(
+    tmp_path, capsys, env, payload, key
+):
     tasks = tmp_path / "tasks.jsonl"
     tasks.write_text(
         json.dumps({"task_id": "bad-task", "environment": env, "payload": payload}) + "\n",
@@ -468,7 +532,7 @@ def test_malformed_task_payloads_exit_two_naming_task_and_key(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1
-    assert err[0].startswith(f"error: tasks file {tasks}: task 'bad-task': key 'payload")
+    assert err[0].startswith(f"error: tasks file {tasks}: task 'bad-task': key '{key}': ")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

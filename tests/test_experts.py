@@ -28,14 +28,13 @@ from conftest import make_trajectory
 def test_proposals_deduplicate_and_preserve_order():
     expert = TableExpert("t", {"": ["a", "a", "b"]})
     proposals = propose_actions(expert, Trajectory(), None, 5)
-    assert [p.action.text for p in proposals] == ["a", "b"]
-    assert all(p.expert_id == "t" for p in proposals)
+    assert [p.text for p in proposals] == ["a", "b"]
 
 
 def test_proposals_truncate_to_k():
     expert = TableExpert("t", {"": ["a", "b", "c", "d"]})
     proposals = propose_actions(expert, Trajectory(), None, 2)
-    assert [p.action.text for p in proposals] == ["a", "b"]
+    assert [p.text for p in proposals] == ["a", "b"]
 
 
 def test_proposal_count_must_be_positive():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from council.config import ROUTING_STRATEGIES
 from council.embedding import TrigramEmbedder, similarity
@@ -236,6 +236,30 @@ def test_voting_skips_unavailable_members():
 def test_voting_with_no_votes_is_unavailable():
     with pytest.raises(ExpertUnavailableError):
         route(Council([Unavailable("a"), Unavailable("b")]), Trajectory(), "voting", random.Random(0))
+
+
+def _modal_first_proposer(votes: list[tuple[str, str]]) -> str:
+    """The voting rule stated on its own: the action with the most votes,
+    ties to the action proposed first, wins for its first proposer."""
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    for i, (action, _) in enumerate(votes):
+        counts[action] = counts.get(action, 0) + 1
+        first_seen.setdefault(action, i)
+    winner = max(counts, key=lambda a: (counts[a], -first_seen[a]))
+    return next(expert_id for action, expert_id in votes if action == winner)
+
+
+@given(st.lists(st.sampled_from(["left", "right", "up", None]), min_size=1, max_size=8))
+def test_voting_agrees_with_the_modal_first_proposer_rule(actions):
+    votes = [(action, f"e{i}") for i, action in enumerate(actions) if action is not None]
+    assume(votes)
+    experts = [
+        ConstantEvaluatorExpert(f"e{i}", 0.5, actions=[] if action is None else [action])
+        for i, action in enumerate(actions)
+    ]
+    decision = route(Council(experts), Trajectory(), "voting", random.Random(0))
+    assert decision.chosen == _modal_first_proposer(votes)
 
 
 # -- collaborative ----------------------------------------------------------------
