@@ -14,8 +14,10 @@ in so quick runs need no config file at all.
 
 Exit status reflects completion: a run whose tasks all fail still exits 0,
 while unreadable files, invalid configuration, or malformed task lines exit
-nonzero with a diagnostic naming the offending key or line. A closed stdout
-ends the command quietly with 141, the status of a writer killed by SIGPIPE.
+nonzero with a diagnostic naming the offending key or line; a bad key the
+config file gave is reported under the file's name, one a flag set is not.
+A closed stdout ends the command quietly with 141, the status of a writer
+killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .config import (
 from .embedding import TrigramEmbedder
 from .envs.game24 import Game24Env, game24_oracle
 from .envs.synth import SynthConfig
-from .errors import BackendConfigError
+from .errors import BackendConfigError, ConfigKeyError
 from .harness import (
     ABLATION_AXES,
     ablation_table,
@@ -106,11 +108,19 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, **options)
 
 
+def _given_flags(args: argparse.Namespace):
+    """``(key path, value)`` of every run flag given on the command line."""
+    for flag, path, _ in _RUN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
+        if value is not None:
+            yield path, value
+
+
 def _set_path(data: dict, path: tuple[str, ...], value) -> None:
     for depth, key in enumerate(path[:-1]):
         data = data.setdefault(key, {})
         if not isinstance(data, dict):
-            raise ValueError(f"config key '{'.'.join(path[: depth + 1])}': must be an object")
+            raise ConfigKeyError(".".join(path[: depth + 1]), "must be an object")
     data[path[-1]] = value
 
 
@@ -129,10 +139,8 @@ def _default_council(env: EnvSpec) -> list[ExpertSpec]:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Layer config file and flags into a validated run configuration."""
     data = read_config_file(args.config) if args.config else {}
-    for flag, path, _ in _RUN_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
-        if value is not None:
-            _set_path(data, path, value)
+    for path, value in _given_flags(args):
+        _set_path(data, path, value)
     config = config_from_dict(data)
     if not config.council:
         config.council = _default_council(config.env)
@@ -264,6 +272,12 @@ def main(argv: list[str] | None = None) -> int:
         # on /dev/null so the flush at interpreter exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
+    except ConfigKeyError as exc:
+        flagged = {".".join(path) for path, _ in _given_flags(args)}
+        config = getattr(args, "config", None)
+        source = f"config file {config}: " if config and exc.key not in flagged else ""
+        print(f"error: {source}{exc}", file=sys.stderr)
+        return 2
     except (ValueError, BackendConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .errors import ConfigKeyError
+
 VALUE_MODES = ("full", "llm-only", "sms-only", "env-only")
 ROUTING_STRATEGIES = ("task-aware", "random", "round-robin", "voting", "collaborative")
 
@@ -128,7 +130,7 @@ class RunConfig:
 
 def _require(condition: bool, key: str, message: str) -> None:
     if not condition:
-        raise ValueError(f"config key '{key}': {message}")
+        raise ConfigKeyError(key, message)
 
 
 def _join(key: str, name: str) -> str:

@@ -1,5 +1,6 @@
 """Bundled environments and the replay contract."""
 
+from ..errors import ConfigKeyError
 from .base import Environment
 from .game24 import Game24Env
 from .synth import SynthConfig, SynthEnv, make_synth_tasks
@@ -12,8 +13,8 @@ def build_environment(name: str, params: dict | None = None) -> Environment:
     game24 takes none."""
     if name == "game24":
         if params:
-            raise ValueError(f"config key 'env.params.{next(iter(params))}': unknown key")
+            raise ConfigKeyError(f"env.params.{next(iter(params))}", "unknown key")
         return Game24Env()
     if name == "synth":
         return SynthEnv(SynthConfig.from_params(params or {}))
-    raise ValueError(f"config key 'env.name': unknown environment {name!r}")
+    raise ConfigKeyError("env.name", f"unknown environment {name!r}")

@@ -1,10 +1,12 @@
 """Environment contract.
 
-State is never threaded through the planner. The single reconstruction
-mechanism is :meth:`Environment.replay`: hand the environment a task and the
-full action list and it recomputes everything from scratch. That keeps every
-node in a search tree a pure function of (task, actions) and makes traces
-trivially reproducible.
+An environment is a pure step function: :meth:`Environment.apply` takes a
+state and one action and returns a new state without touching the old one.
+The planner threads states through its search tree, each child one ``apply``
+from its parent. :meth:`Environment.replay` recomputes everything from the
+task and the full action list; it builds the search root and is the oracle a
+node's state must agree with, so every node stays a pure function of (task,
+actions) and traces stay reproducible.
 """
 
 from __future__ import annotations

@@ -88,6 +88,12 @@ def _take(numbers: Sequence[float], value: float) -> list[float] | None:
     return None
 
 
+def _end(number: float) -> tuple[str, float]:
+    """The note and reward of a game down to its last number: solved when
+    that number is 24 within tolerance, failed otherwise."""
+    return ("solved", 1.0) if abs(number - TARGET) <= MATCH_TOL else ("failed", 0.0)
+
+
 def game24_step(numbers: Sequence[float], action: str) -> tuple[tuple[float, ...], StepOutcome]:
     """Apply one combining action to the current multiset.
 
@@ -128,12 +134,9 @@ def game24_step(numbers: Sequence[float], action: str) -> tuple[tuple[float, ...
 
     new_numbers = tuple(rest + [value])
     if len(new_numbers) == 1:
-        solved = abs(new_numbers[0] - TARGET) <= MATCH_TOL
-        note = "solved" if solved else "failed"
+        note, reward = _end(new_numbers[0])
         return new_numbers, StepOutcome(
-            observation=_observation(new_numbers, note),
-            terminal=True,
-            reward=1.0 if solved else 0.0,
+            observation=_observation(new_numbers, note), terminal=True, reward=reward
         )
     return new_numbers, StepOutcome(observation=_observation(new_numbers), terminal=False)
 
@@ -250,9 +253,7 @@ class Game24Env(Environment):
             raise ValueError("game24 payload must contain at least one number")
         if len(numbers) == 1:
             # Degenerate but well defined: nothing to combine.
-            solved = abs(numbers[0] - TARGET) <= MATCH_TOL
-            note = "solved" if solved else "failed"
-            return numbers, _observation(numbers, note)
+            return numbers, _observation(numbers, _end(numbers[0])[0])
         return numbers, _observation(numbers, "make 24")
 
     def apply(
@@ -264,7 +265,7 @@ class Game24Env(Environment):
         result = super().replay(task, actions)
         if not actions and len(result.state) == 1:
             result.terminal = True
-            result.reward = 1.0 if abs(result.state[0] - TARGET) <= MATCH_TOL else 0.0
+            result.reward = _end(result.state[0])[1]
         return result
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from ..config import read_fields
@@ -65,15 +66,20 @@ def family_letters(family: str, config: SynthConfig) -> str:
     return _SUFFIX_LETTERS[index * _LETTERS_PER_FAMILY : (index + 1) * _LETTERS_PER_FAMILY]
 
 
+@lru_cache(maxsize=None)
+def _vocab(family: str, config: SynthConfig) -> tuple[str, ...]:
+    letters = family_letters(family, config)
+    pairs = ("".join(pair) for pair in product(letters, repeat=2))
+    return tuple(f"{family}{suffix}" for suffix, _ in zip(pairs, range(config.vocab_size)))
+
+
 def family_vocab(family: str, config: SynthConfig) -> list[str]:
-    """The family's private tokens.
+    """The family's private tokens, as a fresh list the caller may change.
 
     Suffixes are letter pairs drawn from an alphabet slice reserved for the
     family, so different families share no trigrams even in their suffixes.
     """
-    letters = family_letters(family, config)
-    pairs = ("".join(pair) for pair in product(letters, repeat=2))
-    return [f"{family}{suffix}" for suffix, _ in zip(pairs, range(config.vocab_size))]
+    return list(_vocab(family, config))
 
 
 def encode_count(value: int, letters: str) -> str:
@@ -99,9 +105,11 @@ def decode_count(text: str, letters: str) -> int | None:
     return value if text else None
 
 
+@lru_cache(maxsize=4096)
 def hidden_sequence(family: str, seed: int, config: SynthConfig) -> tuple[str, ...]:
-    """The task's answer key, a pure function of (family, seed, config)."""
-    vocab = family_vocab(family, config)
+    """The task's answer key, a pure function of (family, seed, config).
+    Every step reads it, so the most recent keys are cached."""
+    vocab = _vocab(family, config)
     rng = derived_rng("synth-hidden", family, seed, config.depth, config.vocab_size)
     return tuple(rng.choice(vocab) for _ in range(config.depth))
 
@@ -195,7 +203,7 @@ class SynthEnv(Environment):
     def initial(self, task: TaskSpec) -> tuple[_State, Observation]:
         family = task.payload["family"]
         # The vocabulary doubles as the task's family signature for routing.
-        vocab = " ".join(family_vocab(family, self.config))
+        vocab = " ".join(_vocab(family, self.config))
         state = _State(done=0, missed=0)
         return state, Observation(f"{self._status(task, 'go', state)}; {vocab}")
 

@@ -28,6 +28,15 @@ class BackendConfigError(RuntimeError):
     """
 
 
+class ConfigKeyError(ValueError):
+    """A run configuration value is missing, malformed or out of range.
+    ``key`` is its dotted path, as in ``planner.budget.iterations``."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"config key '{key}': {message}")
+        self.key = key
+
+
 class ScoreParseError(ValueError):
     """No usable numeric score could be extracted from an evaluation reply."""
 

@@ -210,6 +210,8 @@ class HTTPBackend:
         credential_env: str,
         concurrency: int = 4,
     ):
+        if concurrency < 1:
+            raise ValueError(f"concurrency must be at least 1, got {concurrency}")
         self.backend_id = backend_id
         self.endpoint = endpoint
         self.model = model

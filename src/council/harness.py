@@ -32,7 +32,7 @@ from .embedding import Embedder, TrigramEmbedder
 from .envs import build_environment
 from .envs.base import Environment, TaskSpec
 from .envs.synth import SynthConfig
-from .errors import BackendConfigError
+from .errors import BackendConfigError, ConfigKeyError
 from .experts import (
     ConstantEvaluatorExpert,
     Council,
@@ -208,14 +208,14 @@ def build_council(
     get an empty one under ``embedder`` (a fresh trigram embedder of the
     config's width if none is given)."""
     if not config.council:
-        raise ValueError("config key 'council': at least one expert is required")
+        raise ConfigKeyError("council", "at least one expert is required")
     for i, spec in enumerate(config.council):
         if spec.params.get("role") == "synth-specialist":
             families = list(SynthConfig.from_params(config.env.params).families)
             family = spec.params.get("family")
             if family not in families:
                 key = f"council[{i}].params.family"
-                raise ValueError(f"config key '{key}': must be one of {families}, got {family!r}")
+                raise ConfigKeyError(key, f"must be one of {families}, got {family!r}")
     experts = [build_expert(spec, config.env, config.seed) for spec in config.council]
     return Council(
         experts,
@@ -381,7 +381,7 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
     source = "tasks"
     if tasks is None:
         if config.tasks_path is None:
-            raise ValueError("config key 'tasks_path': required when no tasks are passed")
+            raise ConfigKeyError("tasks_path", "required when no tasks are passed")
         tasks = read_tasks(config.tasks_path)
         source = f"tasks file {config.tasks_path}"
     env = build_environment(config.env.name, config.env.params)

@@ -1,12 +1,14 @@
 """Tree search over replayable environments, driven by a council of experts.
 
-Each node is identified by the action list that reaches it; state is always
-rebuilt through the environment's replay so the tree never carries stale
-snapshots. One search iteration selects a leaf by the UCT rule, routes one
-expert to propose candidate actions, scores the resulting children with the
-dual value signals, and backs the frontier's value up the selection path.
-The search stops early as soon as a terminal child meets the success
-threshold.
+Each node carries the environment state its action list reaches: the root's
+comes from one replay of the empty action list, and a child's from one
+``apply`` of its action to its parent's state. ``apply`` never mutates a
+state, so a node's state is a pure function of (task, actions), the state
+replay would rebuild. One search iteration selects a leaf by the UCT rule,
+routes one expert to propose candidate actions, scores the resulting
+children with the dual value signals, and backs the frontier's value up the
+selection path. The search stops early as soon as a terminal child meets the
+success threshold.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Any
 
 from .config import PlannerConfig
 from .errors import ExpertUnavailableError
@@ -29,13 +32,15 @@ from .envs.base import Environment, TaskSpec
 @dataclass
 class SearchNode:
     """One tree node. ``prefix`` holds the completed steps from the root plus
-    the observation now awaiting an action; ``value`` and ``visits`` carry the
-    running mean reward used by selection. A terminal node always carries its
-    ``reward``: a ``StepOutcome`` or ``replay`` that ends the episode sets
-    one, and ``_mark_failed`` sets 0.0."""
+    the observation now awaiting an action, and ``state`` the environment
+    state they reach; ``value`` and ``visits`` carry the running mean reward
+    used by selection. A terminal node always carries its ``reward``: a
+    ``StepOutcome`` or ``replay`` that ends the episode sets one, and
+    ``_mark_failed`` sets 0.0."""
 
     node_id: int
     prefix: Trajectory
+    state: Any = None
     parent: int | None = None
     action: str | None = None
     expert_id: str | None = None
@@ -138,9 +143,7 @@ def _rollout(
     lookups) until the environment terminates or the depth cap is hit; only a
     terminal reward counts.
     """
-    actions = [a.text for a in start.prefix.actions()]
-    replayed = env.replay(task, actions)
-    state = replayed.state
+    state = start.state
     prefix = start.prefix
     while prefix.depth < max_depth:
         try:
@@ -283,6 +286,7 @@ def search(
     root_replay = env.replay(task, [])
     root = tree.add(
         prefix=Trajectory(pending=root_replay.observation),
+        state=root_replay.state,
         terminal=root_replay.terminal,
         reward=root_replay.reward,
     )
@@ -343,18 +347,17 @@ def search(
                     event.update(outcome="no-proposals", backprop_reward=0.0)
                     continue
 
-                base_actions = [a.text for a in leaf.prefix.actions()]
                 children: list[SearchNode] = []
                 for action in proposals:
-                    replayed = env.replay(task, base_actions + [action.text])
-                    last = replayed.outcomes[-1]
+                    state, outcome = env.apply(task, leaf.state, action.text)
                     child = tree.add(
-                        prefix=leaf.prefix.extend(action, last.observation),
+                        prefix=leaf.prefix.extend(action, outcome.observation),
+                        state=state,
                         parent=leaf.node_id,
                         action=action.text,
                         expert_id=decision.chosen,
-                        terminal=last.terminal,
-                        reward=last.reward,
+                        terminal=outcome.terminal,
+                        reward=outcome.reward,
                     )
                     leaf.children.append(child.node_id)
                     children.append(child)

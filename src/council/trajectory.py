@@ -59,9 +59,6 @@ class Trajectory:
             return self
         return Trajectory(steps=self.steps)
 
-    def actions(self) -> list[Action]:
-        return [step.action for step in self.steps]
-
 
 def decompose_prefixes(trajectory: Trajectory) -> list[Trajectory]:
     """Every leading sub-trajectory of the completed steps, shortest first.

@@ -190,6 +190,8 @@ def _llm(**params) -> dict:
         ({"council": [_llm(timeout=0)]}, (), "council[0].params.timeout"),
         ({"council": [_llm(act_temperature=-0.1)]}, (), "council[0].params.act_temperature"),
         ({"council": [_llm(eval_temperature=-1)]}, (), "council[0].params.eval_temperature"),
+        ({"planner": {"budget": {"iterations": 0}}}, (), "planner.budget.iterations"),
+        ({}, ("--iterations", "0"), "planner.budget.iterations"),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):
@@ -198,8 +200,10 @@ def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, cha
     tasks = synth_tasks_file(tmp_path)
     code = main(["run", "--config", str(config), "--tasks", str(tasks), *flags])
     err = capsys.readouterr().err.splitlines()
+    flagged = {".".join(path) for flag, path, _ in _RUN_FLAGS if flag in flags}
+    source = "" if key in flagged else f"config file {config}: "
     assert code == 2
-    assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': ")
+    assert len(err) == 1 and err[0].startswith(f"error: {source}config key '{key}': ")
 
 
 def _scalar_keys(cls, path=()):

@@ -217,3 +217,9 @@ def test_missing_credential_is_a_config_error(monkeypatch):
     assert "COUNCIL_TEST_KEY" in str(excinfo.value)
     # Nothing is counted against usage before the credential check passes.
     assert backend.usage.requests == 0
+
+
+@pytest.mark.parametrize("concurrency", [0, -1])
+def test_a_concurrency_below_one_is_rejected_naming_it(concurrency):
+    with pytest.raises(ValueError, match="concurrency"):
+        HTTPBackend("b", "https://example.invalid/v1", "m", "COUNCIL_TEST_KEY", concurrency)

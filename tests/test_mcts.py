@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from council.config import PlannerConfig, SearchBudget
 from council.embedding import TrigramEmbedder
-from council.envs.base import TaskSpec
+from council.envs.base import Environment, TaskSpec
 from council.envs.game24 import Game24Env
 from council.envs.synth import SynthConfig, SynthEnv
 from council.errors import ExpertUnavailableError
@@ -424,3 +424,52 @@ def test_success_stops_the_search_early():
     )
     assert result.success
     assert result.iterations_used < 10
+
+
+class CountingEnv(Environment):
+    """Delegates to ``inner``, counting the search's own replay and apply
+    calls (the ones ``inner.replay`` makes are not counted)."""
+
+    def __init__(self, inner: Environment):
+        self.inner = inner
+        self.calls = {"replay": 0, "apply": 0}
+
+    def initial(self, task):
+        return self.inner.initial(task)
+
+    def check_task(self, task):
+        self.inner.check_task(task)
+
+    def apply(self, task, state, action):
+        self.calls["apply"] += 1
+        return self.inner.apply(task, state, action)
+
+    def replay(self, task, actions):
+        self.calls["replay"] += 1
+        return self.inner.replay(task, actions)
+
+
+def _actions_to(tree: SearchTree, node) -> list[str]:
+    actions = []
+    while node.parent is not None:
+        actions.append(node.action)
+        node = tree.node(node.parent)
+    return actions[::-1]
+
+
+def test_a_search_replays_once_and_applies_once_per_node():
+    cfg = SynthConfig(depth=4, budget=3)
+    env = CountingEnv(SynthEnv(cfg))
+    result = search(
+        synth_task(),
+        env,
+        synth_council(cfg, "basalt", "cedar"),
+        planner(iterations=12, expansion_width=3),
+        random.Random(3),
+    )
+    assert result.nodes_expanded > 12
+    assert env.calls == {"replay": 1, "apply": result.nodes_expanded}
+    assert len(result.tree.nodes) == result.nodes_expanded + 1
+    # Every node carries the state a replay of its actions rebuilds.
+    for node in result.tree.nodes:
+        assert node.state == env.inner.replay(synth_task(), _actions_to(result.tree, node)).state

@@ -81,6 +81,15 @@ def test_hidden_sequence_is_deterministic_and_in_vocabulary():
     assert all(token in family_vocab("amber", cfg) for token in seq)
 
 
+def test_changing_a_returned_vocabulary_leaves_later_calls_intact():
+    cfg = SynthConfig(vocab_size=4)
+    vocab = family_vocab("amber", cfg)
+    expected = list(vocab)
+    vocab.clear()
+    assert family_vocab("amber", cfg) == expected
+    assert all(token in expected for token in hidden_sequence("amber", 3, cfg))
+
+
 def test_hidden_sequences_vary_across_seeds():
     cfg = SynthConfig()
     sequences = {hidden_sequence("amber", s, cfg) for s in range(30)}
