@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import product
 
 from ..config import read_fields
+from ..errors import ConfigKeyError
 from ..seeding import derived_rng, derived_seed
 from ..trajectory import Observation
 from .base import Environment, StepOutcome, TaskSpec
@@ -42,14 +43,18 @@ class SynthConfig:
     vocab_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.depth < 1 or self.budget < 1 or self.vocab_size < 2:
-            raise ValueError("synth environment needs depth >= 1, budget >= 1, vocab >= 2")
-        if len(set(self.families)) != len(self.families) or not self.families:
-            raise ValueError("family names must be non-empty and distinct")
-        if len(self.families) > len(_SUFFIX_LETTERS) // _LETTERS_PER_FAMILY:
-            raise ValueError("at most three families are supported")
-        if self.vocab_size > _LETTERS_PER_FAMILY**2:
-            raise ValueError(f"vocab_size cannot exceed {_LETTERS_PER_FAMILY ** 2}")
+        """A bad value raises ConfigKeyError naming ``env.params.<field>``,
+        the key a config file gives it under."""
+        most, vocab = len(_SUFFIX_LETTERS) // _LETTERS_PER_FAMILY, _LETTERS_PER_FAMILY**2
+        distinct = 0 < len(set(self.families)) == len(self.families) <= most
+        for key, ok, message in (
+            ("depth", self.depth >= 1, "must be at least 1"),
+            ("budget", self.budget >= 1, "must be at least 1"),
+            ("vocab_size", 2 <= self.vocab_size <= vocab, f"must lie in [2, {vocab}]"),
+            ("families", distinct, f"must be 1 to {most} distinct names"),
+        ):
+            if not ok:
+                raise ConfigKeyError(f"env.params.{key}", message)
 
     @classmethod
     def from_params(cls, params: dict) -> SynthConfig:

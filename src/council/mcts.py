@@ -4,11 +4,21 @@ Each node carries the environment state its action list reaches: the root's
 comes from one replay of the empty action list, and a child's from one
 ``apply`` of its action to its parent's state. ``apply`` never mutates a
 state, so a node's state is a pure function of (task, actions), the state
-replay would rebuild. One search iteration selects a leaf by the UCT rule,
-routes one expert to propose candidate actions, scores the resulting
-children with the dual value signals, and backs the frontier's value up the
-selection path. The search stops early as soon as a terminal child meets the
-success threshold.
+replay would rebuild.
+
+Each node also carries its retrieval state, a :class:`~council.memory.Query`
+built once when the node is made and linked to its parent's. Routing and
+the memory value scan profiles through it: a repeated scan of the node at
+the same profile version is read back, and a child's scan extends its
+parent's, embedding only the text its step appends and multiplying only the
+index rows its vector changes, whenever that stays exact. Scores are those
+of a full scan, bit for bit. The state lives in the tree, so it is dropped
+with it and never shared between searches.
+
+One search iteration selects a leaf by the UCT rule, routes one expert to
+propose candidate actions, scores the resulting children with the dual value
+signals, and backs the frontier's value up the selection path. The search
+stops early as soon as a terminal child meets the success threshold.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Any
 from .config import PlannerConfig
 from .errors import ExpertUnavailableError
 from .experts import Council, Expert, propose_actions
-from .memory import EpisodeContext, finalize_episode
+from .memory import EpisodeContext, Query, finalize_episode
 from .routing import RoutingDecision, route
 from .trajectory import Action, EpisodeRecord, Trajectory
 from .values import Fusion, fuse_batch, llm_value, normalize, sms_value
@@ -32,15 +42,17 @@ from .envs.base import Environment, TaskSpec
 @dataclass
 class SearchNode:
     """One tree node. ``prefix`` holds the completed steps from the root plus
-    the observation now awaiting an action, and ``state`` the environment
-    state they reach; ``value`` and ``visits`` carry the running mean reward
-    used by selection. A terminal node always carries its ``reward``: a
-    ``StepOutcome`` or ``replay`` that ends the episode sets one, and
-    ``_mark_failed`` sets 0.0."""
+    the observation now awaiting an action, ``state`` the environment state
+    they reach, and ``query`` the node's retrieval state, linked to its
+    parent's (see the module docstring); ``value`` and ``visits`` carry the
+    running mean reward used by selection. A terminal node always carries
+    its ``reward``: a ``StepOutcome`` or ``replay`` that ends the episode
+    sets one, and ``_mark_failed`` sets 0.0."""
 
     node_id: int
     prefix: Trajectory
     state: Any = None
+    query: Query | None = None
     parent: int | None = None
     action: str | None = None
     expert_id: str | None = None
@@ -184,7 +196,7 @@ def _routing_event(decision: RoutingDecision) -> dict:
 
 def _act(
     council: Council,
-    prefix: Trajectory,
+    query: Query,
     planner: PlannerConfig,
     rng: random.Random,
     step_index: int,
@@ -200,7 +212,7 @@ def _act(
     def routed(members: Council, aggregator: str | None) -> RoutingDecision:
         return route(
             members,
-            prefix,
+            query,
             planner.routing_strategy,
             rng,
             step_index=step_index,
@@ -211,7 +223,9 @@ def _act(
 
     def proposals(decision: RoutingDecision) -> list[Action]:
         expert = council.by_id[decision.chosen]
-        return propose_actions(expert, prefix, decision.exemplar, planner.budget.expansion_width)
+        return propose_actions(
+            expert, query.trajectory, decision.exemplar, planner.budget.expansion_width
+        )
 
     decision = routed(council, planner.aggregator)
     try:
@@ -244,7 +258,7 @@ def _assign_values(
         v_llm = [llm_value(council, c.prefix, rng) for c in children]
     if mode in ("full", "sms-only"):
         profile = council.profile(acting_expert_id)
-        v_sms = [sms_value(profile, c.prefix, episode) for c in children]
+        v_sms = [sms_value(profile, c.query, episode) for c in children]
 
     fusion = None
     if mode == "full":
@@ -284,9 +298,11 @@ def search(
     tree = SearchTree()
 
     root_replay = env.replay(task, [])
+    root_prefix = Trajectory(pending=root_replay.observation)
     root = tree.add(
-        prefix=Trajectory(pending=root_replay.observation),
+        prefix=root_prefix,
         state=root_replay.state,
+        query=Query(root_prefix),
         terminal=root_replay.terminal,
         reward=root_replay.reward,
     )
@@ -332,7 +348,7 @@ def search(
                 route_counter += 1
                 try:
                     decision, proposals = _act(
-                        council, leaf.prefix, planner, rng, step_index, episode
+                        council, leaf.query, planner, rng, step_index, episode
                     )
                 except ExpertUnavailableError:
                     # No member could act; the spent iteration still counts.
@@ -350,9 +366,11 @@ def search(
                 children: list[SearchNode] = []
                 for action in proposals:
                     state, outcome = env.apply(task, leaf.state, action.text)
+                    prefix = leaf.prefix.extend(action, outcome.observation)
                     child = tree.add(
-                        prefix=leaf.prefix.extend(action, outcome.observation),
+                        prefix=prefix,
                         state=state,
+                        query=Query(prefix, parent=leaf.query),
                         parent=leaf.node_id,
                         action=action.text,
                         expert_id=decision.chosen,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,6 @@ DEFAULT_COLD_START = 0.5
 # Staged embeddings are written into a profile's index as one block once this
 # many wait, or sooner when a scan or prune needs them.
 _STAGE_LIMIT = 256
-# A profile's scan memo is emptied when it holds this many query vectors.
-_MEMO_LIMIT = 64
 # A scan gathers and multiplies the index this many slots at a time.
 _SCAN_BLOCK = 1024
 # binary32 holds every integer of magnitude up to 2**24 exactly.
@@ -73,12 +71,62 @@ def sms_utility(segment: SMSegment, cold_start: float = DEFAULT_COLD_START) -> f
     return segment.wins / segment.uses
 
 
+class _Scan(NamedTuple):
+    """One scan a query holds: the index version it read, its integer dot
+    products when they were taken on the exact float32 path (else None),
+    and its similarities."""
+
+    version: int
+    dots: np.ndarray | None
+    sims: np.ndarray
+
+
+class Query:
+    """The retrieval state of one search node.
+
+    It holds the node's trajectory, its serialized text as UTF-8 bytes, its
+    embedding under each embedder it was scanned with, and for each profile
+    it was scanned against that scan's result, tagged with the profile's
+    index version. ``parent`` is the query of the node this one extends: its
+    text must be a prefix of this one's, else the link is dropped. A search
+    builds one query per node, so the state lives and dies with its tree and
+    is only ever touched by that search's thread.
+    """
+
+    __slots__ = ("trajectory", "data", "parent", "_vectors", "_scans")
+
+    def __init__(self, trajectory: Trajectory, parent: Query | None = None):
+        self.trajectory = trajectory
+        self.data = serialize_trajectory(trajectory).encode("utf-8")
+        if parent is not None and not self.data.startswith(parent.data):
+            parent = None
+        self.parent = parent
+        self._vectors: dict[Embedder, np.ndarray] = {}
+        self._scans: dict[ExpertProfile, _Scan] = {}
+
+    def vector(self, embedder: Embedder) -> np.ndarray:
+        """The embedding under ``embedder``, computed once. An embedder with
+        ``embed_suffix`` extends the parent's vector by the bytes this query
+        adds; the sum of integer counts equals a full embedding exactly."""
+        vec = self._vectors.get(embedder)
+        if vec is None:
+            parent = self.parent
+            extend = getattr(embedder, "embed_suffix", None)
+            if extend is not None and parent is not None and embedder in parent._vectors:
+                vec = parent._vectors[embedder] + extend(self.data, len(parent.data))
+            else:
+                vec = embedder.embed(self.data.decode("utf-8"))
+            self._vectors[embedder] = vec
+        return vec
+
+
 class ExpertProfile:
     """The segment store for a single expert.
 
     Lookups are exact cosine scans over an index updated in place: one
     bucket-major matrix of shape ``(embedder.dim, slots)``, whose column per
-    slot holds a segment's embedding, and the norm of each column. Slots
+    slot holds a segment's embedding, and the norm of each column, kept as
+    infinity for an all-zero column so that its scores divide to 0. Slots
     follow insertion order, so the first maximum is the earliest-inserted
     segment among ties. New embeddings are staged and written as one block
     on the next scan, prune or credit, or once 256 wait.
@@ -101,15 +149,23 @@ class ExpertProfile:
     is then an integer below 2**24; any other query accumulates the same
     columns in float64. Norms and the division are always float64.
 
-    Each distinct query vector is scanned once per index state: the
-    similarity vector is kept, read-only, in a memo keyed by the query's
-    bytes. Anything that moves or adds a slot (an insert, a restore, a prune
-    that evicts, a compaction) empties the memo, and so does a scan that
-    finds 64 entries in it. Credits change utilities only, so they keep it.
+    Anything that moves or adds a slot (an insert, a restore, a prune that
+    evicts, a compaction) bumps the profile's ``version``; credits change
+    utilities only, so they keep it. A scan from a :class:`Query`, the
+    retrieval state a search node holds, leaves its result on the query,
+    tagged with the version, and a repeated scan at that version reads it
+    back. A child node's text extends its parent's, so when the parent's
+    query holds dots for this profile at the current version, taken on the
+    exact float32 path, and both the child's weights and their difference
+    from the parent's pass the same test, the scan multiplies only the rows
+    where the two vectors differ and adds the products to the parent's
+    dots. Every product and sum is then an integer below 2**24, so the
+    scores equal a full scan bit for bit. Any other scan is a full scan. The
+    profile itself keeps no per-query state.
 
     Every method that reads the index or changes the store holds the
-    profile's lock throughout, scans and the memo included, so a profile can
-    be shared between threads.
+    profile's lock throughout, scans included, so a profile can be shared
+    between threads; a scan writes to its query under that lock.
     """
 
     def __init__(
@@ -144,7 +200,7 @@ class ExpertProfile:
         self._slot_of: dict[str, int] = {}
         self._written = 0
         self._staged: list[np.ndarray] = []
-        self._memo: dict[bytes, np.ndarray] = {}
+        self.version = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -205,7 +261,7 @@ class ExpertProfile:
         self._slot_of[segment.segment_id] = len(self._slots)
         self._slots.append(segment)
         self._staged.append(embedding)
-        self._memo.clear()
+        self.version += 1
         if len(self._staged) >= _STAGE_LIMIT:
             self._flush()
 
@@ -236,7 +292,8 @@ class ExpertProfile:
         start, stop = self._written, self._written + len(block)
         segments = self._slots[start:stop]
         self._cols[:, start:stop] = block.T
-        self._norms[start:stop] = np.linalg.norm(block, axis=1)
+        norms = np.linalg.norm(block, axis=1)
+        self._norms[start:stop] = np.where(norms > 0.0, norms, np.inf)
         self._live[start:stop] = True
         self._util[start:stop] = [self.utility(segment) for segment in segments]
         self._created[start:stop] = [segment.created_at for segment in segments]
@@ -279,47 +336,79 @@ class ExpertProfile:
         self._slots = [segment for segment in self._slots if segment is not None]
         self._slot_of = {segment.segment_id: i for i, segment in enumerate(self._slots)}
         self._written = kept
-        self._memo.clear()
+        self.version += 1
 
     # -- retrieval ----------------------------------------------------------
 
-    def _scan(self, query_vec: np.ndarray) -> np.ndarray:
+    def _scan(self, query: Query | np.ndarray) -> np.ndarray:
         """Cosine similarity of the query against every written slot, dead
-        ones included, as a read-only array kept in the memo. The lock is
-        held."""
+        ones included, as a read-only array. A :class:`Query` keeps the scan
+        and starts from its parent's where it can. The lock is held."""
+        query_vec = query if isinstance(query, np.ndarray) else query.vector(self.embedder)
         if query_vec.shape != (self._cols.shape[0],):
             raise ValueError(
                 f"dimension mismatch: query {query_vec.shape} vs index {self._cols.shape[:1]}"
             )
         self._flush()
-        key = query_vec.tobytes()
-        sims = self._memo.get(key)
-        if sims is not None:
-            return sims
+        if isinstance(query, np.ndarray):
+            return self._similarities(query_vec).sims
+        held = query._scans.get(self)
+        if held is not None and held.version == self.version:
+            return held.sims
+        parent, base = query.parent, None
+        start = parent._scans.get(self) if parent is not None else None
+        if start is not None and start.version == self.version and start.dots is not None:
+            base = (parent.vector(self.embedder), start.dots)
+        scan = self._similarities(query_vec, base)
+        query._scans[self] = scan
+        return scan.sims
+
+    def _similarities(
+        self, query_vec: np.ndarray, base: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> _Scan:
+        """Scan the written slots. Given ``base``, the vector and exact dots
+        of a query scanned at this version, multiply only the rows where
+        ``query_vec`` differs from it, when that stays exact. The lock is
+        held and the index flushed."""
         written = self._written
-        sims = np.zeros(written, dtype=np.float64)
+        dots = None
         qnorm = float(np.linalg.norm(query_vec))
-        if qnorm != 0.0:
+        if qnorm == 0.0:
+            sims = np.zeros(written, dtype=np.float64)
+        else:
             buckets = np.flatnonzero(query_vec)
             weights = query_vec[buckets]
-            if self._cols.dtype == np.float32 and self._exact_in_float32(weights):
-                weights = weights.astype(np.float32)
-            # Float64 weights make the product widen float32 columns exactly.
-            dots = np.empty(written, dtype=np.result_type(weights, self._cols))
-            # Block by block, so each gathered block is still in cache when
-            # it is multiplied.
-            for start in range(0, written, _SCAN_BLOCK):
-                stop = min(start + _SCAN_BLOCK, written)
-                np.matmul(weights, self._cols[buckets, start:stop], out=dots[start:stop])
-            norms = self._norms[:written]
+            exact = self._cols.dtype == np.float32 and self._exact_in_float32(weights)
+            if exact and base is not None:
+                base_vec, base_dots = base
+                delta = query_vec - base_vec
+                changed = np.flatnonzero(delta)
+                if self._exact_in_float32(delta[changed]):
+                    # Every term and sum is an integer below 2**24.
+                    step = self._product(delta[changed].astype(np.float32), changed)
+                    dots = base_dots + step
+            if dots is None:
+                # Float64 weights make the product widen float32 columns exactly.
+                dots = self._product(weights.astype(np.float32) if exact else weights, buckets)
             # A float32 product is an exact integer, so widening it to divide
             # in float64 changes no bit.
-            np.divide(dots, norms * qnorm, out=sims, where=norms > 0.0)
-        if len(self._memo) >= _MEMO_LIMIT:
-            self._memo.clear()
+            sims = dots / (self._norms[:written] * qnorm)
+            if not exact:
+                dots = None
         sims.flags.writeable = False
-        self._memo[key] = sims
-        return sims
+        return _Scan(self.version, dots, sims)
+
+    def _product(self, weights: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """``weights`` times the matrix rows ``buckets``, for every written
+        slot. The lock is held."""
+        written = self._written
+        dots = np.empty(written, dtype=np.result_type(weights, self._cols))
+        # Block by block, so each gathered block is still in cache when it
+        # is multiplied.
+        for start in range(0, written, _SCAN_BLOCK):
+            stop = min(start + _SCAN_BLOCK, written)
+            np.matmul(weights, self._cols[buckets, start:stop], out=dots[start:stop])
+        return dots
 
     def _exact_in_float32(self, weights: np.ndarray) -> bool:
         """Whether every product and partial sum of these query weights
@@ -340,7 +429,9 @@ class ExpertProfile:
             sims = self._scan(query_vec)
             return sims[self._live[: self._written]] if self._dead else sims
 
-    def best_match(self, query: Trajectory | np.ndarray) -> tuple[SMSegment, float] | None:
+    def best_match(
+        self, query: Query | Trajectory | np.ndarray
+    ) -> tuple[SMSegment, float] | None:
         """The stored segment most similar to the query, with its score.
 
         Ties are resolved toward the earliest-inserted segment. Returns None
@@ -348,15 +439,16 @@ class ExpertProfile:
         """
         if not self._slot_of:
             return None
-        query_vec = query if isinstance(query, np.ndarray) else self.embed_query(query)
+        if isinstance(query, Trajectory):
+            query = Query(query)
         with self._lock:
-            sims = self._scan(query_vec)
+            sims = self._scan(query)
             if self._dead:
                 sims = np.where(self._live[: self._written], sims, -np.inf)
             slot = int(np.argmax(sims))
             return self._slots[slot], float(sims[slot])
 
-    def exemplar(self, query_vec: np.ndarray) -> SMSegment | None:
+    def exemplar(self, query: Query | np.ndarray) -> SMSegment | None:
         """The segment to cite as an exemplar for the query: among the
         segments tied on the top similarity, the highest utility wins, then
         the smallest ``created_at``, then the earliest inserted. Returns None
@@ -364,7 +456,7 @@ class ExpertProfile:
         if not self._slot_of:
             return None
         with self._lock:
-            sims = self._scan(query_vec)
+            sims = self._scan(query)
             if self._dead:
                 sims = np.where(self._live[: self._written], sims, -np.inf)
             tied = np.flatnonzero(sims == sims.max())
@@ -397,7 +489,7 @@ class ExpertProfile:
                 del self._slot_of[victim.segment_id]
                 self._slots[slot] = None
             self._live[ranked] = False
-            self._memo.clear()
+            self.version += 1
             if self._dead > len(self._slot_of):
                 self._compact()
             return victims

@@ -23,12 +23,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import ROUTING_STRATEGIES
 from .errors import ExpertUnavailableError
 from .experts import Council, propose_actions
-from .memory import EpisodeContext, ExpertProfile
+from .memory import EpisodeContext, Query
 from .trajectory import Trajectory
 
 
@@ -42,31 +40,15 @@ class RoutingDecision:
     distribution: dict[str, float] | None = None
 
 
-def _routing_scores(
-    council: Council, query: Trajectory, vectors: dict[int, np.ndarray]
-) -> dict[str, float]:
+def _routing_scores(council: Council, query: Query) -> dict[str, float]:
     """Maximum query similarity against each expert's stored segments, by
     expert id in council order. An empty profile scores 0."""
     scores: dict[str, float] = {}
     for expert in council.experts:
         profile = council.profile(expert.expert_id)
-        if len(profile) == 0:
-            scores[expert.expert_id] = 0.0
-            continue
-        match = profile.best_match(_query_vector(profile, query, vectors))
+        match = profile.best_match(query) if len(profile) else None
         scores[expert.expert_id] = match[1] if match is not None else 0.0
     return scores
-
-
-def _query_vector(
-    profile: ExpertProfile, query: Trajectory, vectors: dict[int, np.ndarray]
-) -> np.ndarray:
-    """The query under the profile's embedder, embedded once per embedder
-    and kept in ``vectors``."""
-    key = id(profile.embedder)
-    if key not in vectors:
-        vectors[key] = profile.embed_query(query)
-    return vectors[key]
 
 
 def routing_distribution(scores: dict[str, float], temperature: float) -> dict[str, float]:
@@ -87,7 +69,7 @@ def routing_distribution(scores: dict[str, float], temperature: float) -> dict[s
 
 def route(
     council: Council,
-    query: Trajectory,
+    query: Query | Trajectory,
     strategy: str,
     rng: random.Random,
     step_index: int = 0,
@@ -100,17 +82,20 @@ def route(
     Every single-expert strategy retrieves an exemplar from the chosen
     expert's profile when it has one (see ``ExpertProfile.exemplar``) and
     records the retrieval against the episode when one is supplied; the
-    exemplar accompanies the decision so proposal prompts can cite it.
+    exemplar accompanies the decision so proposal prompts can cite it. A
+    search passes its node's :class:`Query`, which keeps every scan made
+    here for the node and its children.
     """
     if strategy not in ROUTING_STRATEGIES:
         raise ValueError(f"unknown routing strategy: {strategy}")
+    if isinstance(query, Trajectory):
+        query = Query(query)
     ids = [e.expert_id for e in council.experts]
-    vectors: dict[int, np.ndarray] = {}
     scores: dict[str, float] | None = None
     distribution: dict[str, float] | None = None
 
     if strategy == "task-aware":
-        scores = _routing_scores(council, query, vectors)
+        scores = _routing_scores(council, query)
         distribution = routing_distribution(scores, temperature)
         chosen = rng.choices(ids, weights=[distribution[eid] for eid in ids])[0]
     elif strategy == "random":
@@ -118,14 +103,14 @@ def route(
     elif strategy == "round-robin":
         chosen = ids[step_index % len(ids)]
     elif strategy == "voting":
-        chosen = _voting_choice(council, query)
+        chosen = _voting_choice(council, query.trajectory)
     else:  # collaborative
         chosen = aggregator if aggregator is not None else ids[-1]
         if chosen not in council.by_id:
             raise ValueError(f"aggregator {chosen!r} is not a council member")
 
     profile = council.profile(chosen)
-    exemplar = profile.exemplar(_query_vector(profile, query, vectors)) if len(profile) else None
+    exemplar = profile.exemplar(query)
     if exemplar is not None and episode is not None:
         episode.record(profile, exemplar.segment_id)
     return RoutingDecision(

@@ -12,18 +12,24 @@ the siblings apart: the weight on the judged signal is its population
 standard deviation over the set divided by the two deviations' sum. A signal
 that rates every sibling identically carries no ranking information and is
 weighted out. The fused values come back as a list in child order, beside
-the two spreads and the weight.
+the two spreads and the weight. Each deviation is computed exactly and
+rounded once, so it is the same float on every interpreter.
 """
 
 from __future__ import annotations
 
+import math
 import random
-import statistics
+import sys
 from typing import NamedTuple, Sequence
 
 from .experts import Council, evaluate_plausibility
-from .memory import EpisodeContext, ExpertProfile
+from .memory import EpisodeContext, ExpertProfile, Query
 from .trajectory import Trajectory
+
+# Bits of the integer square root that spread() rounds to a float: twice the
+# float mantissa plus three, enough for round-to-odd to round correctly.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
 
 
 class Fusion(NamedTuple):
@@ -42,14 +48,15 @@ def llm_value(council: Council, prefix: Trajectory, rng: random.Random) -> float
 
 
 def sms_value(
-    profile: ExpertProfile, prefix: Trajectory, episode: EpisodeContext | None = None
+    profile: ExpertProfile, query: Query | Trajectory, episode: EpisodeContext | None = None
 ) -> float:
-    """Utility of the profile's closest stored segment.
+    """Utility of the profile's closest stored segment to the child, given
+    as its node's :class:`Query` or as a trajectory.
 
     An empty profile yields the cold-start prior. A consulted match is
     recorded against the episode when one is supplied.
     """
-    match = profile.best_match(prefix)
+    match = profile.best_match(query)
     if match is None:
         return profile.cold_start
     segment, _score = match
@@ -68,6 +75,34 @@ def normalize(values: Sequence[float]) -> list[float]:
     if hi == lo:
         return [0.5] * len(values)
     return [(v - lo) / (hi - lo) for v in values]
+
+
+def spread(values: Sequence[float]) -> float:
+    """Population standard deviation, correctly rounded.
+
+    Every float is an integer over a power of two, so over their largest
+    denominator D the variance is exactly ``(n·Σa² − (Σa)²) / (n·D)²`` in
+    integers a. Its square root is taken with ``math.isqrt`` to
+    ``_SQRT_BITS`` bits, rounded to odd, and rounded once more to a float:
+    the value Python 3.11's ``statistics.pstdev`` returns.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = max(d for _, d in ratios)
+    scaled = [n * (denominator // d) for n, d in ratios]
+    count, total = len(scaled), sum(scaled)
+    numerator = count * sum(a * a for a in scaled) - total * total
+    divisor = (count * denominator) ** 2
+    shift = (numerator.bit_length() - divisor.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        return float(_sqrt_to_odd(numerator, divisor << 2 * shift) << shift)
+    return _sqrt_to_odd(numerator << -2 * shift, divisor) / (1 << -shift)
+
+
+def _sqrt_to_odd(numerator: int, divisor: int) -> int:
+    """The integer part of sqrt(numerator / divisor), its last bit set when
+    the root is inexact (round to odd)."""
+    root = math.isqrt(numerator // divisor)
+    return root | (root * root * divisor != numerator)
 
 
 def fusion_weight(spread_llm: float, spread_sms: float) -> float:
@@ -94,8 +129,8 @@ def fuse_batch(v_llm: Sequence[float], v_sms: Sequence[float]) -> Fusion:
         for value in signal:
             if value is None or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    sigma_llm = statistics.pstdev(v_llm)
-    sigma_sms = statistics.pstdev(v_sms)
+    sigma_llm = spread(v_llm)
+    sigma_sms = spread(v_sms)
     alpha = fusion_weight(sigma_llm, sigma_sms)
     fused = [
         alpha * nl + (1.0 - alpha) * ns for nl, ns in zip(normalize(v_llm), normalize(v_sms))

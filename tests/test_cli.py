@@ -192,6 +192,12 @@ def _llm(**params) -> dict:
         ({"council": [_llm(eval_temperature=-1)]}, (), "council[0].params.eval_temperature"),
         ({"planner": {"budget": {"iterations": 0}}}, (), "planner.budget.iterations"),
         ({}, ("--iterations", "0"), "planner.budget.iterations"),
+        ({"env": {"name": "synth", "params": {"depth": 0}}}, (), "env.params.depth"),
+        (
+            {"env": {"name": "synth", "params": {"families": ["amber", "amber"]}}},
+            (),
+            "env.params.families",
+        ),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):

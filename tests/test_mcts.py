@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,7 +29,7 @@ from council.mcts import (
     select_path,
     uct_score,
 )
-from council.trajectory import Trajectory
+from council.trajectory import Trajectory, serialize_trajectory
 
 
 def test_unvisited_nodes_score_infinite():
@@ -473,3 +474,25 @@ def test_a_search_replays_once_and_applies_once_per_node():
     # Every node carries the state a replay of its actions rebuilds.
     for node in result.tree.nodes:
         assert node.state == env.inner.replay(synth_task(), _actions_to(result.tree, node)).state
+
+
+def test_every_scan_a_node_holds_equals_a_full_scan():
+    cfg = SynthConfig(depth=3, budget=3)
+    env = SynthEnv(cfg)
+    council = synth_council(cfg, "amber", "basalt", "cedar")
+    for seed in range(9):  # shared searches fill the profiles
+        task = synth_task(cfg.families[seed % 3], seed)
+        search(task, env, council, planner(iterations=12), random.Random(seed))
+    assert all(len(profile) for profile in council.profiles.values())
+    result = search(
+        synth_task("basalt", 11), env, council, planner(), random.Random(11), update_memory=False
+    )
+    scans = 0
+    for node in result.tree.nodes:
+        full = council.profile("amber-specialist").embedder.embed(serialize_trajectory(node.prefix))
+        for profile, scan in node.query._scans.items():
+            assert np.array_equal(node.query.vector(profile.embedder), full)
+            with profile._lock:
+                assert np.array_equal(scan.sims, profile._similarities(full).sims)
+            scans += 1
+    assert scans > len(result.tree.nodes)

@@ -2,23 +2,39 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import random
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from council.config import PlannerConfig, SearchBudget
 from council.embedding import TrigramEmbedder, similarity
+from council.envs.base import TaskSpec
+from council.envs.synth import SynthConfig, SynthEnv
 from council.errors import InvalidStateError
+from council.experts import Council, SynthSpecialistExpert
+from council.mcts import search
 from council.memory import (
-    _MEMO_LIMIT,
     EpisodeContext,
     ExpertProfile,
+    Query,
     SMSegment,
     finalize_episode,
     profile_records,
     restore_profiles,
     sms_utility,
 )
-from council.trajectory import EpisodeRecord, Trajectory, serialize_trajectory
+from council.trajectory import (
+    Action,
+    EpisodeRecord,
+    Observation,
+    Trajectory,
+    serialize_trajectory,
+)
 
 from conftest import make_trajectory, record_history
 
@@ -282,7 +298,7 @@ def test_a_profile_held_at_capacity_never_doubles_its_matrix():
     brute_force_check(profile, [profile.embedder.embed("episode 39 step 2")])
 
 
-# -- the scan memo ------------------------------------------------------------
+# -- scans from node-held queries ------------------------------------------------
 
 
 def test_a_scan_after_an_insert_scores_the_new_segment():
@@ -302,22 +318,133 @@ def test_a_prune_between_two_scans_hides_the_evicted_segment():
     nearest = profile.insert(stored)
     for i in range(2):
         profile.insert(make_trajectory([(f"far away text {i}", f"other {i}")]))
-    query = profile.embed_query(stored)
+    query = Query(stored)
     assert profile.best_match(query)[0] is nearest
-    # A credit keeps the memo; the prune that follows must not.
+    # A credit keeps the version; the prune that follows must not.
+    version = profile.version
     decide(profile, nearest, [False])
+    assert profile.version == version
     assert profile.prune() == [nearest.segment_id]
+    assert profile.version != version
     assert profile.best_match(query)[0] is not nearest
-    brute_force_check(profile, [query])
+    brute_force_check(profile, [query.vector(profile.embedder)])
 
 
-def test_the_memo_never_holds_more_than_its_cap():
+def counting_products(monkeypatch) -> list[int]:
+    """The number of index rows each later scan multiplies."""
+    rows: list[int] = []
+    product = ExpertProfile._product
+
+    def counted(profile, weights, buckets):
+        rows.append(len(buckets))
+        return product(profile, weights, buckets)
+
+    monkeypatch.setattr(ExpertProfile, "_product", counted)
+    return rows
+
+
+def test_a_scan_against_a_stale_version_falls_back_to_a_full_scan(monkeypatch):
     profile = fresh_profile()
-    for i in range(20):
-        profile.insert(make_trajectory([(f"stored observation {i}", "act")]))
-    for i in range(200):
-        profile.best_match(profile.embedder.embed(f"query number {i} of many"))
-        assert 0 < len(profile._memo) <= _MEMO_LIMIT
+    for i in range(12):
+        profile.insert(make_trajectory([(f"stored observation {i}", f"act {i % 4}")]))
+    parent = Query(make_trajectory([("stored observation 3", "act 3")], pending="next obs"))
+    grown = parent.trajectory.extend(Action("act 9"), Observation("after the act"))
+    rows = counting_products(monkeypatch)
+    profile.best_match(parent)
+    profile.best_match(parent)
+    assert len(rows) == 1  # the repeat is read back
+
+    # Same version: the child multiplies only the rows its step changed.
+    child = Query(grown, parent=parent)
+    profile.best_match(child)
+    delta = child.vector(profile.embedder) - parent.vector(profile.embedder)
+    assert rows[-1] == np.count_nonzero(delta) < np.count_nonzero(child.vector(profile.embedder))
+
+    # An insert bumps the version; the parent's dots are stale.
+    profile.insert(make_trajectory([("a late arrival", "act")]))
+    late = Query(grown, parent=parent)
+    profile.best_match(late)
+    assert rows[-1] == np.count_nonzero(late.vector(profile.embedder))
+    brute_force_check(profile, [late.vector(profile.embedder)])
+    assert np.array_equal(
+        profile.match_scores(late.vector(profile.embedder)), late._scans[profile].sims
+    )
+
+
+def test_node_state_is_dropped_with_the_tree_and_profiles_hold_none():
+    cfg = SynthConfig(depth=4, budget=3)
+    council = Council(
+        [SynthSpecialistExpert(f"{f}-specialist", f, cfg) for f in ("amber", "basalt")],
+        embedder=TrigramEmbedder(64),
+    )
+    for profile in council.profiles.values():
+        for i in range(6):
+            profile.insert(make_trajectory([(f"[amber#b] go +{i}", f"token {i}")]))
+    planner = PlannerConfig(budget=SearchBudget(iterations=8, expansion_width=2, max_depth=6))
+    task = TaskSpec("synth-amber-0000", "synth", {"family": "amber", "seed": 7})
+    result = search(task, SynthEnv(cfg), council, planner, random.Random(2), update_memory=False)
+    held = [
+        weakref.ref(array)
+        for node in result.tree.nodes
+        for scan in node.query._scans.values()
+        for array in (scan.sims, scan.dots)
+        if array is not None
+    ]
+    assert len(held) > len(result.tree.nodes)
+    del result
+    gc.collect()
+    assert all(ref() is None for ref in held)
+
+
+_TEXT = st.text(alphabet="ab \\\né中😀", max_size=8)
+_CHANGE = st.sampled_from(["none", "insert", "restore", "evict", "compact", "credit"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([TrigramEmbedder, Float64Trigrams]),
+    st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=6),
+    _TEXT,
+    st.lists(st.tuples(st.tuples(_TEXT, _TEXT), _CHANGE), min_size=1, max_size=6),
+)
+def test_node_held_scans_equal_full_scans_bit_for_bit(kind, stored, root_text, path):
+    """A chain of node queries, each extending the last by one step, with
+    the profile changing between a parent's scan and its child's."""
+    embedder = kind(16)
+    profile = ExpertProfile("x", capacity=3, embedder=embedder)
+    for obs, act in stored:
+        profile.insert(make_trajectory([(obs, act)]))
+    query = Query(Trajectory(pending=Observation(root_text)))
+    created = 1000
+    for (act, obs), change in path:
+        profile.best_match(query)
+        if change == "insert":
+            profile.insert(make_trajectory([(obs, act)]))
+        elif change == "restore":
+            created += 1
+            prefix = make_trajectory([(obs, f"restored {act}")])
+            with contextlib.suppress(ValueError):  # already stored
+                profile._restore(SMSegment(f"x:{created}", prefix, created))
+        elif change == "evict":
+            profile.prune()
+        elif change == "compact":
+            with profile._lock:
+                profile._flush()
+                profile._compact()
+        elif change == "credit" and len(profile):
+            decide(profile, profile.segments()[0], [True])
+        trajectory = query.trajectory.extend(Action(act), Observation(obs))
+        query = Query(trajectory, parent=query)
+        vec = query.vector(embedder)
+        full = embedder.embed(serialize_trajectory(trajectory))
+        assert vec.dtype == full.dtype and np.array_equal(vec, full)
+        if not len(profile):
+            continue
+        assert profile.best_match(query) == profile.best_match(full)
+        sims = query._scans[profile].sims
+        with profile._lock:
+            assert np.array_equal(sims, profile._similarities(full).sims)
+        brute_force_check(profile, [full])
 
 
 def test_mutating_a_returned_array_cannot_change_a_later_result():

@@ -1,0 +1,185 @@
+"""Pinned SHA-256 of the run files of four small runs.
+
+A change that means to alter output bytes updates these pins in the same
+change and says why; any other change must leave them holding. Each run is
+pinned at workers 1 in its own memory mode and at workers 2 with unshared
+memory, because shared memory runs its tasks one after another.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from council.config import EnvSpec, ExpertSpec, MemoryConfig, PlannerConfig, RunConfig, SearchBudget
+from council.embedding import TrigramEmbedder
+from council.envs.game24 import make_game24_tasks
+from council.envs.synth import (
+    DEFAULT_FAMILIES,
+    SynthConfig,
+    SynthEnv,
+    family_vocab,
+    hidden_sequence,
+    make_synth_tasks,
+    parse_view,
+)
+from council.experts import Council, LLMExpert
+from council.gateway import DEFAULT_TEMPLATES, ChatRequest, StubBackend
+from council.harness import load_memory, run, run_tasks
+
+PLANNER = PlannerConfig(
+    budget=SearchBudget(iterations=12, expansion_width=2, max_depth=9),
+    routing_strategy="task-aware",
+    routing_temperature=0.15,
+)
+
+PINS = {
+    ("game24", 1): (
+        "aa0103c23f0944b7442419715f883e655168e61d232099af3f941036b2398e72",
+        "b82ca995dd9d195c232d6a2115381ed1d777dea409add881d21de4a820af7919",
+    ),
+    ("game24", 2): (
+        "aa0103c23f0944b7442419715f883e655168e61d232099af3f941036b2398e72",
+        "2aaa4a2571f26a346a04a41148e50be860bc90b0cde30f7080b40dc5ab4324e4",
+    ),
+    ("synth", 1): (
+        "5c20056e8aa070e6ae051522b78253ef71151533e555aa0622c4e964c6c430c6",
+        "69a15261e0a2741c4b44274b2b159e9e3358bde613e2529fb5f0318cbd6ceede",
+    ),
+    ("synth", 2): (
+        "6ac6a3254376d02d25e5eb990f2c22395277e80bf2b4f2bfbcc8c47a0fcc1db3",
+        "3d5ba5b049d14166f9dcf0648ea0fb1d8a6391be3f7610e15b44e0019bca4086",
+    ),
+    ("synth-preloaded", 1): (
+        "b4a9e026e6fd4152aae51708efe2cab0bec561bfe5cb6b1cd8c397e59887acfa",
+        "92b5ecace6f29de12cb6a86a41f23dbf156652b5f5a142ac248c8ce82812e2ba",
+    ),
+    ("synth-preloaded", 2): (
+        "6251c29588f58e24e19884682d3f239ae8f35de00d4aa78b3e484d3f3ae63bb7",
+        "2509983faeb1e99c426e79eb3672b060d6da09e0a1e9c306f44ed37ec7bf0419",
+    ),
+    ("llm-stub", 1): (
+        "a015e09c6aaee2ce3b37d23ba1626bce8a82dd38aace1ae33850669d7c361e97",
+        "317c8bcac7f3ac0ef4155235902887350cf1626b549a4e5514dab35d6788dca4",
+    ),
+    ("llm-stub", 2): (
+        "c95f876e51593e6979014a963f750ca3f7f2da81bcf7ce3a1ca5c2c8097489b0",
+        "0d6be1007eb9d2dbf45d24e9104cbc3b8344a9d2a3dd918dd203729f622b2225",
+    ),
+}
+
+
+def _digests(out_dir: Path) -> tuple[str, str]:
+    return tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("metrics.jsonl", "trace.jsonl")
+    )
+
+
+def _synth_config(out_dir: Path, **overrides) -> RunConfig:
+    """The run of acceptance criterion 12: one specialist per family."""
+    base = dict(
+        seed=9,
+        env=EnvSpec(name="synth"),
+        council=[
+            ExpertSpec(f"{family}-specialist", params={"role": "synth-specialist", "family": family})
+            for family in DEFAULT_FAMILIES
+        ],
+        planner=PLANNER,
+        out_dir=str(out_dir),
+        warmup_tasks=5,
+        embedding_dim=1024,
+    )
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def _unshared(memory: MemoryConfig, workers: int) -> MemoryConfig:
+    return memory if workers == 1 else replace(memory, shared=False)
+
+
+@pytest.fixture(scope="module")
+def memory_file(tmp_path_factory) -> Path:
+    """Profiles saved by a shared run over tasks the pinned runs never see."""
+    out = tmp_path_factory.mktemp("memory")
+    path = out / "memory.jsonl"
+    memory = MemoryConfig(save_path=str(path))
+    run(_synth_config(out, memory=memory), tasks=make_synth_tasks(30, seed=31))
+    return path
+
+
+def _reply(family: str):
+    """A fixed reply function, a pure function of the request. On a task of
+    its own family it proposes the next hidden token three times in four
+    and scores by progress; otherwise a hash of the request picks one of
+    its family's tokens or a score from 0 to 10."""
+    config = SynthConfig()
+    vocab = family_vocab(family, config)
+
+    def reply(request: ChatRequest) -> str:
+        text = "\n".join(message.content for message in request.messages)
+        draw = int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
+        observation = [line for line in text.splitlines() if line.startswith("OBS: ")][-1]
+        view = parse_view(observation[len("OBS: "):], config)
+        mine = view is not None and view.family == family and not (view.solved or view.failed)
+        if request.messages[0].content == DEFAULT_TEMPLATES.system_act:
+            if mine and draw % 4:
+                return hidden_sequence(family, view.seed, config)[view.done]
+            return vocab[draw % len(vocab)]
+        return str(round(10 * view.done / view.depth)) if mine else str(draw % 11)
+
+    return reply
+
+
+def _run(case: str, workers: int, out: Path, memory_file: Path) -> None:
+    if case == "game24":
+        config = RunConfig(
+            seed=1,
+            env=EnvSpec(name="game24"),
+            council=[ExpertSpec("solver", params={"role": "game24-oracle"})],
+            out_dir=str(out),
+            workers=workers,
+            memory=_unshared(MemoryConfig(), workers),
+        )
+        run(config, tasks=make_game24_tasks(100, seed=11))
+    elif case == "synth":
+        memory = _unshared(MemoryConfig(), workers)
+        run(_synth_config(out, workers=workers, memory=memory), tasks=make_synth_tasks(20, seed=29))
+    elif case == "synth-preloaded":
+        # Loaded past capacity, so every success inserts and then evicts.
+        memory = _unshared(MemoryConfig(capacity=8, load_path=str(memory_file)), workers)
+        run(_synth_config(out, workers=workers, memory=memory), tasks=make_synth_tasks(20, seed=37))
+    else:
+        embedder = TrigramEmbedder(1024)
+        council = Council(
+            [
+                LLMExpert(
+                    f"{family}-specialist",
+                    StubBackend(_reply(family), backend_id=f"{family}-stub"),
+                )
+                for family in DEFAULT_FAMILIES
+            ],
+            profiles=load_memory(memory_file, embedder=embedder, capacity=16),
+            embedder=embedder,
+            capacity=16,
+        )
+        run_tasks(
+            make_synth_tasks(12, seed=41),
+            SynthEnv(),
+            PLANNER,
+            seed=5,
+            council=council,
+            warmup_tasks=2,
+            out_dir=out,
+            workers=workers,
+            shared=workers == 1,
+        )
+
+
+@pytest.mark.parametrize("case, workers", sorted(PINS))
+def test_run_files_match_their_pins(case, workers, tmp_path, memory_file):
+    _run(case, workers, tmp_path, memory_file)
+    assert _digests(tmp_path) == PINS[case, workers]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +21,7 @@ from council.values import (
     llm_value,
     normalize,
     sms_value,
+    spread,
 )
 
 from conftest import make_trajectory, record_history
@@ -113,6 +117,48 @@ def test_fusion_weight_rejects_negative_spreads():
         fusion_weight(-0.1, 0.2)
     with pytest.raises(ValueError):
         fusion_weight(0.1, -0.2)
+
+
+# -- spread ------------------------------------------------------------------------
+
+
+def rounds_correctly(root: float, square: Fraction) -> bool:
+    """Whether ``root`` is sqrt(square) rounded to the nearest float, ties
+    to even: the exact root lies between the midpoints to its neighbours."""
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+    low = ((Fraction(below) + Fraction(root)) / 2) ** 2
+    high = ((Fraction(root) + Fraction(above)) / 2) ** 2
+    if square in (low, high) and root != 0.0:
+        return math.frexp(root)[0] * 2**53 % 2 == 0
+    return low <= square <= high
+
+
+_UNIT = st.floats(0, 1)
+
+
+@given(
+    st.one_of(
+        st.lists(_UNIT, min_size=1, max_size=8),
+        st.builds(lambda value, count: [value] * count, _UNIT, st.integers(1, 8)),
+    )
+)
+def test_spread_is_the_correctly_rounded_population_deviation(values):
+    exact = [Fraction(value) for value in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / len(exact)
+    root = spread(values)
+    assert rounds_correctly(root, variance)
+    if len(set(values)) == 1:
+        assert root == 0.0
+    if sys.version_info >= (3, 11):
+        assert root == statistics.pstdev(values)
+
+
+def test_spread_examples():
+    assert spread([0.5]) == 0.0
+    assert spread([0.25, 0.25, 0.25]) == 0.0
+    assert spread([0.0, 1.0]) == 0.5
+    assert spread([0.2, 0.8]) == 0.30000000000000004
 
 
 # -- batch fusion -----------------------------------------------------------------
