@@ -209,6 +209,8 @@ def _memory_summary(profiles: dict) -> list[str]:
 def cmd_memory(args: argparse.Namespace) -> int:
     if args.action == "save" and not args.dest:
         raise ValueError("memory save needs a destination path")
+    if args.embedding_dim < 1:
+        raise ValueError(f"--embedding-dim must be at least 1, got {args.embedding_dim}")
     profiles = load_memory(args.path, embedder=TrigramEmbedder(args.embedding_dim))
     if args.action == "load":
         count = sum(len(profile) for profile in profiles.values())

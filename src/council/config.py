@@ -234,8 +234,14 @@ def validate_config(config: RunConfig) -> RunConfig:
         "memory.save_path",
         "requires memory.shared = true; unshared memory is never written",
     )
+    ids = [spec.expert_id for spec in config.council]
     for i, spec in enumerate(config.council):
         _require(bool(spec.expert_id), f"council[{i}].expert_id", "must be non-empty")
+        _require(
+            spec.expert_id not in ids[:i],
+            f"council[{i}].expert_id",
+            f"repeats the expert id {spec.expert_id!r}",
+        )
         _require(
             spec.kind in ("scripted", "llm-backed"),
             f"council[{i}].kind",
@@ -249,7 +255,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             _require(params.timeout > 0.0, f"{key}.timeout", "must be positive")
             for name in ("act_temperature", "eval_temperature"):
                 _require(getattr(params, name) >= 0.0, f"{key}.{name}", "must be non-negative")
-    aggregator, ids = config.planner.aggregator, [spec.expert_id for spec in config.council]
+    aggregator = config.planner.aggregator
     # An empty council is filled in later with the environment's default.
     if aggregator is not None and ids:
         _require(aggregator in ids, "planner.aggregator", f"must be one of the expert ids {ids}")

@@ -41,18 +41,18 @@ from .envs.base import Environment, TaskSpec
 
 @dataclass
 class SearchNode:
-    """One tree node. ``prefix`` holds the completed steps from the root plus
-    the observation now awaiting an action, ``state`` the environment state
-    they reach, and ``query`` the node's retrieval state, linked to its
-    parent's (see the module docstring); ``value`` and ``visits`` carry the
-    running mean reward used by selection. A terminal node always carries
-    its ``reward``: a ``StepOutcome`` or ``replay`` that ends the episode
-    sets one, and ``_mark_failed`` sets 0.0."""
+    """One tree node. ``query`` is the node's retrieval state, linked to its
+    parent's (see the module docstring); its trajectory, read as ``prefix``,
+    holds the completed steps from the root plus the observation now
+    awaiting an action. ``state`` is the environment state they reach;
+    ``value`` and ``visits`` carry the running mean reward used by
+    selection. A terminal node always carries its ``reward``: a
+    ``StepOutcome`` or ``replay`` that ends the episode sets one, and
+    ``_mark_failed`` sets 0.0."""
 
     node_id: int
-    prefix: Trajectory
+    query: Query
     state: Any = None
-    query: Query | None = None
     parent: int | None = None
     action: str | None = None
     expert_id: str | None = None
@@ -62,6 +62,10 @@ class SearchNode:
     fused_value: float | None = None
     visits: int = 0
     value: float = 0.0
+
+    @property
+    def prefix(self) -> Trajectory:
+        return self.query.trajectory
 
     @property
     def depth(self) -> int:
@@ -79,8 +83,8 @@ class SearchTree:
     def node(self, node_id: int) -> SearchNode:
         return self.nodes[node_id]
 
-    def add(self, **kwargs) -> SearchNode:
-        node = SearchNode(node_id=len(self.nodes), **kwargs)
+    def add(self, query: Query, **kwargs) -> SearchNode:
+        node = SearchNode(len(self.nodes), query, **kwargs)
         self.nodes.append(node)
         return node
 
@@ -92,11 +96,14 @@ class PlanResult:
     reward: float
     best_trajectory: Trajectory
     iterations_used: int
-    nodes_expanded: int
     max_depth_reached: int
     best_node_id: int
     episode: EpisodeRecord
     tree: SearchTree
+
+    @property
+    def nodes_expanded(self) -> int:
+        return len(self.tree.nodes) - 1
 
 
 def uct_score(value: float, visits: int, parent_visits: int, exploration: float) -> float:
@@ -298,11 +305,9 @@ def search(
     tree = SearchTree()
 
     root_replay = env.replay(task, [])
-    root_prefix = Trajectory(pending=root_replay.observation)
     root = tree.add(
-        prefix=root_prefix,
+        Query(Trajectory(pending=root_replay.observation)),
         state=root_replay.state,
-        query=Query(root_prefix),
         terminal=root_replay.terminal,
         reward=root_replay.reward,
     )
@@ -311,7 +316,6 @@ def search(
     candidates: dict[int, SearchNode] = {}
     success_node: SearchNode | None = None
     iterations_used = 0
-    nodes_expanded = 0
     route_counter = 0
 
     if root.terminal:
@@ -368,9 +372,8 @@ def search(
                     state, outcome = env.apply(task, leaf.state, action.text)
                     prefix = leaf.prefix.extend(action, outcome.observation)
                     child = tree.add(
-                        prefix=prefix,
+                        Query(prefix, parent=leaf.query),
                         state=state,
-                        query=Query(prefix, parent=leaf.query),
                         parent=leaf.node_id,
                         action=action.text,
                         expert_id=decision.chosen,
@@ -381,7 +384,6 @@ def search(
                     children.append(child)
                     if child.terminal:
                         candidates[child.node_id] = child
-                nodes_expanded += len(children)
 
                 mode = planner.value_mode
                 fusion = _assign_values(children, council, decision.chosen, mode, rng, episode)
@@ -449,6 +451,17 @@ def search(
     )
     if update_memory:
         finalize_episode(council.profiles, record)
+    result = PlanResult(
+        task_id=task.task_id,
+        success=success,
+        reward=final_reward,
+        best_trajectory=record.final_trajectory,
+        iterations_used=iterations_used,
+        max_depth_reached=max(node.depth for node in tree.nodes),
+        best_node_id=best.node_id,
+        episode=record,
+        tree=tree,
+    )
     if trace is not None:
         trace.append(
             {
@@ -459,19 +472,7 @@ def search(
                 "actions": [step.action.text for step in record.final_trajectory.steps],
                 "per_step_expert": list(record.per_step_expert),
                 "iterations_used": iterations_used,
-                "nodes_expanded": nodes_expanded,
+                "nodes_expanded": result.nodes_expanded,
             }
         )
-
-    return PlanResult(
-        task_id=task.task_id,
-        success=success,
-        reward=final_reward,
-        best_trajectory=best.prefix.completed(),
-        iterations_used=iterations_used,
-        nodes_expanded=nodes_expanded,
-        max_depth_reached=max(node.depth for node in tree.nodes),
-        best_node_id=best.node_id,
-        episode=record,
-        tree=tree,
-    )
+    return result

@@ -151,8 +151,9 @@ class ExpertProfile:
 
     Anything that moves or adds a slot (an insert, a restore, a prune that
     evicts, a compaction) bumps the profile's ``version``; credits change
-    utilities only, so they keep it. A scan from a :class:`Query`, the
-    retrieval state a search node holds, leaves its result on the query,
+    utilities only, so they keep it. Every read (``best_match``,
+    ``exemplar``, ``match_scores``) takes a :class:`Query`, the retrieval
+    state a search node holds. A scan leaves its result on the query,
     tagged with the version, and a repeated scan at that version reads it
     back. A child node's text extends its parent's, so when the parent's
     query holds dots for this profile at the current version, taken on the
@@ -340,38 +341,23 @@ class ExpertProfile:
 
     # -- retrieval ----------------------------------------------------------
 
-    def _scan(self, query: Query | np.ndarray) -> np.ndarray:
+    def _scan(self, query: Query) -> np.ndarray:
         """Cosine similarity of the query against every written slot, dead
-        ones included, as a read-only array. A :class:`Query` keeps the scan
-        and starts from its parent's where it can. The lock is held."""
-        query_vec = query if isinstance(query, np.ndarray) else query.vector(self.embedder)
+        ones included, as a read-only array, which the query keeps. A scan
+        the query holds at this version is read back; a child whose parent
+        holds exact dots at this version multiplies only the rows where the
+        two vectors differ, when that stays exact; any other scan is a full
+        scan. The lock is held."""
+        self._flush()
+        held = query._scans.get(self)
+        if held is not None and held.version == self.version:
+            return held.sims
+        query_vec = query.vector(self.embedder)
         if query_vec.shape != (self._cols.shape[0],):
             raise ValueError(
                 f"dimension mismatch: query {query_vec.shape} vs index {self._cols.shape[:1]}"
             )
-        self._flush()
-        if isinstance(query, np.ndarray):
-            return self._similarities(query_vec).sims
-        held = query._scans.get(self)
-        if held is not None and held.version == self.version:
-            return held.sims
-        parent, base = query.parent, None
-        start = parent._scans.get(self) if parent is not None else None
-        if start is not None and start.version == self.version and start.dots is not None:
-            base = (parent.vector(self.embedder), start.dots)
-        scan = self._similarities(query_vec, base)
-        query._scans[self] = scan
-        return scan.sims
-
-    def _similarities(
-        self, query_vec: np.ndarray, base: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> _Scan:
-        """Scan the written slots. Given ``base``, the vector and exact dots
-        of a query scanned at this version, multiply only the rows where
-        ``query_vec`` differs from it, when that stays exact. The lock is
-        held and the index flushed."""
-        written = self._written
-        dots = None
+        written, dots = self._written, None
         qnorm = float(np.linalg.norm(query_vec))
         if qnorm == 0.0:
             sims = np.zeros(written, dtype=np.float64)
@@ -379,14 +365,15 @@ class ExpertProfile:
             buckets = np.flatnonzero(query_vec)
             weights = query_vec[buckets]
             exact = self._cols.dtype == np.float32 and self._exact_in_float32(weights)
-            if exact and base is not None:
-                base_vec, base_dots = base
-                delta = query_vec - base_vec
+            parent = query.parent
+            base = parent._scans.get(self) if exact and parent is not None else None
+            if base is not None and base.version == self.version and base.dots is not None:
+                delta = query_vec - parent.vector(self.embedder)
                 changed = np.flatnonzero(delta)
                 if self._exact_in_float32(delta[changed]):
                     # Every term and sum is an integer below 2**24.
                     step = self._product(delta[changed].astype(np.float32), changed)
-                    dots = base_dots + step
+                    dots = base.dots + step
             if dots is None:
                 # Float64 weights make the product widen float32 columns exactly.
                 dots = self._product(weights.astype(np.float32) if exact else weights, buckets)
@@ -396,7 +383,8 @@ class ExpertProfile:
             if not exact:
                 dots = None
         sims.flags.writeable = False
-        return _Scan(self.version, dots, sims)
+        query._scans[self] = _Scan(self.version, dots, sims)
+        return sims
 
     def _product(self, weights: np.ndarray, buckets: np.ndarray) -> np.ndarray:
         """``weights`` times the matrix rows ``buckets``, for every written
@@ -417,48 +405,43 @@ class ExpertProfile:
             return False
         return bool(np.logical_and.reduce(weights == np.rint(weights)))
 
-    def embed_query(self, query: Trajectory) -> np.ndarray:
-        return self.embedder.embed(serialize_trajectory(query))
+    def _live_scan(self, query: Query) -> np.ndarray | None:
+        """The query's scan with evicted slots at -inf, or None on an empty
+        profile. The lock is held."""
+        if not self._slot_of:
+            return None
+        sims = self._scan(query)
+        return np.where(self._live[: self._written], sims, -np.inf) if self._dead else sims
 
-    def match_scores(self, query_vec: np.ndarray) -> np.ndarray:
+    def match_scores(self, query: Query) -> np.ndarray:
         """Similarity of the query against every segment, in insertion order.
         The array is read-only."""
-        if not self._slot_of:
-            return np.zeros(0, dtype=np.float64)
         with self._lock:
-            sims = self._scan(query_vec)
+            sims = self._scan(query)
             return sims[self._live[: self._written]] if self._dead else sims
 
-    def best_match(
-        self, query: Query | Trajectory | np.ndarray
-    ) -> tuple[SMSegment, float] | None:
+    def best_match(self, query: Query) -> tuple[SMSegment, float] | None:
         """The stored segment most similar to the query, with its score.
 
         Ties are resolved toward the earliest-inserted segment. Returns None
         on an empty profile.
         """
-        if not self._slot_of:
-            return None
-        if isinstance(query, Trajectory):
-            query = Query(query)
         with self._lock:
-            sims = self._scan(query)
-            if self._dead:
-                sims = np.where(self._live[: self._written], sims, -np.inf)
+            sims = self._live_scan(query)
+            if sims is None:
+                return None
             slot = int(np.argmax(sims))
             return self._slots[slot], float(sims[slot])
 
-    def exemplar(self, query: Query | np.ndarray) -> SMSegment | None:
+    def exemplar(self, query: Query) -> SMSegment | None:
         """The segment to cite as an exemplar for the query: among the
         segments tied on the top similarity, the highest utility wins, then
         the smallest ``created_at``, then the earliest inserted. Returns None
         on an empty profile."""
-        if not self._slot_of:
-            return None
         with self._lock:
-            sims = self._scan(query)
-            if self._dead:
-                sims = np.where(self._live[: self._written], sims, -np.inf)
+            sims = self._live_scan(query)
+            if sims is None:
+                return None
             tied = np.flatnonzero(sims == sims.max())
             if len(tied) > 1:
                 # lexsort is stable and sorts by its last key first.

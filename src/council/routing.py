@@ -46,7 +46,7 @@ def _routing_scores(council: Council, query: Query) -> dict[str, float]:
     scores: dict[str, float] = {}
     for expert in council.experts:
         profile = council.profile(expert.expert_id)
-        match = profile.best_match(query) if len(profile) else None
+        match = profile.best_match(query)
         scores[expert.expert_id] = match[1] if match is not None else 0.0
     return scores
 
@@ -69,7 +69,7 @@ def routing_distribution(scores: dict[str, float], temperature: float) -> dict[s
 
 def route(
     council: Council,
-    query: Query | Trajectory,
+    query: Query,
     strategy: str,
     rng: random.Random,
     step_index: int = 0,
@@ -82,14 +82,12 @@ def route(
     Every single-expert strategy retrieves an exemplar from the chosen
     expert's profile when it has one (see ``ExpertProfile.exemplar``) and
     records the retrieval against the episode when one is supplied; the
-    exemplar accompanies the decision so proposal prompts can cite it. A
-    search passes its node's :class:`Query`, which keeps every scan made
-    here for the node and its children.
+    exemplar accompanies the decision so proposal prompts can cite it. The
+    decision point is given as a :class:`Query`, a search node's retrieval
+    state, which keeps every scan made here for the node and its children.
     """
     if strategy not in ROUTING_STRATEGIES:
         raise ValueError(f"unknown routing strategy: {strategy}")
-    if isinstance(query, Trajectory):
-        query = Query(query)
     ids = [e.expert_id for e in council.experts]
     scores: dict[str, float] | None = None
     distribution: dict[str, float] | None = None

@@ -48,10 +48,10 @@ def llm_value(council: Council, prefix: Trajectory, rng: random.Random) -> float
 
 
 def sms_value(
-    profile: ExpertProfile, query: Query | Trajectory, episode: EpisodeContext | None = None
+    profile: ExpertProfile, query: Query, episode: EpisodeContext | None = None
 ) -> float:
     """Utility of the profile's closest stored segment to the child, given
-    as its node's :class:`Query` or as a trajectory.
+    as its node's :class:`Query`.
 
     An empty profile yields the cold-start prior. A consulted match is
     recorded against the episode when one is supplied.

@@ -33,7 +33,7 @@ from council.envs.synth import DEFAULT_FAMILIES, make_synth_tasks
 from council.experts import Council, TableExpert
 from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
-from council.memory import ExpertProfile, sms_utility
+from council.memory import ExpertProfile, Query, sms_utility
 from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 from council.values import fuse_batch, fusion_weight
@@ -125,10 +125,10 @@ def test_criterion_01_backpropagation_oracle(capsys):
     worst = 0.0
     for _ in range(50):
         tree = SearchTree()
-        nodes = [tree.add(prefix=Trajectory())]
+        nodes = [tree.add(Query(Trajectory()))]
         for _ in range(rng.randrange(3, 12)):
             parent = rng.choice(nodes)
-            child = tree.add(prefix=Trajectory(), parent=parent.node_id)
+            child = tree.add(Query(Trajectory()), parent=parent.node_id)
             parent.children.append(child.node_id)
             nodes.append(child)
         returns: dict[int, list[float]] = {node.node_id: [] for node in nodes}
@@ -288,11 +288,11 @@ def test_criterion_04_retrieval_linear_scan_oracle(capsys):
         profile = ExpertProfile("solo", embedder=TrigramEmbedder(64))
         _fill_profile(profile, size, rng)
         query = make_trajectory([(_random_text(rng, -1), "probe")])
-        qvec = profile.embed_query(query)
+        qvec = profile.embedder.embed(serialize_trajectory(query))
         sims = _scan_sims(profile, qvec)
-        got = profile.match_scores(qvec)
+        got = profile.match_scores(Query(query))
         score_err = max(score_err, float(np.max(np.abs(got - np.array(sims)))))
-        best_seg, best_sim = profile.best_match(qvec)
+        best_seg, best_sim = profile.best_match(Query(query))
         top = max(sims)
         assert abs(best_sim - top) < 1e-12
         # Earliest-inserted wins a tied best score.
@@ -306,24 +306,27 @@ def test_criterion_04_retrieval_linear_scan_oracle(capsys):
         _fill_profile(council.profile(expert_id), 200, rng)
     for probe in range(20):
         query = make_trajectory([(_random_text(rng, 10000 + probe), "probe")])
-        scores = route(council, query, "task-aware", random.Random(0)).scores
+        qvec = council.profile("a").embedder.embed(serialize_trajectory(query))
+        scores = route(council, Query(query), "task-aware", random.Random(0)).scores
         for expert_id in ("a", "b", "c"):
             profile = council.profile(expert_id)
-            sims = _scan_sims(profile, profile.embed_query(query))
+            sims = _scan_sims(profile, qvec)
             score_err = max(score_err, abs(scores[expert_id] - max(sims)))
 
         # Exemplar choice, checked where the scan's winner is unambiguous.
-        decision = route(council, query, "round-robin", random.Random(0), step_index=0)
+        decision = route(council, Query(query), "round-robin", random.Random(0), step_index=0)
         profile = council.profile("a")
-        sims = _scan_sims(profile, profile.embed_query(query))
+        sims = _scan_sims(profile, qvec)
         ranked = sorted(sims, reverse=True)
         if ranked[0] - ranked[1] > 1e-9:
             assert decision.exemplar_segment_id == _scan_exemplar(profile, sims)
 
     # All-zero query similarity ties every segment; utility then age decide.
-    tie_decision = route(council, Trajectory(), "round-robin", random.Random(0), step_index=0)
+    tie_decision = route(
+        council, Query(Trajectory()), "round-robin", random.Random(0), step_index=0
+    )
     profile = council.profile("a")
-    tie_sims = _scan_sims(profile, profile.embed_query(Trajectory()))
+    tie_sims = _scan_sims(profile, profile.embedder.embed(serialize_trajectory(Trajectory())))
     assert set(tie_sims) == {0.0}
     assert tie_decision.exemplar_segment_id == _scan_exemplar(profile, tie_sims)
 
@@ -421,10 +424,10 @@ def test_criterion_06_selection_rule_suite(capsys):
     mismatches = 0
     for _ in range(200):
         tree = SearchTree()
-        nodes = [tree.add(prefix=Trajectory())]
+        nodes = [tree.add(Query(Trajectory()))]
         for _ in range(rng.randrange(2, 16)):
             parent = rng.choice(nodes)
-            child = tree.add(prefix=Trajectory(), parent=parent.node_id)
+            child = tree.add(Query(Trajectory()), parent=parent.node_id)
             parent.children.append(child.node_id)
             nodes.append(child)
         for node in nodes:

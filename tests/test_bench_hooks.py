@@ -7,12 +7,24 @@ otherwise surface only in a traced benchmark run.
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
+
 import council.harness as harness
+import council.mcts as mcts
+from council.embedding import TrigramEmbedder
+from council.experts import ConstantEvaluatorExpert, Council
 from council.gateway import ChatRequest, compose_prompt, request_for
+from council.memory import ExpertProfile, Query
+from council.routing import route
 from council.trajectory import Observation, Trajectory
+from council.values import sms_value
 
 from perfbench.spans import SpanRecorder
 from perfbench.worker import tracing
+
+from conftest import make_trajectory
 
 
 def test_every_patched_name_is_defined_on_its_owner():
@@ -30,3 +42,31 @@ def test_a_composed_prompt_builds_a_chat_request():
     request = request_for(compose_prompt("the task", prefix, None, "act"), 0.7)
     assert isinstance(request, ChatRequest)
     assert request.temperature == 0.7
+
+
+def test_the_scan_wrappers_call_through_and_count_what_they_scan():
+    rec = SpanRecorder()
+    hooks = {(owner, name): value for owner, name, value in tracing(rec)}
+    rec.task = 0
+    council = Council(
+        [ConstantEvaluatorExpert("a", 0.5, actions=["go"])], embedder=TrigramEmbedder(64)
+    )
+    profile = council.profile("a")
+    for i in range(5):
+        profile.insert(make_trajectory([(f"stored observation {i}", f"act {i}")]))
+    trajectory = make_trajectory([("stored observation 3", "act 3")], pending="next")
+
+    best_match = hooks[ExpertProfile, "best_match"]
+    assert best_match(profile, Query(trajectory)) == profile.best_match(Query(trajectory))
+    match_scores = hooks[ExpertProfile, "match_scores"]
+    scores = match_scores(profile, Query(trajectory))
+    assert np.array_equal(scores, profile.match_scores(Query(trajectory)))
+    wrapped_route = hooks[mcts, "route"]
+    decision = wrapped_route(council, Query(trajectory), "task-aware", random.Random(0))
+    assert decision == route(council, Query(trajectory), "task-aware", random.Random(0))
+    wrapped_value = hooks[mcts, "sms_value"]
+    assert wrapped_value(profile, Query(trajectory)) == sms_value(profile, Query(trajectory))
+
+    assert rec.counts["memory.segments_scanned"] == 2 * len(profile)
+    names = ["memory.best_match", "memory.match_scores", "routing.route", "values.sms_value"]
+    assert [span.name for span in rec.spans] == names

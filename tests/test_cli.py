@@ -198,6 +198,11 @@ def _llm(**params) -> dict:
             (),
             "env.params.families",
         ),
+        (
+            {"council": [_expert("synth-specialist", family=f) for f in ("amber", "basalt")]},
+            (),
+            "council[1].expert_id",
+        ),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):
@@ -450,6 +455,15 @@ def test_memory_commands_keep_every_segment_past_the_default_capacity(tmp_path, 
     assert main(["memory", "save", str(source), str(dest)]) == 0
     capsys.readouterr()
     assert dest.read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_a_bad_embedding_dim_for_a_memory_file_exits_two_naming_the_flag(tmp_path, capsys, dim):
+    memory_path = memory_file_from_run(tmp_path)
+    capsys.readouterr()
+    code = main(["memory", "inspect", memory_path, "--embedding-dim", dim])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --embedding-dim must be at least 1, got {dim}\n"
 
 
 def test_memory_save_requires_a_destination(tmp_path, capsys):

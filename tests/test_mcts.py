@@ -22,6 +22,7 @@ from council.experts import (
     SynthSpecialistExpert,
     TableExpert,
 )
+from council.memory import Query
 from council.mcts import (
     SearchTree,
     backpropagate,
@@ -54,7 +55,7 @@ def test_parent_visit_floor_avoids_a_negative_bonus():
 
 def test_backpropagation_tracks_the_running_mean():
     tree = SearchTree()
-    node = tree.add(prefix=Trajectory())
+    node = tree.add(Query(Trajectory()))
     backpropagate([node], 0.8)
     assert node.visits == 1
     assert node.value == pytest.approx(0.8)
@@ -68,8 +69,8 @@ def test_backpropagation_tracks_the_running_mean():
 
 def test_backpropagation_updates_the_whole_path():
     tree = SearchTree()
-    root = tree.add(prefix=Trajectory())
-    child = tree.add(prefix=Trajectory(), parent=0)
+    root = tree.add(Query(Trajectory()))
+    child = tree.add(Query(Trajectory()), parent=0)
     root.children.append(child.node_id)
     backpropagate([root, child], 1.0)
     assert root.visits == 1 and child.visits == 1
@@ -77,20 +78,20 @@ def test_backpropagation_updates_the_whole_path():
 
 
 def linked_child(tree: SearchTree, parent, **kwargs):
-    child = tree.add(prefix=Trajectory(), parent=parent.node_id, **kwargs)
+    child = tree.add(Query(Trajectory()), parent=parent.node_id, **kwargs)
     parent.children.append(child.node_id)
     return child
 
 
 def test_selection_stops_at_a_childless_root():
     tree = SearchTree()
-    root = tree.add(prefix=Trajectory())
+    root = tree.add(Query(Trajectory()))
     assert select_path(tree, 1.0) == [root]
 
 
 def test_selection_descends_the_higher_uct_child():
     tree = SearchTree()
-    root = tree.add(prefix=Trajectory())
+    root = tree.add(Query(Trajectory()))
     root.visits = 10
     low = linked_child(tree, root)
     low.visits, low.value = 5, 0.2
@@ -101,7 +102,7 @@ def test_selection_descends_the_higher_uct_child():
 
 def test_unvisited_ties_break_on_fused_value_then_creation_order():
     tree = SearchTree()
-    root = tree.add(prefix=Trajectory())
+    root = tree.add(Query(Trajectory()))
     root.visits = 2
     a = linked_child(tree, root)
     a.fused_value = 0.3
@@ -116,7 +117,7 @@ def test_unvisited_ties_break_on_fused_value_then_creation_order():
 
 def test_exploration_bonus_can_overturn_a_value_lead():
     tree = SearchTree()
-    root = tree.add(prefix=Trajectory())
+    root = tree.add(Query(Trajectory()))
     root.visits = 100
     rare = linked_child(tree, root)
     rare.visits, rare.value = 1, 0.3
@@ -129,7 +130,7 @@ def test_exploration_bonus_can_overturn_a_value_lead():
 @st.composite
 def random_trees(draw):
     tree = SearchTree()
-    tree.add(prefix=Trajectory())
+    tree.add(Query(Trajectory()))
     count = draw(st.integers(2, 12))
     for _ in range(count):
         parent = tree.node(draw(st.integers(0, len(tree.nodes) - 1)))
@@ -493,6 +494,6 @@ def test_every_scan_a_node_holds_equals_a_full_scan():
         for profile, scan in node.query._scans.items():
             assert np.array_equal(node.query.vector(profile.embedder), full)
             with profile._lock:
-                assert np.array_equal(scan.sims, profile._similarities(full).sims)
+                assert np.array_equal(scan.sims, profile._scan(Query(node.prefix)))
             scans += 1
     assert scans > len(result.tree.nodes)

@@ -97,14 +97,14 @@ def test_utility_matches_direct_formula(entries):
 
 
 def test_best_match_empty_profile():
-    assert fresh_profile().best_match(make_trajectory([("obs", "act")])) is None
+    assert fresh_profile().best_match(Query(make_trajectory([("obs", "act")]))) is None
 
 
 def test_best_match_finds_the_query_itself():
     profile = fresh_profile()
     stored = make_trajectory([("observation text here", "action text here")])
     profile.insert(stored)
-    segment, score = profile.best_match(stored)
+    segment, score = profile.best_match(Query(stored))
     assert segment.prefix == stored
     assert score == pytest.approx(1.0)
 
@@ -114,10 +114,9 @@ def test_best_match_agrees_with_linear_scan():
     texts = [f"task variant {i} with some body {i * 7}" for i in range(40)]
     for text in texts:
         profile.insert(make_trajectory([(text, f"move {text[-2:]}")]))
-    query = make_trajectory([("task variant 31 with some body", "move x")])
-    qvec = profile.embed_query(query)
+    query = Query(make_trajectory([("task variant 31 with some body", "move x")]))
     best, score = profile.best_match(query)
-    sims = profile.match_scores(qvec)
+    sims = profile.match_scores(query)
     assert score == pytest.approx(float(sims.max()))
     # Earliest index among exact ties, per the stated tie rule.
     assert best.segment_id == profile.segments()[int(np.argmax(sims))].segment_id
@@ -141,9 +140,10 @@ def test_stored_embedding_matches_recomputation():
     profile = fresh_profile()
     segment = profile.insert(make_trajectory([("a task observation", "an answer")]))
     expected = profile.embedder.embed(serialize_trajectory(segment.prefix))
-    probe = profile.embedder.embed("another task observation, another answer")
-    for query in (expected, probe):
-        assert profile.match_scores(query).tolist() == [similarity(query, expected)]
+    probe = make_trajectory([("another task observation", "another answer")])
+    for query in (Query(segment.prefix), Query(probe)):
+        vector = query.vector(profile.embedder)
+        assert profile.match_scores(query).tolist() == [similarity(vector, expected)]
 
 
 def test_scan_equals_a_dense_product_bit_for_bit():
@@ -154,9 +154,10 @@ def test_scan_equals_a_dense_product_bit_for_bit():
         [profile.embedder.embed(serialize_trajectory(s.prefix)) for s in profile.segments()]
     )
     norms = np.linalg.norm(matrix, axis=1)
-    query = profile.embed_query(make_trajectory([("observation 74 of task 2", "act x")]))
-    expected = (matrix @ query) / (norms * float(np.linalg.norm(query)))
-    assert np.array_equal(profile.match_scores(query), expected)
+    query = make_trajectory([("observation 74 of task 2", "act x")])
+    qvec = profile.embedder.embed(serialize_trajectory(query))
+    expected = (matrix @ qvec) / (norms * float(np.linalg.norm(qvec)))
+    assert np.array_equal(profile.match_scores(Query(query)), expected)
 
 
 # -- the index under inserts, evictions, restores, compaction and growth --------
@@ -164,13 +165,14 @@ def test_scan_equals_a_dense_product_bit_for_bit():
 _TEXTS = [f"{'ab' * (i % 3)}obs {i % 9} {'z' * (i % 4)}" for i in range(40)]
 
 
-def brute_force_check(profile: ExpertProfile, queries: list[np.ndarray]) -> None:
+def brute_force_check(profile: ExpertProfile, queries: list[Query]) -> None:
     """match_scores equals a scan over recomputed embeddings exactly, and
     best_match returns the earliest live segment among the tied best."""
     segments = profile.segments()
     vectors = [profile.embedder.embed(serialize_trajectory(s.prefix)) for s in segments]
     for query in queries:
-        expected = np.array([similarity(query, v) for v in vectors], dtype=np.float64)
+        qvec = profile.embedder.embed(serialize_trajectory(query.trajectory))
+        expected = np.array([similarity(qvec, v) for v in vectors], dtype=np.float64)
         assert np.array_equal(profile.match_scores(query), expected)
         match = profile.best_match(query)
         if not segments:
@@ -196,6 +198,24 @@ class Float64Trigrams(TrigramEmbedder):
     integer_output = False
 
 
+PROBE = Trajectory(pending=Observation("probe"))
+
+
+class ProbeTrigrams(TrigramEmbedder):
+    """Trigram counts, except that the text of ``PROBE`` embeds to the given
+    vector, so a scan can be made with any query vector."""
+
+    def __init__(self, dim: int, vector: np.ndarray, integer_output: bool):
+        super().__init__(dim)
+        self.vector = vector
+        self.integer_output = integer_output
+
+    def embed(self, text: str) -> np.ndarray:
+        if text == serialize_trajectory(PROBE):
+            return self.vector.copy()
+        return super().embed(text)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.lists(_STEP, max_size=25))
 def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
@@ -211,8 +231,8 @@ def test_a_float64_index_matches_a_brute_force_scan_after_every_step(capacity, s
 def run_steps(embedder, dtype, capacity: int, steps: list) -> None:
     profile = ExpertProfile("x", capacity=capacity, embedder=embedder)
     assert profile._cols.dtype == dtype
-    queries = [embedder.embed(text) for text in ("obs 3 zz", "ababobs 7", "")]
-    queries.append(embedder.embed(serialize_trajectory(make_trajectory([(_TEXTS[5], "a")]))))
+    queries = [Query(make_trajectory([], pending=text)) for text in ("obs 3 zz", "ababobs 7")]
+    queries += [Query(Trajectory()), Query(make_trajectory([(_TEXTS[5], "a")]))]
     for step in steps:
         if step[0] == "insert":
             # Inserting without a finalize grows the profile past capacity.
@@ -258,8 +278,10 @@ def run_steps(embedder, dtype, capacity: int, steps: list) -> None:
     ],
 )
 def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
-    kinds = (TrigramEmbedder, Float64Trigrams)
-    profiles = [ExpertProfile("expert-a", embedder=kind(16)) for kind in kinds]
+    profiles = [
+        ExpertProfile("expert-a", embedder=ProbeTrigrams(16, query, integer_output))
+        for integer_output in (True, False)
+    ]
     for profile in profiles:
         for i in range(40):
             profile.insert(make_trajectory([(f"aaaaaaaa observation {i * 13}", f"act {i % 7}")]))
@@ -269,11 +291,19 @@ def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
     )
     in_float32 = (matrix.astype(np.float32) @ query.astype(np.float32)).astype(np.float64)
     assert not np.array_equal(in_float32, matrix @ query)
-    assert np.array_equal(narrow.match_scores(query), wide.match_scores(query))
+    probe = Query(PROBE)
+    assert np.array_equal(narrow.match_scores(probe), wide.match_scores(probe))
     assert (narrow._cols.dtype, wide._cols.dtype) == (np.float32, np.float64)
     assert not narrow._exact_in_float32(query)
-    (mine, score), (theirs, expected) = narrow.best_match(query), wide.best_match(query)
+    (mine, score), (theirs, expected) = narrow.best_match(probe), wide.best_match(probe)
     assert (mine.segment_id, score) == (theirs.segment_id, expected)
+
+
+def test_a_query_vector_of_the_wrong_width_is_rejected():
+    profile = ExpertProfile("expert-a", embedder=ProbeTrigrams(16, np.ones(8), True))
+    profile.insert(make_trajectory([("a stored observation", "act")]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        profile.best_match(Query(PROBE))
 
 
 def test_a_profile_held_at_capacity_never_doubles_its_matrix():
@@ -295,7 +325,7 @@ def test_a_profile_held_at_capacity_never_doubles_its_matrix():
         )
         assert len(profile) == 64
         assert profile._cols.shape[1] == 64 + 64 // 8
-    brute_force_check(profile, [profile.embedder.embed("episode 39 step 2")])
+    brute_force_check(profile, [Query(make_trajectory([], pending="episode 39 step 2"))])
 
 
 # -- scans from node-held queries ------------------------------------------------
@@ -304,11 +334,11 @@ def test_a_profile_held_at_capacity_never_doubles_its_matrix():
 def test_a_scan_after_an_insert_scores_the_new_segment():
     profile = fresh_profile()
     profile.insert(make_trajectory([("an older observation", "an older act")]))
-    query = profile.embed_query(make_trajectory([("a newer observation", "a newer act")]))
+    query = Query(make_trajectory([("a newer observation", "a newer act")]))
     assert len(profile.match_scores(query)) == 1
     segment = profile.insert(make_trajectory([("a newer observation", "a newer act")]))
     stored = profile.embedder.embed(serialize_trajectory(segment.prefix))
-    assert profile.match_scores(query)[1] == similarity(query, stored)
+    assert profile.match_scores(query)[1] == similarity(query.vector(profile.embedder), stored)
     assert profile.best_match(query)[0] is segment
 
 
@@ -327,7 +357,7 @@ def test_a_prune_between_two_scans_hides_the_evicted_segment():
     assert profile.prune() == [nearest.segment_id]
     assert profile.version != version
     assert profile.best_match(query)[0] is not nearest
-    brute_force_check(profile, [query.vector(profile.embedder)])
+    brute_force_check(profile, [query])
 
 
 def counting_products(monkeypatch) -> list[int]:
@@ -365,10 +395,8 @@ def test_a_scan_against_a_stale_version_falls_back_to_a_full_scan(monkeypatch):
     late = Query(grown, parent=parent)
     profile.best_match(late)
     assert rows[-1] == np.count_nonzero(late.vector(profile.embedder))
-    brute_force_check(profile, [late.vector(profile.embedder)])
-    assert np.array_equal(
-        profile.match_scores(late.vector(profile.embedder)), late._scans[profile].sims
-    )
+    brute_force_check(profile, [Query(grown)])
+    assert np.array_equal(profile.match_scores(Query(grown)), late._scans[profile].sims)
 
 
 def test_node_state_is_dropped_with_the_tree_and_profiles_hold_none():
@@ -440,18 +468,18 @@ def test_node_held_scans_equal_full_scans_bit_for_bit(kind, stored, root_text, p
         assert vec.dtype == full.dtype and np.array_equal(vec, full)
         if not len(profile):
             continue
-        assert profile.best_match(query) == profile.best_match(full)
+        assert profile.best_match(query) == profile.best_match(Query(trajectory))
         sims = query._scans[profile].sims
         with profile._lock:
-            assert np.array_equal(sims, profile._similarities(full).sims)
-        brute_force_check(profile, [full])
+            assert np.array_equal(sims, profile._scan(Query(trajectory)))
+        brute_force_check(profile, [Query(trajectory)])
 
 
 def test_mutating_a_returned_array_cannot_change_a_later_result():
     profile = fresh_profile(capacity=6)
     for i in range(8):
         profile.insert(make_trajectory([(f"observation {i}", f"act {i}")]))
-    query = profile.embedder.embed("observation 3, act 3")
+    query = Query(make_trajectory([("observation 3", "act 3")]))
     for state in ("every slot live", "dead slots after a prune"):
         sims = profile.match_scores(query)
         expected, best = sims.copy(), profile.best_match(query)
@@ -672,7 +700,7 @@ def test_restored_and_credited_segments_evict_in_repeated_minimum_order(rows, ca
     assert profile.segments() == remaining
 
 
-def old_rule_exemplar(profile: ExpertProfile, query: np.ndarray) -> SMSegment:
+def old_rule_exemplar(profile: ExpertProfile, query: Query) -> SMSegment:
     """The exemplar rule over a copy of the segments: the highest utility
     among the tied best, then the smallest created_at, then the earliest."""
     sims = profile.match_scores(query)
@@ -709,7 +737,8 @@ def test_exemplar_matches_the_tie_rule_over_restores_evictions_and_inserts(
         for i, (created, wins, losses, text) in enumerate(rows)
     ]
     profile = restore_profiles(records, embedder, capacity)["expert-a"]
-    queries = [np.zeros(4)] + [embedder.embed(f"obs {text}") for text in range(3)]
+    queries = [Query(Trajectory())]
+    queries += [Query(make_trajectory([], pending=f"obs {text}")) for text in range(3)]
 
     def check():
         for query in queries:
@@ -723,7 +752,7 @@ def test_exemplar_matches_the_tie_rule_over_restores_evictions_and_inserts(
         check()
     profile.prune()
     check()
-    assert ExpertProfile("empty").exemplar(np.zeros(256)) is None
+    assert ExpertProfile("empty").exemplar(Query(Trajectory())) is None
 
 
 # -- persistence ---------------------------------------------------------------
@@ -754,7 +783,9 @@ def test_restore_recomputes_embeddings_under_the_new_embedder():
     segment = wide.segments()[0]
     recomputed = wide.embedder.embed(serialize_trajectory(segment.prefix))
     assert recomputed.shape == (128,)
-    assert wide.match_scores(recomputed).tolist() == [similarity(recomputed, recomputed)]
+    assert wide.match_scores(Query(segment.prefix)).tolist() == [
+        similarity(recomputed, recomputed)
+    ]
 
 
 def test_restoring_over_capacity_keeps_every_record_until_a_prune():
@@ -771,7 +802,7 @@ def test_restoring_over_capacity_keeps_every_record_until_a_prune():
     assert [s.segment_id for s in small.segments()] == ids
     assert sorted(small.prune()) == sorted(s.segment_id for s in ranked[:8])
     assert [s.segment_id for s in small.segments()] == [i for i in ids if i in kept]
-    brute_force_check(small, [small.embedder.embed("stored observation 9")])
+    brute_force_check(small, [Query(make_trajectory([], pending="stored observation 9"))])
 
 
 def test_restore_folds_the_older_ledger_form_into_counts():

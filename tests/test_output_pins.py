@@ -3,7 +3,9 @@
 A change that means to alter output bytes updates these pins in the same
 change and says why; any other change must leave them holding. Each run is
 pinned at workers 1 in its own memory mode and at workers 2 with unshared
-memory, because shared memory runs its tasks one after another.
+memory, because shared memory runs its tasks one after another. The
+preloaded synth run is also pinned at workers 1 under every other routing
+strategy and value mode, so each exemplar and memory-value path is checked.
 """
 
 from __future__ import annotations
@@ -71,6 +73,37 @@ PINS = {
     ),
 }
 
+VARIANT_PINS = {
+    ("routing_strategy", "round-robin"): (
+        "b204ec24eb0442ba806dc0ed7704a530e580c1597dc16558139272cd9e5aea70",
+        "d7e4255af0a5a3832b47da6013ffcab0104d5fb08d086cb99d1a01d29e00dfcd",
+    ),
+    ("routing_strategy", "random"): (
+        "79d82f226e5563f14a3a9f5d81e26361dce834ebc8486a377efe462939c23875",
+        "3e1131dae5dc4cf7d7ed4da575c17af53723d70c764637dbffd295baa38386b1",
+    ),
+    ("routing_strategy", "voting"): (
+        "bfea4fd8a9ddaa9d5ac55158dca900698f3cfc8a63d7e80cf76e91dfbcb76f72",
+        "615a756d1dde45c44b09e6a2cd65e6800ba424a682af0e0233726e3d3a904206",
+    ),
+    ("routing_strategy", "collaborative"): (
+        "7a22e42be3d51c000d926a1d3cef8e5bfa683729a4339b7e21b7710b4ec692c4",
+        "4ac409b90cadbf17948ef806f0b7334d77add9381cb9f06b84af8b7cfaff72fe",
+    ),
+    ("value_mode", "sms-only"): (
+        "b170902de233ad503f5638ef7be1abc8251180cf1ecf86600860a1d150c006c6",
+        "06a7c7c252b7ddb40ac7286997e3a7ca6cc8dae61f1c6e1163cae91aaa10c942",
+    ),
+    ("value_mode", "llm-only"): (
+        "e15022db236a7ef02833fe3fd7f13ad6a247f719aa5c46d81e20aa77ab221954",
+        "12ccd171291d028f3bc823ed0dacb5361a8784a7ffef460277b0cf786508adaf",
+    ),
+    ("value_mode", "env-only"): (
+        "dc182a9356357316c7e7732bbda7b82bfa75fb6612c4a1d30b20adf0dfbb2244",
+        "d54e1845b7162da196da217dc8396ef409215bac46755388e6614830917860fc",
+    ),
+}
+
 
 def _digests(out_dir: Path) -> tuple[str, str]:
     return tuple(
@@ -134,6 +167,13 @@ def _reply(family: str):
     return reply
 
 
+def _run_preloaded(out: Path, memory_file: Path, workers: int, planner: PlannerConfig) -> None:
+    # Loaded past capacity, so every success inserts and then evicts.
+    memory = _unshared(MemoryConfig(capacity=8, load_path=str(memory_file)), workers)
+    config = _synth_config(out, workers=workers, memory=memory, planner=planner)
+    run(config, tasks=make_synth_tasks(20, seed=37))
+
+
 def _run(case: str, workers: int, out: Path, memory_file: Path) -> None:
     if case == "game24":
         config = RunConfig(
@@ -149,9 +189,7 @@ def _run(case: str, workers: int, out: Path, memory_file: Path) -> None:
         memory = _unshared(MemoryConfig(), workers)
         run(_synth_config(out, workers=workers, memory=memory), tasks=make_synth_tasks(20, seed=29))
     elif case == "synth-preloaded":
-        # Loaded past capacity, so every success inserts and then evicts.
-        memory = _unshared(MemoryConfig(capacity=8, load_path=str(memory_file)), workers)
-        run(_synth_config(out, workers=workers, memory=memory), tasks=make_synth_tasks(20, seed=37))
+        _run_preloaded(out, memory_file, workers, PLANNER)
     else:
         embedder = TrigramEmbedder(1024)
         council = Council(
@@ -183,3 +221,11 @@ def _run(case: str, workers: int, out: Path, memory_file: Path) -> None:
 def test_run_files_match_their_pins(case, workers, tmp_path, memory_file):
     _run(case, workers, tmp_path, memory_file)
     assert _digests(tmp_path) == PINS[case, workers]
+
+
+@pytest.mark.parametrize("field, value", sorted(VARIANT_PINS))
+def test_preloaded_run_files_match_their_pins_under_each_strategy_and_mode(
+    field, value, tmp_path, memory_file
+):
+    _run_preloaded(tmp_path, memory_file, 1, replace(PLANNER, **{field: value}))
+    assert _digests(tmp_path) == VARIANT_PINS[field, value]

@@ -11,7 +11,7 @@ from council.config import ROUTING_STRATEGIES
 from council.embedding import TrigramEmbedder, similarity
 from council.errors import ExpertUnavailableError
 from council.experts import ConstantEvaluatorExpert, Council, Expert
-from council.memory import EpisodeContext
+from council.memory import EpisodeContext, Query
 from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 
@@ -24,7 +24,7 @@ def council_of(n: int, embedder=None) -> Council:
 
 
 def task_aware_scores(council: Council, query: Trajectory) -> dict[str, float]:
-    return route(council, query, "task-aware", random.Random(0)).scores
+    return route(council, Query(query), "task-aware", random.Random(0)).scores
 
 
 def test_scores_are_zero_for_empty_profiles():
@@ -124,16 +124,21 @@ def test_round_robin_cycles_in_member_order():
     council = council_of(3)
     rng = random.Random(0)
     picks = [
-        route(council, Trajectory(), "round-robin", rng, step_index=i).chosen for i in range(7)
+        route(council, Query(Trajectory()), "round-robin", rng, step_index=i).chosen
+        for i in range(7)
     ]
     assert picks == ["e0", "e1", "e2", "e0", "e1", "e2", "e0"]
 
 
 def test_random_strategy_draws_from_the_given_rng():
     council = council_of(3)
-    picks = {route(council, Trajectory(), "random", random.Random(s)).chosen for s in range(30)}
+    picks = {
+        route(council, Query(Trajectory()), "random", random.Random(s)).chosen for s in range(30)
+    }
     assert picks == {"e0", "e1", "e2"}
-    again = [route(council, Trajectory(), "random", random.Random(5)).chosen for _ in range(4)]
+    again = [
+        route(council, Query(Trajectory()), "random", random.Random(5)).chosen for _ in range(4)
+    ]
     assert len(set(again)) == 1
 
 
@@ -143,7 +148,7 @@ def test_task_aware_concentrates_on_the_matching_profile():
     council.profile("e0").insert(query)
     rng = random.Random(0)
     hits = sum(
-        route(council, query, "task-aware", rng, temperature=0.1).chosen == "e0"
+        route(council, Query(query), "task-aware", rng, temperature=0.1).chosen == "e0"
         for _ in range(10_000)
     )
     # P(e0) = 1 / (1 + exp(-1 / 0.1)), about 0.99995.
@@ -152,7 +157,7 @@ def test_task_aware_concentrates_on_the_matching_profile():
 
 def test_task_aware_with_cold_profiles_is_uniform_and_exemplar_free():
     council = council_of(2)
-    decision = route(council, Trajectory(), "task-aware", random.Random(1))
+    decision = route(council, Query(Trajectory()), "task-aware", random.Random(1))
     assert decision.exemplar is None
     assert decision.exemplar_segment_id is None
     assert decision.distribution["e0"] == pytest.approx(0.5)
@@ -164,7 +169,7 @@ def test_routing_records_the_exemplar_retrieval():
     query = make_trajectory([("stored task", "stored move")])
     segment = council.profile("e0").insert(query)
     episode = EpisodeContext("ep-route")
-    decision = route(council, query, "task-aware", random.Random(0), episode=episode)
+    decision = route(council, Query(query), "task-aware", random.Random(0), episode=episode)
     assert decision.chosen == "e0"
     assert decision.exemplar_segment_id == segment.segment_id
     assert decision.exemplar == query
@@ -178,7 +183,7 @@ def test_exemplar_similarity_tie_prefers_higher_utility():
     second = profile.insert(make_trajectory([("obs two", "act two")]))
     record_history(profile, second.segment_id, [(True, 1)])
     # An empty query embeds to the zero vector, tying every similarity at 0.
-    decision = route(council, Trajectory(), "task-aware", random.Random(0))
+    decision = route(council, Query(Trajectory()), "task-aware", random.Random(0))
     assert decision.exemplar_segment_id == second.segment_id
 
 
@@ -187,13 +192,13 @@ def test_exemplar_full_tie_prefers_the_oldest_segment():
     profile = council.profile("e0")
     first = profile.insert(make_trajectory([("obs one", "act one")]))
     profile.insert(make_trajectory([("obs two", "act two")]))
-    decision = route(council, Trajectory(), "task-aware", random.Random(0))
+    decision = route(council, Query(Trajectory()), "task-aware", random.Random(0))
     assert decision.exemplar_segment_id == first.segment_id
 
 
 def test_unknown_strategy_is_rejected():
     with pytest.raises(ValueError):
-        route(council_of(2), Trajectory(), "greedy", random.Random(0))
+        route(council_of(2), Query(Trajectory()), "greedy", random.Random(0))
     assert "task-aware" in ROUTING_STRATEGIES
 
 
@@ -214,7 +219,7 @@ def test_voting_picks_the_modal_actions_first_proposer():
         ConstantEvaluatorExpert("b", 0.5, actions=["right"]),
         ConstantEvaluatorExpert("c", 0.5, actions=["right"]),
     ]
-    decision = route(Council(experts), Trajectory(), "voting", random.Random(0))
+    decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == "b"
 
 
@@ -223,19 +228,20 @@ def test_voting_tie_goes_to_the_earliest_action():
         ConstantEvaluatorExpert("a", 0.5, actions=["left"]),
         ConstantEvaluatorExpert("b", 0.5, actions=["right"]),
     ]
-    decision = route(Council(experts), Trajectory(), "voting", random.Random(0))
+    decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == "a"
 
 
 def test_voting_skips_unavailable_members():
     experts = [Unavailable("a"), ConstantEvaluatorExpert("b", 0.5, actions=["go"])]
-    decision = route(Council(experts), Trajectory(), "voting", random.Random(0))
+    decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == "b"
 
 
 def test_voting_with_no_votes_is_unavailable():
+    council = Council([Unavailable("a"), Unavailable("b")])
     with pytest.raises(ExpertUnavailableError):
-        route(Council([Unavailable("a"), Unavailable("b")]), Trajectory(), "voting", random.Random(0))
+        route(council, Query(Trajectory()), "voting", random.Random(0))
 
 
 def _modal_first_proposer(votes: list[tuple[str, str]]) -> str:
@@ -258,7 +264,7 @@ def test_voting_agrees_with_the_modal_first_proposer_rule(actions):
         ConstantEvaluatorExpert(f"e{i}", 0.5, actions=[] if action is None else [action])
         for i, action in enumerate(actions)
     ]
-    decision = route(Council(experts), Trajectory(), "voting", random.Random(0))
+    decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == _modal_first_proposer(votes)
 
 
@@ -267,16 +273,20 @@ def test_voting_agrees_with_the_modal_first_proposer_rule(actions):
 
 def test_collaborative_defaults_to_the_last_member():
     council = council_of(3)
-    decision = route(council, Trajectory(), "collaborative", random.Random(0))
+    decision = route(council, Query(Trajectory()), "collaborative", random.Random(0))
     assert decision.chosen == "e2"
 
 
 def test_collaborative_uses_the_named_aggregator():
     council = council_of(3)
-    decision = route(council, Trajectory(), "collaborative", random.Random(0), aggregator="e1")
+    decision = route(
+        council, Query(Trajectory()), "collaborative", random.Random(0), aggregator="e1"
+    )
     assert decision.chosen == "e1"
 
 
 def test_collaborative_rejects_a_foreign_aggregator():
     with pytest.raises(ValueError):
-        route(council_of(2), Trajectory(), "collaborative", random.Random(0), aggregator="ghost")
+        route(
+            council_of(2), Query(Trajectory()), "collaborative", random.Random(0), aggregator="ghost"
+        )

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from council.embedding import TrigramEmbedder
 from council.experts import ConstantEvaluatorExpert, Council
-from council.memory import EpisodeContext, ExpertProfile
+from council.memory import EpisodeContext, ExpertProfile, Query
 from council.trajectory import Trajectory
 from council.values import (
     fuse_batch,
@@ -44,9 +44,9 @@ def test_llm_value_samples_members_uniformly():
 def test_sms_value_cold_start_on_an_empty_profile():
     profile = ExpertProfile("a", embedder=TrigramEmbedder(64))
     episode = EpisodeContext("ep-cold")
-    assert sms_value(profile, Trajectory(), episode=episode) == 0.5
+    assert sms_value(profile, Query(Trajectory()), episode=episode) == 0.5
     custom = ExpertProfile("a", embedder=TrigramEmbedder(64), cold_start=0.3)
-    assert sms_value(custom, Trajectory(), episode=episode) == 0.3
+    assert sms_value(custom, Query(Trajectory()), episode=episode) == 0.3
     assert episode.retrievals() == []
 
 
@@ -57,7 +57,7 @@ def test_sms_value_is_the_best_matches_utility():
     record_history(profile, segment.segment_id, [(True, 1), (False, 2)])
     profile.insert(make_trajectory([("an unrelated observation", "another move")]))
     episode = EpisodeContext("ep-match")
-    value = sms_value(profile, stored, episode=episode)
+    value = sms_value(profile, Query(stored), episode=episode)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert episode.retrievals() == [("a", segment.segment_id, 1)]
 
@@ -67,7 +67,7 @@ def test_sms_value_records_the_retrieval():
     stored = make_trajectory([("task text", "move")])
     segment = profile.insert(stored)
     episode = EpisodeContext("ep-v")
-    sms_value(profile, stored, episode=episode)
+    sms_value(profile, Query(stored), episode=episode)
     assert episode.retrievals() == [("a", segment.segment_id, 1)]
 
 
