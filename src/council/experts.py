@@ -17,7 +17,15 @@ from typing import Mapping, Sequence
 
 from .embedding import Embedder
 from .errors import ExpertUnavailableError, ProviderError, ScoreParseError
-from .gateway import Backend, complete, compose_prompt, parse_score, request_for
+from .gateway import (
+    Backend,
+    complete,
+    complete_all,
+    compose_prompt,
+    parse_score,
+    request_for,
+    sample_prompt,
+)
 from .memory import DEFAULT_CAPACITY, DEFAULT_COLD_START, ExpertProfile
 from .seeding import derived_rng
 from .trajectory import Action, Trajectory, serialize_trajectory
@@ -276,9 +284,13 @@ class LLMExpert(Expert):
     """An expert whose proposals and evaluations come from a chat backend.
 
     Proposals sample ``k`` completions at a nonzero temperature so repeated
-    draws can differ; evaluations run at temperature 0 for stability. The
-    task instruction placed in the prompt is the trajectory's first
-    observation, which is how every bundled environment presents the task.
+    draws can differ; the ``k`` requests, tagged sample 1 to ``k``, are in
+    flight at once, and their replies are read in sample order. If one
+    sample's backend is unavailable, ``propose`` raises
+    ExpertUnavailableError once every sample's send has returned.
+    Evaluations run at temperature 0 for stability. The task instruction
+    placed in the prompt is the trajectory's first observation, which is how
+    every bundled environment presents the task.
     """
 
     def __init__(
@@ -299,10 +311,10 @@ class LLMExpert(Expert):
 
     def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
         messages = compose_prompt(first_observation_text(prefix), prefix, exemplar, "act")
-        request = request_for(messages, self.act_temperature, self.max_tokens, self.timeout)
+        settings = (self.act_temperature, self.max_tokens, self.timeout)
+        requests = [request_for(sample_prompt(messages, i, k), *settings) for i in range(1, k + 1)]
         actions: list[str] = []
-        for _ in range(k):
-            reply = complete(self.backend, request)
+        for reply in complete_all(self.backend, requests):
             for line in reply.splitlines():
                 line = line.strip()
                 if line:

@@ -3,8 +3,12 @@
 Prompt text is assembled from templates kept apart from the code that
 fills them. The retrieved exemplar, when present, is fenced into its own
 clearly-labeled region: it is reference material from a past success, and
-the directives tell the model not to continue it. Scoring replies are
-parsed with a first-number rule mapped onto [0, 1].
+the directives tell the model not to continue it. The k proposal requests of
+one expansion differ only by a sample tag at the end of the act-directive
+line, as in ``Propose the single next action. (sample 2 of 2)``; it adds no
+line, and it makes each request's text distinct, so a backend that keys on
+the text answers the same whatever order the concurrent sends arrive in.
+Scoring replies are parsed with a first-number rule mapped onto [0, 1].
 
 Credentials are read from an environment variable named in the backend
 configuration, never from the config itself, and are not echoed into logs or
@@ -17,8 +21,9 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from .errors import (
     BackendConfigError,
@@ -63,6 +68,7 @@ class PromptTemplates:
     exemplar_footer: str = "End of reference."
     current_header: str = "Current trajectory:"
     act_directive: str = "Propose the single next action."
+    sample_tag: str = " (sample {index} of {count})"
     evaluate_directive: str = (
         "Rate how promising the current trajectory is on a 0 to 10 scale, "
         "where 0 is hopeless and 10 is certain success. Reply with the score only."
@@ -96,6 +102,17 @@ def compose_prompt(
         ChatMessage(role="system", content=t.system_act if mode == "act" else t.system_evaluate),
         ChatMessage(role="user", content="\n\n".join(parts)),
     ]
+
+
+def sample_prompt(messages: list[ChatMessage], index: int, count: int) -> list[ChatMessage]:
+    """An act prompt tagged as sample ``index`` of ``count``.
+
+    The tag goes at the end of the user message, which is the act-directive
+    line, so the current-trajectory region above it keeps its bytes.
+    """
+    *head, user = messages
+    tag = DEFAULT_TEMPLATES.sample_tag.format(index=index, count=count)
+    return [*head, ChatMessage(role=user.role, content=user.content + tag)]
 
 
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
@@ -158,7 +175,9 @@ class StubBackend:
     Replies come from a list (cycled) or a callable. A positive ``failures``
     makes the first N sends raise the configured exception, which is how the
     retry path gets exercised. Sends from several threads are counted
-    exactly; the reply callable runs outside the lock.
+    exactly; the reply callable runs outside the lock. List replies follow
+    arrival order, so concurrent sends get them in no fixed order: a test of
+    concurrent sends answers from a callable keyed on the request.
     """
 
     def __init__(
@@ -199,7 +218,8 @@ class HTTPBackend:
 
     The API key is read from the process environment at send time; a missing
     or rejected credential is a configuration error, not a retriable one.
-    ``concurrency`` caps in-flight requests per backend.
+    ``concurrency`` caps in-flight requests per backend, the concurrent
+    proposal requests of an expansion included.
     """
 
     def __init__(
@@ -278,6 +298,29 @@ def complete(
             if attempt < _RETRIES:
                 sleep(_BACKOFF_S * (2.0 ** attempt))
     raise ExpertUnavailableError(f"backend {backend.backend_id} unavailable: {last}") from last
+
+
+# One pool for every fan-out in the process: a pool made per call costs more
+# than the overlap saves on short sends. Its threads start on first use.
+_SENDS = ThreadPoolExecutor(thread_name_prefix="council-gateway")
+
+
+def complete_all(backend: Backend, requests: Sequence[ChatRequest]) -> list[str]:
+    """Run :func:`complete` on every request at once; replies in request order.
+
+    The caller's thread sends the first request and a shared pool the rest,
+    so a single request uses no thread. The call returns or raises only after
+    every send has returned. If any request fails, the exception of the first
+    failing one, in request order, is raised.
+    """
+    if not requests:
+        return []
+    rest = [_SENDS.submit(complete, backend, request) for request in requests[1:]]
+    try:
+        first = complete(backend, requests[0])
+    finally:
+        wait(rest)
+    return [first, *(future.result() for future in rest)]
 
 
 def request_for(

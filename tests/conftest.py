@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from council.memory import EpisodeContext, ExpertProfile, finalize_episode
@@ -9,6 +11,11 @@ from council.trajectory import Action, EpisodeRecord, Observation, Step, Traject
 def make_trajectory(pairs: list[tuple[str, str]], pending: str | None = None) -> Trajectory:
     steps = tuple(Step(Observation(o), Action(a)) for o, a in pairs)
     return Trajectory(steps=steps, pending=Observation(pending) if pending is not None else None)
+
+
+def sample_index(prompt: str) -> int:
+    """The sample number an act prompt's tag carries."""
+    return int(re.search(r"\(sample (\d+) of \d+\)$", prompt).group(1))
 
 
 @pytest.fixture

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv, family_vocab, hidden_sequence
-from council.errors import ProviderError, ScoreParseError
+from council.errors import ExpertUnavailableError, ProviderError, ScoreParseError
 from council.experts import (
     ConstantEvaluatorExpert,
     Council,
@@ -22,7 +25,7 @@ from council.experts import (
 from council.gateway import StubBackend
 from council.trajectory import Trajectory, serialize_trajectory
 
-from conftest import make_trajectory
+from conftest import make_trajectory, sample_index
 
 
 def test_proposals_deduplicate_and_preserve_order():
@@ -277,12 +280,73 @@ def test_eval_noise_perturbs_in_family_scores_deterministically():
 # -- language-model expert --------------------------------------------------------
 
 
+def by_sample(
+    replies: dict[int, str | type[Exception]],
+    returned: list[int] | None = None,
+    delays: dict[int, float] | None = None,
+):
+    """A reply callable keyed on the request's sample tag. Sample i sleeps
+    ``delays[i]`` seconds first; a reply that is an exception class is
+    raised. Each send's sample number is appended to ``returned`` as it
+    returns or raises."""
+
+    def reply(request) -> str:
+        index = sample_index(request.messages[-1].content)
+        try:
+            time.sleep((delays or {}).get(index, 0.0))
+            answer = replies[index]
+            if isinstance(answer, type):
+                raise answer(f"sample {index} failed")
+            return answer
+        finally:
+            if returned is not None:
+                returned.append(index)
+
+    return reply
+
+
 def test_llm_expert_takes_first_nonempty_line_per_completion():
-    backend = StubBackend(["  \nuse the lever\nextra", "press the button"])
+    # List replies follow arrival order; concurrent samples need a keyed reply.
+    backend = StubBackend(by_sample({1: "  \nuse the lever\nextra", 2: "press the button"}))
     expert = LLMExpert("llm", backend)
     actions = expert.propose(make_trajectory([], pending="a task"), None, 2)
     assert actions == ["use the lever", "press the button"]
     assert backend.usage.requests == 2
+
+
+def test_llm_expert_has_all_k_samples_in_flight_at_once():
+    barrier = threading.Barrier(3, timeout=5)
+
+    def reply(request) -> str:
+        barrier.wait()  # breaks unless all three sends arrive together
+        return f"action {sample_index(request.messages[-1].content)}"
+
+    backend = StubBackend(reply)
+    actions = LLMExpert("llm", backend).propose(make_trajectory([], pending="a task"), None, 3)
+    assert actions == ["action 1", "action 2", "action 3"]
+    assert backend.usage.requests == 3
+
+
+def test_llm_expert_reads_replies_in_sample_order_whatever_order_they_arrive():
+    returned: list[int] = []
+    replies = {1: "first", 2: "second", 3: "third"}
+    backend = StubBackend(by_sample(replies, returned, delays={1: 0.3, 2: 0.15}))
+    actions = LLMExpert("llm", backend).propose(make_trajectory([], pending="a task"), None, 3)
+    assert returned == [3, 2, 1]
+    assert actions == ["first", "second", "third"]
+
+
+def test_one_unavailable_sample_raises_only_after_every_send_returns():
+    returned: list[int] = []
+    replies = {1: "first", 2: ProviderError, 3: "third"}
+    # Sample 3 answers after sample 2 has failed, backed off and failed again.
+    backend = StubBackend(by_sample(replies, returned, delays={3: 0.6}))
+    expert = LLMExpert("llm", backend)
+    with pytest.raises(ExpertUnavailableError):
+        expert.propose(make_trajectory([], pending="a task"), None, 3)
+    assert sorted(returned) == [1, 2, 2, 3]
+    assert returned[-1] == 3
+    assert backend.usage.requests == 4
 
 
 def test_llm_expert_evaluates_with_score_parsing():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +17,8 @@ from council.errors import (
     ProviderError,
     ScoreParseError,
 )
+import council.gateway as gateway
+from council.experts import LLMExpert
 from council.gateway import (
     DEFAULT_TEMPLATES as T,
     ChatMessage,
@@ -21,13 +26,15 @@ from council.gateway import (
     HTTPBackend,
     StubBackend,
     complete,
+    complete_all,
     compose_prompt,
     parse_score,
     request_for,
+    sample_prompt,
 )
-from council.trajectory import Trajectory, serialize_trajectory
+from council.trajectory import Trajectory, parse_trajectory, serialize_trajectory
 
-from conftest import make_trajectory
+from conftest import make_trajectory, sample_index
 
 
 def test_prompt_without_exemplar_has_no_reference_region():
@@ -68,6 +75,20 @@ def test_act_and_evaluate_modes_swap_directives():
     assert T.act_directive in act[1].content
     assert T.evaluate_directive in ev[1].content
     assert act[0].content != ev[0].content
+
+
+def test_a_sample_tag_ends_the_act_directive_line_and_adds_no_line():
+    prefix = make_trajectory([("o", "a")], pending="next")
+    messages = compose_prompt("task", prefix, None, "act")
+    tagged = sample_prompt(messages, 2, 3)
+    assert tagged[0] == messages[0]
+    user = tagged[1].content
+    assert user == messages[1].content + " (sample 2 of 3)"
+    region = user[user.rindex(T.current_header + "\n") + len(T.current_header) + 1:]
+    serialized, directive = region.rsplit("\n", 1)
+    assert parse_trajectory(serialized + "\n") == prefix
+    assert directive == f"{T.act_directive} (sample 2 of 3)"
+    assert sample_index(user) == 2
 
 
 def test_unknown_prompt_mode_is_rejected():
@@ -161,6 +182,43 @@ def test_stub_backend_cycles_replies_and_tracks_usage():
     assert len(backend.requests_seen) == 3
 
 
+def numbered(index: int) -> ChatRequest:
+    return ChatRequest(messages=[ChatMessage("system", "s"), ChatMessage("user", f"u{index}")])
+
+
+def test_complete_all_with_one_request_sends_it_from_the_calling_thread(monkeypatch):
+    class NoPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("one request must not use the pool")
+
+    monkeypatch.setattr(gateway, "_SENDS", NoPool())
+    senders: list[threading.Thread] = []
+
+    def reply(request: ChatRequest) -> str:
+        senders.append(threading.current_thread())
+        return "only"
+
+    assert complete_all(StubBackend(reply), [numbered(1)]) == ["only"]
+    assert senders == [threading.current_thread()]
+
+
+def test_complete_all_raises_the_first_failure_in_request_order():
+    def reply(request: ChatRequest) -> str:
+        index = int(request.messages[-1].content[1:])
+        if index == 2:
+            time.sleep(0.2)  # fails last, but comes first in request order
+            raise ProviderError("two")
+        if index == 3:
+            raise BackendConfigError("three")
+        return "ok"
+
+    backend = StubBackend(reply)
+    with pytest.raises(ExpertUnavailableError, match="two"):
+        complete_all(backend, [numbered(i) for i in (1, 2, 3)])
+    assert backend.usage.requests == 4
+    assert complete_all(backend, []) == []
+
+
 def send_from_threads(backend: StubBackend, threads: int, sends: int) -> int:
     """Send ``sends`` requests from each of ``threads`` threads at once;
     returns how many raised ProviderError."""
@@ -197,6 +255,32 @@ def test_concurrent_sends_are_counted_exactly():
         sys.setswitchinterval(switch)
 
 
+def test_fan_outs_from_many_threads_share_the_pool_and_keep_their_order():
+    backend = StubBackend(lambda request: request.messages[-1].content)
+    mixed: list[list[str]] = []
+
+    def caller(first: int) -> None:
+        for call in range(50):
+            expected = [f"u{first + 10 * call + i}" for i in range(3)]
+            replies = complete_all(backend, [numbered(first + 10 * call + i) for i in range(3)])
+            if replies != expected:
+                mixed.append(replies)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(1000 * t,)) for t in range(8)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert mixed == []
+    assert backend.usage.requests == 8 * 50 * 3
+
+
 def test_request_for_carries_the_sampling_settings():
     messages = compose_prompt("t", Trajectory(), None, "act")
     req = request_for(messages, 0.7, max_tokens=128, timeout=9.0)
@@ -223,3 +307,124 @@ def test_missing_credential_is_a_config_error(monkeypatch):
 def test_a_concurrency_below_one_is_rejected_naming_it(concurrency):
     with pytest.raises(ValueError, match="concurrency"):
         HTTPBackend("b", "https://example.invalid/v1", "m", "COUNCIL_TEST_KEY", concurrency)
+
+
+# -- HTTP over loopback -------------------------------------------------------------
+
+
+class LoopbackCompletions(ThreadingHTTPServer):
+    """A chat-completions endpoint on 127.0.0.1 that answers each act
+    request with ``action <sample>`` and records the most requests it held
+    at once. A handler waits on ``barrier`` or sleeps ``delay_s`` before it
+    answers."""
+
+    def __init__(self, barrier: threading.Barrier | None = None, delay_s: float = 0.0):
+        super().__init__(("127.0.0.1", 0), CompletionHandler)
+        self.barrier = barrier
+        self.delay_s = delay_s
+        self.bodies: list[dict] = []
+        self.headers_seen: list[str] = []
+        self.in_flight = 0
+        self.most_in_flight = 0
+        self.lock = threading.Lock()
+
+    @property
+    def endpoint(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+
+
+class CompletionHandler(BaseHTTPRequestHandler):
+    def do_POST(self) -> None:
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.bodies.append(body)
+            server.headers_seen.append(self.headers["Authorization"])
+            server.in_flight += 1
+            server.most_in_flight = max(server.most_in_flight, server.in_flight)
+        try:
+            if server.barrier is not None:
+                server.barrier.wait()
+            time.sleep(server.delay_s)
+        except threading.BrokenBarrierError:
+            pass
+        finally:
+            # Leave before answering, so a client that sends its next request
+            # on receiving this reply never finds this one still counted.
+            with server.lock:
+                server.in_flight -= 1
+        content = f"action {sample_index(body['messages'][-1]['content'])}"
+        payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """Start a loopback server; requests bypass any configured proxy."""
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
+    monkeypatch.setenv("COUNCIL_TEST_KEY", "loopback-key")
+    started: list[tuple[LoopbackCompletions, threading.Thread]] = []
+
+    def start(**kwargs) -> LoopbackCompletions:
+        server = LoopbackCompletions(**kwargs)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def llm_over(server: LoopbackCompletions, concurrency: int) -> LLMExpert:
+    backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY", concurrency)
+    return LLMExpert("llm", backend, timeout=10.0)
+
+
+def test_http_backend_sends_a_chat_completion_over_loopback(loopback):
+    server = loopback()
+    backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY")
+    messages = sample_prompt(compose_prompt("t", Trajectory(), None, "act"), 1, 1)
+    assert complete(backend, request_for(messages, 0.7, max_tokens=64)) == "action 1"
+    [body] = server.bodies
+    assert body["model"] == "some-model"
+    assert body["messages"] == [{"role": m.role, "content": m.content} for m in messages]
+    assert body["temperature"] == 0.7
+    assert body["max_tokens"] == 64
+    assert server.headers_seen == ["Bearer loopback-key"]
+    assert server.most_in_flight == 1
+    assert backend.usage.requests == 1
+    assert backend.usage.output_chars == len("action 1")
+
+
+def test_an_expansion_has_its_k_requests_in_flight_at_once_over_http(loopback):
+    server = loopback(barrier=threading.Barrier(3, timeout=5))
+    expert = llm_over(server, concurrency=4)
+    actions = expert.propose(make_trajectory([], pending="a task"), None, 3)
+    assert actions == ["action 1", "action 2", "action 3"]
+    assert server.most_in_flight == 3
+    assert expert.backend.usage.requests == 3
+
+
+def test_concurrency_one_keeps_one_request_in_flight_over_http(loopback):
+    server = loopback(delay_s=0.05)
+    expert = llm_over(server, concurrency=1)
+    actions = expert.propose(make_trajectory([], pending="a task"), None, 3)
+    assert actions == ["action 1", "action 2", "action 3"]
+    assert len(server.bodies) == 3
+    assert server.most_in_flight == 1

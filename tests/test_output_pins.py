@@ -64,12 +64,12 @@ PINS = {
         "2509983faeb1e99c426e79eb3672b060d6da09e0a1e9c306f44ed37ec7bf0419",
     ),
     ("llm-stub", 1): (
-        "a015e09c6aaee2ce3b37d23ba1626bce8a82dd38aace1ae33850669d7c361e97",
-        "317c8bcac7f3ac0ef4155235902887350cf1626b549a4e5514dab35d6788dca4",
+        "81daa245aed4bb6304a865d4bc0bbde459e01ca9a56028acf23eaeafa5c1c894",
+        "3125ddb4bbc3918c9a20d1e3a0a15874ef79eb14fd985323c17ced3245001393",
     ),
     ("llm-stub", 2): (
-        "c95f876e51593e6979014a963f750ca3f7f2da81bcf7ce3a1ca5c2c8097489b0",
-        "0d6be1007eb9d2dbf45d24e9104cbc3b8344a9d2a3dd918dd203729f622b2225",
+        "bcdaf3be7ddbd91879edb08d02ed153cfec7a517ab98d21343f34a5f537dc403",
+        "1992b06f33e23f55c1db9183a0af15d457adfd20081ea7216c79cd010c09d418",
     ),
 }
 
