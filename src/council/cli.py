@@ -36,7 +36,6 @@ from .config import (
     config_from_dict,
     read_config_file,
 )
-from .embedding import TrigramEmbedder
 from .envs.game24 import Game24Env, game24_oracle
 from .envs.synth import SynthConfig
 from .errors import BackendConfigError, ConfigKeyError
@@ -209,9 +208,7 @@ def _memory_summary(profiles: dict) -> list[str]:
 def cmd_memory(args: argparse.Namespace) -> int:
     if args.action == "save" and not args.dest:
         raise ValueError("memory save needs a destination path")
-    if args.embedding_dim < 1:
-        raise ValueError(f"--embedding-dim must be at least 1, got {args.embedding_dim}")
-    profiles = load_memory(args.path, embedder=TrigramEmbedder(args.embedding_dim))
+    profiles = load_memory(args.path)
     if args.action == "load":
         count = sum(len(profile) for profile in profiles.values())
         print(f"loaded {count} segments from {args.path}")
@@ -256,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     memory_parser.add_argument("action", choices=("save", "load", "inspect"))
     memory_parser.add_argument("path", help="memory file to read")
     memory_parser.add_argument("dest", nargs="?", help="destination path (save only)")
-    memory_parser.add_argument("--embedding-dim", type=int, default=256,
-                               help="embedding width used when rebuilding profiles")
     memory_parser.set_defaults(handler=cmd_memory)
     return parser
 

@@ -6,9 +6,7 @@ network-backed provider. The bundled :class:`TrigramEmbedder` hashes character
 trigrams into a fixed-width count vector; it is fully deterministic, needs no
 model weights, and is what every offline test and scripted run uses. An
 embedder whose vectors only ever hold whole numbers may say so with a true
-``integer_output`` class attribute. One whose vector of a text is a sum over
-its byte windows may also offer ``embed_suffix(data, start)``, so a query
-that extends an earlier one adds only what the new bytes contribute.
+``integer_output`` class attribute.
 """
 
 from __future__ import annotations
@@ -50,18 +48,8 @@ class TrigramEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        return self._count(text.encode("utf-8"))
-
-    def embed_suffix(self, data: bytes, start: int) -> np.ndarray:
-        """What extending ``data[:start]`` to ``data`` adds to its embedding:
-        the counts of the trigrams that end at or after byte ``start``, so
-        ``embed_suffix(data, start)`` plus the embedding of ``data[:start]``
-        equals the embedding of ``data`` exactly. Windows are over UTF-8
-        bytes, so a cut inside a character is fine."""
-        return self._count(data[max(start - 2, 0):])
-
-    def _count(self, data: bytes) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
+        data = text.encode("utf-8")
         if len(data) < 3:
             return vec
         codes = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)

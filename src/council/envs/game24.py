@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -67,15 +68,18 @@ def parse_numbers(observation_text: str) -> tuple[float, ...] | None:
 
 
 def _apply_op(a: float, op: str, b: float) -> float | None:
+    """The result, or None for a division by (near) zero or an overflow."""
     if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if abs(b) < DIV_EPS:
+        value = a + b
+    elif op == "-":
+        value = a - b
+    elif op == "*":
+        value = a * b
+    elif abs(b) < DIV_EPS:
         return None
-    return a / b
+    else:
+        value = a / b
+    return value if math.isfinite(value) else None
 
 
 def _take(numbers: Sequence[float], value: float) -> list[float] | None:
@@ -97,8 +101,9 @@ def _end(number: float) -> tuple[str, float]:
 def game24_step(numbers: Sequence[float], action: str) -> tuple[tuple[float, ...], StepOutcome]:
     """Apply one combining action to the current multiset.
 
-    Malformed actions, absent operands, division by (near) zero, and a stated
-    result that disagrees with the actual arithmetic all reject the action:
+    Malformed actions, absent operands, division by (near) zero, a result
+    that overflows, and a stated result that disagrees with the actual
+    arithmetic all reject the action:
     the multiset is unchanged and the outcome is flagged invalid.
     """
     numbers = tuple(numbers)
@@ -128,7 +133,7 @@ def game24_step(numbers: Sequence[float], action: str) -> tuple[tuple[float, ...
         return reject(f"{format_number(b)} is not available")
     value = _apply_op(a, op, b)
     if value is None:
-        return reject("division by zero")
+        return reject("division by zero" if op == "/" and abs(b) < DIV_EPS else "overflow")
     if abs(value - stated) > RESULT_TOL:
         return reject(f"{format_number(a)}{op}{format_number(b)} is not {format_number(stated)}")
 
@@ -144,8 +149,8 @@ def game24_step(numbers: Sequence[float], action: str) -> tuple[tuple[float, ...
 def _moves(numbers: Sequence[float]) -> Iterator[tuple[float, str, float, float, list[float]]]:
     """Every ``(a, op, b, value, rest)`` that combines two of ``numbers`` by
     position, ``rest`` holding the others. Sums and products take their
-    operands in position order only, and a division by (near) zero is no
-    move."""
+    operands in position order only, and a division by (near) zero or a
+    result that overflows is no move."""
     for i, a in enumerate(numbers):
         for j, b in enumerate(numbers):
             if i == j:
@@ -242,9 +247,12 @@ class Game24Env(Environment):
 
     def check_task(self, task: TaskSpec) -> None:
         numbers = task.payload if isinstance(task.payload, list) else []
-        if not numbers or not all(type(x) in (int, float) for x in numbers):
+        # The bound rules out NaN too, and compares an int of any size exactly.
+        finite = (type(x) in (int, float) and abs(x) <= sys.float_info.max for x in numbers)
+        if not numbers or not all(finite):
             raise ValueError(
-                f"task {task.task_id!r}: key 'payload': expected a non-empty list of numbers"
+                f"task {task.task_id!r}: key 'payload': "
+                "expected a non-empty list of finite numbers"
             )
 
     def initial(self, task: TaskSpec) -> tuple[tuple[float, ...], Observation]:

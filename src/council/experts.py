@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .embedding import Embedder
+from .embedding import Embedder, TrigramEmbedder
 from .errors import ExpertUnavailableError, ProviderError, ScoreParseError
 from .gateway import (
     Backend,
@@ -335,7 +335,10 @@ class LLMExpert(Expert):
 
 
 class Council:
-    """A non-empty roster of experts plus one memory profile per expert."""
+    """A non-empty roster of experts plus one memory profile per expert.
+
+    Profiles not given are made under ``embedder``, or without one under a
+    single trigram embedder that they share."""
 
     def __init__(
         self,
@@ -353,6 +356,7 @@ class Council:
         self.experts: list[Expert] = list(experts)
         self.by_id: dict[str, Expert] = {e.expert_id: e for e in experts}
         self.profiles: dict[str, ExpertProfile] = dict(profiles or {})
+        embedder = embedder if embedder is not None else TrigramEmbedder()
         for expert in self.experts:
             if expert.expert_id not in self.profiles:
                 self.profiles[expert.expert_id] = ExpertProfile(

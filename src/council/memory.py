@@ -84,38 +84,27 @@ class _Scan(NamedTuple):
 class Query:
     """The retrieval state of one search node.
 
-    It holds the node's trajectory, its serialized text as UTF-8 bytes, its
-    embedding under each embedder it was scanned with, and for each profile
-    it was scanned against that scan's result, tagged with the profile's
-    index version. ``parent`` is the query of the node this one extends: its
-    text must be a prefix of this one's, else the link is dropped. A search
-    builds one query per node, so the state lives and dies with its tree and
-    is only ever touched by that search's thread.
+    It holds the node's trajectory, the embedding of its serialized text
+    under each embedder it was scanned with, and for each profile it was
+    scanned against that scan's result, tagged with the profile's index
+    version. ``parent`` is the query of the node this one extends, or None.
+    A search builds one query per node, so the state lives and dies with its
+    tree and is only ever touched by that search's thread.
     """
 
-    __slots__ = ("trajectory", "data", "parent", "_vectors", "_scans")
+    __slots__ = ("trajectory", "parent", "_vectors", "_scans")
 
     def __init__(self, trajectory: Trajectory, parent: Query | None = None):
         self.trajectory = trajectory
-        self.data = serialize_trajectory(trajectory).encode("utf-8")
-        if parent is not None and not self.data.startswith(parent.data):
-            parent = None
         self.parent = parent
         self._vectors: dict[Embedder, np.ndarray] = {}
         self._scans: dict[ExpertProfile, _Scan] = {}
 
     def vector(self, embedder: Embedder) -> np.ndarray:
-        """The embedding under ``embedder``, computed once. An embedder with
-        ``embed_suffix`` extends the parent's vector by the bytes this query
-        adds; the sum of integer counts equals a full embedding exactly."""
+        """The embedding of the serialized trajectory under ``embedder``, computed once."""
         vec = self._vectors.get(embedder)
         if vec is None:
-            parent = self.parent
-            extend = getattr(embedder, "embed_suffix", None)
-            if extend is not None and parent is not None and embedder in parent._vectors:
-                vec = parent._vectors[embedder] + extend(self.data, len(parent.data))
-            else:
-                vec = embedder.embed(self.data.decode("utf-8"))
+            vec = embedder.embed(serialize_trajectory(self.trajectory))
             self._vectors[embedder] = vec
         return vec
 
@@ -155,14 +144,14 @@ class ExpertProfile:
     ``exemplar``, ``match_scores``) takes a :class:`Query`, the retrieval
     state a search node holds. A scan leaves its result on the query,
     tagged with the version, and a repeated scan at that version reads it
-    back. A child node's text extends its parent's, so when the parent's
-    query holds dots for this profile at the current version, taken on the
-    exact float32 path, and both the child's weights and their difference
-    from the parent's pass the same test, the scan multiplies only the rows
-    where the two vectors differ and adds the products to the parent's
-    dots. Every product and sum is then an integer below 2**24, so the
-    scores equal a full scan bit for bit. Any other scan is a full scan. The
-    profile itself keeps no per-query state.
+    back. When the query's parent holds dots for this profile at the current
+    version, taken on the exact float32 path, and both the query's weights
+    and their difference from the parent's pass the same test, the scan
+    multiplies only the rows where the two vectors differ and adds the
+    products to the parent's dots. Every product and sum is then an integer
+    below 2**24, so the scores equal a full scan bit for bit, whatever text
+    the parent holds. Any other scan is a full scan. The profile itself
+    keeps no per-query state.
 
     Every method that reads the index or changes the store holds the
     profile's lock throughout, scans included, so a profile can be shared
@@ -344,7 +333,7 @@ class ExpertProfile:
     def _scan(self, query: Query) -> np.ndarray:
         """Cosine similarity of the query against every written slot, dead
         ones included, as a read-only array, which the query keeps. A scan
-        the query holds at this version is read back; a child whose parent
+        the query holds at this version is read back; a query whose parent
         holds exact dots at this version multiplies only the rows where the
         two vectors differ, when that stays exact; any other scan is a full
         scan. The lock is held."""

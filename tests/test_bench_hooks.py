@@ -13,8 +13,11 @@ import numpy as np
 
 import council.harness as harness
 import council.mcts as mcts
+from council.config import PlannerConfig, SearchBudget
 from council.embedding import TrigramEmbedder
-from council.experts import ConstantEvaluatorExpert, Council
+from council.envs.base import TaskSpec
+from council.envs.synth import SynthConfig, SynthEnv
+from council.experts import ConstantEvaluatorExpert, Council, SynthSpecialistExpert
 from council.gateway import ChatRequest, compose_prompt, request_for
 from council.memory import ExpertProfile, Query
 from council.routing import route
@@ -22,7 +25,7 @@ from council.trajectory import Observation, Trajectory
 from council.values import sms_value
 
 from perfbench.spans import SpanRecorder
-from perfbench.worker import tracing
+from perfbench.worker import patched, tracing
 
 from conftest import make_trajectory
 
@@ -70,3 +73,23 @@ def test_the_scan_wrappers_call_through_and_count_what_they_scan():
     assert rec.counts["memory.segments_scanned"] == 2 * len(profile)
     names = ["memory.best_match", "memory.match_scores", "routing.route", "values.sms_value"]
     assert [span.name for span in rec.spans] == names
+
+
+def test_every_vector_a_node_query_holds_is_embedded_inside_an_embed_span():
+    cfg = SynthConfig(depth=3, budget=3)
+    env = SynthEnv(cfg)
+    council = Council(
+        [SynthSpecialistExpert(f"{f}-specialist", f, cfg) for f in cfg.families],
+        embedder=TrigramEmbedder(64),
+    )
+    for profile in council.profiles.values():
+        for i in range(6):
+            profile.insert(make_trajectory([(f"[amber#b] go +{i}", f"token {i}")]))
+    planner = PlannerConfig(budget=SearchBudget(iterations=8, expansion_width=2, max_depth=6))
+    task = TaskSpec("synth-amber-0000", "synth", {"family": "amber", "seed": 7})
+    rec = SpanRecorder()
+    with patched(tracing(rec)):
+        result = mcts.search(task, env, council, planner, random.Random(2), update_memory=False)
+    held = sum(len(node.query._vectors) for node in result.tree.nodes)
+    assert held > 1
+    assert [span.name for span in rec.spans].count("embedding.embed") == held

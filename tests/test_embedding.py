@@ -87,12 +87,3 @@ def test_similarity_is_bounded(xs, ys):
     value = similarity(np.array(xs), np.array(ys))
     assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
-
-@given(st.text(alphabet="ab\\\né中😀", max_size=12), st.text(alphabet="ab\\\né中😀", max_size=12))
-def test_a_suffix_embedding_extends_a_prefix_exactly(head, tail):
-    """Cuts fall on byte offsets, inside a multi-byte character included."""
-    emb = TrigramEmbedder(dim=8)
-    data = (head + tail).encode("utf-8")
-    for start in range(len(data) + 1):
-        grown = emb._count(data[:start]) + emb.embed_suffix(data, start)
-        assert np.array_equal(grown, emb.embed(head + tail))

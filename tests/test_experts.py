@@ -372,6 +372,13 @@ def test_council_builds_one_profile_per_expert():
     assert [e.expert_id for e in council.experts] == ["a", "b"]
 
 
+def test_a_council_without_an_embedder_shares_one_across_its_profiles():
+    experts = [ConstantEvaluatorExpert(name, 0.5) for name in ("a", "b", "c")]
+    council = Council(experts)
+    embedders = {id(profile.embedder) for profile in council.profiles.values()}
+    assert len(embedders) == 1
+
+
 def test_subset_shares_profile_objects():
     council = Council([ConstantEvaluatorExpert("a", 0.5), ConstantEvaluatorExpert("b", 0.5)])
     sub = council.subset(["b"])

@@ -69,6 +69,18 @@ def test_division_by_zero_is_rejected():
     assert "division by zero" in outcome.observation.text
 
 
+def test_a_result_that_overflows_is_no_move():
+    big = 10**308
+    numbers = (float(big), float(big), 3.0)
+    actions = legal_actions(numbers)
+    assert actions and not any("inf" in action or "nan" in action for action in actions)
+    assert f"{big}+{big}={2 * big}" not in actions
+    _, outcome = game24_step(numbers, f"{big}*{big}={big * big}")
+    assert outcome.invalid
+    assert "overflow" in outcome.observation.text
+    assert game24_oracle(numbers) == (False, None)
+
+
 def test_a_wrong_stated_result_is_rejected():
     numbers, outcome = game24_step((3.0, 4.0), "3*4=11")
     assert outcome.invalid

@@ -477,14 +477,20 @@ def test_a_search_replays_once_and_applies_once_per_node():
         assert node.state == env.inner.replay(synth_task(), _actions_to(result.tree, node)).state
 
 
-def test_every_scan_a_node_holds_equals_a_full_scan():
-    cfg = SynthConfig(depth=3, budget=3)
-    env = SynthEnv(cfg)
+def filled_synth_council(cfg: SynthConfig, env: SynthEnv) -> Council:
+    """Three specialists whose profiles nine shared searches have filled."""
     council = synth_council(cfg, "amber", "basalt", "cedar")
-    for seed in range(9):  # shared searches fill the profiles
+    for seed in range(9):
         task = synth_task(cfg.families[seed % 3], seed)
         search(task, env, council, planner(iterations=12), random.Random(seed))
     assert all(len(profile) for profile in council.profiles.values())
+    return council
+
+
+def test_every_scan_a_node_holds_equals_a_full_scan():
+    cfg = SynthConfig(depth=3, budget=3)
+    env = SynthEnv(cfg)
+    council = filled_synth_council(cfg, env)
     result = search(
         synth_task("basalt", 11), env, council, planner(), random.Random(11), update_memory=False
     )
@@ -497,3 +503,28 @@ def test_every_scan_a_node_holds_equals_a_full_scan():
                 assert np.array_equal(scan.sims, profile._scan(Query(node.prefix)))
             scans += 1
     assert scans > len(result.tree.nodes)
+
+
+def test_each_scanned_node_embeds_its_whole_text_once(monkeypatch):
+    cfg = SynthConfig(depth=3, budget=3)
+    env = SynthEnv(cfg)
+    council = filled_synth_council(cfg, env)
+    embedded = []
+    original = TrigramEmbedder.embed
+
+    def embed(self, text):
+        embedded.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(TrigramEmbedder, "embed", embed)
+    result = search(
+        synth_task("cedar", 13), env, council, planner(), random.Random(13), update_memory=False
+    )
+    scanned = [node for node in result.tree.nodes if node.query._scans]
+    assert len(scanned) > 1
+    assert sorted(embedded) == sorted(serialize_trajectory(node.prefix) for node in scanned)
+    embedder = council.profile("cedar-specialist").embedder
+    for node in scanned:
+        assert list(node.query._vectors) == [embedder]
+        full = original(embedder, serialize_trajectory(node.prefix))
+        assert np.array_equal(node.query._vectors[embedder], full)

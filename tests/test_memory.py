@@ -433,19 +433,27 @@ _CHANGE = st.sampled_from(["none", "insert", "restore", "evict", "compact", "cre
     st.sampled_from([TrigramEmbedder, Float64Trigrams]),
     st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=6),
     _TEXT,
-    st.lists(st.tuples(st.tuples(_TEXT, _TEXT), _CHANGE), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.tuples(_TEXT, _TEXT), _CHANGE, st.integers(0, 4)), min_size=1, max_size=6
+    ),
 )
 def test_node_held_scans_equal_full_scans_bit_for_bit(kind, stored, root_text, path):
     """A chain of node queries, each extending the last by one step, with
-    the profile changing between a parent's scan and its child's."""
+    the profile changing between a parent's scan and its child's. A query is
+    linked to the last one, or by ``link`` to an earlier query, chain or
+    side, whose text need not be its prefix."""
     embedder = kind(16)
     profile = ExpertProfile("x", capacity=3, embedder=embedder)
     for obs, act in stored:
         profile.insert(make_trajectory([(obs, act)]))
     query = Query(Trajectory(pending=Observation(root_text)))
+    earlier = []
     created = 1000
-    for (act, obs), change in path:
+    for (act, obs), change, link in path:
+        side = Query(make_trajectory([(obs, act)]))
+        profile.best_match(side)
         profile.best_match(query)
+        earlier += [side, query]
         if change == "insert":
             profile.insert(make_trajectory([(obs, act)]))
         elif change == "restore":
@@ -462,7 +470,7 @@ def test_node_held_scans_equal_full_scans_bit_for_bit(kind, stored, root_text, p
         elif change == "credit" and len(profile):
             decide(profile, profile.segments()[0], [True])
         trajectory = query.trajectory.extend(Action(act), Observation(obs))
-        query = Query(trajectory, parent=query)
+        query = Query(trajectory, parent=earlier[-1 - link % len(earlier)])
         vec = query.vector(embedder)
         full = embedder.embed(serialize_trajectory(trajectory))
         assert vec.dtype == full.dtype and np.array_equal(vec, full)
