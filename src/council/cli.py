@@ -44,13 +44,13 @@ from .harness import (
     ablation_table,
     check_tasks,
     dump_json,
-    load_memory,
+    read_memory,
     read_tasks,
     run,
     run_ablation,
-    save_memory,
     write_jsonl,
 )
+from .memory import profile_records, sms_utility
 
 
 def _parse_bool(text: str) -> bool:
@@ -186,38 +186,37 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _memory_summary(profiles: dict) -> list[str]:
+def _memory_summary(memory: dict) -> list[str]:
+    """One line per expert, then the total; every expert read has a segment."""
     lines = []
-    total = 0
-    for expert_id in sorted(profiles):
-        profile = profiles[expert_id]
-        segments = profile.segments()
-        total += len(segments)
-        utilities = [profile.utility(segment) for segment in segments]
-        mean_utility = sum(utilities) / len(utilities) if utilities else None
+    for expert_id in sorted(memory):
+        segments = memory[expert_id]
+        mean_utility = sum(sms_utility(segment) for segment in segments) / len(segments)
         retrievals = sum(segment.uses for segment in segments)
-        utility_text = "n/a" if mean_utility is None else f"{mean_utility:.3f}"
         lines.append(
             f"{expert_id}: {len(segments)} segments, "
-            f"mean utility {utility_text}, {retrievals} retrievals"
+            f"mean utility {mean_utility:.3f}, {retrievals} retrievals"
         )
-    lines.append(f"total: {total} segments across {len(profiles)} experts")
+    total = sum(len(segments) for segments in memory.values())
+    lines.append(f"total: {total} segments across {len(memory)} experts")
     return lines
 
 
 def cmd_memory(args: argparse.Namespace) -> int:
     if args.action == "save" and not args.dest:
         raise ValueError("memory save needs a destination path")
-    profiles = load_memory(args.path)
+    # Each expert's checked segments; no command here builds or scans an index.
+    memory = read_memory(args.path)
     if args.action == "load":
-        count = sum(len(profile) for profile in profiles.values())
+        count = sum(len(segments) for segments in memory.values())
         print(f"loaded {count} segments from {args.path}")
     elif args.action == "inspect":
-        for line in _memory_summary(profiles):
+        for line in _memory_summary(memory):
             print(line)
     else:  # save: canonical round-trip of an existing file to a new path
-        count = save_memory(args.dest, profiles)
-        print(f"wrote {count} segments to {args.dest}")
+        records = profile_records(memory)
+        write_jsonl(args.dest, records)
+        print(f"wrote {len(records)} segments to {args.dest}")
     return 0
 
 

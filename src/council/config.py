@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigKeyError
+from .memory import DEFAULT_CAPACITY, DEFAULT_COLD_START
 
 VALUE_MODES = ("full", "llm-only", "sms-only", "env-only")
 ROUTING_STRATEGIES = ("task-aware", "random", "round-robin", "voting", "collaborative")
@@ -43,8 +44,8 @@ class PlannerConfig:
 
 @dataclass
 class MemoryConfig:
-    capacity: int = 512
-    cold_start: float = 0.5
+    capacity: int = DEFAULT_CAPACITY
+    cold_start: float = DEFAULT_COLD_START
     shared: bool = True
     load_path: str | None = None
     save_path: str | None = None

@@ -1,8 +1,9 @@
 """The expert council: action proposers and plausibility evaluators.
 
 An expert does two things. Given a trajectory so far (and optionally a
-retrieved exemplar of a past success) it proposes candidate next actions, and
-given a trajectory it scores how promising the state looks on [0, 1].
+retrieved exemplar of a past success, as the stored segment's serialized
+text) it proposes candidate next actions, and given a trajectory it scores
+how promising the state looks on [0, 1].
 
 Scripted experts are pure functions of (prefix, exemplar, k, seed): every
 random choice is drawn from a generator derived from the expert's seed and
@@ -57,7 +58,9 @@ class Expert:
             raise ValueError("expert_id must be non-empty")
         self.expert_id = expert_id
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
+        """Up to ``k`` candidate next actions for ``prefix``. ``exemplar`` is
+        the serialized text of a stored segment to cite, or None."""
         raise NotImplementedError
 
     def plausibility(self, prefix: Trajectory) -> float:
@@ -70,7 +73,7 @@ class Expert:
 
 
 def propose_actions(
-    expert: Expert, prefix: Trajectory, exemplar: Trajectory | None, k: int
+    expert: Expert, prefix: Trajectory, exemplar: str | None, k: int
 ) -> list[Action]:
     """Ask an expert for up to ``k`` distinct candidate actions.
 
@@ -121,7 +124,7 @@ class TableExpert(Expert):
         self.table = dict(table)
         self.score = score
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         return list(self.table.get(serialize_trajectory(prefix), ()))
 
     def plausibility(self, prefix: Trajectory) -> float:
@@ -141,7 +144,7 @@ class ConstantEvaluatorExpert(Expert):
         self.score = score
         self.actions = list(actions)
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         return list(self.actions)
 
     def plausibility(self, prefix: Trajectory) -> float:
@@ -163,7 +166,7 @@ class RandomExpert(Expert):
         self.pool = list(pool)
         self.seed = seed
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         rng = derived_rng("random-expert", self.seed, serialize_trajectory(prefix), k)
         count = min(k, len(self.pool))
         return rng.sample(self.pool, count)
@@ -187,7 +190,7 @@ class Game24OracleExpert(Expert):
     def _numbers(self, prefix: Trajectory) -> tuple[float, ...] | None:
         return parse_numbers(current_observation_text(prefix))
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         numbers = self._numbers(prefix)
         if numbers is None or len(numbers) <= 1:
             return []
@@ -238,7 +241,7 @@ class SynthSpecialistExpert(Expert):
         self.eval_noise = eval_noise
         self._vocab = family_vocab(family, self.config)
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         view = parse_view(current_observation_text(prefix), self.config)
         if view is None or view.solved or view.failed:
             return []
@@ -309,7 +312,7 @@ class LLMExpert(Expert):
         self.max_tokens = max_tokens
         self.timeout = timeout
 
-    def propose(self, prefix: Trajectory, exemplar: Trajectory | None, k: int) -> list[str]:
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         messages = compose_prompt(first_observation_text(prefix), prefix, exemplar, "act")
         settings = (self.act_temperature, self.max_tokens, self.timeout)
         requests = [request_for(sample_prompt(messages, i, k), *settings) for i in range(1, k + 1)]

@@ -81,21 +81,22 @@ DEFAULT_TEMPLATES = PromptTemplates()
 def compose_prompt(
     task_instruction: str,
     prefix: Trajectory,
-    exemplar: Trajectory | None,
+    exemplar: str | None,
     mode: str,
 ) -> list[ChatMessage]:
     """The system and user messages of one act or evaluate call.
 
-    Deterministic in its inputs. The exemplar region is present exactly when
-    an exemplar is supplied and never interleaves with the current-trajectory
-    region.
+    Deterministic in its inputs. ``exemplar`` is a stored segment's
+    serialized text, placed as it is. The exemplar region is present exactly
+    when an exemplar is supplied and never interleaves with the
+    current-trajectory region.
     """
     if mode not in ("act", "evaluate"):
         raise ValueError(f"unknown prompt mode: {mode}")
     t = DEFAULT_TEMPLATES
     parts = [f"Task: {task_instruction}"]
     if exemplar is not None:
-        parts.append(f"{t.exemplar_header}\n{serialize_trajectory(exemplar)}{t.exemplar_footer}")
+        parts.append(f"{t.exemplar_header}\n{exemplar}{t.exemplar_footer}")
     directive = t.act_directive if mode == "act" else t.evaluate_directive
     parts.append(f"{t.current_header}\n{serialize_trajectory(prefix)}{directive}")
     return [

@@ -45,7 +45,8 @@ from .experts import (
 )
 from .gateway import HTTPBackend
 from .mcts import search
-from .memory import DEFAULT_COLD_START, profile_records, restore_profiles
+from .memory import DEFAULT_CAPACITY, DEFAULT_COLD_START
+from .memory import profile_records, read_segments, restore_profiles
 from .seeding import derived_seed
 
 METRICS_FILENAME = "metrics.jsonl"
@@ -133,15 +134,21 @@ def write_tasks(path: str | Path, tasks: list[TaskSpec]) -> None:
 
 def save_memory(path: str | Path, profiles: dict) -> int:
     """Write every stored segment as one JSON line; returns the line count."""
-    records = profile_records(profiles)
+    records = profile_records({eid: profile.segments() for eid, profile in profiles.items()})
     write_jsonl(path, records)
     return len(records)
+
+
+def read_memory(path: str | Path) -> dict:
+    """Each expert's segments in a memory file, checked but not embedded; a
+    bad line is reported by number and key."""
+    return _read_jsonl(path, "memory", read_segments)
 
 
 def load_memory(
     path: str | Path,
     embedder: Embedder | None = None,
-    capacity: int = 512,
+    capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
 ) -> dict:
     """Rebuild profiles from a memory file; a bad line is reported by number

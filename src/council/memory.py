@@ -2,10 +2,10 @@
 
 Each expert owns a profile of segments. A segment is a trajectory prefix that
 ended up inside some successful episode's final trajectory, attributed to the
-expert whose action completed the prefix. Alongside the prefix the segment
-keeps two counts over the finished episodes that looked it up: ``uses``, how
-many lookups they made, and ``wins``, how many of those came from episodes
-that succeeded.
+expert whose action completed the prefix, and kept as the prefix's serialized
+text. Alongside the text the segment keeps two counts over the finished
+episodes that looked it up: ``uses``, how many lookups they made, and
+``wins``, how many of those came from episodes that succeeded.
 
 The counts turn raw recall into a value estimate. A segment's utility is the
 usage-weighted success rate ``wins / uses`` of the episodes that retrieved
@@ -27,20 +27,17 @@ import numpy as np
 from .embedding import Embedder, TrigramEmbedder
 from .errors import InvalidStateError
 from .trajectory import (
-    Action,
     EpisodeRecord,
-    Observation,
-    Step,
     Trajectory,
     decompose_prefixes,
+    parse_trajectory,
+    serialize_step,
     serialize_trajectory,
 )
 
+# The defaults of every profile, memory file load and run configuration.
 DEFAULT_CAPACITY = 512
 DEFAULT_COLD_START = 0.5
-# Staged embeddings are written into a profile's index as one block once this
-# many wait, or sooner when a scan or prune needs them.
-_STAGE_LIMIT = 256
 # A scan gathers and multiplies the index this many slots at a time.
 _SCAN_BLOCK = 1024
 # binary32 holds every integer of magnitude up to 2**24 exactly.
@@ -49,12 +46,15 @@ _FLOAT32_EXACT = 2**24
 
 @dataclass
 class SMSegment:
-    """A stored success-memory segment: its prefix and the retrieval counts
-    of the finished episodes that looked it up. Its embedding lives only in
-    the owning profile's index."""
+    """A stored success-memory segment: its prefix as canonical serialized
+    text (see :func:`~council.trajectory.serialize_trajectory`) and the
+    retrieval counts of the finished episodes that looked it up. The text is
+    what dedupes, embeds and is cited as an exemplar; ``parse_trajectory``
+    gives the steps back. Its embedding lives only in the owning profile's
+    index."""
 
     segment_id: str
-    prefix: Trajectory
+    text: str
     created_at: int
     wins: int = 0
     uses: int = 0
@@ -117,8 +117,7 @@ class ExpertProfile:
     slot holds a segment's embedding, and the norm of each column, kept as
     infinity for an all-zero column so that its scores divide to 0. Slots
     follow insertion order, so the first maximum is the earliest-inserted
-    segment among ties. New embeddings are staged and written as one block
-    on the next scan, prune or credit, or once 256 wait.
+    segment among ties. A new segment's column is written when it is added.
 
     An eviction only marks its slot dead. Dead slots are never returned, and
     the live slots are compacted in order when the matrix runs out of slots
@@ -174,10 +173,9 @@ class ExpertProfile:
         self._by_text: dict[str, str] = {}
         self._next_created = 0
         # The segment table and index: slot i holds _slots[i] (None once
-        # evicted), _slot_of maps each stored segment id to its slot, the
-        # slot's embedding is column i of _cols once written, and slots
-        # [0, _written) are written. _util and _created hold each written
-        # slot's utility and created_at.
+        # evicted), _slot_of maps each stored segment id to its slot, and
+        # the slot's embedding is column i of _cols. _util and _created hold
+        # each slot's utility and created_at.
         exact32 = getattr(self.embedder, "integer_output", False)
         dtype = np.float32 if exact32 else np.float64
         self._cols = np.zeros((self.embedder.dim, 0), dtype=dtype)
@@ -188,8 +186,6 @@ class ExpertProfile:
         self._peak = 0.0
         self._slots: list[SMSegment | None] = []
         self._slot_of: dict[str, int] = {}
-        self._written = 0
-        self._staged: list[np.ndarray] = []
         self.version = 0
         self._lock = threading.Lock()
 
@@ -229,31 +225,39 @@ class ExpertProfile:
             while segment_id in self._slot_of:
                 created += 1
                 segment_id = f"{self.expert_id}:{created}"
-            segment = SMSegment(segment_id=segment_id, prefix=prefix, created_at=created)
-            self._add(segment, text)
+            segment = SMSegment(segment_id=segment_id, text=text, created_at=created)
+            self._add(segment)
             self._next_created = created + 1
             return segment
 
-    def _restore(self, segment: SMSegment) -> None:
-        """Used by persistence: re-attach a fully-built segment."""
-        text = serialize_trajectory(segment.prefix)
+    def _restore(self, segments: Iterable[SMSegment]) -> None:
+        """Used by persistence: re-attach segments read from a file, whose
+        ids and texts :func:`read_segments` has already checked are unique."""
         with self._lock:
-            if segment.segment_id in self._slot_of or text in self._by_text:
-                raise ValueError(f"duplicate segment on restore: {segment.segment_id}")
-            self._add(segment, text)
-            self._next_created = max(self._next_created, segment.created_at + 1)
+            for segment in segments:
+                self._add(segment)
+                self._next_created = max(self._next_created, segment.created_at + 1)
 
-    def _add(self, segment: SMSegment, text: str) -> None:
-        """Give a new segment the next slot and stage its embedding. The lock
-        is held."""
-        embedding = self.embedder.embed(text)
-        self._by_text[text] = segment.segment_id
-        self._slot_of[segment.segment_id] = len(self._slots)
+    def _add(self, segment: SMSegment) -> None:
+        """Give a new segment the next slot and write its column. The lock is
+        held."""
+        embedding = self.embedder.embed(segment.text)
+        if len(self._slots) == self._cols.shape[1]:
+            self._make_room()
+        slot = len(self._slots)
+        self._by_text[segment.text] = segment.segment_id
+        self._slot_of[segment.segment_id] = slot
         self._slots.append(segment)
-        self._staged.append(embedding)
+        self._cols[:, slot] = embedding
+        # A pairwise sum, as np.linalg.norm takes along an axis; a dot product
+        # may round the last bit differently.
+        norm = float(np.sqrt(np.add.reduce(embedding * embedding)))
+        self._norms[slot] = norm if norm > 0.0 else np.inf
+        self._live[slot] = True
+        self._util[slot] = self.utility(segment)
+        self._created[slot] = segment.created_at
+        self._peak = max(self._peak, float(np.abs(embedding).max()))
         self.version += 1
-        if len(self._staged) >= _STAGE_LIMIT:
-            self._flush()
 
     def credit(self, segment_id: str, count: int, success: bool) -> None:
         """Add ``count`` finished lookups of a segment to its ``uses``, and on
@@ -261,7 +265,6 @@ class ExpertProfile:
         with self._lock:
             if segment_id not in self._slot_of:
                 raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
-            self._flush()  # a compaction may move the slot
             slot = self._slot_of[segment_id]
             segment = self._slots[slot]
             segment.uses += count
@@ -271,51 +274,25 @@ class ExpertProfile:
 
     # -- the index ------------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Write the staged embeddings into their slots as one block. The lock
-        is held."""
-        if not self._staged:
-            return
-        block = np.vstack(self._staged)
-        if self._written + len(block) > self._cols.shape[1]:
-            self._make_room(len(block))
-        start, stop = self._written, self._written + len(block)
-        segments = self._slots[start:stop]
-        self._cols[:, start:stop] = block.T
-        norms = np.linalg.norm(block, axis=1)
-        self._norms[start:stop] = np.where(norms > 0.0, norms, np.inf)
-        self._live[start:stop] = True
-        self._util[start:stop] = [self.utility(segment) for segment in segments]
-        self._created[start:stop] = [segment.created_at for segment in segments]
-        self._peak = max(self._peak, float(np.abs(block).max()))
-        self._written = stop
-        self._staged = []
-
-    def _make_room(self, count: int) -> None:
-        """Compact, then grow the matrix if ``count`` more slots still do not
-        fit. The lock is held."""
+    def _make_room(self) -> None:
+        """Compact, then grow the matrix if every slot is still taken. The
+        lock is held."""
         if self._dead:
             self._compact()
-        written, size = self._written, self._cols.shape[1]
-        needed = written + count
-        if needed <= size:
+        size = self._cols.shape[1]
+        if len(self._slots) < size:
             return
         limit = self.capacity + self.capacity // 8
-        grown = max(needed, 4 * size)
+        grown = max(1, 4 * size)
         if size < limit and grown >= self.capacity:
-            grown = max(needed, limit)
-        cols = np.zeros((self._cols.shape[0], grown), dtype=self._cols.dtype)
-        cols[:, :written] = self._cols[:, :written]
-        self._cols = cols
+            grown = limit
+        self._cols = np.pad(self._cols, ((0, 0), (0, grown - size)))
         for name in ("_norms", "_live", "_util", "_created"):
-            old = getattr(self, name)
-            new = np.zeros(grown, dtype=old.dtype)
-            new[:written] = old[:written]
-            setattr(self, name, new)
+            setattr(self, name, np.pad(getattr(self, name), (0, grown - size)))
 
     def _compact(self) -> None:
         """Move the live slots to the front, in order. The lock is held."""
-        keep = np.flatnonzero(self._live[: self._written])
+        keep = np.flatnonzero(self._live[: len(self._slots)])
         kept = len(keep)
         # Row by row, so the copy needs one row of scratch, not a matrix.
         for row in self._cols:
@@ -325,19 +302,17 @@ class ExpertProfile:
         self._live[:kept] = True
         self._slots = [segment for segment in self._slots if segment is not None]
         self._slot_of = {segment.segment_id: i for i, segment in enumerate(self._slots)}
-        self._written = kept
         self.version += 1
 
     # -- retrieval ----------------------------------------------------------
 
     def _scan(self, query: Query) -> np.ndarray:
-        """Cosine similarity of the query against every written slot, dead
-        ones included, as a read-only array, which the query keeps. A scan
+        """Cosine similarity of the query against every slot, dead ones
+        included, as a read-only array, which the query keeps. A scan
         the query holds at this version is read back; a query whose parent
         holds exact dots at this version multiplies only the rows where the
         two vectors differ, when that stays exact; any other scan is a full
         scan. The lock is held."""
-        self._flush()
         held = query._scans.get(self)
         if held is not None and held.version == self.version:
             return held.sims
@@ -346,10 +321,10 @@ class ExpertProfile:
             raise ValueError(
                 f"dimension mismatch: query {query_vec.shape} vs index {self._cols.shape[:1]}"
             )
-        written, dots = self._written, None
+        count, dots = len(self._slots), None
         qnorm = float(np.linalg.norm(query_vec))
         if qnorm == 0.0:
-            sims = np.zeros(written, dtype=np.float64)
+            sims = np.zeros(count, dtype=np.float64)
         else:
             buckets = np.flatnonzero(query_vec)
             weights = query_vec[buckets]
@@ -368,7 +343,7 @@ class ExpertProfile:
                 dots = self._product(weights.astype(np.float32) if exact else weights, buckets)
             # A float32 product is an exact integer, so widening it to divide
             # in float64 changes no bit.
-            sims = dots / (self._norms[:written] * qnorm)
+            sims = dots / (self._norms[:count] * qnorm)
             if not exact:
                 dots = None
         sims.flags.writeable = False
@@ -376,14 +351,14 @@ class ExpertProfile:
         return sims
 
     def _product(self, weights: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """``weights`` times the matrix rows ``buckets``, for every written
-        slot. The lock is held."""
-        written = self._written
-        dots = np.empty(written, dtype=np.result_type(weights, self._cols))
+        """``weights`` times the matrix rows ``buckets``, for every slot. The
+        lock is held."""
+        count = len(self._slots)
+        dots = np.empty(count, dtype=np.result_type(weights, self._cols))
         # Block by block, so each gathered block is still in cache when it
         # is multiplied.
-        for start in range(0, written, _SCAN_BLOCK):
-            stop = min(start + _SCAN_BLOCK, written)
+        for start in range(0, count, _SCAN_BLOCK):
+            stop = min(start + _SCAN_BLOCK, count)
             np.matmul(weights, self._cols[buckets, start:stop], out=dots[start:stop])
         return dots
 
@@ -400,14 +375,14 @@ class ExpertProfile:
         if not self._slot_of:
             return None
         sims = self._scan(query)
-        return np.where(self._live[: self._written], sims, -np.inf) if self._dead else sims
+        return np.where(self._live[: len(self._slots)], sims, -np.inf) if self._dead else sims
 
     def match_scores(self, query: Query) -> np.ndarray:
         """Similarity of the query against every segment, in insertion order.
         The array is read-only."""
         with self._lock:
             sims = self._scan(query)
-            return sims[self._live[: self._written]] if self._dead else sims
+            return sims[self._live[: len(self._slots)]] if self._dead else sims
 
     def best_match(self, query: Query) -> tuple[SMSegment, float] | None:
         """The stored segment most similar to the query, with its score.
@@ -449,15 +424,14 @@ class ExpertProfile:
             excess = len(self._slot_of) - self.capacity
             if excess <= 0:
                 return []
-            self._flush()
-            live = np.flatnonzero(self._live[: self._written])
+            live = np.flatnonzero(self._live[: len(self._slots)])
             # lexsort is stable and sorts by its last key first.
             ranked = live[np.lexsort((self._created[live], self._util[live]))[:excess]]
             victims = []
             for slot in ranked.tolist():
                 victim = self._slots[slot]
                 victims.append(victim.segment_id)
-                del self._by_text[serialize_trajectory(victim.prefix)]
+                del self._by_text[victim.text]
                 del self._slot_of[victim.segment_id]
                 self._slots[slot] = None
             self._live[ranked] = False
@@ -537,25 +511,25 @@ def finalize_episode(profiles: Mapping[str, ExpertProfile], record: EpisodeRecor
 # reopened under another.
 
 
-def profile_records(profiles: Mapping[str, ExpertProfile]) -> list[dict]:
-    """Flatten profiles into persistence records, deterministically ordered."""
-    records: list[dict] = []
-    for expert_id in sorted(profiles):
-        profile = profiles[expert_id]
-        for segment in sorted(profile.segments(), key=lambda s: s.created_at):
-            records.append(
-                {
-                    "expert_id": expert_id,
-                    "segment_id": segment.segment_id,
-                    "prefix_steps": [
-                        [step.observation.text, step.action.text] for step in segment.prefix.steps
-                    ],
-                    "created_at": segment.created_at,
-                    "wins": segment.wins,
-                    "uses": segment.uses,
-                }
-            )
-    return records
+def profile_records(segments: Mapping[str, Iterable[SMSegment]]) -> list[dict]:
+    """Flatten each expert's segments (a profile's ``segments()``, or a list
+    from :func:`read_segments`) into persistence records, ordered by expert
+    id, then ``created_at``, then the order given."""
+    return [
+        {
+            "expert_id": expert_id,
+            "segment_id": segment.segment_id,
+            "prefix_steps": [
+                [step.observation.text, step.action.text]
+                for step in parse_trajectory(segment.text).steps
+            ],
+            "created_at": segment.created_at,
+            "wins": segment.wins,
+            "uses": segment.uses,
+        }
+        for expert_id in sorted(segments)
+        for segment in sorted(segments[expert_id], key=lambda s: s.created_at)
+    ]
 
 
 def _check(ok: bool, key: str, expected: str) -> None:
@@ -617,31 +591,47 @@ def segment_from_record(record: object) -> tuple[str, SMSegment]:
         wins, uses = record["wins"], record["uses"]
         _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
         _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
-    prefix = Trajectory(steps=tuple(Step(Observation(obs), Action(act)) for obs, act in pairs))
-    return record["expert_id"], SMSegment(record["segment_id"], prefix, created, wins, uses)
+    text = "".join(serialize_step(obs, act) for obs, act in pairs)
+    return record["expert_id"], SMSegment(record["segment_id"], text, created, wins, uses)
+
+
+def read_segments(records: Iterable[object]) -> dict[str, list[SMSegment]]:
+    """Check persistence records one by one and group their segments by
+    expert id, each list in record order. A malformed record, or a segment
+    id or prefix that repeats one of the same expert, raises ValueError
+    naming the key at fault as soon as that record is read."""
+    segments: dict[str, list[SMSegment]] = {}
+    # Per expert: its segment ids, and the id of the segment holding each text.
+    seen: dict[str, tuple[set[str], dict[str, str]]] = {}
+    for record in records:
+        expert_id, segment = segment_from_record(record)
+        ids, texts = seen.setdefault(expert_id, (set(), {}))
+        if segment.segment_id in ids:
+            raise ValueError(f"key 'segment_id': repeats '{segment.segment_id}' of '{expert_id}'")
+        if segment.text in texts:
+            raise ValueError(f"key 'prefix_steps': repeats the prefix of '{texts[segment.text]}'")
+        ids.add(segment.segment_id)
+        texts[segment.text] = segment.segment_id
+        segments.setdefault(expert_id, []).append(segment)
+    return segments
 
 
 def restore_profiles(
-    records: Iterable[dict],
+    records: Iterable[object],
     embedder: Embedder | None = None,
     capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
 ) -> dict[str, ExpertProfile]:
-    """Rebuild profiles from persistence records, recomputing embeddings.
+    """Rebuild profiles from persistence records, read by
+    :func:`read_segments`, recomputing embeddings.
 
     Every record is kept, even past a profile's capacity: a run prunes what
-    it loads, a copy of the file does not. A malformed record raises
-    ValueError naming the key at fault.
+    it loads, a copy of the file does not.
     """
     embedder = embedder if embedder is not None else TrigramEmbedder()
     profiles: dict[str, ExpertProfile] = {}
-    for record in records:
-        expert_id, segment = segment_from_record(record)
-        profile = profiles.get(expert_id)
-        if profile is None:
-            profile = ExpertProfile(
-                expert_id, capacity=capacity, embedder=embedder, cold_start=cold_start
-            )
-            profiles[expert_id] = profile
-        profile._restore(segment)
+    for expert_id, segments in read_segments(records).items():
+        profile = ExpertProfile(expert_id, capacity, embedder, cold_start)
+        profile._restore(segments)
+        profiles[expert_id] = profile
     return profiles

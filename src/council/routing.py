@@ -34,7 +34,7 @@ from .trajectory import Trajectory
 class RoutingDecision:
     chosen: str
     strategy: str
-    exemplar: Trajectory | None = None
+    exemplar: str | None = None
     exemplar_segment_id: str | None = None
     scores: dict[str, float] | None = None
     distribution: dict[str, float] | None = None
@@ -82,9 +82,10 @@ def route(
     Every single-expert strategy retrieves an exemplar from the chosen
     expert's profile when it has one (see ``ExpertProfile.exemplar``) and
     records the retrieval against the episode when one is supplied; the
-    exemplar accompanies the decision so proposal prompts can cite it. The
-    decision point is given as a :class:`Query`, a search node's retrieval
-    state, which keeps every scan made here for the node and its children.
+    exemplar's serialized text accompanies the decision so proposal prompts
+    can cite it. The decision point is given as a :class:`Query`, a search
+    node's retrieval state, which keeps every scan made here for the node
+    and its children.
     """
     if strategy not in ROUTING_STRATEGIES:
         raise ValueError(f"unknown routing strategy: {strategy}")
@@ -114,7 +115,7 @@ def route(
     return RoutingDecision(
         chosen=chosen,
         strategy=strategy,
-        exemplar=exemplar.prefix if exemplar is not None else None,
+        exemplar=exemplar.text if exemplar is not None else None,
         exemplar_segment_id=exemplar.segment_id if exemplar is not None else None,
         scores=scores,
         distribution=distribution,

@@ -9,6 +9,7 @@ decision is just the task instruction rendered as an observation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -82,6 +83,8 @@ def decompose_prefixes(trajectory: Trajectory) -> list[Trajectory]:
 
 _OBS_TAG = "OBS: "
 _ACT_TAG = "ACT: "
+# An escape, read left to right; any other backslash stands for itself.
+_ESCAPE_RE = re.compile(r"\\([\\n])")
 
 
 def _escape(text: str) -> str:
@@ -89,36 +92,24 @@ def _escape(text: str) -> str:
 
 
 def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: "\n" if m.group(1) == "n" else "\\", text)
+
+
+def serialize_step(observation: str, action: str) -> str:
+    """The text form of one completed step, "OBS: <o>\\nACT: <a>\\n". The
+    text of a trajectory without a pending observation, such as a stored
+    prefix, is the concatenation of its steps' forms."""
+    return f"{_OBS_TAG}{_escape(observation)}\n{_ACT_TAG}{_escape(action)}\n"
 
 
 def serialize_trajectory(trajectory: Trajectory) -> str:
     """Render a trajectory to its canonical text form.
 
-    Each completed step contributes "OBS: <o>\\nACT: <a>\\n"; a pending
-    observation contributes a trailing "OBS: <o>\\n" with no action line.
-    The result is deterministic and injective up to the field texts.
+    Each completed step contributes its :func:`serialize_step` form; a
+    pending observation contributes a trailing "OBS: <o>\\n" with no action
+    line. The result is deterministic and injective up to the field texts.
     """
-    parts: list[str] = []
-    for step in trajectory.steps:
-        parts.append(f"{_OBS_TAG}{_escape(step.observation.text)}\n")
-        parts.append(f"{_ACT_TAG}{_escape(step.action.text)}\n")
+    parts = [serialize_step(step.observation.text, step.action.text) for step in trajectory.steps]
     if trajectory.pending is not None:
         parts.append(f"{_OBS_TAG}{_escape(trajectory.pending.text)}\n")
     return "".join(parts)

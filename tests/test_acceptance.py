@@ -260,7 +260,7 @@ def _scan_sims(profile: ExpertProfile, qvec: np.ndarray) -> list[float]:
     qnorm = float(np.linalg.norm(qvec))
     sims = []
     for seg in profile.segments():
-        vec = profile.embedder.embed(serialize_trajectory(seg.prefix))
+        vec = profile.embedder.embed(seg.text)
         vnorm = float(np.linalg.norm(vec))
         if qnorm == 0.0 or vnorm == 0.0:
             sims.append(0.0)

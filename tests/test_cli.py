@@ -15,9 +15,11 @@ import pytest
 import council
 from council.cli import _RUN_FLAGS, main
 from council.config import RunConfig
+from council.embedding import TrigramEmbedder
 from council.envs.game24 import make_game24_tasks
 from council.envs.synth import SynthConfig, make_synth_tasks
 from council.harness import write_jsonl, write_tasks
+from council.memory import ExpertProfile
 
 
 def game24_tasks_file(tmp_path, count=3, seed=2):
@@ -469,6 +471,22 @@ def test_memory_commands_keep_every_segment_past_the_default_capacity(tmp_path, 
     assert dest.read_bytes() == source.read_bytes()
 
 
+def test_memory_commands_build_no_profile_and_embed_nothing(tmp_path, capsys, monkeypatch):
+    memory_path = memory_file_from_run(tmp_path)
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a memory command built or filled an index")
+
+    monkeypatch.setattr(ExpertProfile, "__init__", refuse)
+    monkeypatch.setattr(TrigramEmbedder, "embed", refuse)
+    dest = tmp_path / "copy.jsonl"
+    for argv in (["load", memory_path], ["inspect", memory_path], ["save", memory_path, str(dest)]):
+        assert main(["memory", *argv]) == 0
+    assert "total: " in capsys.readouterr().out
+    assert dest.read_bytes() == Path(memory_path).read_bytes()
+
+
 def test_memory_save_requires_a_destination(tmp_path, capsys):
     memory_path = memory_file_from_run(tmp_path)
     capsys.readouterr()
@@ -510,6 +528,17 @@ def _memory_line(**changes) -> str:
             ),
             "unknown key 'ledger[0].note'",
         ),
+        # A line given as a function is built from the file's first record.
+        (
+            lambda first: _memory_line(expert_id=first["expert_id"], segment_id=first["segment_id"]),
+            "key 'segment_id': repeats",
+        ),
+        (
+            lambda first: _memory_line(
+                expert_id=first["expert_id"], prefix_steps=first["prefix_steps"]
+            ),
+            "key 'prefix_steps': repeats",
+        ),
     ],
     ids=[
         "not-json",
@@ -519,12 +548,17 @@ def _memory_line(**changes) -> str:
         "wins-above-uses",
         "unknown-key",
         "ledger-unknown-key",
+        "duplicate-segment-id",
+        "duplicate-prefix",
     ],
 )
 def test_corrupt_memory_files_exit_two_naming_the_line(tmp_path, capsys, line, complaint):
     memory_path = memory_file_from_run(tmp_path)
     with open(memory_path, encoding="utf-8") as handle:
-        lineno = sum(1 for _ in handle) + 1
+        lines = handle.readlines()
+    lineno = len(lines) + 1
+    if callable(line):
+        line = line(json.loads(lines[0]))
     with open(memory_path, "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
     capsys.readouterr()

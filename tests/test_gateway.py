@@ -55,10 +55,10 @@ def test_prompt_composition_is_deterministic():
 def test_exemplar_region_is_fenced_and_never_interleaved():
     exemplar = make_trajectory([("seen obs 0", "seen act 0"), ("seen obs 1", "seen act 1")])
     prefix = make_trajectory([("live obs", "live act")], pending="now")
-    user = compose_prompt("task text", prefix, exemplar, "act")[1].content
+    exemplar_body = serialize_trajectory(exemplar)
+    user = compose_prompt("task text", prefix, exemplar_body, "act")[1].content
     header = user.index(T.exemplar_header)
     footer = user.index(T.exemplar_footer)
-    exemplar_body = serialize_trajectory(exemplar)
     region = user[header:footer]
     assert exemplar_body in region
     assert exemplar_body.count("OBS: ") == 2

@@ -41,7 +41,6 @@ from council.harness import (
     write_tasks,
 )
 from council.memory import ExpertProfile, profile_records
-from council.trajectory import serialize_trajectory
 
 from conftest import make_trajectory, record_history
 
@@ -117,6 +116,10 @@ def test_bad_utf8_is_reported_by_its_line(tmp_path):
 # -- memory files -----------------------------------------------------------------
 
 
+def records_of(profiles: dict) -> list[dict]:
+    return profile_records({eid: profile.segments() for eid, profile in profiles.items()})
+
+
 def seeded_profiles() -> dict:
     council = Council([Game24OracleExpert("solver")], embedder=TrigramEmbedder(64))
     profile = council.profile("solver")
@@ -132,7 +135,7 @@ def test_memory_files_round_trip_exactly(tmp_path):
     count = save_memory(path, profiles)
     assert count == 3
     loaded = load_memory(path, embedder=TrigramEmbedder(64))
-    assert profile_records(loaded) == profile_records(profiles)
+    assert records_of(loaded) == records_of(profiles)
     # Saving the loaded store reproduces the file byte for byte.
     second = tmp_path / "memory2.jsonl"
     save_memory(second, loaded)
@@ -375,20 +378,20 @@ def test_only_shared_runs_write_to_the_councils_memory(tmp_path):
     council = build_council(
         config, profiles=load_memory(saved_memory(tmp_path), embedder=TrigramEmbedder(256))
     )
-    before = profile_records(council.profiles)
+    before = records_of(council.profiles)
     env = SynthEnv(SynthConfig(depth=2))
     unshared = run_tasks(synth_tasks(), env, config.planner, 11, council=council, shared=False)
     assert unshared.summary["successes"] > 0
-    assert profile_records(council.profiles) == before
+    assert records_of(council.profiles) == before
     shared = run_tasks(synth_tasks(), env, config.planner, 11, council=council)
     assert shared.summary["successes"] > 0
-    assert profile_records(council.profiles) != before
+    assert records_of(council.profiles) != before
 
 
 def test_an_unshared_run_embeds_each_loaded_segment_once(tmp_path, monkeypatch):
     memory_file = saved_memory(tmp_path)
     texts = {
-        serialize_trajectory(segment.prefix)
+        segment.text
         for profile in load_memory(memory_file).values()
         for segment in profile.segments()
     }

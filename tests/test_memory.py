@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import random
 import weakref
@@ -25,6 +24,7 @@ from council.memory import (
     SMSegment,
     finalize_episode,
     profile_records,
+    read_segments,
     restore_profiles,
     sms_utility,
 )
@@ -33,10 +33,12 @@ from council.trajectory import (
     EpisodeRecord,
     Observation,
     Trajectory,
+    parse_trajectory,
     serialize_trajectory,
 )
 
 from conftest import make_trajectory, record_history
+from test_trajectory import field_text
 
 
 def fresh_profile(**kwargs) -> ExpertProfile:
@@ -105,7 +107,7 @@ def test_best_match_finds_the_query_itself():
     stored = make_trajectory([("observation text here", "action text here")])
     profile.insert(stored)
     segment, score = profile.best_match(Query(stored))
-    assert segment.prefix == stored
+    assert segment.text == serialize_trajectory(stored)
     assert score == pytest.approx(1.0)
 
 
@@ -139,9 +141,9 @@ def test_insert_rejects_pending_observations():
 def test_stored_embedding_matches_recomputation():
     profile = fresh_profile()
     segment = profile.insert(make_trajectory([("a task observation", "an answer")]))
-    expected = profile.embedder.embed(serialize_trajectory(segment.prefix))
+    expected = profile.embedder.embed(segment.text)
     probe = make_trajectory([("another task observation", "another answer")])
-    for query in (Query(segment.prefix), Query(probe)):
+    for query in (Query(parse_trajectory(segment.text)), Query(probe)):
         vector = query.vector(profile.embedder)
         assert profile.match_scores(query).tolist() == [similarity(vector, expected)]
 
@@ -151,7 +153,7 @@ def test_scan_equals_a_dense_product_bit_for_bit():
     for i in range(300):
         profile.insert(make_trajectory([(f"observation {i * 37} of task {i % 11}", f"act {i}")]))
     matrix = np.vstack(
-        [profile.embedder.embed(serialize_trajectory(s.prefix)) for s in profile.segments()]
+        [profile.embedder.embed(s.text) for s in profile.segments()]
     )
     norms = np.linalg.norm(matrix, axis=1)
     query = make_trajectory([("observation 74 of task 2", "act x")])
@@ -169,7 +171,7 @@ def brute_force_check(profile: ExpertProfile, queries: list[Query]) -> None:
     """match_scores equals a scan over recomputed embeddings exactly, and
     best_match returns the earliest live segment among the tied best."""
     segments = profile.segments()
-    vectors = [profile.embedder.embed(serialize_trajectory(s.prefix)) for s in segments]
+    vectors = [profile.embedder.embed(s.text) for s in segments]
     for query in queries:
         qvec = profile.embedder.embed(serialize_trajectory(query.trajectory))
         expected = np.array([similarity(qvec, v) for v in vectors], dtype=np.float64)
@@ -256,7 +258,7 @@ def run_steps(embedder, dtype, capacity: int, steps: list) -> None:
             finalize_episode({"x": profile}, record)
             assert over or len(profile) <= capacity
         else:
-            records = profile_records({"x": profile})
+            records = profile_records({"x": profile.segments()})
             capacity = step[1]
             profile = restore_profiles(records, embedder, capacity).get(
                 "x", ExpertProfile("x", capacity=capacity, embedder=embedder)
@@ -287,7 +289,7 @@ def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
             profile.insert(make_trajectory([(f"aaaaaaaa observation {i * 13}", f"act {i % 7}")]))
     narrow, wide = profiles
     matrix = np.vstack(
-        [narrow.embedder.embed(serialize_trajectory(s.prefix)) for s in narrow.segments()]
+        [narrow.embedder.embed(s.text) for s in narrow.segments()]
     )
     in_float32 = (matrix.astype(np.float32) @ query.astype(np.float32)).astype(np.float64)
     assert not np.array_equal(in_float32, matrix @ query)
@@ -337,7 +339,7 @@ def test_a_scan_after_an_insert_scores_the_new_segment():
     query = Query(make_trajectory([("a newer observation", "a newer act")]))
     assert len(profile.match_scores(query)) == 1
     segment = profile.insert(make_trajectory([("a newer observation", "a newer act")]))
-    stored = profile.embedder.embed(serialize_trajectory(segment.prefix))
+    stored = profile.embedder.embed(segment.text)
     assert profile.match_scores(query)[1] == similarity(query.vector(profile.embedder), stored)
     assert profile.best_match(query)[0] is segment
 
@@ -458,14 +460,14 @@ def test_node_held_scans_equal_full_scans_bit_for_bit(kind, stored, root_text, p
             profile.insert(make_trajectory([(obs, act)]))
         elif change == "restore":
             created += 1
-            prefix = make_trajectory([(obs, f"restored {act}")])
-            with contextlib.suppress(ValueError):  # already stored
-                profile._restore(SMSegment(f"x:{created}", prefix, created))
+            text = serialize_trajectory(make_trajectory([(obs, f"restored {act}")]))
+            segment_id = f"x:{created}"
+            if segment_id not in profile and text not in profile._by_text:  # else already stored
+                profile._restore([SMSegment(segment_id, text, created)])
         elif change == "evict":
             profile.prune()
         elif change == "compact":
             with profile._lock:
-                profile._flush()
                 profile._compact()
         elif change == "credit" and len(profile):
             decide(profile, profile.segments()[0], [True])
@@ -563,7 +565,7 @@ def test_successful_episode_inserts_every_prefix():
     )
     finalize_episode({"expert-a": profile}, record)
     assert len(profile) == 2
-    assert sorted(seg.prefix.depth for seg in profile.segments()) == [1, 2]
+    assert sorted(parse_trajectory(seg.text).depth for seg in profile.segments()) == [1, 2]
 
 
 def test_attribution_splits_prefixes_between_experts():
@@ -579,8 +581,8 @@ def test_attribution_splits_prefixes_between_experts():
         per_step_expert=["a", "b"],
     )
     finalize_episode({"a": a, "b": b}, record)
-    assert [seg.prefix.depth for seg in a.segments()] == [1]
-    assert [seg.prefix.depth for seg in b.segments()] == [2]
+    assert [parse_trajectory(seg.text).depth for seg in a.segments()] == [1]
+    assert [parse_trajectory(seg.text).depth for seg in b.segments()] == [2]
 
 
 def test_dangling_retrieval_is_invalid_state():
@@ -771,27 +773,27 @@ def test_persistence_round_trip_is_exact():
     for i in range(3):
         seg = profile.insert(make_trajectory([(f"obs {i} text", f"act {i}")]))
         record_history(profile, seg.segment_id, [(i % 2 == 0, i + 1)])
-    records = profile_records({"expert-a": profile})
+    records = profile_records({"expert-a": profile.segments()})
     restored = restore_profiles(records, embedder=TrigramEmbedder(64))
-    assert profile_records(restored) == records
+    assert profile_records({"expert-a": restored["expert-a"].segments()}) == records
     back = restored["expert-a"]
     assert [s.created_at for s in back.segments()] == [
         s.created_at for s in profile.segments()
     ]
     for mine, theirs in zip(profile.segments(), back.segments()):
-        assert serialize_trajectory(mine.prefix) == serialize_trajectory(theirs.prefix)
+        assert mine.text == theirs.text
         assert (mine.wins, mine.uses) == (theirs.wins, theirs.uses)
 
 
 def test_restore_recomputes_embeddings_under_the_new_embedder():
     profile = fresh_profile()
     profile.insert(make_trajectory([("some text to embed", "move")]))
-    records = profile_records({"expert-a": profile})
+    records = profile_records({"expert-a": profile.segments()})
     wide = restore_profiles(records, embedder=TrigramEmbedder(128))["expert-a"]
     segment = wide.segments()[0]
-    recomputed = wide.embedder.embed(serialize_trajectory(segment.prefix))
+    recomputed = wide.embedder.embed(segment.text)
     assert recomputed.shape == (128,)
-    assert wide.match_scores(Query(segment.prefix)).tolist() == [
+    assert wide.match_scores(Query(parse_trajectory(segment.text))).tolist() == [
         similarity(recomputed, recomputed)
     ]
 
@@ -804,7 +806,7 @@ def test_restoring_over_capacity_keeps_every_record_until_a_prune():
     ranked = sorted(profile.segments(), key=lambda s: (profile.utility(s), s.created_at))
     kept = {s.segment_id for s in ranked[8:]}
     small = restore_profiles(
-        profile_records({"expert-a": profile}), embedder=TrigramEmbedder(64), capacity=4
+        profile_records({"expert-a": profile.segments()}), embedder=TrigramEmbedder(64), capacity=4
     )["expert-a"]
     ids = [s.segment_id for s in profile.segments()]
     assert [s.segment_id for s in small.segments()] == ids
@@ -828,3 +830,76 @@ def test_restore_folds_the_older_ledger_form_into_counts():
     segment = restore_profiles([record], embedder=TrigramEmbedder(64))["expert-a"].segments()[0]
     assert (segment.wins, segment.uses) == (2, 5)
     assert sms_utility(segment) == 2 / 5
+
+
+# Field texts that the text form must escape or that look like its own tags.
+tricky_text = st.one_of(
+    field_text,
+    st.lists(
+        st.sampled_from(["", "\\", "\\n", "\n", "\r", "OBS: ", "ACT: ", "é", "€", "😀", "x"]),
+        max_size=6,
+    ).map("".join),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(tricky_text, tricky_text), max_size=3),
+        min_size=1,
+        max_size=5,
+        unique_by=tuple,
+    )
+)
+def test_records_of_any_field_text_come_back_unchanged(prefixes):
+    # Each prefix is stored by two experts: a text repeats only across them.
+    records = [
+        {
+            "expert_id": expert_id,
+            "segment_id": f"{expert_id}:{i}",
+            "prefix_steps": [[obs, act] for obs, act in pairs],
+            "created_at": i,
+            "wins": i % 2,
+            "uses": 1,
+        }
+        for expert_id in ("expert-a", "expert-b")
+        for i, pairs in enumerate(prefixes)
+    ]
+    profiles = restore_profiles(records, embedder=TrigramEmbedder(16))
+    segments = {eid: profile.segments() for eid, profile in profiles.items()}
+    assert profile_records(segments) == records
+    assert profile_records(read_segments(records)) == records
+
+
+def test_the_reader_rejects_a_repeated_id_or_prefix_within_one_expert():
+    def record(expert_id, segment_id, obs):
+        return {
+            "expert_id": expert_id,
+            "segment_id": segment_id,
+            "prefix_steps": [[obs, "act"]],
+            "created_at": 0,
+            "wins": 0,
+            "uses": 0,
+        }
+
+    first = record("expert-a", "expert-a:0", "obs")
+    with pytest.raises(ValueError, match="key 'segment_id': repeats 'expert-a:0' of 'expert-a'"):
+        read_segments([first, record("expert-a", "expert-a:0", "other obs")])
+    with pytest.raises(ValueError, match="key 'prefix_steps': repeats the prefix of 'expert-a:0'"):
+        read_segments([first, record("expert-a", "expert-a:1", "obs")])
+    both = read_segments([first, record("expert-b", "expert-a:0", "obs")])
+    assert [(eid, [s.segment_id for s in segs]) for eid, segs in both.items()] == [
+        ("expert-a", ["expert-a:0"]),
+        ("expert-b", ["expert-a:0"]),
+    ]
+
+
+def test_an_insert_writes_its_column_before_any_scan():
+    profile = fresh_profile()
+    for i in range(3):
+        segment = profile.insert(make_trajectory([(f"observation {i}", f"act {i}")]))
+        vector = profile.embedder.embed(segment.text)
+        assert np.array_equal(profile._cols[:, i], vector)
+        assert profile._norms[i] == np.linalg.norm(vector)
+        assert profile._util[i] == profile.cold_start
+        assert profile._created[i] == segment.created_at

@@ -55,7 +55,7 @@ def test_scores_match_a_direct_similarity_scan():
     qvec = embedder.embed(serialize_trajectory(query))
     for eid in ("e0", "e1"):
         expected = max(
-            similarity(qvec, embedder.embed(serialize_trajectory(seg.prefix)))
+            similarity(qvec, embedder.embed(seg.text))
             for seg in council.profile(eid).segments()
         )
         assert scores[eid] == pytest.approx(expected, abs=1e-12)
@@ -172,7 +172,7 @@ def test_routing_records_the_exemplar_retrieval():
     decision = route(council, Query(query), "task-aware", random.Random(0), episode=episode)
     assert decision.chosen == "e0"
     assert decision.exemplar_segment_id == segment.segment_id
-    assert decision.exemplar == query
+    assert decision.exemplar == serialize_trajectory(query)
     assert episode.retrievals() == [("e0", segment.segment_id, 1)]
 
 
