@@ -205,6 +205,8 @@ def _memory_summary(memory: dict) -> list[str]:
 def cmd_memory(args: argparse.Namespace) -> int:
     if args.action == "save" and not args.dest:
         raise ValueError("memory save needs a destination path")
+    if args.action != "save" and args.dest is not None:
+        raise ValueError(f"memory {args.action} takes no destination path; only save does")
     # Each expert's checked segments; no command here builds or scans an index.
     memory = read_memory(args.path)
     if args.action == "load":

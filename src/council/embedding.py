@@ -1,4 +1,4 @@
-"""Text embedding providers and the similarity measure used for retrieval.
+"""Text embedding providers for retrieval.
 
 The package does not depend on any particular embedding model. Anything with
 an ``embed(text) -> ndarray`` method and a fixed ``dim`` works, including a
@@ -34,8 +34,8 @@ class TrigramEmbedder:
 
     Every window of three consecutive characters is hashed into one of ``dim``
     buckets with a fixed polynomial, and the vector counts bucket hits.
-    Strings shorter than three characters embed to the zero vector, which the
-    similarity rule maps to score 0 against everything.
+    Strings shorter than three characters embed to the zero vector, which
+    retrieval scores 0 against everything.
     """
 
     # Every component is a whole number, which lets a success-memory index
@@ -61,13 +61,3 @@ class TrigramEmbedder:
         np.add.at(vec, (h % np.uint64(self.dim)).astype(np.intp), 1.0)
         return vec
 
-
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, with the all-zero vector defined to score 0."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))

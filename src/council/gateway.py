@@ -17,6 +17,8 @@ serialized requests.
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import re
 import threading
@@ -214,13 +216,28 @@ class StubBackend:
         return reply
 
 
+@functools.cache
+def _opener():
+    """The opener HTTPBackend sends through, built on first use. It follows
+    no redirect: urllib would carry the credential to any host one names."""
+    import urllib.request
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):
+            return None
+
+    return urllib.request.build_opener(RefuseRedirects)
+
+
 class HTTPBackend:
     """OpenAI-style chat completion endpoint over HTTP.
 
     The API key is read from the process environment at send time; a missing
-    or rejected credential is a configuration error, not a retriable one.
-    ``concurrency`` caps in-flight requests per backend, the concurrent
-    proposal requests of an expansion included.
+    or rejected (HTTP 401 or 403) credential is a configuration error, not a
+    retriable one. Any other failure status, a redirect, a transport failure
+    or timeout, and a reply without a text ``choices[0].message.content``
+    raise ProviderError. ``concurrency`` caps in-flight requests per backend,
+    the concurrent proposal requests of an expansion included.
     """
 
     def __init__(
@@ -241,7 +258,9 @@ class HTTPBackend:
         self._gate = threading.Semaphore(concurrency)
 
     def send(self, request: ChatRequest) -> str:
-        import requests as _requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         key = os.environ.get(self.credential_env, "")
         if not key:
@@ -254,27 +273,28 @@ class HTTPBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        post = urllib.request.Request(self.endpoint, json.dumps(body).encode(), headers)
         with self._gate:
             self.usage.add(request)
             try:
-                response = _requests.post(
-                    self.endpoint,
-                    json=body,
-                    headers={"Authorization": f"Bearer {key}"},
-                    timeout=request.timeout,
-                )
-            except _requests.RequestException as exc:
+                with _opener().open(post, timeout=request.timeout) as response:
+                    raw = response.read()
+            except urllib.error.HTTPError as exc:  # before URLError, its parent
+                exc.close()
+                if exc.code in (401, 403):
+                    raise BackendConfigError(f"credential rejected (HTTP {exc.code})") from exc
+                raise ProviderError(f"backend returned HTTP {exc.code}") from exc
+            except (OSError, http.client.HTTPException) as exc:
                 raise ProviderError(f"transport failure: {exc.__class__.__name__}") from exc
-        if response.status_code in (401, 403):
-            raise BackendConfigError(f"credential rejected (HTTP {response.status_code})")
-        if response.status_code >= 400:
-            raise ProviderError(f"backend returned HTTP {response.status_code}")
         try:
-            content = response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ProviderError("malformed completion payload") from exc
+            content = json.loads(raw)["choices"][0]["message"]["content"]
+        except (LookupError, TypeError, ValueError):
+            content = None
+        if not isinstance(content, str):
+            raise ProviderError("malformed completion payload")
         self.usage.add(reply=content)
-        return str(content)
+        return content
 
 
 _RETRIES = 1

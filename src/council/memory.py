@@ -532,46 +532,26 @@ def profile_records(segments: Mapping[str, Iterable[SMSegment]]) -> list[dict]:
     ]
 
 
+_RECORD_KEYS = ("expert_id", "segment_id", "prefix_steps", "created_at", "wins", "uses")
+
+
 def _check(ok: bool, key: str, expected: str) -> None:
     if not ok:
         raise ValueError(f"key '{key}': expected {expected}")
 
 
-def _fold_ledger(ledger: object) -> tuple[int, int]:
-    """(wins, uses) of the older per-episode form; entries of episodes never
-    finalized (outcome null) count for neither."""
-    _check(isinstance(ledger, list), "ledger", "a list")
-    wins = uses = 0
-    for index, entry in enumerate(ledger):
-        key = f"ledger[{index}]"
-        _check(isinstance(entry, dict), key, "an object")
-        unknown = entry.keys() - {"episode_id", "usage_count", "outcome"}
-        if unknown:
-            raise ValueError(f"unknown key '{key}.{min(unknown)}'")
-        usage, outcome = entry.get("usage_count"), entry.get("outcome", "absent")
-        _check(type(usage) is int and usage >= 1, f"{key}.usage_count", "an integer >= 1")
-        valid = outcome is None or isinstance(outcome, bool)
-        _check(valid, f"{key}.outcome", "true, false or null")
-        uses += 0 if outcome is None else usage
-        wins += usage if outcome is True else 0
-    return wins, uses
-
-
 def segment_from_record(record: object) -> tuple[str, SMSegment]:
     """Check one persistence record field by field and build its segment,
-    returned with its expert id. The older form with a ``ledger`` list in
-    place of ``wins``/``uses`` is folded into the two sums. A bad field or
-    an unknown key raises ValueError naming the key."""
+    returned with its expert id. An unknown key, then a missing key or a bad
+    field, raises ValueError naming the key."""
     if not isinstance(record, dict):
         raise ValueError("expected an object")
-    history = ("ledger",) if "ledger" in record else ("wins", "uses")
-    keys = ("expert_id", "segment_id", "prefix_steps", "created_at") + history
-    for key in keys:
-        if key not in record:
-            raise ValueError(f"missing key '{key}'")
-    unknown = record.keys() - set(keys)
+    unknown = record.keys() - _RECORD_KEYS
     if unknown:
         raise ValueError(f"unknown key '{min(unknown)}'")
+    for key in _RECORD_KEYS:
+        if key not in record:
+            raise ValueError(f"missing key '{key}'")
     for key in ("expert_id", "segment_id"):
         _check(isinstance(record[key], str) and record[key] != "", key, "a non-empty string")
     pairs, created = record["prefix_steps"], record["created_at"]
@@ -585,12 +565,9 @@ def segment_from_record(record: object) -> tuple[str, SMSegment]:
         "a list of [observation, action] string pairs",
     )
     _check(type(created) is int and created >= 0, "created_at", "an integer >= 0")
-    if history == ("ledger",):
-        wins, uses = _fold_ledger(record["ledger"])
-    else:
-        wins, uses = record["wins"], record["uses"]
-        _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
-        _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
+    wins, uses = record["wins"], record["uses"]
+    _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
+    _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
     text = "".join(serialize_step(obs, act) for obs, act in pairs)
     return record["expert_id"], SMSegment(record["segment_id"], text, created, wins, uses)
 

@@ -10,7 +10,7 @@ Both signal lists, in child order, are min-max normalized over the sibling
 set and blended with a weight that favors whichever signal actually spreads
 the siblings apart: the weight on the judged signal is its population
 standard deviation over the set divided by the two deviations' sum. A signal
-that rates every sibling identically carries no ranking information and is
+that rates every sibling alike carries no ranking information and is
 weighted out. The fused values come back as a list in child order, beside
 the two spreads and the weight. Each deviation is computed exactly and
 rounded once, so it is the same float on every interpreter.
@@ -65,16 +65,22 @@ def sms_value(
     return profile.utility(segment)
 
 
+def _is_flat(values: Sequence[float]) -> bool:
+    """Whether a signal's range is at most 1e-12, which in [0, 1] is rounding
+    noise, not a spread. The bound is absolute, not a count of ulps: a shift
+    of the signal changes its ulp size."""
+    return max(values) - min(values) <= 1e-12
+
+
 def normalize(values: Sequence[float]) -> list[float]:
-    """Min-max normalize onto [0, 1]; a degenerate spread maps everything
-    to 0.5."""
+    """Min-max normalize onto [0, 1]; a flat signal maps everything to 0.5."""
     if not values:
         return []
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
+    if _is_flat(values):
         return [0.5] * len(values)
-    return [(v - lo) / (hi - lo) for v in values]
+    lo = min(values)
+    span = max(values) - lo
+    return [(v - lo) / span for v in values]
 
 
 def spread(values: Sequence[float]) -> float:
@@ -120,7 +126,8 @@ def fuse_batch(v_llm: Sequence[float], v_sms: Sequence[float]) -> Fusion:
     one fused value per child.
 
     Spreads are computed on the raw signals, normalization happens per signal
-    over the whole sibling set, and the blend weight is shared by the set.
+    over the whole sibling set, and the blend weight is shared by the set. A
+    flat signal (see :func:`_is_flat`) has spread 0 and normalizes to 0.5.
     Every child needs both signals, each in [0, 1].
     """
     if not v_llm or len(v_llm) != len(v_sms):
@@ -129,8 +136,8 @@ def fuse_batch(v_llm: Sequence[float], v_sms: Sequence[float]) -> Fusion:
         for value in signal:
             if value is None or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    sigma_llm = spread(v_llm)
-    sigma_sms = spread(v_sms)
+    sigma_llm = 0.0 if _is_flat(v_llm) else spread(v_llm)
+    sigma_sms = 0.0 if _is_flat(v_sms) else spread(v_sms)
     alpha = fusion_weight(sigma_llm, sigma_sms)
     fused = [
         alpha * nl + (1.0 - alpha) * ns for nl, ns in zip(normalize(v_llm), normalize(v_sms))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 from council.memory import EpisodeContext, ExpertProfile, finalize_episode
@@ -11,6 +12,18 @@ from council.trajectory import Action, EpisodeRecord, Observation, Step, Traject
 def make_trajectory(pairs: list[tuple[str, str]], pending: str | None = None) -> Trajectory:
     steps = tuple(Step(Observation(o), Action(a)) for o, a in pairs)
     return Trajectory(steps=steps, pending=Observation(pending) if pending is not None else None)
+
+
+def similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity, with the all-zero vector defined to score 0: the
+    oracle that retrieval scans are checked against."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 def sample_index(prompt: str) -> int:

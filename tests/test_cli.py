@@ -495,6 +495,21 @@ def test_memory_save_requires_a_destination(tmp_path, capsys):
     assert "destination" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["load", "inspect"])
+def test_only_memory_save_takes_a_destination(tmp_path, capsys, action):
+    memory_path = memory_file_from_run(tmp_path)
+    capsys.readouterr()
+    dest = tmp_path / "ignored.jsonl"
+    code = main(["memory", action, memory_path, str(dest)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: memory {action} takes no destination path; only save does"
+    ]
+    assert not dest.exists()
+
+
 def _memory_line(**changes) -> str:
     record = {
         "expert_id": "solver",
@@ -513,21 +528,17 @@ def _memory_line(**changes) -> str:
     [
         ("{broken", "not valid JSON"),
         (
-            _memory_line(wins=None, uses=None, ledger=[{"episode_id": "e", "outcome": True}]),
-            "key 'ledger[0].usage_count'",
+            _memory_line(
+                wins=None,
+                uses=None,
+                ledger=[{"episode_id": "e", "usage_count": 1, "outcome": True}],
+            ),
+            "unknown key 'ledger'",
         ),
         (_memory_line(created_at="zero"), "key 'created_at'"),
         (_memory_line(prefix_steps=[["only-one"]]), "key 'prefix_steps'"),
         (_memory_line(wins=3), "key 'wins'"),
         (_memory_line(note="x"), "unknown key 'note'"),
-        (
-            _memory_line(
-                wins=None,
-                uses=None,
-                ledger=[{"episode_id": "e", "usage_count": 1, "outcome": True, "note": "x"}],
-            ),
-            "unknown key 'ledger[0].note'",
-        ),
         # A line given as a function is built from the file's first record.
         (
             lambda first: _memory_line(expert_id=first["expert_id"], segment_id=first["segment_id"]),
@@ -542,12 +553,11 @@ def _memory_line(**changes) -> str:
     ],
     ids=[
         "not-json",
-        "ledger-without-usage",
+        "older-ledger-form",
         "created-at-text",
         "half-step",
         "wins-above-uses",
         "unknown-key",
-        "ledger-unknown-key",
         "duplicate-segment-id",
         "duplicate-prefix",
     ],

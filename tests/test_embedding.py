@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from council.embedding import TrigramEmbedder, similarity
+from council.embedding import TrigramEmbedder
+
+from conftest import similarity
 
 
 def test_embed_is_deterministic():

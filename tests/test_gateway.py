@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import socket
 import sys
 import threading
 import time
@@ -316,14 +318,27 @@ class LoopbackCompletions(ThreadingHTTPServer):
     """A chat-completions endpoint on 127.0.0.1 that answers each act
     request with ``action <sample>`` and records the most requests it held
     at once. A handler waits on ``barrier`` or sleeps ``delay_s`` before it
-    answers."""
+    answers. A given ``status`` or ``payload`` (raw body bytes) replaces the
+    answer's 200 status or its completion body, and a given ``location`` is
+    sent as a ``Location`` header."""
 
-    def __init__(self, barrier: threading.Barrier | None = None, delay_s: float = 0.0):
+    def __init__(
+        self,
+        barrier: threading.Barrier | None = None,
+        delay_s: float = 0.0,
+        status: int = 200,
+        payload: bytes | None = None,
+        location: str | None = None,
+    ):
         super().__init__(("127.0.0.1", 0), CompletionHandler)
         self.barrier = barrier
         self.delay_s = delay_s
+        self.status = status
+        self.payload = payload
+        self.location = location
         self.bodies: list[dict] = []
         self.headers_seen: list[str] = []
+        self.content_types: list[str] = []
         self.in_flight = 0
         self.most_in_flight = 0
         self.lock = threading.Lock()
@@ -340,6 +355,7 @@ class CompletionHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.bodies.append(body)
             server.headers_seen.append(self.headers["Authorization"])
+            server.content_types.append(self.headers["Content-Type"])
             server.in_flight += 1
             server.most_in_flight = max(server.most_in_flight, server.in_flight)
         try:
@@ -353,9 +369,13 @@ class CompletionHandler(BaseHTTPRequestHandler):
             # on receiving this reply never finds this one still counted.
             with server.lock:
                 server.in_flight -= 1
-        content = f"action {sample_index(body['messages'][-1]['content'])}"
-        payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-        self.send_response(200)
+        payload = server.payload
+        if payload is None:
+            content = f"action {sample_index(body['messages'][-1]['content'])}"
+            payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(server.status)
+        if server.location is not None:
+            self.send_header("Location", server.location)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -428,3 +448,110 @@ def test_concurrency_one_keeps_one_request_in_flight_over_http(loopback):
     assert actions == ["action 1", "action 2", "action 3"]
     assert len(server.bodies) == 3
     assert server.most_in_flight == 1
+
+
+# -- HTTP error mapping, with no third-party HTTP client ---------------------------
+
+
+@pytest.fixture
+def stdlib_loopback(loopback, monkeypatch):
+    """The loopback server, with ``requests`` made unimportable: every send
+    goes through the standard library alone."""
+    monkeypatch.setitem(sys.modules, "requests", None)
+    return loopback
+
+
+def act_request(timeout: float = 10.0) -> ChatRequest:
+    messages = sample_prompt(compose_prompt("t", Trajectory(), None, "act"), 1, 1)
+    return request_for(messages, 0.3, max_tokens=32, timeout=timeout)
+
+
+def send_to(endpoint: str, timeout: float = 10.0) -> str:
+    backend = HTTPBackend("b", endpoint, "some-model", "COUNCIL_TEST_KEY")
+    return backend.send(act_request(timeout))
+
+
+def test_a_send_posts_json_without_the_requests_package(stdlib_loopback):
+    with pytest.raises(ImportError):
+        importlib.import_module("requests")
+    server = stdlib_loopback()
+    request = act_request()
+    backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY")
+    assert backend.send(request) == "action 1"
+    assert server.content_types == ["application/json"]
+    assert server.headers_seen == ["Bearer loopback-key"]
+    assert server.bodies == [
+        {
+            "model": "some-model",
+            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "temperature": 0.3,
+            "max_tokens": 32,
+        }
+    ]
+
+
+@pytest.mark.parametrize("status", [401, 403])
+def test_a_rejected_credential_is_a_config_error(stdlib_loopback, status):
+    server = stdlib_loopback(status=status, payload=b"{}")
+    with pytest.raises(BackendConfigError, match=f"HTTP {status}"):
+        send_to(server.endpoint)
+
+
+@pytest.mark.parametrize("status", [404, 429, 500])
+def test_a_failure_status_is_a_provider_error(stdlib_loopback, status):
+    server = stdlib_loopback(status=status, payload=b"{}")
+    with pytest.raises(ProviderError, match=f"HTTP {status}"):
+        send_to(server.endpoint)
+
+
+def test_a_refused_connection_is_a_provider_error(stdlib_loopback):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    # Nothing listens on the port once the probe is closed.
+    with pytest.raises(ProviderError, match="transport failure"):
+        send_to(f"http://127.0.0.1:{port}/v1/chat/completions")
+
+
+def test_a_reply_slower_than_the_timeout_is_a_provider_error(stdlib_loopback):
+    server = stdlib_loopback(delay_s=1.0)
+    with pytest.raises(ProviderError, match="transport failure"):
+        send_to(server.endpoint, timeout=0.1)
+
+
+@pytest.mark.parametrize("status", [302, 307])
+def test_a_redirect_is_not_followed(stdlib_loopback, status):
+    target = stdlib_loopback()
+    server = stdlib_loopback(status=status, payload=b"", location=target.endpoint)
+    # Following it would carry the credential header to the host it names.
+    with pytest.raises(ProviderError, match=f"HTTP {status}"):
+        send_to(server.endpoint)
+    assert len(server.bodies) == 1
+    assert target.bodies == []
+
+
+MALFORMED_PAYLOADS = [
+    b'{"choices": [{"message": {"content": null}}]}',
+    b'{"choices": [{"message": {"content": 7}}]}',
+    b"[]",
+    b'{"choices": null}',
+    b"not json",
+    b'{"choices": []}',
+]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+def test_a_malformed_completion_is_a_provider_error(stdlib_loopback, payload):
+    server = stdlib_loopback(payload=payload)
+    backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY")
+    with pytest.raises(ProviderError, match="malformed completion payload"):
+        backend.send(act_request())
+    assert backend.usage.output_chars == 0
+
+
+def test_a_malformed_completion_is_retried_once_then_unavailable(stdlib_loopback):
+    server = stdlib_loopback(payload=MALFORMED_PAYLOADS[0])
+    backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY")
+    with pytest.raises(ExpertUnavailableError, match="malformed completion payload"):
+        complete(backend, act_request(), sleep=lambda seconds: None)
+    assert len(server.bodies) == 2

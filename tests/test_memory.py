@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from council.config import PlannerConfig, SearchBudget
-from council.embedding import TrigramEmbedder, similarity
+from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv
 from council.errors import InvalidStateError
@@ -37,7 +37,7 @@ from council.trajectory import (
     serialize_trajectory,
 )
 
-from conftest import make_trajectory, record_history
+from conftest import make_trajectory, record_history, similarity
 from test_trajectory import field_text
 
 
@@ -813,23 +813,6 @@ def test_restoring_over_capacity_keeps_every_record_until_a_prune():
     assert sorted(small.prune()) == sorted(s.segment_id for s in ranked[:8])
     assert [s.segment_id for s in small.segments()] == [i for i in ids if i in kept]
     brute_force_check(small, [Query(make_trajectory([], pending="stored observation 9"))])
-
-
-def test_restore_folds_the_older_ledger_form_into_counts():
-    record = {
-        "expert_id": "expert-a",
-        "segment_id": "expert-a:0",
-        "prefix_steps": [["obs", "act"]],
-        "created_at": 0,
-        "ledger": [
-            {"episode_id": "e1", "usage_count": 2, "outcome": True},
-            {"episode_id": "e2", "usage_count": 3, "outcome": False},
-            {"episode_id": "e3", "usage_count": 5, "outcome": None},
-        ],
-    }
-    segment = restore_profiles([record], embedder=TrigramEmbedder(64))["expert-a"].segments()[0]
-    assert (segment.wins, segment.uses) == (2, 5)
-    assert sms_utility(segment) == 2 / 5
 
 
 # Field texts that the text form must escape or that look like its own tags.

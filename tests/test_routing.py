@@ -8,14 +8,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from council.config import ROUTING_STRATEGIES
-from council.embedding import TrigramEmbedder, similarity
+from council.embedding import TrigramEmbedder
 from council.errors import ExpertUnavailableError
 from council.experts import ConstantEvaluatorExpert, Council, Expert
 from council.memory import EpisodeContext, Query
 from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 
-from conftest import make_trajectory, record_history
+from conftest import make_trajectory, record_history, similarity
 
 
 def council_of(n: int, embedder=None) -> Council:

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from council.embedding import TrigramEmbedder
 from council.experts import ConstantEvaluatorExpert, Council
@@ -223,6 +223,8 @@ def test_fused_values_stay_in_unit_range(pairs):
 
 
 @given(st.lists(st.tuples(st.floats(0.2, 0.7), st.floats(0, 1)), min_size=2, max_size=6), st.floats(-0.2, 0.3))
+# Judged scores one ulp apart: the shift rounds them to one float.
+@example([(0.2, 0.5), (0.20000000000000004, 0.5)], 0.2890471807914016)
 def test_shifting_the_judged_signal_changes_nothing(pairs, shift):
     base = fuse_pairs(pairs)
     moved = fuse_pairs([(llm + shift, sms) for llm, sms in pairs])
