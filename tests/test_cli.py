@@ -527,18 +527,24 @@ def _memory_line(**changes) -> str:
     "line, complaint",
     [
         ("{broken", "not valid JSON"),
+        # The older ledger form is no longer read: a ledger record is refused
+        # at its top-level key, whatever its entries hold.
         (
-            _memory_line(
-                wins=None,
-                uses=None,
-                ledger=[{"episode_id": "e", "usage_count": 1, "outcome": True}],
-            ),
+            _memory_line(wins=None, uses=None, ledger=[{"episode_id": "e", "outcome": True}]),
             "unknown key 'ledger'",
         ),
         (_memory_line(created_at="zero"), "key 'created_at'"),
         (_memory_line(prefix_steps=[["only-one"]]), "key 'prefix_steps'"),
         (_memory_line(wins=3), "key 'wins'"),
         (_memory_line(note="x"), "unknown key 'note'"),
+        (
+            _memory_line(
+                wins=None,
+                uses=None,
+                ledger=[{"episode_id": "e", "usage_count": 1, "outcome": True, "note": "x"}],
+            ),
+            "unknown key 'ledger'",
+        ),
         # A line given as a function is built from the file's first record.
         (
             lambda first: _memory_line(expert_id=first["expert_id"], segment_id=first["segment_id"]),
@@ -553,11 +559,12 @@ def _memory_line(**changes) -> str:
     ],
     ids=[
         "not-json",
-        "older-ledger-form",
+        "ledger-without-usage",
         "created-at-text",
         "half-step",
         "wins-above-uses",
         "unknown-key",
+        "ledger-unknown-key",
         "duplicate-segment-id",
         "duplicate-prefix",
     ],
