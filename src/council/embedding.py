@@ -1,12 +1,13 @@
 """Text embedding providers for retrieval.
 
 The package does not depend on any particular embedding model. Anything with
-an ``embed(text) -> ndarray`` method and a fixed ``dim`` works, including a
-network-backed provider. The bundled :class:`TrigramEmbedder` hashes character
-trigrams into a fixed-width count vector; it is fully deterministic, needs no
-model weights, and is what every offline test and scripted run uses. An
-embedder whose vectors only ever hold whole numbers may say so with a true
-``integer_output`` class attribute.
+an ``embed(text) -> ndarray`` method, an ``embed_batch(texts) -> ndarray``
+method whose row i equals ``embed(texts[i])`` bit for bit, and a fixed
+``dim`` works, including a network-backed provider. The bundled
+:class:`TrigramEmbedder` hashes character trigrams into a fixed-width count
+vector; it is fully deterministic, needs no model weights, and is what every
+offline test and scripted run uses. An embedder whose vectors only ever hold
+whole numbers may say so with a true ``integer_output`` class attribute.
 """
 
 from __future__ import annotations
@@ -28,14 +29,39 @@ class Embedder(Protocol):
         """
         ...
 
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """Embed several texts at once, as a ``(len(texts), dim)`` float
+        array whose row i equals ``embed(texts[i])`` bit for bit.
+
+        A memory load embeds its segments through this method, a block at a
+        time; a search embeds each node's text through ``embed``.
+        """
+        ...
+
+
+def _trigram_buckets(codes: np.ndarray, dim: int) -> np.ndarray:
+    """The bucket of every window of three consecutive bytes in ``codes``
+    (a uint64 array), as intp indices below ``dim``."""
+    # Fixed mixing constants; uint64 wraparound is well defined in numpy,
+    # so the bucket assignment is identical on every platform.
+    h = codes[:-2] * np.uint64(1000003)
+    h = (h + codes[1:-1]) * np.uint64(1000003)
+    h = (h + codes[2:]) * np.uint64(2654435761)
+    return (h % np.uint64(dim)).astype(np.intp)
+
 
 class TrigramEmbedder:
     """Hashed character-trigram counts.
 
-    Every window of three consecutive characters is hashed into one of ``dim``
-    buckets with a fixed polynomial, and the vector counts bucket hits.
-    Strings shorter than three characters embed to the zero vector, which
-    retrieval scores 0 against everything.
+    Every window of three consecutive bytes of the text's UTF-8 encoding is
+    hashed into one of ``dim`` buckets with a fixed polynomial, and the
+    vector counts bucket hits. Texts shorter than three bytes embed to the
+    zero vector, which retrieval scores 0 against everything.
+
+    ``embed_batch`` counts the trigrams of many texts in one ``bincount``
+    and never lets a window span two texts, so its row i equals
+    ``embed(texts[i])`` bit for bit. It pays a fixed cost that one short
+    text does not repay, so single texts go through ``embed``.
     """
 
     # Every component is a whole number, which lets a success-memory index
@@ -53,11 +79,23 @@ class TrigramEmbedder:
         if len(data) < 3:
             return vec
         codes = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-        # Fixed mixing constants; uint64 wraparound is well defined in numpy,
-        # so the bucket assignment is identical on every platform.
-        h = codes[:-2] * np.uint64(1000003)
-        h = (h + codes[1:-1]) * np.uint64(1000003)
-        h = (h + codes[2:]) * np.uint64(2654435761)
-        np.add.at(vec, (h % np.uint64(self.dim)).astype(np.intp), 1.0)
+        np.add.at(vec, _trigram_buckets(codes, self.dim), 1.0)
         return vec
+
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        encoded = [text.encode("utf-8") for text in texts]
+        count = len(encoded)
+        data = b"".join(encoded)
+        if len(data) < 3:
+            return np.zeros((count, self.dim), dtype=np.float64)
+        lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=count)
+        # Each window of the joined bytes belongs to the text it starts in,
+        # and counts only if it also ends there.
+        rows = np.repeat(np.arange(count, dtype=np.intp), lengths)[:-2]
+        ends = np.cumsum(lengths)[rows]
+        inside = np.arange(2, len(data), dtype=np.intp) < ends
+        codes = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
+        flat = rows[inside] * self.dim + _trigram_buckets(codes, self.dim)[inside]
+        counts = np.bincount(flat, minlength=count * self.dim)
+        return counts.reshape(count, self.dim).astype(np.float64)
 

@@ -40,6 +40,11 @@ DEFAULT_CAPACITY = 512
 DEFAULT_COLD_START = 0.5
 # A scan gathers and multiplies the index this many slots at a time.
 _SCAN_BLOCK = 1024
+# A restore embeds and writes this many segments at a time. At width 1024
+# each float64 temporary of a block is 0.5 MB; 512-row blocks (4 MB, the
+# size from which numpy asks for huge pages) raised a loaded run's peak RSS
+# by about 10 MB.
+_LOAD_BLOCK = 64
 # binary32 holds every integer of magnitude up to 2**24 exactly.
 _FLOAT32_EXACT = 2**24
 
@@ -118,6 +123,9 @@ class ExpertProfile:
     infinity for an all-zero column so that its scores divide to 0. Slots
     follow insertion order, so the first maximum is the earliest-inserted
     segment among ties. A new segment's column is written when it is added.
+    A restore makes room for all its segments at once and then embeds and
+    writes them a block at a time, leaving the index that adding them one by
+    one would leave.
 
     An eviction only marks its slot dead. Dead slots are never returned, and
     the live slots are compacted in order when the matrix runs out of slots
@@ -232,18 +240,23 @@ class ExpertProfile:
 
     def _restore(self, segments: Iterable[SMSegment]) -> None:
         """Used by persistence: re-attach segments read from a file, whose
-        ids and texts :func:`read_segments` has already checked are unique."""
+        ids and texts :func:`read_segments` has already checked are unique.
+        Room is made once for all of them, and they are embedded and written
+        a block at a time, to the index that adding them one by one with
+        :meth:`_add` makes."""
+        segments = list(segments)
         with self._lock:
-            for segment in segments:
-                self._add(segment)
-                self._next_created = max(self._next_created, segment.created_at + 1)
+            self._make_room(len(segments))
+            for start in range(0, len(segments), _LOAD_BLOCK):
+                block = segments[start : start + _LOAD_BLOCK]
+                self._add_block(block, self.embedder.embed_batch([s.text for s in block]))
 
     def _add(self, segment: SMSegment) -> None:
         """Give a new segment the next slot and write its column. The lock is
         held."""
         embedding = self.embedder.embed(segment.text)
         if len(self._slots) == self._cols.shape[1]:
-            self._make_room()
+            self._make_room(1)
         slot = len(self._slots)
         self._by_text[segment.text] = segment.segment_id
         self._slot_of[segment.segment_id] = slot
@@ -257,6 +270,28 @@ class ExpertProfile:
         self._util[slot] = self.utility(segment)
         self._created[slot] = segment.created_at
         self._peak = max(self._peak, float(np.abs(embedding).max()))
+        self.version += 1
+
+    def _add_block(self, segments: list[SMSegment], embeddings: np.ndarray) -> None:
+        """:meth:`_add` for a block of segments whose embeddings are the rows
+        of ``embeddings``: the next slots, in order, with the same bytes. The
+        lock is held and room has been made."""
+        first = len(self._slots)
+        stop = first + len(segments)
+        for slot, segment in enumerate(segments, first):
+            self._by_text[segment.text] = segment.segment_id
+            self._slot_of[segment.segment_id] = slot
+        self._slots += segments
+        self._cols[:, first:stop] = embeddings.T
+        # The same pairwise sum per row.
+        norms = np.sqrt(np.add.reduce(embeddings * embeddings, axis=1))
+        self._norms[first:stop] = np.where(norms > 0.0, norms, np.inf)
+        self._live[first:stop] = True
+        self._util[first:stop] = [self.utility(segment) for segment in segments]
+        created = [segment.created_at for segment in segments]
+        self._created[first:stop] = created
+        self._next_created = max(self._next_created, max(created) + 1)
+        self._peak = max(self._peak, float(np.abs(embeddings).max()))
         self.version += 1
 
     def credit(self, segment_id: str, count: int, success: bool) -> None:
@@ -274,18 +309,22 @@ class ExpertProfile:
 
     # -- the index ------------------------------------------------------------
 
-    def _make_room(self) -> None:
-        """Compact, then grow the matrix if every slot is still taken. The
-        lock is held."""
+    def _make_room(self, count: int) -> None:
+        """Make room for ``count`` new slots as adding them one by one would:
+        compact when the matrix runs out of slots, then grow it while they
+        still do not fit. The matrix is padded once. The lock is held."""
+        size = self._cols.shape[1]
+        if len(self._slots) + count <= size:
+            return
         if self._dead:
             self._compact()
-        size = self._cols.shape[1]
-        if len(self._slots) < size:
-            return
         limit = self.capacity + self.capacity // 8
-        grown = max(1, 4 * size)
-        if size < limit and grown >= self.capacity:
-            grown = limit
+        grown = size
+        while len(self._slots) + count > grown:
+            step = max(1, 4 * grown)
+            grown = limit if grown < limit and step >= self.capacity else step
+        if grown == size:
+            return
         self._cols = np.pad(self._cols, ((0, 0), (0, grown - size)))
         for name in ("_norms", "_live", "_util", "_created"):
             setattr(self, name, np.pad(getattr(self, name), (0, grown - size)))
@@ -557,12 +596,13 @@ def segment_from_record(record: object) -> tuple[str, SMSegment]:
     pairs, created = record["prefix_steps"], record["created_at"]
     _check(
         isinstance(pairs, list)
+        and pairs != []
         and all(
             isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
             for p in pairs
         ),
         "prefix_steps",
-        "a list of [observation, action] string pairs",
+        "a non-empty list of [observation, action] string pairs",
     )
     _check(type(created) is int and created >= 0, "created_at", "an integer >= 0")
     wins, uses = record["wins"], record["uses"]

@@ -556,6 +556,10 @@ def _memory_line(**changes) -> str:
             ),
             "key 'prefix_steps': repeats",
         ),
+        (
+            _memory_line(prefix_steps=[]),
+            "key 'prefix_steps': expected a non-empty list of [observation, action] string pairs",
+        ),
     ],
     ids=[
         "not-json",
@@ -567,6 +571,7 @@ def _memory_line(**changes) -> str:
         "ledger-unknown-key",
         "duplicate-segment-id",
         "duplicate-prefix",
+        "empty-prefix",
     ],
 )
 def test_corrupt_memory_files_exit_two_naming_the_line(tmp_path, capsys, line, complaint):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from council.embedding import TrigramEmbedder
 
@@ -89,3 +89,29 @@ def test_similarity_is_bounded(xs, ys):
     value = similarity(np.array(xs), np.array(ys))
     assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
+
+# Empty texts, texts of 1 or 2 bytes and multi-byte UTF-8 (é is 2 bytes, 中 3,
+# 😀 4), so windows near a boundary between two texts are common.
+_BATCH_TEXT = st.one_of(
+    st.sampled_from(["", "a", "ab", "é", "中", "😀", "abc"]),
+    st.text(alphabet="ab \né中😀", max_size=12),
+)
+
+
+@given(st.lists(_BATCH_TEXT, max_size=12), st.sampled_from([1, 7, 64]))
+@example(texts=[], dim=64)
+@example(texts=[""], dim=64)
+@example(texts=["ab"], dim=64)
+@example(texts=["ab", "c"], dim=64)
+@example(texts=["a", "", "bc", "é", "中"], dim=7)
+def test_embed_batch_rows_equal_embed_bit_for_bit(texts, dim):
+    """Every row of a batch equals ``embed`` of its text, so no trigram is
+    counted across two texts, whatever their lengths."""
+    emb = TrigramEmbedder(dim=dim)
+    batch = emb.embed_batch(texts)
+    assert batch.shape == (len(texts), dim)
+    assert batch.dtype == np.float64
+    for row, text in zip(batch, texts):
+        single = emb.embed(text)
+        assert row.tobytes() == single.tobytes()
+        assert np.array_equal(emb.embed_batch([text])[0], single)

@@ -395,14 +395,20 @@ def test_an_unshared_run_embeds_each_loaded_segment_once(tmp_path, monkeypatch):
         for profile in load_memory(memory_file).values()
         for segment in profile.segments()
     }
+    # A load embeds through embed_batch, a search through embed; count both.
     embedded: list[str] = []
-    original = TrigramEmbedder.embed
+    original, original_batch = TrigramEmbedder.embed, TrigramEmbedder.embed_batch
 
     def counting(embedder, text):
         embedded.append(text)
         return original(embedder, text)
 
+    def counting_batch(embedder, texts):
+        embedded.extend(texts)
+        return original_batch(embedder, texts)
+
     monkeypatch.setattr(TrigramEmbedder, "embed", counting)
+    monkeypatch.setattr(TrigramEmbedder, "embed_batch", counting_batch)
     memory = MemoryConfig(shared=False, load_path=str(memory_file))
     for count in (1, 6):
         embedded.clear()

@@ -312,6 +312,29 @@ def test_a_profile_held_at_capacity_never_doubles_its_matrix():
     profile = fresh_profile(capacity=64)
     for i in range(64):
         profile.insert(make_trajectory([(f"seeded observation {i}", "act")]))
+    hold_at_capacity(profile)
+
+
+def test_a_profile_loaded_at_capacity_never_doubles_its_matrix():
+    records = [
+        {
+            "expert_id": "expert-a",
+            "segment_id": f"expert-a:{i}",
+            "prefix_steps": [[f"seeded observation {i}", "act"]],
+            "created_at": i,
+            "wins": 0,
+            "uses": 0,
+        }
+        for i in range(64)
+    ]
+    profile = restore_profiles(records, TrigramEmbedder(64), capacity=64)["expert-a"]
+    assert profile._cols.shape[1] == 64 + 64 // 8
+    hold_at_capacity(profile)
+
+
+def hold_at_capacity(profile: ExpertProfile) -> None:
+    """Forty won episodes, each inserting three segments into a profile of
+    capacity 64 and pruning it back; the matrix keeps its one size."""
     for episode in range(40):
         trajectory = make_trajectory([(f"episode {episode} step {j}", "act") for j in range(3)])
         finalize_episode(
@@ -328,6 +351,129 @@ def test_a_profile_held_at_capacity_never_doubles_its_matrix():
         assert len(profile) == 64
         assert profile._cols.shape[1] == 64 + 64 // 8
     brute_force_check(profile, [Query(make_trajectory([], pending="episode 39 step 2"))])
+
+
+# -- restores written in blocks ------------------------------------------------
+
+
+def restorable(count: int) -> list[SMSegment]:
+    """Segments as a memory file gives them: unique ids and texts, some of
+    them multi-byte, with created_at in no particular order and assorted
+    counts."""
+    return [
+        SMSegment(
+            f"x:r{i}",
+            serialize_trajectory(make_trajectory([(f"restored {'é' * (i % 3)}obs {i}", f"a{i % 5}")])),
+            created_at=(7 * i) % (count + 3),
+            wins=i % 3,
+            uses=i % 3 + i % 2,
+        )
+        for i in range(count)
+    ]
+
+
+def restore_one_at_a_time(profile: ExpertProfile, segments: list[SMSegment]) -> None:
+    """The reference restore: each segment gets room and its column as an
+    insert gets them, embedded on its own by ``embed``."""
+    with profile._lock:
+        for segment in segments:
+            profile._add(segment)
+            profile._next_created = max(profile._next_created, segment.created_at + 1)
+
+
+def index_state(profile: ExpertProfile) -> tuple:
+    """Everything a read or a later change of the profile can see. Past the
+    last slot a compaction leaves stale values, which nothing reads."""
+    count = len(profile._slots)
+    return (
+        profile._cols.shape,
+        profile._cols.dtype,
+        profile._cols[:, :count].tobytes(),
+        profile._norms[:count].tobytes(),
+        profile._live[:count].tobytes(),
+        profile._util[:count].tobytes(),
+        profile._created[:count].tobytes(),
+        profile._peak,
+        profile._next_created,
+        [segment and segment.segment_id for segment in profile._slots],
+        profile._slot_of,
+        profile._by_text,
+    )
+
+
+def restore_both_ways(make_profile, segments: list[SMSegment]) -> ExpertProfile:
+    """Restore the segments into two profiles from ``make_profile``, in
+    blocks and one at a time, check that the two indexes are the same bytes,
+    and return the first."""
+    batched, reference = make_profile(), make_profile()
+    version = batched.version
+    batched._restore(segments)
+    restore_one_at_a_time(reference, segments)
+    assert index_state(batched) == index_state(reference)
+    assert (batched.version > version) == bool(segments)
+    return batched
+
+
+@pytest.mark.parametrize("kind", [TrigramEmbedder, Float64Trigrams])
+@pytest.mark.parametrize("capacity", [16, 100])
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda cap: 0,
+        lambda cap: 1,
+        lambda cap: 4,
+        lambda cap: 5,
+        lambda cap: 64,
+        lambda cap: cap - 1,
+        lambda cap: cap,
+        lambda cap: cap + 1,
+        lambda cap: cap + cap // 8 + 1,
+        lambda cap: 4 * (cap + cap // 8) + 1,
+    ],
+    ids=["0", "1", "4", "5", "64", "cap-1", "cap", "cap+1", "past-limit", "past-two-growths"],
+)
+def test_a_restore_writes_the_index_adding_one_at_a_time_writes(kind, capacity, count):
+    segments = restorable(count(capacity))
+    profile = restore_both_ways(lambda: ExpertProfile("x", capacity, kind(16)), segments)
+    assert profile.segments() == segments
+    brute_force_check(profile, [Query(parse_trajectory(segment.text)) for segment in segments[:3]])
+
+
+@pytest.mark.parametrize("kind", [TrigramEmbedder, Float64Trigrams])
+@pytest.mark.parametrize("count", [10, 11, 40])
+def test_a_restore_into_dead_slots_compacts_them_first_as_an_insert_does(kind, count):
+    # Capacity 4 grows the matrix 1 -> 4 -> 16. Six inserts and a prune
+    # leave six slots, two of them dead: ten more still fit, eleven need the
+    # dead slots compacted away first, forty also grow the matrix.
+    def make_profile():
+        profile = ExpertProfile("x", capacity=4, embedder=kind(16))
+        for i in range(6):
+            profile.insert(make_trajectory([(f"inserted obs {i}", "act")]))
+        profile.prune()
+        assert (profile._dead, profile._cols.shape[1]) == (2, 16)
+        return profile
+
+    profile = restore_both_ways(make_profile, restorable(count))
+    assert profile._dead == (2 if count == 10 else 0)
+    brute_force_check(profile, [Query(make_trajectory([("inserted obs 5", "act")]))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([TrigramEmbedder, Float64Trigrams]),
+    st.integers(1, 6),
+    st.integers(0, 14),
+    st.integers(0, 40),
+)
+def test_a_restore_after_inserts_and_prunes_equals_one_at_a_time(kind, capacity, inserted, count):
+    def make_profile():
+        profile = ExpertProfile("x", capacity=capacity, embedder=kind(16))
+        for i in range(inserted):
+            profile.insert(make_trajectory([(_TEXTS[i], "a")]))
+        profile.prune()
+        return profile
+
+    restore_both_ways(make_profile, restorable(count))
 
 
 # -- scans from node-held queries ------------------------------------------------
@@ -828,7 +974,8 @@ tricky_text = st.one_of(
 @settings(deadline=None)
 @given(
     st.lists(
-        st.lists(st.tuples(tricky_text, tricky_text), max_size=3),
+        # A record's prefix holds at least one step; an empty one exits 2.
+        st.lists(st.tuples(tricky_text, tricky_text), min_size=1, max_size=3),
         min_size=1,
         max_size=5,
         unique_by=tuple,
