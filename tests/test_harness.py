@@ -155,6 +155,21 @@ def test_corrupt_memory_lines_are_reported_by_number(tmp_path):
     assert "missing key" in str(excinfo.value)
 
 
+def test_a_bad_last_memory_line_is_reported_before_any_segment_is_embedded(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "memory.jsonl"
+    save_memory(path, seeded_profiles())
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"expert_id": "solver"}\n')
+    embedded = []
+    monkeypatch.setattr(TrigramEmbedder, "embed", lambda self, text: embedded.append(text))
+    monkeypatch.setattr(TrigramEmbedder, "embed_batch", lambda self, texts: embedded.append(texts))
+    with pytest.raises(ValueError, match="line 4: missing key"):
+        load_memory(path)
+    assert embedded == []
+
+
 # -- experts from specs -------------------------------------------------------------
 
 
