@@ -1,42 +1,14 @@
-"""Text embedding providers for retrieval.
+"""Text embedding for retrieval.
 
-The package does not depend on any particular embedding model. Anything with
-an ``embed(text) -> ndarray`` method, an ``embed_batch(texts) -> ndarray``
-method whose row i equals ``embed(texts[i])`` bit for bit, and a fixed
-``dim`` works, including a network-backed provider. The bundled
-:class:`TrigramEmbedder` hashes character trigrams into a fixed-width count
-vector; it is fully deterministic, needs no model weights, and is what every
-offline test and scripted run uses. An embedder whose vectors only ever hold
-whole numbers may say so with a true ``integer_output`` class attribute.
+:class:`TrigramEmbedder` is the one embedder: it hashes character trigrams
+into a fixed-width count vector. It is fully deterministic and needs no model
+weights. Every component of its vectors is a whole number, which lets a
+success-memory index store them exactly in float32.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
-
-
-class Embedder(Protocol):
-    dim: int
-
-    def embed(self, text: str) -> np.ndarray:
-        """Map text to a fixed-dimension float vector.
-
-        Deterministic for a given provider instance. Providers backed by a
-        remote service raise ProviderError on transient failure so callers
-        can distinguish retriable trouble from bad input.
-        """
-        ...
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        """Embed several texts at once, as a ``(len(texts), dim)`` float
-        array whose row i equals ``embed(texts[i])`` bit for bit.
-
-        A memory load embeds its segments through this method, a block at a
-        time; a search embeds each node's text through ``embed``.
-        """
-        ...
 
 
 def _trigram_buckets(codes: np.ndarray, dim: int) -> np.ndarray:
@@ -63,10 +35,6 @@ class TrigramEmbedder:
     ``embed(texts[i])`` bit for bit. It pays a fixed cost that one short
     text does not repay, so single texts go through ``embed``.
     """
-
-    # Every component is a whole number, which lets a success-memory index
-    # store these vectors exactly in float32.
-    integer_output = True
 
     def __init__(self, dim: int = 256):
         if dim < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 class ProviderError(RuntimeError):
-    """A backing provider (embedding or completion) failed transiently.
+    """A completion provider failed transiently.
 
     Retriable: the same call may succeed on a later attempt.
     """

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .embedding import Embedder, TrigramEmbedder
+from .embedding import TrigramEmbedder
 from .errors import ExpertUnavailableError, ProviderError, ScoreParseError
 from .gateway import (
     Backend,
@@ -347,7 +347,7 @@ class Council:
         self,
         experts: Sequence[Expert],
         profiles: Mapping[str, ExpertProfile] | None = None,
-        embedder: Embedder | None = None,
+        embedder: TrigramEmbedder | None = None,
         capacity: int = DEFAULT_CAPACITY,
         cold_start: float = DEFAULT_COLD_START,
     ):

@@ -28,7 +28,7 @@ from .config import (
     expert_params,
     validate_config,
 )
-from .embedding import Embedder, TrigramEmbedder
+from .embedding import TrigramEmbedder
 from .envs import build_environment
 from .envs.base import Environment, TaskSpec
 from .envs.synth import SynthConfig
@@ -147,7 +147,7 @@ def read_memory(path: str | Path) -> dict:
 
 def load_memory(
     path: str | Path,
-    embedder: Embedder | None = None,
+    embedder: TrigramEmbedder | None = None,
     capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
 ) -> dict:
@@ -209,7 +209,7 @@ def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
 
 
 def build_council(
-    config: RunConfig, profiles: dict | None = None, embedder: Embedder | None = None
+    config: RunConfig, profiles: dict | None = None, embedder: TrigramEmbedder | None = None
 ) -> Council:
     """The council a config names. Experts without a profile in ``profiles``
     get an empty one under ``embedder`` (a fresh trigram embedder of the

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .embedding import Embedder, TrigramEmbedder
+from .embedding import TrigramEmbedder
 from .errors import InvalidStateError
 from .trajectory import (
     EpisodeRecord,
@@ -47,6 +47,9 @@ _SCAN_BLOCK = 1024
 _LOAD_BLOCK = 64
 # binary32 holds every integer of magnitude up to 2**24 exactly.
 _FLOAT32_EXACT = 2**24
+# The index keeps created_at in int64. A loaded created_at stays below this,
+# which leaves room for the inserts that count on past the loaded maximum.
+_CREATED_LIMIT = 2**62
 
 
 @dataclass
@@ -102,10 +105,10 @@ class Query:
     def __init__(self, trajectory: Trajectory, parent: Query | None = None):
         self.trajectory = trajectory
         self.parent = parent
-        self._vectors: dict[Embedder, np.ndarray] = {}
+        self._vectors: dict[TrigramEmbedder, np.ndarray] = {}
         self._scans: dict[ExpertProfile, _Scan] = {}
 
-    def vector(self, embedder: Embedder) -> np.ndarray:
+    def vector(self, embedder: TrigramEmbedder) -> np.ndarray:
         """The embedding of the serialized trajectory under ``embedder``, computed once."""
         vec = self._vectors.get(embedder)
         if vec is None:
@@ -122,10 +125,10 @@ class ExpertProfile:
     slot holds a segment's embedding, and the norm of each column, kept as
     infinity for an all-zero column so that its scores divide to 0. Slots
     follow insertion order, so the first maximum is the earliest-inserted
-    segment among ties. A new segment's column is written when it is added.
-    A restore makes room for all its segments at once and then embeds and
-    writes them a block at a time, leaving the index that adding them one by
-    one would leave.
+    segment among ties. One block write gives new segments their slots and
+    columns: an insert writes a block of one, and a restore makes room for
+    all its segments at once and then embeds and writes them a block at a
+    time, leaving the index that writing them one at a time would leave.
 
     An eviction only marks its slot dead. Dead slots are never returned, and
     the live slots are compacted in order when the matrix runs out of slots
@@ -136,14 +139,13 @@ class ExpertProfile:
     index, so a prune ranks the live slots with one array sort.
 
     A scan multiplies only the matrix rows of the query's nonzero buckets.
-    With integer embeddings such as trigram counts every product and partial
-    sum is exact, so the scores equal a dense float64 product bit for bit.
-    An embedder that declares ``integer_output`` gets a float32 matrix, half
-    the size. Its scans stay exact: a query whose weights are integers and
-    whose ``‖q‖₁`` times the largest value ever written to the matrix is
-    below 2**24 is multiplied in float32, where every product and partial sum
-    is then an integer below 2**24; any other query accumulates the same
-    columns in float64. Norms and the division are always float64.
+    Trigram counts are whole numbers, so every product and partial sum is
+    exact and the scores equal a dense float64 product bit for bit. The
+    matrix holds them in float32, half the size. A query whose ``‖q‖₁`` times
+    the largest count ever written to the matrix is below 2**24 is
+    multiplied in float32, where every product and partial sum is then an
+    integer below 2**24; any other query accumulates the same columns in
+    float64. Norms and the division are always float64.
 
     Anything that moves or adds a slot (an insert, a restore, a prune that
     evicts, a compaction) bumps the profile's ``version``; credits change
@@ -152,8 +154,8 @@ class ExpertProfile:
     state a search node holds. A scan leaves its result on the query,
     tagged with the version, and a repeated scan at that version reads it
     back. When the query's parent holds dots for this profile at the current
-    version, taken on the exact float32 path, and both the query's weights
-    and their difference from the parent's pass the same test, the scan
+    version, taken on the exact float32 path, and both the query's counts
+    and their difference from the parent's pass the same bound, the scan
     multiplies only the rows where the two vectors differ and adds the
     products to the parent's dots. Every product and sum is then an integer
     below 2**24, so the scores equal a full scan bit for bit, whatever text
@@ -169,14 +171,14 @@ class ExpertProfile:
         self,
         expert_id: str,
         capacity: int = DEFAULT_CAPACITY,
-        embedder: Embedder | None = None,
+        embedder: TrigramEmbedder | None = None,
         cold_start: float = DEFAULT_COLD_START,
     ):
         if capacity < 1:
             raise ValueError("profile capacity must be at least 1")
         self.expert_id = expert_id
         self.capacity = capacity
-        self.embedder: Embedder = embedder if embedder is not None else TrigramEmbedder()
+        self.embedder = embedder if embedder is not None else TrigramEmbedder()
         self.cold_start = cold_start
         self._by_text: dict[str, str] = {}
         self._next_created = 0
@@ -184,9 +186,7 @@ class ExpertProfile:
         # evicted), _slot_of maps each stored segment id to its slot, and
         # the slot's embedding is column i of _cols. _util and _created hold
         # each slot's utility and created_at.
-        exact32 = getattr(self.embedder, "integer_output", False)
-        dtype = np.float32 if exact32 else np.float64
-        self._cols = np.zeros((self.embedder.dim, 0), dtype=dtype)
+        self._cols = np.zeros((self.embedder.dim, 0), dtype=np.float32)
         self._norms = np.zeros(0, dtype=np.float64)
         self._live = np.zeros(0, dtype=bool)
         self._util = np.zeros(0, dtype=np.float64)
@@ -234,16 +234,16 @@ class ExpertProfile:
                 created += 1
                 segment_id = f"{self.expert_id}:{created}"
             segment = SMSegment(segment_id=segment_id, text=text, created_at=created)
-            self._add(segment)
-            self._next_created = created + 1
+            self._make_room(1)
+            self._add_block([segment], self.embedder.embed(text)[np.newaxis])
             return segment
 
     def _restore(self, segments: Iterable[SMSegment]) -> None:
         """Used by persistence: re-attach segments read from a file, whose
         ids and texts :func:`read_segments` has already checked are unique.
         Room is made once for all of them, and they are embedded and written
-        a block at a time, to the index that adding them one by one with
-        :meth:`_add` makes."""
+        a block at a time, to the index that writing them one at a time
+        makes."""
         segments = list(segments)
         with self._lock:
             self._make_room(len(segments))
@@ -251,30 +251,9 @@ class ExpertProfile:
                 block = segments[start : start + _LOAD_BLOCK]
                 self._add_block(block, self.embedder.embed_batch([s.text for s in block]))
 
-    def _add(self, segment: SMSegment) -> None:
-        """Give a new segment the next slot and write its column. The lock is
-        held."""
-        embedding = self.embedder.embed(segment.text)
-        if len(self._slots) == self._cols.shape[1]:
-            self._make_room(1)
-        slot = len(self._slots)
-        self._by_text[segment.text] = segment.segment_id
-        self._slot_of[segment.segment_id] = slot
-        self._slots.append(segment)
-        self._cols[:, slot] = embedding
-        # A pairwise sum, as np.linalg.norm takes along an axis; a dot product
-        # may round the last bit differently.
-        norm = float(np.sqrt(np.add.reduce(embedding * embedding)))
-        self._norms[slot] = norm if norm > 0.0 else np.inf
-        self._live[slot] = True
-        self._util[slot] = self.utility(segment)
-        self._created[slot] = segment.created_at
-        self._peak = max(self._peak, float(np.abs(embedding).max()))
-        self.version += 1
-
     def _add_block(self, segments: list[SMSegment], embeddings: np.ndarray) -> None:
-        """:meth:`_add` for a block of segments whose embeddings are the rows
-        of ``embeddings``: the next slots, in order, with the same bytes. The
+        """Give new segments, whose embeddings are the rows of
+        ``embeddings``, the next slots in order and write their columns. The
         lock is held and room has been made."""
         first = len(self._slots)
         stop = first + len(segments)
@@ -283,7 +262,7 @@ class ExpertProfile:
             self._slot_of[segment.segment_id] = slot
         self._slots += segments
         self._cols[:, first:stop] = embeddings.T
-        # The same pairwise sum per row.
+        # Whole counts: each sum of squares is exact, as np.linalg.norm's is.
         norms = np.sqrt(np.add.reduce(embeddings * embeddings, axis=1))
         self._norms[first:stop] = np.where(norms > 0.0, norms, np.inf)
         self._live[first:stop] = True
@@ -367,7 +346,7 @@ class ExpertProfile:
         else:
             buckets = np.flatnonzero(query_vec)
             weights = query_vec[buckets]
-            exact = self._cols.dtype == np.float32 and self._exact_in_float32(weights)
+            exact = self._exact_in_float32(weights)
             parent = query.parent
             base = parent._scans.get(self) if exact and parent is not None else None
             if base is not None and base.version == self.version and base.dots is not None:
@@ -402,11 +381,9 @@ class ExpertProfile:
         return dots
 
     def _exact_in_float32(self, weights: np.ndarray) -> bool:
-        """Whether every product and partial sum of these query weights
-        against the float32 matrix is an integer below 2**24."""
-        if np.add.reduce(np.abs(weights)) * self._peak >= _FLOAT32_EXACT:
-            return False
-        return bool(np.logical_and.reduce(weights == np.rint(weights)))
+        """Whether every product and partial sum of these whole-number query
+        weights against the float32 matrix is an integer below 2**24."""
+        return bool(np.add.reduce(np.abs(weights)) * self._peak < _FLOAT32_EXACT)
 
     def _live_scan(self, query: Query) -> np.ndarray | None:
         """The query's scan with evicted slots at -inf, or None on an empty
@@ -546,8 +523,8 @@ def finalize_episode(profiles: Mapping[str, ExpertProfile], record: EpisodeRecor
 # ---------------------------------------------------------------------------
 #
 # One JSON object per line. Embeddings are never stored; they are recomputed
-# from the prefix text on load, so a store written under one embedder can be
-# reopened under another.
+# from the prefix text on load, so a store written at one embedding width can
+# be reopened at another.
 
 
 def profile_records(segments: Mapping[str, Iterable[SMSegment]]) -> list[dict]:
@@ -604,7 +581,11 @@ def segment_from_record(record: object) -> tuple[str, SMSegment]:
         "prefix_steps",
         "a non-empty list of [observation, action] string pairs",
     )
-    _check(type(created) is int and created >= 0, "created_at", "an integer >= 0")
+    _check(
+        type(created) is int and 0 <= created < _CREATED_LIMIT,
+        "created_at",
+        "an integer >= 0 and below 2**62",
+    )
     wins, uses = record["wins"], record["uses"]
     _check(type(uses) is int and uses >= 0, "uses", "an integer >= 0")
     _check(type(wins) is int and 0 <= wins <= uses, "wins", "an integer from 0 to 'uses'")
@@ -635,7 +616,7 @@ def read_segments(records: Iterable[object]) -> dict[str, list[SMSegment]]:
 
 def restore_profiles(
     records: Iterable[object],
-    embedder: Embedder | None = None,
+    embedder: TrigramEmbedder | None = None,
     capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
 ) -> dict[str, ExpertProfile]:

@@ -534,6 +534,8 @@ def _memory_line(**changes) -> str:
             "unknown key 'ledger'",
         ),
         (_memory_line(created_at="zero"), "key 'created_at'"),
+        # The index keeps created_at in int64, with room to count on past it.
+        (_memory_line(created_at=2**63 - 1), "key 'created_at'"),
         (_memory_line(prefix_steps=[["only-one"]]), "key 'prefix_steps'"),
         (_memory_line(wins=3), "key 'wins'"),
         (_memory_line(note="x"), "unknown key 'note'"),
@@ -565,6 +567,7 @@ def _memory_line(**changes) -> str:
         "not-json",
         "ledger-without-usage",
         "created-at-text",
+        "created-at-past-int64",
         "half-step",
         "wins-above-uses",
         "unknown-key",

@@ -194,12 +194,6 @@ _STEP = st.one_of(
 )
 
 
-class Float64Trigrams(TrigramEmbedder):
-    """Trigram counts from an embedder that does not declare integer output."""
-
-    integer_output = False
-
-
 PROBE = Trajectory(pending=Observation("probe"))
 
 
@@ -207,10 +201,9 @@ class ProbeTrigrams(TrigramEmbedder):
     """Trigram counts, except that the text of ``PROBE`` embeds to the given
     vector, so a scan can be made with any query vector."""
 
-    def __init__(self, dim: int, vector: np.ndarray, integer_output: bool):
+    def __init__(self, dim: int, vector: np.ndarray):
         super().__init__(dim)
         self.vector = vector
-        self.integer_output = integer_output
 
     def embed(self, text: str) -> np.ndarray:
         if text == serialize_trajectory(PROBE):
@@ -221,18 +214,9 @@ class ProbeTrigrams(TrigramEmbedder):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.lists(_STEP, max_size=25))
 def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
-    run_steps(TrigramEmbedder(8), np.float32, capacity, steps)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.lists(_STEP, max_size=25))
-def test_a_float64_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
-    run_steps(Float64Trigrams(8), np.float64, capacity, steps)
-
-
-def run_steps(embedder, dtype, capacity: int, steps: list) -> None:
+    embedder = TrigramEmbedder(8)
     profile = ExpertProfile("x", capacity=capacity, embedder=embedder)
-    assert profile._cols.dtype == dtype
+    assert profile._cols.dtype == np.float32
     queries = [Query(make_trajectory([], pending=text)) for text in ("obs 3 zz", "ababobs 7")]
     queries += [Query(Trajectory()), Query(make_trajectory([(_TEXTS[5], "a")]))]
     for step in steps:
@@ -276,33 +260,24 @@ def run_steps(embedder, dtype, capacity: int, steps: list) -> None:
     [
         # Odd integers far above 2**24 / peak: a float32 product would round.
         pytest.param(3_000_001.0 + 2.0 * np.arange(16), id="past-float32-range"),
-        pytest.param(np.linspace(0.1, 7.3, 16), id="fractional"),
     ],
 )
 def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
-    profiles = [
-        ExpertProfile("expert-a", embedder=ProbeTrigrams(16, query, integer_output))
-        for integer_output in (True, False)
-    ]
-    for profile in profiles:
-        for i in range(40):
-            profile.insert(make_trajectory([(f"aaaaaaaa observation {i * 13}", f"act {i % 7}")]))
-    narrow, wide = profiles
-    matrix = np.vstack(
-        [narrow.embedder.embed(s.text) for s in narrow.segments()]
-    )
+    profile = ExpertProfile("expert-a", embedder=ProbeTrigrams(16, query))
+    for i in range(40):
+        profile.insert(make_trajectory([(f"aaaaaaaa observation {i * 13}", f"act {i % 7}")]))
+    matrix = np.vstack([profile.embedder.embed(s.text) for s in profile.segments()])
     in_float32 = (matrix.astype(np.float32) @ query.astype(np.float32)).astype(np.float64)
     assert not np.array_equal(in_float32, matrix @ query)
-    probe = Query(PROBE)
-    assert np.array_equal(narrow.match_scores(probe), wide.match_scores(probe))
-    assert (narrow._cols.dtype, wide._cols.dtype) == (np.float32, np.float64)
-    assert not narrow._exact_in_float32(query)
-    (mine, score), (theirs, expected) = narrow.best_match(probe), wide.best_match(probe)
-    assert (mine.segment_id, score) == (theirs.segment_id, expected)
+    assert profile._cols.dtype == np.float32
+    assert not profile._exact_in_float32(query)
+    # The probe embeds to ``query``: its scores and best match equal the
+    # dense float64 similarity oracle bit for bit.
+    brute_force_check(profile, [Query(PROBE)])
 
 
 def test_a_query_vector_of_the_wrong_width_is_rejected():
-    profile = ExpertProfile("expert-a", embedder=ProbeTrigrams(16, np.ones(8), True))
+    profile = ExpertProfile("expert-a", embedder=ProbeTrigrams(16, np.ones(8)))
     profile.insert(make_trajectory([("a stored observation", "act")]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         profile.best_match(Query(PROBE))
@@ -373,12 +348,27 @@ def restorable(count: int) -> list[SMSegment]:
 
 
 def restore_one_at_a_time(profile: ExpertProfile, segments: list[SMSegment]) -> None:
-    """The reference restore: each segment gets room and its column as an
-    insert gets them, embedded on its own by ``embed``."""
+    """The reference restore: each segment gets room as an insert gets it,
+    is embedded on its own by ``embed`` and has its slot written field by
+    field, independently of the profile's block write."""
     with profile._lock:
         for segment in segments:
-            profile._add(segment)
+            embedding = profile.embedder.embed(segment.text)
+            profile._make_room(1)
+            slot = len(profile._slots)
+            profile._by_text[segment.text] = segment.segment_id
+            profile._slot_of[segment.segment_id] = slot
+            profile._slots.append(segment)
+            profile._cols[:, slot] = embedding
+            # A pairwise sum, as np.linalg.norm takes along an axis.
+            norm = float(np.sqrt(np.add.reduce(embedding * embedding)))
+            profile._norms[slot] = norm if norm > 0.0 else np.inf
+            profile._live[slot] = True
+            profile._util[slot] = profile.utility(segment)
+            profile._created[slot] = segment.created_at
+            profile._peak = max(profile._peak, float(np.abs(embedding).max()))
             profile._next_created = max(profile._next_created, segment.created_at + 1)
+            profile.version += 1
 
 
 def index_state(profile: ExpertProfile) -> tuple:
@@ -414,7 +404,7 @@ def restore_both_ways(make_profile, segments: list[SMSegment]) -> ExpertProfile:
     return batched
 
 
-@pytest.mark.parametrize("kind", [TrigramEmbedder, Float64Trigrams])
+@pytest.mark.parametrize("kind", [TrigramEmbedder])
 @pytest.mark.parametrize("capacity", [16, 100])
 @pytest.mark.parametrize(
     "count",
@@ -439,7 +429,7 @@ def test_a_restore_writes_the_index_adding_one_at_a_time_writes(kind, capacity, 
     brute_force_check(profile, [Query(parse_trajectory(segment.text)) for segment in segments[:3]])
 
 
-@pytest.mark.parametrize("kind", [TrigramEmbedder, Float64Trigrams])
+@pytest.mark.parametrize("kind", [TrigramEmbedder])
 @pytest.mark.parametrize("count", [10, 11, 40])
 def test_a_restore_into_dead_slots_compacts_them_first_as_an_insert_does(kind, count):
     # Capacity 4 grows the matrix 1 -> 4 -> 16. Six inserts and a prune
@@ -459,15 +449,10 @@ def test_a_restore_into_dead_slots_compacts_them_first_as_an_insert_does(kind, c
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([TrigramEmbedder, Float64Trigrams]),
-    st.integers(1, 6),
-    st.integers(0, 14),
-    st.integers(0, 40),
-)
-def test_a_restore_after_inserts_and_prunes_equals_one_at_a_time(kind, capacity, inserted, count):
+@given(st.integers(1, 6), st.integers(0, 14), st.integers(0, 40))
+def test_a_restore_after_inserts_and_prunes_equals_one_at_a_time(capacity, inserted, count):
     def make_profile():
-        profile = ExpertProfile("x", capacity=capacity, embedder=kind(16))
+        profile = ExpertProfile("x", capacity=capacity, embedder=TrigramEmbedder(16))
         for i in range(inserted):
             profile.insert(make_trajectory([(_TEXTS[i], "a")]))
         profile.prune()
@@ -578,19 +563,18 @@ _CHANGE = st.sampled_from(["none", "insert", "restore", "evict", "compact", "cre
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([TrigramEmbedder, Float64Trigrams]),
     st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=6),
     _TEXT,
     st.lists(
         st.tuples(st.tuples(_TEXT, _TEXT), _CHANGE, st.integers(0, 4)), min_size=1, max_size=6
     ),
 )
-def test_node_held_scans_equal_full_scans_bit_for_bit(kind, stored, root_text, path):
+def test_node_held_scans_equal_full_scans_bit_for_bit(stored, root_text, path):
     """A chain of node queries, each extending the last by one step, with
     the profile changing between a parent's scan and its child's. A query is
     linked to the last one, or by ``link`` to an earlier query, chain or
     side, whose text need not be its prefix."""
-    embedder = kind(16)
+    embedder = TrigramEmbedder(16)
     profile = ExpertProfile("x", capacity=3, embedder=embedder)
     for obs, act in stored:
         profile.insert(make_trajectory([(obs, act)]))
@@ -1022,6 +1006,26 @@ def test_the_reader_rejects_a_repeated_id_or_prefix_within_one_expert():
         ("expert-a", ["expert-a:0"]),
         ("expert-b", ["expert-a:0"]),
     ]
+
+
+def test_a_created_at_the_index_cannot_hold_is_rejected_and_the_largest_leaves_room():
+    def record(created_at):
+        return {
+            "expert_id": "expert-a",
+            "segment_id": "expert-a:r",
+            "prefix_steps": [["obs", "act"]],
+            "created_at": created_at,
+            "wins": 0,
+            "uses": 0,
+        }
+
+    for created_at in (2**62, 2**63 - 1, 10**30):
+        with pytest.raises(ValueError, match="key 'created_at'"):
+            read_segments([record(created_at)])
+    profile = restore_profiles([record(2**62 - 1)], TrigramEmbedder(16))["expert-a"]
+    segment = profile.insert(make_trajectory([("a later observation", "act")]))
+    assert segment.created_at == 2**62
+    assert profile._created[1] == 2**62
 
 
 def test_an_insert_writes_its_column_before_any_scan():
