@@ -236,6 +236,7 @@ def validate_config(config: RunConfig) -> RunConfig:
         "requires memory.shared = true; unshared memory is never written",
     )
     ids = [spec.expert_id for spec in config.council]
+    backend_ids: list[str] = []
     for i, spec in enumerate(config.council):
         _require(bool(spec.expert_id), f"council[{i}].expert_id", "must be non-empty")
         _require(
@@ -251,6 +252,13 @@ def validate_config(config: RunConfig) -> RunConfig:
         key = f"council[{i}].params"
         params = expert_params(spec, key)
         if isinstance(params, LLMParams):
+            backend_id = params.backend_id if params.backend_id is not None else spec.expert_id
+            _require(
+                backend_id not in backend_ids,
+                f"{key}.backend_id",
+                f"repeats the backend id {backend_id!r}",
+            )
+            backend_ids.append(backend_id)
             _require(params.concurrency >= 1, f"{key}.concurrency", "must be at least 1")
             _require(params.max_tokens >= 1, f"{key}.max_tokens", "must be at least 1")
             _require(params.timeout > 0.0, f"{key}.timeout", "must be positive")

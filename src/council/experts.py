@@ -9,17 +9,22 @@ Scripted experts are pure functions of (prefix, exemplar, k, seed): every
 random choice is drawn from a generator derived from the expert's seed and
 the call inputs, so identical calls give identical outputs regardless of call
 order. That property is what makes whole planner runs byte-reproducible.
-Language-model experts share the same interface through the gateway module.
+Language-model experts share the same interface through the gateway module;
+the judges of one sibling set send their evaluate requests at once, through
+:func:`send_evaluations`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import functools
+from concurrent.futures import Future
+from typing import Callable, Mapping, Sequence
 
 from .embedding import TrigramEmbedder
 from .errors import ExpertUnavailableError, ProviderError, ScoreParseError
 from .gateway import (
     Backend,
+    ChatRequest,
     complete,
     complete_all,
     compose_prompt,
@@ -87,15 +92,21 @@ def propose_actions(
     return [Action(text) for text in list(distinct)[:k]]
 
 
-def evaluate_plausibility(expert: Expert, prefix: Trajectory) -> float:
+def evaluate_plausibility(
+    expert: Expert, prefix: Trajectory, reply: Future[str] | None = None
+) -> float:
     """Score a trajectory on [0, 1], falling back to neutral 0.5.
 
-    An unavailable expert (its backend already retried and gave up) scores
-    neutrally at once. A parse or provider hiccup earns one fresh attempt,
-    then neutral. The returned value is always clamped into [0, 1].
+    The first attempt is ``expert.plausibility``, or, given ``reply``, the
+    score in that completion of a language-model expert's evaluate request,
+    already sent by :func:`send_evaluations`. An unavailable expert (its
+    backend already retried and gave up) scores neutrally at once. A parse
+    or provider hiccup earns one fresh attempt, then neutral. Any other
+    error, BackendConfigError included, propagates. The returned value is
+    always clamped into [0, 1].
     """
     try:
-        value = expert.plausibility(prefix)
+        value = expert.plausibility(prefix) if reply is None else parse_score(reply.result())
     except ExpertUnavailableError:
         return 0.5
     except (ScoreParseError, ProviderError):
@@ -104,6 +115,28 @@ def evaluate_plausibility(expert: Expert, prefix: Trajectory) -> float:
         except (ScoreParseError, ProviderError, ExpertUnavailableError):
             return 0.5
     return min(1.0, max(0.0, float(value)))
+
+
+def send_evaluations(
+    judges: Sequence[Expert], prefixes: Sequence[Trajectory]
+) -> list[Callable[[], float] | None]:
+    """Send at once the evaluate request of every language-model judge, where
+    ``judges[i]`` scores ``prefixes[i]``.
+
+    The requests go through :func:`~council.gateway.complete_all`, which
+    returns once every send has; a set of scripted judges sends nothing.
+    Entry i is None for a scripted judge. For a language-model judge it is a
+    call that reads the score from the reply under the rules of
+    :func:`evaluate_plausibility`.
+    """
+    sent = [i for i, judge in enumerate(judges) if isinstance(judge, LLMExpert)]
+    replies = complete_all(
+        [(judges[i].backend, judges[i].evaluate_request(prefixes[i])) for i in sent]
+    )
+    scores: list[Callable[[], float] | None] = [None] * len(judges)
+    for i, reply in zip(sent, replies):
+        scores[i] = functools.partial(evaluate_plausibility, judges[i], prefixes[i], reply)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +324,8 @@ class LLMExpert(Expert):
     flight at once, and their replies are read in sample order. If one
     sample's backend is unavailable, ``propose`` raises
     ExpertUnavailableError once every sample's send has returned.
-    Evaluations run at temperature 0 for stability. The task instruction
+    Evaluations run at temperature 0 for stability; the judges of a sibling
+    set send theirs at once (:func:`send_evaluations`). The task instruction
     placed in the prompt is the trajectory's first observation, which is how
     every bundled environment presents the task.
     """
@@ -317,19 +351,20 @@ class LLMExpert(Expert):
         settings = (self.act_temperature, self.max_tokens, self.timeout)
         requests = [request_for(sample_prompt(messages, i, k), *settings) for i in range(1, k + 1)]
         actions: list[str] = []
-        for reply in complete_all(self.backend, requests):
-            for line in reply.splitlines():
+        for sent in complete_all([(self.backend, request) for request in requests]):
+            for line in sent.result().splitlines():
                 line = line.strip()
                 if line:
                     actions.append(line)
                     break
         return actions
 
-    def plausibility(self, prefix: Trajectory) -> float:
+    def evaluate_request(self, prefix: Trajectory) -> ChatRequest:
         messages = compose_prompt(first_observation_text(prefix), prefix, None, "evaluate")
-        request = request_for(messages, self.eval_temperature, self.max_tokens, self.timeout)
-        reply = complete(self.backend, request)
-        return parse_score(reply)
+        return request_for(messages, self.eval_temperature, self.max_tokens, self.timeout)
+
+    def plausibility(self, prefix: Trajectory) -> float:
+        return parse_score(complete(self.backend, self.evaluate_request(prefix)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ one expansion differ only by a sample tag at the end of the act-directive
 line, as in ``Propose the single next action. (sample 2 of 2)``; it adds no
 line, and it makes each request's text distinct, so a backend that keys on
 the text answers the same whatever order the concurrent sends arrive in.
+The judge requests of one sibling set are sent at once too, and their texts
+differ because each scores a different child.
 Scoring replies are parsed with a first-number rule mapped onto [0, 1].
 
 Credentials are read from an environment variable named in the backend
@@ -23,7 +25,7 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -237,7 +239,8 @@ class HTTPBackend:
     retriable one. Any other failure status, a redirect, a transport failure
     or timeout, and a reply without a text ``choices[0].message.content``
     raise ProviderError. ``concurrency`` caps in-flight requests per backend,
-    the concurrent proposal requests of an expansion included.
+    including the proposal requests of an expansion and the judge requests
+    of a sibling set, which are each sent at once.
     """
 
     def __init__(
@@ -322,26 +325,32 @@ def complete(
 
 
 # One pool for every fan-out in the process: a pool made per call costs more
-# than the overlap saves on short sends. Its threads start on first use.
+# than the overlap saves on short sends. Its threads start on first use. A
+# pool thread runs only :func:`complete`, which never waits on the pool, so
+# fan-outs from any number of threads cannot deadlock it.
 _SENDS = ThreadPoolExecutor(thread_name_prefix="council-gateway")
 
 
-def complete_all(backend: Backend, requests: Sequence[ChatRequest]) -> list[str]:
-    """Run :func:`complete` on every request at once; replies in request order.
+def complete_all(sends: Sequence[tuple[Backend, ChatRequest]]) -> list[Future[str]]:
+    """Run :func:`complete` on every ``(backend, request)`` pair at once.
 
     The caller's thread sends the first request and a shared pool the rest,
-    so a single request uses no thread. The call returns or raises only after
-    every send has returned. If any request fails, the exception of the first
-    failing one, in request order, is raised.
+    so a single send uses no pool thread. The call returns only after every
+    send has returned, with one done future per pair, in pair order: its
+    ``result()`` is the reply, or raises what that pair's :func:`complete`
+    raised.
     """
-    if not requests:
+    if not sends:
         return []
-    rest = [_SENDS.submit(complete, backend, request) for request in requests[1:]]
+    rest = [_SENDS.submit(complete, backend, request) for backend, request in sends[1:]]
+    first: Future[str] = Future()
     try:
-        first = complete(backend, requests[0])
+        first.set_result(complete(*sends[0]))
+    except Exception as exc:  # kept for the caller, as the pool keeps the rest's
+        first.set_exception(exc)
     finally:
         wait(rest)
-    return [first, *(future.result() for future in rest)]
+    return [first, *rest]
 
 
 def request_for(

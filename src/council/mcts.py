@@ -257,12 +257,13 @@ def _assign_values(
     """Set fused_value (and the starting value) of each child in a sibling set.
 
     Only the judged signal draws from ``rng``, one draw per child in child
-    order. Returns the fusion, which carries the set's spreads and weight, in
-    ``full`` mode and None otherwise.
+    order; the set's language-model judges are asked at once (see
+    :func:`~council.values.llm_value`). Returns the fusion, which carries the
+    set's spreads and weight, in ``full`` mode and None otherwise.
     """
     v_llm = v_sms = None
     if mode in ("full", "llm-only"):
-        v_llm = [llm_value(council, c.prefix, rng) for c in children]
+        v_llm = llm_value(council, [c.prefix for c in children], rng)
     if mode in ("full", "sms-only"):
         profile = council.profile(acting_expert_id)
         v_sms = [sms_value(profile, c.query, episode) for c in children]

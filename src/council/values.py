@@ -1,10 +1,11 @@
 """Dual-signal value estimation for freshly expanded children.
 
 Each child gets two raw signals. The judged value comes from one council
-member sampled uniformly to score the child's trajectory. The memory value
-comes from the routed expert's profile: find the stored segment most similar
-to the child and adopt that segment's utility, which is the usage-weighted
-success rate (``wins / uses``) of the finished episodes that retrieved it.
+member sampled uniformly to score the child's trajectory; a sibling set's
+language-model judges are asked at once. The memory value comes from the
+routed expert's profile: find the stored segment most similar to the child
+and adopt that segment's utility, which is the usage-weighted success rate
+(``wins / uses``) of the finished episodes that retrieved it.
 
 Both signal lists, in child order, are min-max normalized over the sibling
 set and blended with a weight that favors whichever signal actually spreads
@@ -23,7 +24,7 @@ import random
 import sys
 from typing import NamedTuple, Sequence
 
-from .experts import Council, evaluate_plausibility
+from .experts import Council, evaluate_plausibility, send_evaluations
 from .memory import EpisodeContext, ExpertProfile, Query
 from .trajectory import Trajectory
 
@@ -42,9 +43,24 @@ class Fusion(NamedTuple):
     alpha: float
 
 
-def llm_value(council: Council, prefix: Trajectory, rng: random.Random) -> float:
-    """Score from one uniformly sampled council member."""
-    return evaluate_plausibility(rng.choice(council.experts), prefix)
+def llm_value(
+    council: Council, prefixes: Sequence[Trajectory], rng: random.Random
+) -> list[float]:
+    """Judged values of a sibling set, given as the children's trajectories.
+
+    Each child's judge is a council member drawn uniformly, one ``rng`` draw
+    per child in child order. The language-model judges' requests are sent
+    at once (:func:`~council.experts.send_evaluations`); then each child is
+    scored in child order under the fallback rules of
+    :func:`~council.experts.evaluate_plausibility`, so a BackendConfigError
+    is raised only once no send is in flight, and it is the first child's.
+    """
+    judges = [rng.choice(council.experts) for _ in prefixes]
+    sent = send_evaluations(judges, prefixes)
+    return [
+        evaluate_plausibility(judge, prefix) if score is None else score()
+        for judge, prefix, score in zip(judges, prefixes, sent)
+    ]
 
 
 def sms_value(

@@ -17,14 +17,15 @@ from council.config import PlannerConfig, SearchBudget
 from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv
-from council.experts import ConstantEvaluatorExpert, Council, SynthSpecialistExpert
-from council.gateway import ChatRequest, compose_prompt, request_for
+from council.experts import ConstantEvaluatorExpert, Council, LLMExpert, SynthSpecialistExpert
+from council.gateway import ChatRequest, StubBackend, compose_prompt, request_for
 from council.memory import ExpertProfile, Query
 from council.routing import route
 from council.trajectory import Observation, Trajectory
 from council.values import sms_value
 
 from perfbench.spans import SpanRecorder
+from perfbench.stub import StubReplies
 from perfbench.worker import patched, tracing
 
 from conftest import make_trajectory
@@ -93,3 +94,27 @@ def test_every_vector_a_node_query_holds_is_embedded_inside_an_embed_span():
     held = sum(len(node.query._vectors) for node in result.tree.nodes)
     assert held > 1
     assert [span.name for span in rec.spans].count("embedding.embed") == held
+
+
+def test_a_traced_search_over_language_model_experts_closes_every_span():
+    # Spans share one stack, so a traced name run on a gateway pool thread
+    # would make SpanRecorder.close raise here. Each send takes 2 ms, so
+    # the sends of one fan-out overlap.
+    cfg = SynthConfig(depth=3, budget=3)
+    council = Council(
+        [
+            LLMExpert(f"{family}-llm", StubBackend(StubReplies(family, 0.002, 0, cfg)))
+            for family in cfg.families
+        ],
+        embedder=TrigramEmbedder(64),
+    )
+    planner = PlannerConfig(budget=SearchBudget(iterations=8, expansion_width=2, max_depth=6))
+    task = TaskSpec("synth-amber-0000", "synth", {"family": "amber", "seed": 7})
+    rec = SpanRecorder()
+    with patched(tracing(rec)):
+        result = mcts.search(task, SynthEnv(cfg), council, planner, random.Random(2))
+    assert any(len(node.children) == 2 for node in result.tree.nodes)
+    assert rec._stack == []
+    assert all(span.end >= span.start for span in rec.spans)
+    names = {span.name for span in rec.spans}
+    assert {"experts.propose_actions", "values.llm_value"} <= names

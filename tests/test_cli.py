@@ -217,6 +217,16 @@ def _llm(**params) -> dict:
             (),
             "council[1].expert_id",
         ),
+        (
+            {"council": [_llm(backend_id="z"), {**_llm(backend_id="z"), "expert_id": "y"}]},
+            (),
+            "council[1].params.backend_id",
+        ),
+        (
+            {"council": [_llm(), {**_llm(backend_id="x"), "expert_id": "y"}]},
+            (),
+            "council[1].params.backend_id",
+        ),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):

@@ -46,6 +46,16 @@ def test_unknown_top_level_key_is_named():
     assert "unknown key" in str(excinfo.value)
 
 
+def llm_entry(expert_id: str, **params) -> dict:
+    required = {"endpoint": "http://localhost:9", "model": "m", "credential_env": "NO_SUCH_KEY"}
+    return {"expert_id": expert_id, "kind": "llm-backed", "params": {**required, **params}}
+
+
+def test_distinct_backend_ids_are_accepted():
+    council = [llm_entry("a"), llm_entry("b"), llm_entry("c", backend_id="shared")]
+    assert len(config_from_dict({"seed": 1, "council": council}).council) == 3
+
+
 def test_unknown_nested_keys_carry_their_path():
     with pytest.raises(ValueError) as excinfo:
         config_from_dict({"seed": 1, "planner": {"budget": {"iters": 5}}})
@@ -76,6 +86,18 @@ def test_unknown_nested_keys_carry_their_path():
         ({"council": [{"expert_id": ""}]}, "council[0].expert_id"),
         ({"council": [{"expert_id": "a", "kind": "psychic"}]}, "council[0].kind"),
         ({"memory": {"shared": False, "save_path": "m.jsonl"}}, "memory.save_path"),
+        (
+            {"council": [llm_entry("a", backend_id="z"), llm_entry("b", backend_id="z")]},
+            "council[1].params.backend_id",
+        ),
+        (
+            {"council": [llm_entry("a"), llm_entry("b", backend_id="a")]},
+            "council[1].params.backend_id",
+        ),
+        (
+            {"council": [llm_entry("a", backend_id="b"), llm_entry("b")]},
+            "council[1].params.backend_id",
+        ),
     ],
 )
 def test_out_of_range_values_name_the_offending_key(overrides, key):

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, strategies as st
 
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv, family_vocab, hidden_sequence
-from council.errors import ExpertUnavailableError, ProviderError, ScoreParseError
+from council.errors import (
+    BackendConfigError,
+    ExpertUnavailableError,
+    ProviderError,
+    ScoreParseError,
+)
 from council.experts import (
     ConstantEvaluatorExpert,
     Council,
@@ -21,6 +27,7 @@ from council.experts import (
     TableExpert,
     evaluate_plausibility,
     propose_actions,
+    send_evaluations,
 )
 from council.gateway import StubBackend
 from council.trajectory import Trajectory, serialize_trajectory
@@ -102,6 +109,46 @@ def test_two_unparseable_replies_score_neutral():
     backend = StubBackend(["nothing here", "still nothing"])
     expert = LLMExpert("llm", backend)
     assert evaluate_plausibility(expert, make_trajectory([], pending="task")) == 0.5
+
+
+def settled(reply: str | Exception) -> Future:
+    future: Future = Future()
+    if isinstance(reply, Exception):
+        future.set_exception(reply)
+    else:
+        future.set_result(reply)
+    return future
+
+
+def test_a_sent_reply_is_the_first_attempt_under_the_same_rules():
+    prefix = make_trajectory([], pending="task")
+    backend = StubBackend(["6"])
+    expert = LLMExpert("llm", backend)
+    assert evaluate_plausibility(expert, prefix, settled("Score: 8")) == pytest.approx(0.8)
+    assert evaluate_plausibility(expert, prefix, settled("Score: 80")) == 1.0
+    unavailable = ExpertUnavailableError("gave up")
+    assert evaluate_plausibility(expert, prefix, settled(unavailable)) == 0.5
+    assert backend.usage.requests == 0
+    # An unparseable reply earns one fresh attempt, sent from here.
+    assert evaluate_plausibility(expert, prefix, settled("no score")) == pytest.approx(0.6)
+    assert backend.usage.requests == 1
+    with pytest.raises(BackendConfigError):
+        evaluate_plausibility(expert, prefix, settled(BackendConfigError("bad key")))
+    assert backend.usage.requests == 1
+
+
+def test_send_evaluations_sends_only_for_language_model_judges():
+    backend = StubBackend(lambda request: "4")
+    llm = LLMExpert("llm", backend)
+    scripted = ConstantEvaluatorExpert("c", 0.3)
+    prefixes = [make_trajectory([], pending=f"task {i}") for i in range(3)]
+    sent = send_evaluations([scripted, llm, scripted], prefixes)
+    assert sent[0] is None and sent[2] is None
+    assert backend.usage.requests == 1
+    assert backend.requests_seen == [llm.evaluate_request(prefixes[1])]
+    assert sent[1]() == pytest.approx(0.4)
+    assert send_evaluations([scripted, scripted], prefixes[:2]) == [None, None]
+    assert backend.usage.requests == 1
 
 
 def test_provider_error_inside_plausibility_is_retried():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import random
 import socket
 import sys
 import threading
@@ -20,7 +21,7 @@ from council.errors import (
     ScoreParseError,
 )
 import council.gateway as gateway
-from council.experts import LLMExpert
+from council.experts import Council, LLMExpert
 from council.gateway import (
     DEFAULT_TEMPLATES as T,
     ChatMessage,
@@ -34,6 +35,8 @@ from council.gateway import (
     request_for,
     sample_prompt,
 )
+from council.mcts import SearchNode, _assign_values
+from council.memory import EpisodeContext, Query
 from council.trajectory import Trajectory, parse_trajectory, serialize_trajectory
 
 from conftest import make_trajectory, sample_index
@@ -200,8 +203,10 @@ def test_complete_all_with_one_request_sends_it_from_the_calling_thread(monkeypa
         senders.append(threading.current_thread())
         return "only"
 
-    assert complete_all(StubBackend(reply), [numbered(1)]) == ["only"]
+    [sent] = complete_all([(StubBackend(reply), numbered(1))])
+    assert sent.result() == "only"
     assert senders == [threading.current_thread()]
+    assert complete_all([]) == []
 
 
 def test_complete_all_raises_the_first_failure_in_request_order():
@@ -215,10 +220,12 @@ def test_complete_all_raises_the_first_failure_in_request_order():
         return "ok"
 
     backend = StubBackend(reply)
-    with pytest.raises(ExpertUnavailableError, match="two"):
-        complete_all(backend, [numbered(i) for i in (1, 2, 3)])
+    sent = complete_all([(backend, numbered(i)) for i in (1, 2, 3)])
+    assert all(future.done() for future in sent)
     assert backend.usage.requests == 4
-    assert complete_all(backend, []) == []
+    with pytest.raises(ExpertUnavailableError, match="two"):
+        [future.result() for future in sent]
+    assert isinstance(sent[2].exception(), BackendConfigError)
 
 
 def send_from_threads(backend: StubBackend, threads: int, sends: int) -> int:
@@ -264,7 +271,8 @@ def test_fan_outs_from_many_threads_share_the_pool_and_keep_their_order():
     def caller(first: int) -> None:
         for call in range(50):
             expected = [f"u{first + 10 * call + i}" for i in range(3)]
-            replies = complete_all(backend, [numbered(first + 10 * call + i) for i in range(3)])
+            sent = complete_all([(backend, numbered(first + 10 * call + i)) for i in range(3)])
+            replies = [future.result() for future in sent]
             if replies != expected:
                 mixed.append(replies)
 
@@ -316,8 +324,8 @@ def test_a_concurrency_below_one_is_rejected_naming_it(concurrency):
 
 class LoopbackCompletions(ThreadingHTTPServer):
     """A chat-completions endpoint on 127.0.0.1 that answers each act
-    request with ``action <sample>`` and records the most requests it held
-    at once. A handler waits on ``barrier`` or sleeps ``delay_s`` before it
+    request with ``action <sample>`` and each evaluate request with
+    ``Score: 7``, and records the most requests it held at once. A handler waits on ``barrier`` or sleeps ``delay_s`` before it
     answers. A given ``status`` or ``payload`` (raw body bytes) replaces the
     answer's 200 status or its completion body, and a given ``location`` is
     sent as a ``Location`` header."""
@@ -371,7 +379,10 @@ class CompletionHandler(BaseHTTPRequestHandler):
                 server.in_flight -= 1
         payload = server.payload
         if payload is None:
-            content = f"action {sample_index(body['messages'][-1]['content'])}"
+            if body["messages"][0]["content"] == T.system_evaluate:
+                content = "Score: 7"
+            else:
+                content = f"action {sample_index(body['messages'][-1]['content'])}"
             payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
         self.send_response(server.status)
         if server.location is not None:
@@ -447,6 +458,35 @@ def test_concurrency_one_keeps_one_request_in_flight_over_http(loopback):
     actions = expert.propose(make_trajectory([], pending="a task"), None, 3)
     assert actions == ["action 1", "action 2", "action 3"]
     assert len(server.bodies) == 3
+    assert server.most_in_flight == 1
+
+
+def judge_siblings(server: LoopbackCompletions, concurrency: int, count: int) -> list[float]:
+    """Value ``count`` sibling children in ``llm-only`` mode, every child
+    judged by one language-model expert over ``server``; returns their
+    fused values."""
+    expert = llm_over(server, concurrency)
+    council = Council([expert])
+    siblings = [
+        SearchNode(i, Query(make_trajectory([("a task", f"move {i}")], pending=f"after {i}")))
+        for i in range(count)
+    ]
+    _assign_values(siblings, council, "llm", "llm-only", random.Random(0), EpisodeContext("e"))
+    assert expert.backend.usage.requests == count
+    return [child.fused_value for child in siblings]
+
+
+def test_a_sibling_sets_judge_requests_are_in_flight_at_once_over_http(loopback):
+    server = loopback(barrier=threading.Barrier(3, timeout=5))
+    assert judge_siblings(server, concurrency=4, count=3) == [0.5, 0.5, 0.5]
+    assert server.most_in_flight == 3
+
+
+def test_concurrency_one_keeps_one_judge_request_in_flight_over_http(loopback):
+    server = loopback(delay_s=0.05)
+    assert judge_siblings(server, concurrency=1, count=3) == [0.5, 0.5, 0.5]
+    assert len(server.bodies) == 3
+    assert all(body["messages"][0]["content"] == T.system_evaluate for body in server.bodies)
     assert server.most_in_flight == 1
 
 

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import statistics
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import council.gateway as gateway
 from council.embedding import TrigramEmbedder
-from council.experts import ConstantEvaluatorExpert, Council
+from council.errors import BackendConfigError
+from council.experts import ConstantEvaluatorExpert, Council, LLMExpert
+from council.gateway import StubBackend
 from council.memory import EpisodeContext, ExpertProfile, Query
 from council.trajectory import Trajectory
 from council.values import (
@@ -29,7 +35,8 @@ from conftest import make_trajectory, record_history
 
 def test_llm_value_uses_the_only_member():
     council = Council([ConstantEvaluatorExpert("a", 0.9)])
-    assert llm_value(council, Trajectory(), random.Random(0)) == 0.9
+    assert llm_value(council, [Trajectory()], random.Random(0)) == [0.9]
+    assert llm_value(council, [Trajectory()] * 3, random.Random(0)) == [0.9] * 3
 
 
 def test_llm_value_samples_members_uniformly():
@@ -37,8 +44,148 @@ def test_llm_value_samples_members_uniformly():
         [ConstantEvaluatorExpert("a", 0.0), ConstantEvaluatorExpert("b", 1.0)]
     )
     rng = random.Random(7)
-    draws = [llm_value(council, Trajectory(), rng) for _ in range(10_000)]
+    draws = llm_value(council, [Trajectory()] * 10_000, rng)
+    assert len(draws) == 10_000
     assert abs(statistics.mean(draws) - 0.5) < 0.02
+
+
+# -- judged values of a sibling set, language-model judges sent at once -------------
+
+
+def children(count: int) -> list[Trajectory]:
+    """``count`` sibling trajectories; each one's evaluate prompt differs."""
+    return [
+        make_trajectory([("a task", f"move {i}")], pending=f"after move {i}") for i in range(count)
+    ]
+
+
+def child_of(request) -> int:
+    """The child an evaluate request scores, read from its prompt."""
+    return int(re.search(r"after move (\d+)", request.messages[-1].content).group(1))
+
+
+class Draws:
+    """An ``rng`` whose ``choice`` returns the named members in turn."""
+
+    def __init__(self, council: Council, expert_ids: list[str]):
+        self.picks = iter(council.by_id[expert_id] for expert_id in expert_ids)
+
+    def choice(self, members):
+        return next(self.picks)
+
+
+def keyed(replies: dict[int, str], returned: list[int] | None = None, delay_s: float = 0.0):
+    """A reply callable keyed on the child a request scores. A reply that is
+    an exception class is raised; each child's number is appended to
+    ``returned`` as its send returns or raises."""
+
+    def reply(request) -> str:
+        child = child_of(request)
+        try:
+            time.sleep(delay_s)
+            answer = replies[child]
+            if isinstance(answer, type):
+                raise answer(f"child {child} failed")
+            return answer
+        finally:
+            if returned is not None:
+                returned.append(child)
+
+    return reply
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_llm_value_draws_one_judge_per_child_in_child_order(count):
+    stub = StubBackend(lambda request: str(child_of(request)))
+    members = [ConstantEvaluatorExpert("a", 0.25), LLMExpert("llm", stub)]
+    council = Council([*members, ConstantEvaluatorExpert("c", 0.75)])
+    rng, twin = random.Random(11), random.Random(11)
+    values = llm_value(council, children(count), rng)
+    judges = [twin.choice(council.experts) for _ in range(count)]
+    assert rng.getstate() == twin.getstate()
+    expected = [
+        i / 10 if judge.expert_id == "llm" else judge.score for i, judge in enumerate(judges)
+    ]
+    assert values == pytest.approx(expected)
+    assert stub.usage.requests == sum(judge.expert_id == "llm" for judge in judges)
+
+
+def test_scripted_judges_send_nothing_to_the_pool(monkeypatch):
+    class NoPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a scripted sibling set must not use the pool")
+
+    monkeypatch.setattr(gateway, "_SENDS", NoPool())
+    council = Council([ConstantEvaluatorExpert("a", 0.25), ConstantEvaluatorExpert("b", 0.75)])
+    values = llm_value(council, children(4), Draws(council, ["a", "b", "b", "a"]))
+    assert values == [0.25, 0.75, 0.75, 0.25]
+
+
+def test_sibling_judges_are_in_flight_at_once():
+    barrier = threading.Barrier(3, timeout=5)
+
+    def reply(request) -> str:
+        barrier.wait()  # breaks unless all three sends arrive together
+        return str(child_of(request) + 1)
+
+    council = Council([LLMExpert("p", StubBackend(reply)), LLMExpert("q", StubBackend(reply))])
+    values = llm_value(council, children(3), Draws(council, ["p", "q", "p"]))
+    assert values == pytest.approx([0.1, 0.2, 0.3])
+
+
+def test_an_exhausted_judge_scores_its_child_neutral_and_its_siblings_are_scored():
+    dead = StubBackend(keyed({1: "9"}), failures=2)
+    live = StubBackend(keyed({0: "2", 2: "8"}))
+    council = Council([LLMExpert("dead", dead), LLMExpert("live", live)])
+    values = llm_value(council, children(3), Draws(council, ["live", "dead", "live"]))
+    assert values == pytest.approx([0.2, 0.5, 0.8])
+    assert dead.usage.requests == 2  # the send and its retry, nothing more
+    assert live.usage.requests == 2
+
+
+def test_a_judge_reply_without_a_score_gets_exactly_one_fresh_attempt():
+    seen: list[int] = []
+
+    def reply(request) -> str:
+        child = child_of(request)
+        seen.append(child)
+        return "7" if seen.count(child) > 1 or child == 1 else "no score here"
+
+    backend = StubBackend(reply)
+    council = Council([LLMExpert("llm", backend)])
+    assert llm_value(council, children(2), random.Random(0)) == pytest.approx([0.7, 0.7])
+    assert sorted(seen) == [0, 0, 1]
+
+    silent = StubBackend(lambda request: "never a number")
+    council = Council([LLMExpert("llm", silent)])
+    assert llm_value(council, children(2), random.Random(0)) == [0.5, 0.5]
+    assert silent.usage.requests == 4
+
+
+def test_a_backend_config_error_surfaces_only_once_no_send_is_in_flight():
+    returned: list[int] = []
+    broken = StubBackend(keyed({}, returned), failures=1, failure_exc=BackendConfigError)
+    slow = StubBackend(keyed({1: "6", 2: "4"}, returned, delay_s=0.3))
+    council = Council([LLMExpert("broken", broken), LLMExpert("slow", slow)])
+    with pytest.raises(BackendConfigError):
+        llm_value(council, children(3), Draws(council, ["broken", "slow", "slow"]))
+    assert sorted(returned) == [1, 2]  # the slow sends had returned
+    assert broken.usage.requests == 1  # a configuration error is not retried
+
+
+def test_the_first_backend_config_error_in_child_order_is_raised():
+    def refused(message: str, delay_s: float):
+        def reply(request) -> str:
+            time.sleep(delay_s)
+            raise BackendConfigError(message)
+
+        return reply
+
+    late = StubBackend(refused("child 0 refused", 0.3))
+    early = StubBackend(refused("child 1 refused", 0.0))
+    council = Council([LLMExpert("late", late), LLMExpert("early", early)])
+    with pytest.raises(BackendConfigError, match="child 0 refused"):
+        llm_value(council, children(2), Draws(council, ["late", "early"]))
 
 
 def test_sms_value_cold_start_on_an_empty_profile():
