@@ -2,8 +2,9 @@
 
 :class:`TrigramEmbedder` is the one embedder: it hashes character trigrams
 into a fixed-width count vector. It is fully deterministic and needs no model
-weights. Every component of its vectors is a whole number, which lets a
-success-memory index store them exactly in float32.
+weights. Every component of its vectors is a whole, non-negative count,
+which lets a success-memory index store them exactly in the narrowest
+unsigned integer type that holds them.
 """
 
 from __future__ import annotations

@@ -377,14 +377,37 @@ def check_tasks(tasks: list[TaskSpec], env: Environment, env_name: str, source: 
             raise ValueError(f"{source}: {exc}") from None
 
 
+def _make_dir(key: str, path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigKeyError(key, f"cannot make directory '{path}': {exc.strerror}") from None
+
+
+def _check_output_paths(config: RunConfig) -> None:
+    """Make sure a run can write its outputs before it runs a task:
+    ``out_dir`` is made a directory if it is not one, and
+    ``memory.save_path`` must not be a directory, while its parent is made
+    one. A path that fails raises ConfigKeyError naming its key."""
+    if config.out_dir is not None:
+        _make_dir("out_dir", Path(config.out_dir))
+    if config.memory.save_path is not None:
+        save_path = Path(config.memory.save_path)
+        if save_path.is_dir():
+            raise ConfigKeyError("memory.save_path", f"'{save_path}' is a directory")
+        _make_dir("memory.save_path", save_path.parent)
+
+
 def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
     """Run one configuration: the entry point behind ``council run``.
 
     The config is validated here too, so one built in code gets the same
-    checks as one read from a file. Every task must belong to the run's
-    environment and carry a payload that environment accepts.
+    checks as one read from a file, and the output paths are checked before
+    any task runs. Every task must belong to the run's environment and carry
+    a payload that environment accepts.
     """
     validate_config(config)
+    _check_output_paths(config)
     source = "tasks"
     if tasks is None:
         if config.tasks_path is None:

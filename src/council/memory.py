@@ -81,8 +81,8 @@ def sms_utility(segment: SMSegment, cold_start: float = DEFAULT_COLD_START) -> f
 
 class _Scan(NamedTuple):
     """One scan a query holds: the index version it read, its integer dot
-    products when they were taken on the exact float32 path (else None),
-    and its similarities."""
+    products when they were taken on the exact path (else None), and its
+    similarities."""
 
     version: int
     dots: np.ndarray | None
@@ -138,14 +138,21 @@ class ExpertProfile:
     one matrix size. Each slot also keeps its segment's utility and creation
     index, so a prune ranks the live slots with one array sort.
 
+    The matrix holds trigram counts in the narrowest unsigned integer type
+    that holds the largest count ever written to it,
+    ``np.min_scalar_type(peak)``: uint8 up to 255, then uint16, then uint32.
+    A block write that would pass the current type first widens the whole
+    matrix, and only then writes its columns, since numpy casts a count that
+    does not fit without a warning.
+
     A scan multiplies only the matrix rows of the query's nonzero buckets.
     Trigram counts are whole numbers, so every product and partial sum is
-    exact and the scores equal a dense float64 product bit for bit. The
-    matrix holds them in float32, half the size. A query whose ``‖q‖₁`` times
-    the largest count ever written to the matrix is below 2**24 is
-    multiplied in float32, where every product and partial sum is then an
-    integer below 2**24; any other query accumulates the same columns in
-    float64. Norms and the division are always float64.
+    exact and the scores equal a dense float64 product bit for bit. A query
+    whose ``‖q‖₁`` times the largest count ever written to the matrix is
+    below 2**24 is multiplied in float32 (float64 once the matrix is uint32),
+    where every product and partial sum is then an integer below 2**24; any
+    other query accumulates the same columns in float64. Norms and the
+    division are always float64.
 
     Anything that moves or adds a slot (an insert, a restore, a prune that
     evicts, a compaction) bumps the profile's ``version``; credits change
@@ -154,7 +161,7 @@ class ExpertProfile:
     state a search node holds. A scan leaves its result on the query,
     tagged with the version, and a repeated scan at that version reads it
     back. When the query's parent holds dots for this profile at the current
-    version, taken on the exact float32 path, and both the query's counts
+    version, taken on the exact path, and both the query's counts
     and their difference from the parent's pass the same bound, the scan
     multiplies only the rows where the two vectors differ and adds the
     products to the parent's dots. Every product and sum is then an integer
@@ -186,12 +193,12 @@ class ExpertProfile:
         # evicted), _slot_of maps each stored segment id to its slot, and
         # the slot's embedding is column i of _cols. _util and _created hold
         # each slot's utility and created_at.
-        self._cols = np.zeros((self.embedder.dim, 0), dtype=np.float32)
+        self._cols = np.zeros((self.embedder.dim, 0), dtype=np.uint8)
         self._norms = np.zeros(0, dtype=np.float64)
         self._live = np.zeros(0, dtype=bool)
         self._util = np.zeros(0, dtype=np.float64)
         self._created = np.zeros(0, dtype=np.int64)
-        self._peak = 0.0
+        self._peak = 0
         self._slots: list[SMSegment | None] = []
         self._slot_of: dict[str, int] = {}
         self.version = 0
@@ -257,6 +264,13 @@ class ExpertProfile:
         lock is held and room has been made."""
         first = len(self._slots)
         stop = first + len(segments)
+        peak = int(embeddings.max())
+        if peak > self._peak:
+            self._peak = peak
+            # Widen before the write: a count past the type would wrap.
+            dtype = np.min_scalar_type(peak)
+            if dtype != self._cols.dtype:
+                self._cols = self._cols.astype(dtype)
         for slot, segment in enumerate(segments, first):
             self._by_text[segment.text] = segment.segment_id
             self._slot_of[segment.segment_id] = slot
@@ -270,7 +284,6 @@ class ExpertProfile:
         created = [segment.created_at for segment in segments]
         self._created[first:stop] = created
         self._next_created = max(self._next_created, max(created) + 1)
-        self._peak = max(self._peak, float(np.abs(embeddings).max()))
         self.version += 1
 
     def credit(self, segment_id: str, count: int, success: bool) -> None:
@@ -357,10 +370,10 @@ class ExpertProfile:
                     step = self._product(delta[changed].astype(np.float32), changed)
                     dots = base.dots + step
             if dots is None:
-                # Float64 weights make the product widen float32 columns exactly.
+                # Float64 weights make the product widen the counts exactly.
                 dots = self._product(weights.astype(np.float32) if exact else weights, buckets)
-            # A float32 product is an exact integer, so widening it to divide
-            # in float64 changes no bit.
+            # An exact product is an integer, so widening it to divide in
+            # float64 changes no bit.
             sims = dots / (self._norms[:count] * qnorm)
             if not exact:
                 dots = None
@@ -382,7 +395,8 @@ class ExpertProfile:
 
     def _exact_in_float32(self, weights: np.ndarray) -> bool:
         """Whether every product and partial sum of these whole-number query
-        weights against the float32 matrix is an integer below 2**24."""
+        weights against the counts is an integer below 2**24, so float32
+        holds it exactly."""
         return bool(np.add.reduce(np.abs(weights)) * self._peak < _FLOAT32_EXACT)
 
     def _live_scan(self, query: Query) -> np.ndarray | None:

@@ -312,6 +312,35 @@ def test_saving_unshared_memory_exits_two(tmp_path, capsys):
     assert not memory_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, path, key",
+    [
+        ("--out-dir", "afile", "out_dir"),
+        ("--out-dir", "afile/sub", "out_dir"),
+        ("--memory-save", "adir", "memory.save_path"),
+        ("--memory-save", "afile/memory.jsonl", "memory.save_path"),
+    ],
+)
+def test_a_bad_output_path_exits_two_naming_its_key_before_any_task(
+    tmp_path, capsys, monkeypatch, flag, path, key
+):
+    tasks = game24_tasks_file(tmp_path)
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(council.harness, "search", refuse)
+    code = main(run_flags(tmp_path, tasks, flag, str(tmp_path / path)))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: config key '{key}': ")
+    assert ".tmp" not in err[0]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_missing_seed_exits_two(tmp_path, capsys):
     code = main(["run", "--tasks", str(game24_tasks_file(tmp_path))])
     err = capsys.readouterr().err

@@ -79,7 +79,7 @@ def test_embed_width_and_counts(text):
     assert vec.shape == (64,)
     windows = max(0, len(text.encode("utf-8")) - 2)
     assert vec.sum() == windows
-    # Whole, non-negative counts: what lets memory hold them exactly in float32.
+    # Whole, non-negative counts: what lets memory store them as unsigned integers.
     assert (vec >= 0).all() and np.array_equal(vec, np.rint(vec))
 
 

@@ -325,10 +325,18 @@ def test_a_concurrency_below_one_is_rejected_naming_it(concurrency):
 class LoopbackCompletions(ThreadingHTTPServer):
     """A chat-completions endpoint on 127.0.0.1 that answers each act
     request with ``action <sample>`` and each evaluate request with
-    ``Score: 7``, and records the most requests it held at once. A handler waits on ``barrier`` or sleeps ``delay_s`` before it
-    answers. A given ``status`` or ``payload`` (raw body bytes) replaces the
-    answer's 200 status or its completion body, and a given ``location`` is
-    sent as a ``Location`` header."""
+    ``Score: 7``, and records the most requests it held at once. A handler
+    waits on ``barrier`` or sleeps ``delay_s`` before it answers. A given
+    ``status`` or ``payload`` (raw body bytes) replaces the answer's 200
+    status or its completion body, and a given ``location`` is sent as a
+    ``Location`` header.
+
+    A handler's exception is kept in ``errors`` instead of being printed,
+    and closing the server waits for every handler, so the ``loopback``
+    fixture can fail the test that caused one."""
+
+    # Handler threads are joined on close, so none outlives its test.
+    daemon_threads = False
 
     def __init__(
         self,
@@ -349,7 +357,12 @@ class LoopbackCompletions(ThreadingHTTPServer):
         self.content_types: list[str] = []
         self.in_flight = 0
         self.most_in_flight = 0
+        self.errors: list[BaseException] = []
         self.lock = threading.Lock()
+
+    def handle_error(self, request, client_address) -> None:
+        with self.lock:
+            self.errors.append(sys.exc_info()[1])
 
     @property
     def endpoint(self) -> str:
@@ -384,13 +397,17 @@ class CompletionHandler(BaseHTTPRequestHandler):
             else:
                 content = f"action {sample_index(body['messages'][-1]['content'])}"
             payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-        self.send_response(server.status)
-        if server.location is not None:
-            self.send_header("Location", server.location)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.send_response(server.status)
+            if server.location is not None:
+                self.send_header("Location", server.location)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client gave up before the reply, as a timed-out send does.
+            pass
 
     def log_message(self, format, *args) -> None:
         pass
@@ -420,6 +437,20 @@ def loopback(monkeypatch):
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+        assert server.errors == [], f"the loopback server raised {server.errors!r}"
+
+
+def test_a_handler_error_is_recorded_for_the_fixture_to_report(loopback, capsys):
+    server = loopback()
+    with socket.create_connection(server.server_address, timeout=5) as client:
+        # No Content-Length: the handler cannot read the body and raises.
+        client.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nHost: loopback\r\n\r\n")
+        # The server closes the connection only after it has recorded the error.
+        while client.recv(1024):
+            pass
+    assert [type(error) for error in server.errors] == [TypeError]
+    assert capsys.readouterr().err == ""
+    server.errors.clear()
 
 
 def llm_over(server: LoopbackCompletions, concurrency: int) -> LLMExpert:

@@ -216,7 +216,7 @@ class ProbeTrigrams(TrigramEmbedder):
 def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
     embedder = TrigramEmbedder(8)
     profile = ExpertProfile("x", capacity=capacity, embedder=embedder)
-    assert profile._cols.dtype == np.float32
+    assert profile._cols.dtype == np.uint8
     queries = [Query(make_trajectory([], pending=text)) for text in ("obs 3 zz", "ababobs 7")]
     queries += [Query(Trajectory()), Query(make_trajectory([(_TEXTS[5], "a")]))]
     for step in steps:
@@ -252,6 +252,7 @@ def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
             # A run prunes what it loads.
             profile.prune()
             assert len(profile) <= capacity
+        assert profile._cols.dtype == np.min_scalar_type(profile._peak)
         brute_force_check(profile, queries)
 
 
@@ -269,11 +270,41 @@ def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
     matrix = np.vstack([profile.embedder.embed(s.text) for s in profile.segments()])
     in_float32 = (matrix.astype(np.float32) @ query.astype(np.float32)).astype(np.float64)
     assert not np.array_equal(in_float32, matrix @ query)
-    assert profile._cols.dtype == np.float32
+    assert profile._cols.dtype == np.uint8
     assert not profile._exact_in_float32(query)
     # The probe embeds to ``query``: its scores and best match equal the
     # dense float64 similarity oracle bit for bit.
     brute_force_check(profile, [Query(PROBE)])
+
+
+def run_of(letter: str, length: int) -> Trajectory:
+    """A one-step trajectory whose observation repeats one letter: its
+    largest trigram count is about ``length``."""
+    return make_trajectory([(letter * length, "act")])
+
+
+def test_an_insert_widens_the_index_before_it_writes_a_count_past_its_type():
+    profile = ExpertProfile("x", embedder=TrigramEmbedder(8))
+    queries = [Query(make_trajectory([("a short observation", "act")]))]
+    for text in ("a short observation", "another observation"):
+        profile.insert(make_trajectory([(text, "act")]))
+    assert profile._cols.dtype == np.uint8
+    brute_force_check(profile, queries)
+    for trajectory, before, after in (
+        (run_of("a", 300), np.uint8, np.uint16),
+        (run_of("b", 200), np.uint16, np.uint16),
+        (run_of("c", 70_000), np.uint16, np.uint32),
+    ):
+        assert profile._cols.dtype == before
+        segment = profile.insert(trajectory)
+        assert profile._cols.dtype == after
+        assert profile._peak == max(
+            int(profile.embedder.embed(s.text).max()) for s in profile.segments()
+        )
+        column = profile._cols[:, profile._slot_of[segment.segment_id]]
+        assert np.array_equal(column, profile.embedder.embed(segment.text))
+        queries.append(Query(trajectory))
+        brute_force_check(profile, queries)
 
 
 def test_a_query_vector_of_the_wrong_width_is_rejected():
@@ -350,7 +381,8 @@ def restorable(count: int) -> list[SMSegment]:
 def restore_one_at_a_time(profile: ExpertProfile, segments: list[SMSegment]) -> None:
     """The reference restore: each segment gets room as an insert gets it,
     is embedded on its own by ``embed`` and has its slot written field by
-    field, independently of the profile's block write."""
+    field, independently of the profile's block write. A count that the
+    matrix type cannot hold widens the matrix before the column is written."""
     with profile._lock:
         for segment in segments:
             embedding = profile.embedder.embed(segment.text)
@@ -359,6 +391,9 @@ def restore_one_at_a_time(profile: ExpertProfile, segments: list[SMSegment]) -> 
             profile._by_text[segment.text] = segment.segment_id
             profile._slot_of[segment.segment_id] = slot
             profile._slots.append(segment)
+            profile._peak = max(profile._peak, int(np.abs(embedding).max()))
+            if profile._peak > np.iinfo(profile._cols.dtype).max:
+                profile._cols = profile._cols.astype(np.min_scalar_type(profile._peak))
             profile._cols[:, slot] = embedding
             # A pairwise sum, as np.linalg.norm takes along an axis.
             norm = float(np.sqrt(np.add.reduce(embedding * embedding)))
@@ -366,7 +401,6 @@ def restore_one_at_a_time(profile: ExpertProfile, segments: list[SMSegment]) -> 
             profile._live[slot] = True
             profile._util[slot] = profile.utility(segment)
             profile._created[slot] = segment.created_at
-            profile._peak = max(profile._peak, float(np.abs(embedding).max()))
             profile._next_created = max(profile._next_created, segment.created_at + 1)
             profile.version += 1
 
@@ -459,6 +493,49 @@ def test_a_restore_after_inserts_and_prunes_equals_one_at_a_time(capacity, inser
         return profile
 
     restore_both_ways(make_profile, restorable(count))
+
+
+@pytest.mark.parametrize("length, dtype", [(300, np.uint16), (70_000, np.uint32)])
+def test_a_restore_that_widens_in_the_middle_of_a_block_equals_one_at_a_time(length, dtype):
+    segments = restorable(100)
+    # Slot 30 lies inside the first 64-segment block of the restore.
+    segments[30] = SMSegment("x:wide", serialize_trajectory(run_of("a", length)), created_at=200)
+    profile = restore_both_ways(lambda: ExpertProfile("x", 128, TrigramEmbedder(16)), segments)
+    assert profile._cols.dtype == dtype
+    queries = [Query(run_of("a", length)), Query(parse_trajectory(segments[0].text))]
+    brute_force_check(profile, queries)
+
+
+def test_a_synth_sized_load_keeps_one_byte_per_count():
+    dim, capacity = 1024, 4096
+
+    def steps(i: int) -> list[list[str]]:
+        tag = f"[amber#{i:06x}]"
+        vocab = " ".join(f"amber{a}{b}" for a in "ab" for b in "abcdefgh")
+        first = [f"{tag} go +a/d ~a/c; {vocab}", f"amber{'ab'[i % 2]}{'abcdefgh'[i % 8]}"]
+        return [first] + [[f"{tag} no +a/d ~b/c", f"amberb{'abcdefgh'[j]}"] for j in range(i % 6)]
+
+    records = [
+        {
+            "expert_id": "expert-a",
+            "segment_id": f"expert-a:{i}",
+            "prefix_steps": steps(i),
+            "created_at": i,
+            "wins": 0,
+            "uses": 0,
+        }
+        for i in range(capacity)
+    ]
+    profile = restore_profiles(records, TrigramEmbedder(dim), capacity)["expert-a"]
+    assert profile._peak < 256
+    assert profile._cols.itemsize == 1
+    # 4.7 MB, where float32 counts took 18.9 MB.
+    assert profile._cols.nbytes == dim * (capacity + capacity // 8)
+    # One count past 255 doubles the matrix, and the scores stay exact.
+    trajectory = run_of("a", 300)
+    profile.insert(trajectory)
+    assert profile._cols.nbytes == 2 * dim * (capacity + capacity // 8)
+    brute_force_check(profile, [Query(trajectory)])
 
 
 # -- scans from node-held queries ------------------------------------------------
