@@ -76,23 +76,6 @@ class SynthSpecialistParams:
 
 
 @dataclass
-class RandomParams:
-    pool: list[str]
-
-
-@dataclass
-class TableParams:
-    table: dict[str, list[str]]
-    score: float = 0.5
-
-
-@dataclass
-class ConstantParams:
-    score: float = 0.5
-    actions: list[str] = field(default_factory=list)
-
-
-@dataclass
 class LLMParams:
     endpoint: str
     model: str
@@ -109,9 +92,6 @@ class LLMParams:
 SCRIPTED_ROLES = {
     "game24-oracle": OracleParams,
     "synth-specialist": SynthSpecialistParams,
-    "random": RandomParams,
-    "table": TableParams,
-    "constant": ConstantParams,
 }
 
 
@@ -143,9 +123,9 @@ _SCALARS = {bool: "true or false", int: "an integer", float: "a finite number", 
 
 def _checked(kind, value, key: str):
     """``value`` checked against the annotation ``kind``: a dataclass, ``X |
-    None``, ``list[X]``, ``tuple[X, ...]`` (read from a list), ``dict`` or
-    ``dict[str, X]``, or a scalar. A bool is no integer; an integer is
-    accepted, and kept, for a float."""
+    None``, ``list[X]``, ``tuple[X, ...]`` (read from a list), a bare
+    ``dict`` (any JSON object, its values unchecked), or a scalar. A bool is
+    no integer; an integer is accepted, and kept, for a float."""
     if is_dataclass(kind):
         return read_fields(kind, value, key)
     origin, args = get_origin(kind), get_args(kind)
@@ -155,11 +135,9 @@ def _checked(kind, value, key: str):
         _require(isinstance(value, list), key, "must be a list")
         items = [_checked(args[0], item, f"{key}[{i}]") for i, item in enumerate(value)]
         return items if origin is list else tuple(items)
-    if dict in (kind, origin):
+    if kind is dict:
         _require(isinstance(value, dict), key, "must be an object")
-        if not args:
-            return value
-        return {name: _checked(args[1], item, _join(key, name)) for name, item in value.items()}
+        return value
     ok = type(value) is kind or (kind is float and type(value) is int)
     if kind is float and ok:
         ok = abs(value) <= sys.float_info.max
@@ -183,9 +161,9 @@ def read_fields(cls, data, key: str = ""):
 
 
 def expert_params(spec: ExpertSpec, key: str):
-    """The checked ``params`` of a council entry, errors naming keys under
-    ``key``: an ``LLMParams`` for an llm-backed entry, else the type
-    ``SCRIPTED_ROLES`` gives its ``role``."""
+    """A council entry's ``params`` read into their type, errors naming keys
+    under ``key``: an ``LLMParams`` for an llm-backed entry, else the type
+    ``SCRIPTED_ROLES`` gives its ``role``; :func:`council_params` adds ranges."""
     if spec.kind == "llm-backed":
         return read_fields(LLMParams, spec.params, key)
     params = dict(spec.params)
@@ -195,8 +173,11 @@ def expert_params(spec: ExpertSpec, key: str):
     return read_fields(SCRIPTED_ROLES[role], params, key)
 
 
-def validate_config(config: RunConfig) -> RunConfig:
-    """Range and vocabulary checks; returns the config it was given."""
+def council_params(config: RunConfig) -> list:
+    """Make every range and vocabulary check a config can fail, and return
+    each council entry's checked params in council order, for
+    :func:`~council.harness.build_expert`. An empty council passes: the
+    command line fills in the environment's default, and a run refuses it."""
     _require(isinstance(config.seed, int), "seed", "must be an integer")
     budget = config.planner.budget
     _require(budget.iterations >= 1, "planner.budget.iterations", "must be at least 1")
@@ -237,6 +218,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     )
     ids = [spec.expert_id for spec in config.council]
     backend_ids: list[str] = []
+    checked = []
     for i, spec in enumerate(config.council):
         _require(bool(spec.expert_id), f"council[{i}].expert_id", "must be non-empty")
         _require(
@@ -264,10 +246,23 @@ def validate_config(config: RunConfig) -> RunConfig:
             _require(params.timeout > 0.0, f"{key}.timeout", "must be positive")
             for name in ("act_temperature", "eval_temperature"):
                 _require(getattr(params, name) >= 0.0, f"{key}.{name}", "must be non-negative")
+        elif isinstance(params, SynthSpecialistParams):
+            from .envs.synth import SynthConfig  # here, as envs.synth imports this module
+
+            families = list(SynthConfig.from_params(config.env.params).families)
+            message = f"must be one of {families}, got {params.family!r}"
+            _require(params.family in families, f"{key}.family", message)
+            _require(params.eval_noise >= 0.0, f"{key}.eval_noise", "must be non-negative")
+        checked.append(params)
     aggregator = config.planner.aggregator
-    # An empty council is filled in later with the environment's default.
     if aggregator is not None and ids:
         _require(aggregator in ids, "planner.aggregator", f"must be one of the expert ids {ids}")
+    return checked
+
+
+def validate_config(config: RunConfig) -> RunConfig:
+    """Every check of :func:`council_params`; returns the config it was given."""
+    council_params(config)
     return config
 
 

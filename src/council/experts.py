@@ -5,12 +5,13 @@ retrieved exemplar of a past success, as the stored segment's serialized
 text) it proposes candidate next actions, and given a trajectory it scores
 how promising the state looks on [0, 1].
 
-Scripted experts are pure functions of (prefix, exemplar, k, seed): every
-random choice is drawn from a generator derived from the expert's seed and
-the call inputs, so identical calls give identical outputs regardless of call
-order. That property is what makes whole planner runs byte-reproducible.
-Language-model experts share the same interface through the gateway module;
-the judges of one sibling set send their evaluate requests at once, through
+The scripted experts, the game24 oracle and the synth family specialists,
+are pure functions of (prefix, exemplar, k, seed): every random choice is
+drawn from a generator derived from the expert's seed and the call inputs,
+so identical calls give identical outputs regardless of call order. That
+property is what makes whole planner runs byte-reproducible. Language-model
+experts share the same interface through the gateway module; the judges of
+one sibling set send their evaluate requests at once, through
 :func:`send_evaluations`.
 """
 
@@ -142,70 +143,6 @@ def send_evaluations(
 # ---------------------------------------------------------------------------
 # Scripted experts
 # ---------------------------------------------------------------------------
-
-
-class TableExpert(Expert):
-    """Replays a fixed mapping from serialized prefix to an action list."""
-
-    def __init__(
-        self,
-        expert_id: str,
-        table: Mapping[str, Sequence[str]],
-        score: float = 0.5,
-    ):
-        super().__init__(expert_id)
-        self.table = dict(table)
-        self.score = score
-
-    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
-        return list(self.table.get(serialize_trajectory(prefix), ()))
-
-    def plausibility(self, prefix: Trajectory) -> float:
-        return self.score
-
-
-class ConstantEvaluatorExpert(Expert):
-    """Always returns the same score; proposes a fixed action list."""
-
-    def __init__(
-        self,
-        expert_id: str,
-        score: float,
-        actions: Sequence[str] = (),
-    ):
-        super().__init__(expert_id)
-        self.score = score
-        self.actions = list(actions)
-
-    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
-        return list(self.actions)
-
-    def plausibility(self, prefix: Trajectory) -> float:
-        return self.score
-
-
-class RandomExpert(Expert):
-    """Proposes uniformly from a fixed action pool, seeded and stateless."""
-
-    def __init__(
-        self,
-        expert_id: str,
-        pool: Sequence[str],
-        seed: int = 0,
-    ):
-        super().__init__(expert_id)
-        if not pool:
-            raise ValueError("action pool must be non-empty")
-        self.pool = list(pool)
-        self.seed = seed
-
-    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
-        rng = derived_rng("random-expert", self.seed, serialize_trajectory(prefix), k)
-        count = min(k, len(self.pool))
-        return rng.sample(self.pool, count)
-
-    def plausibility(self, prefix: Trajectory) -> float:
-        return 0.5
 
 
 class Game24OracleExpert(Expert):

@@ -231,6 +231,24 @@ def _opener():
     return urllib.request.build_opener(RefuseRedirects)
 
 
+# Far above the reply to any ``max_tokens``; a longer reply is refused.
+_REPLY_CAP_BYTES = 4 << 20
+
+
+def _read_reply(response, deadline: float) -> bytearray:
+    """The body of ``response``, read a chunk at a time; ProviderError once
+    ``time.monotonic()`` passes ``deadline`` or the body passes the cap."""
+    body = bytearray()
+    while time.monotonic() <= deadline:
+        chunk = response.read1(1 << 16)
+        if not chunk:
+            return body
+        body += chunk
+        if len(body) > _REPLY_CAP_BYTES:
+            raise ProviderError(f"reply longer than {_REPLY_CAP_BYTES} bytes")
+    raise ProviderError("reply not complete within the timeout")
+
+
 class HTTPBackend:
     """OpenAI-style chat completion endpoint over HTTP.
 
@@ -238,9 +256,11 @@ class HTTPBackend:
     or rejected (HTTP 401 or 403) credential is a configuration error, not a
     retriable one. Any other failure status, a redirect, a transport failure
     or timeout, and a reply without a text ``choices[0].message.content``
-    raise ProviderError. ``concurrency`` caps in-flight requests per backend,
-    including the proposal requests of an expansion and the judge requests
-    of a sibling set, which are each sent at once.
+    raise ProviderError. So does a reply past ``_REPLY_CAP_BYTES`` or not read
+    in full ``timeout`` seconds after posting (its headers are timed per read).
+    ``concurrency`` caps in-flight requests per backend, including the
+    proposal requests of an expansion and the judge requests of a sibling
+    set, which are each sent at once.
     """
 
     def __init__(
@@ -280,9 +300,10 @@ class HTTPBackend:
         post = urllib.request.Request(self.endpoint, json.dumps(body).encode(), headers)
         with self._gate:
             self.usage.add(request)
+            deadline = time.monotonic() + request.timeout
             try:
                 with _opener().open(post, timeout=request.timeout) as response:
-                    raw = response.read()
+                    raw = _read_reply(response, deadline)
             except urllib.error.HTTPError as exc:  # before URLError, its parent
                 exc.close()
                 if exc.code in (401, 403):

@@ -22,27 +22,18 @@ from .config import (
     ROUTING_STRATEGIES,
     VALUE_MODES,
     EnvSpec,
-    ExpertSpec,
+    LLMParams,
     PlannerConfig,
     RunConfig,
-    expert_params,
-    validate_config,
+    SynthSpecialistParams,
+    council_params,
 )
 from .embedding import TrigramEmbedder
 from .envs import build_environment
 from .envs.base import Environment, TaskSpec
 from .envs.synth import SynthConfig
-from .errors import BackendConfigError, ConfigKeyError
-from .experts import (
-    ConstantEvaluatorExpert,
-    Council,
-    Expert,
-    Game24OracleExpert,
-    LLMExpert,
-    RandomExpert,
-    SynthSpecialistExpert,
-    TableExpert,
-)
+from .errors import ConfigKeyError
+from .experts import Council, Expert, Game24OracleExpert, LLMExpert, SynthSpecialistExpert
 from .gateway import HTTPBackend
 from .mcts import search
 from .memory import DEFAULT_CAPACITY, DEFAULT_COLD_START
@@ -163,74 +154,53 @@ def load_memory(
 # ---------------------------------------------------------------------------
 
 
-def build_expert(spec: ExpertSpec, env_spec: EnvSpec, run_seed: int) -> Expert:
-    """Instantiate one expert from its configuration entry.
+def build_expert(expert_id: str, params, env: EnvSpec, run_seed: int) -> Expert:
+    """The expert of one council entry, from its checked params (see
+    :func:`~council.config.council_params`), by their type.
 
     Scripted experts are seeded from (run seed, expert id) so a council is
     reproducible as a unit. Credentials for llm-backed experts stay in the
     environment variable named by ``credential_env``; only the variable's
     name is ever stored or logged.
     """
-    seed = derived_seed(run_seed, "expert", spec.expert_id)
-    if spec.kind == "llm-backed":
-        try:
-            p = expert_params(spec, "")
-        except ValueError as exc:
-            raise BackendConfigError(f"expert {spec.expert_id}: {exc}") from None
+    if isinstance(params, LLMParams):
         backend = HTTPBackend(
-            backend_id=p.backend_id if p.backend_id is not None else spec.expert_id,
-            endpoint=p.endpoint,
-            model=p.model,
-            credential_env=p.credential_env,
-            concurrency=p.concurrency,
+            backend_id=params.backend_id if params.backend_id is not None else expert_id,
+            endpoint=params.endpoint,
+            model=params.model,
+            credential_env=params.credential_env,
+            concurrency=params.concurrency,
         )
         return LLMExpert(
-            spec.expert_id,
+            expert_id,
             backend=backend,
-            act_temperature=p.act_temperature,
-            eval_temperature=p.eval_temperature,
-            max_tokens=p.max_tokens,
-            timeout=p.timeout,
+            act_temperature=params.act_temperature,
+            eval_temperature=params.eval_temperature,
+            max_tokens=params.max_tokens,
+            timeout=params.timeout,
         )
-    p = expert_params(spec, "")
-    role = spec.params["role"]
-    if role == "synth-specialist":
-        config = SynthConfig.from_params(env_spec.params)
+    if isinstance(params, SynthSpecialistParams):
         return SynthSpecialistExpert(
-            spec.expert_id, family=p.family, config=config, seed=seed, eval_noise=p.eval_noise
+            expert_id,
+            family=params.family,
+            config=SynthConfig.from_params(env.params),
+            seed=derived_seed(run_seed, "expert", expert_id),
+            eval_noise=params.eval_noise,
         )
-    if role == "random":
-        return RandomExpert(spec.expert_id, pool=p.pool, seed=seed)
-    if role == "table":
-        return TableExpert(spec.expert_id, table=p.table, score=p.score)
-    if role == "constant":
-        return ConstantEvaluatorExpert(spec.expert_id, score=p.score, actions=p.actions)
-    return Game24OracleExpert(spec.expert_id)
+    return Game24OracleExpert(expert_id)
 
 
-def build_council(
-    config: RunConfig, profiles: dict | None = None, embedder: TrigramEmbedder | None = None
-) -> Council:
-    """The council a config names. Experts without a profile in ``profiles``
-    get an empty one under ``embedder`` (a fresh trigram embedder of the
-    config's width if none is given)."""
-    if not config.council:
+def build_experts(config: RunConfig) -> list[Expert]:
+    """The experts a config's council names, once the config has passed
+    every check of :func:`~council.config.council_params`; an empty council
+    raises ConfigKeyError."""
+    params = council_params(config)
+    if not params:
         raise ConfigKeyError("council", "at least one expert is required")
-    for i, spec in enumerate(config.council):
-        if spec.params.get("role") == "synth-specialist":
-            families = list(SynthConfig.from_params(config.env.params).families)
-            family = spec.params.get("family")
-            if family not in families:
-                key = f"council[{i}].params.family"
-                raise ConfigKeyError(key, f"must be one of {families}, got {family!r}")
-    experts = [build_expert(spec, config.env, config.seed) for spec in config.council]
-    return Council(
-        experts,
-        profiles=profiles,
-        embedder=embedder if embedder is not None else TrigramEmbedder(config.embedding_dim),
-        capacity=config.memory.capacity,
-        cold_start=config.memory.cold_start,
-    )
+    return [
+        build_expert(spec.expert_id, checked, config.env, config.seed)
+        for spec, checked in zip(config.council, params)
+    ]
 
 
 def _backend_usage(council: Council) -> dict:
@@ -401,12 +371,14 @@ def _check_output_paths(config: RunConfig) -> None:
 def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
     """Run one configuration: the entry point behind ``council run``.
 
-    The config is validated here too, so one built in code gets the same
-    checks as one read from a file, and the output paths are checked before
-    any task runs. Every task must belong to the run's environment and carry
-    a payload that environment accepts.
+    The config is checked here too, so one built in code gets the same checks
+    as one read from a file. The environment, every council check and the
+    output paths are checked before any task or memory file is read. Every
+    task must belong to the run's environment and carry a payload that
+    environment accepts.
     """
-    validate_config(config)
+    env = build_environment(config.env.name, config.env.params)
+    experts = build_experts(config)
     _check_output_paths(config)
     source = "tasks"
     if tasks is None:
@@ -414,7 +386,6 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
             raise ConfigKeyError("tasks_path", "required when no tasks are passed")
         tasks = read_tasks(config.tasks_path)
         source = f"tasks file {config.tasks_path}"
-    env = build_environment(config.env.name, config.env.params)
     check_tasks(tasks, env, config.env.name, source)
 
     embedder = TrigramEmbedder(config.embedding_dim)
@@ -430,7 +401,13 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
         # rule every later prune uses before any task reads it.
         for profile in loaded_profiles.values():
             profile.prune()
-    council = build_council(config, profiles=loaded_profiles, embedder=embedder)
+    council = Council(
+        experts,
+        profiles=loaded_profiles,
+        embedder=embedder,
+        capacity=config.memory.capacity,
+        cold_start=config.memory.cold_start,
+    )
     output = run_tasks(
         tasks,
         env,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from council.experts import Expert
 from council.memory import EpisodeContext, ExpertProfile, finalize_episode
 from council.trajectory import Action, EpisodeRecord, Observation, Step, Trajectory
 
@@ -12,6 +14,22 @@ from council.trajectory import Action, EpisodeRecord, Observation, Step, Traject
 def make_trajectory(pairs: list[tuple[str, str]], pending: str | None = None) -> Trajectory:
     steps = tuple(Step(Observation(o), Action(a)) for o, a in pairs)
     return Trajectory(steps=steps, pending=Observation(pending) if pending is not None else None)
+
+
+class FixedExpert(Expert):
+    """A test double: proposes the same actions and gives the same score
+    whatever the trajectory."""
+
+    def __init__(self, expert_id: str, score: float = 0.5, actions: Sequence[str] = ()):
+        super().__init__(expert_id)
+        self.score = score
+        self.actions = list(actions)
+
+    def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
+        return list(self.actions)
+
+    def plausibility(self, prefix: Trajectory) -> float:
+        return self.score
 
 
 def similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from council.envs.game24 import (
     solvable_by_expressions,
 )
 from council.envs.synth import DEFAULT_FAMILIES, make_synth_tasks
-from council.experts import Council, TableExpert
+from council.experts import Council
 from council.harness import run
 from council.mcts import SearchTree, backpropagate, select_path, uct_score
 from council.memory import ExpertProfile, Query, sms_utility
@@ -38,7 +38,7 @@ from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 from council.values import fuse_batch, fusion_weight
 
-from conftest import make_trajectory, record_history
+from conftest import FixedExpert, make_trajectory, record_history
 
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
 SYNTH_TASKS = 300
@@ -299,7 +299,7 @@ def test_criterion_04_retrieval_linear_scan_oracle(capsys):
         assert best_seg.segment_id == profile.segments()[sims.index(top)].segment_id
 
     council = Council(
-        [TableExpert("a", {}), TableExpert("b", {}), TableExpert("c", {})],
+        [FixedExpert("a"), FixedExpert("b"), FixedExpert("c")],
         embedder=TrigramEmbedder(64),
     )
     for expert_id in ("a", "b", "c"):

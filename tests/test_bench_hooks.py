@@ -17,7 +17,7 @@ from council.config import PlannerConfig, SearchBudget
 from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv
-from council.experts import ConstantEvaluatorExpert, Council, LLMExpert, SynthSpecialistExpert
+from council.experts import Council, LLMExpert, SynthSpecialistExpert
 from council.gateway import ChatRequest, StubBackend, compose_prompt, request_for
 from council.memory import ExpertProfile, Query
 from council.routing import route
@@ -28,7 +28,7 @@ from perfbench.spans import SpanRecorder
 from perfbench.stub import StubReplies
 from perfbench.worker import patched, tracing
 
-from conftest import make_trajectory
+from conftest import FixedExpert, make_trajectory
 
 
 def test_every_patched_name_is_defined_on_its_owner():
@@ -53,7 +53,7 @@ def test_the_scan_wrappers_call_through_and_count_what_they_scan():
     hooks = {(owner, name): value for owner, name, value in tracing(rec)}
     rec.task = 0
     council = Council(
-        [ConstantEvaluatorExpert("a", 0.5, actions=["go"])], embedder=TrigramEmbedder(64)
+        [FixedExpert("a", 0.5, actions=["go"])], embedder=TrigramEmbedder(64)
     )
     profile = council.profile("a")
     for i in range(5):

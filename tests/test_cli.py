@@ -185,8 +185,12 @@ def _llm(**params) -> dict:
         ({"env": {"name": "synth", "params": []}}, (), "env.params"),
         ({"env": {"name": "synth", "params": {"depth": "3"}}}, (), "env.params.depth"),
         ({"council": [_expert("synth-specialist")]}, (), "council[0].params.family"),
-        ({"council": [_expert("random", pool=5)]}, (), "council[0].params.pool"),
-        ({"council": [_expert("table", table=[1])]}, (), "council[0].params.table"),
+        ({"council": [_expert("synth-specialist", family=5)]}, (), "council[0].params.family"),
+        (
+            {"council": [_expert("synth-specialist", family="amber", eval_noise="0.3")]},
+            (),
+            "council[0].params.eval_noise",
+        ),
         (
             {"council": [_expert("synth-specialist", family="amber", eval_nosie=0.3)]},
             (),
@@ -227,6 +231,11 @@ def _llm(**params) -> dict:
             (),
             "council[1].params.backend_id",
         ),
+        (
+            {"council": [_expert("synth-specialist", family="amber", eval_noise=-0.1)]},
+            (),
+            "council[0].params.eval_noise",
+        ),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):
@@ -239,6 +248,18 @@ def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, cha
     source = "" if key in flagged else f"config file {config}: "
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: {source}config key '{key}': ")
+
+
+def test_a_role_that_is_no_council_role_exits_two_with_the_role_message(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "council": [_expert("table", table={})]}))
+    code = main(["run", "--config", str(config), "--tasks", str(game24_tasks_file(tmp_path))])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [
+        f"error: config file {config}: config key 'council[0].params.role': "
+        "must be one of ('game24-oracle', 'synth-specialist'), got 'table'"
+    ]
 
 
 def _scalar_keys(cls, path=()):

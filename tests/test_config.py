@@ -118,10 +118,11 @@ def test_out_of_range_values_name_the_offending_key(overrides, key):
         ({"memory": {"shared": 1}}, "memory.shared"),
         ({"memory": {"save_path": 3}}, "memory.save_path"),
         ({"council": {"expert_id": "a"}}, "council"),
-        ({"council": [{"expert_id": "a", "params": {"role": "table", "table": {"k": "v"}}}]},
-         "council[0].params.table.k"),
-        ({"council": [{"expert_id": "a", "params": {"role": "constant", "actions": [1]}}]},
-         "council[0].params.actions[0]"),
+        ({"council": [{"expert_id": "a", "params": {"role": "synth-specialist", "family": 1}}]},
+         "council[0].params.family"),
+        ({"council": [{"expert_id": "a", "params": {"role": "synth-specialist", "family": "amber",
+                                                     "eval_noise": "0.1"}}]},
+         "council[0].params.eval_noise"),
         ({"council": [{"expert_id": "a", "params": {"role": ["table"]}}]}, "council[0].params.role"),
         ({"council": [{"expert_id": "a", "kind": "llm-backed", "params": {"model": "m"}}]},
          "council[0].params.endpoint"),
@@ -166,7 +167,9 @@ def test_round_trip_through_asdict():
         {
             "seed": 9,
             "env": {"name": "synth", "params": {"depth": 4}},
-            "council": [{"expert_id": "a", "params": {"role": "random", "pool": ["x"]}}],
+            "council": [
+                {"expert_id": "a", "params": {"role": "synth-specialist", "family": "amber"}}
+            ],
             "planner": {"budget": {"iterations": 3}},
         }
     )

@@ -7,7 +7,6 @@ import time
 from concurrent.futures import Future
 
 import pytest
-from hypothesis import given, strategies as st
 
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv, family_vocab, hidden_sequence
@@ -18,77 +17,49 @@ from council.errors import (
     ScoreParseError,
 )
 from council.experts import (
-    ConstantEvaluatorExpert,
     Council,
     Game24OracleExpert,
     LLMExpert,
-    RandomExpert,
     SynthSpecialistExpert,
-    TableExpert,
     evaluate_plausibility,
     propose_actions,
     send_evaluations,
 )
 from council.gateway import StubBackend
-from council.trajectory import Trajectory, serialize_trajectory
+from council.trajectory import Trajectory
 
-from conftest import make_trajectory, sample_index
+from conftest import FixedExpert, make_trajectory, sample_index
 
 
 def test_proposals_deduplicate_and_preserve_order():
-    expert = TableExpert("t", {"": ["a", "a", "b"]})
+    expert = FixedExpert("t", actions=["a", "a", "b"])
     proposals = propose_actions(expert, Trajectory(), None, 5)
     assert [p.text for p in proposals] == ["a", "b"]
 
 
 def test_proposals_truncate_to_k():
-    expert = TableExpert("t", {"": ["a", "b", "c", "d"]})
+    expert = FixedExpert("t", actions=["a", "b", "c", "d"])
     proposals = propose_actions(expert, Trajectory(), None, 2)
     assert [p.text for p in proposals] == ["a", "b"]
 
 
 def test_proposal_count_must_be_positive():
-    expert = TableExpert("t", {})
+    expert = FixedExpert("t")
     with pytest.raises(ValueError):
         propose_actions(expert, Trajectory(), None, 0)
-
-
-def test_table_expert_keys_on_serialized_prefix():
-    prefix = make_trajectory([("obs", "act")], pending="next")
-    expert = TableExpert("t", {serialize_trajectory(prefix): ["move"]})
-    assert expert.propose(prefix, None, 3) == ["move"]
-    assert expert.propose(Trajectory(), None, 3) == []
-
-
-def test_random_expert_rejects_empty_pool():
-    with pytest.raises(ValueError):
-        RandomExpert("r", [])
-
-
-@given(st.integers(0, 10), st.text(max_size=20), st.integers(1, 6))
-def test_random_expert_is_a_pure_function_of_inputs(seed, obs, k):
-    pool = [f"tok{i}" for i in range(6)]
-    expert = RandomExpert("r", pool, seed=seed)
-    prefix = make_trajectory([], pending=obs)
-    first = expert.propose(prefix, None, k)
-    second = expert.propose(prefix, None, k)
-    assert first == second
-    assert len(first) == min(k, len(pool))
-    assert len(set(first)) == len(first)
-    assert all(a in pool for a in first)
 
 
 # -- fallback scoring ----------------------------------------------------------
 
 
 def test_plausibility_passes_through_in_range():
-    assert evaluate_plausibility(ConstantEvaluatorExpert("c", 1.0), Trajectory()) == 1.0
-    assert evaluate_plausibility(ConstantEvaluatorExpert("c", 0.25), Trajectory()) == 0.25
+    assert evaluate_plausibility(FixedExpert("c", 1.0), Trajectory()) == 1.0
+    assert evaluate_plausibility(FixedExpert("c", 0.25), Trajectory()) == 0.25
 
 
 def test_plausibility_clamps_out_of_range_scores():
-    assert evaluate_plausibility(ConstantEvaluatorExpert("c", 1.7), Trajectory()) == 1.0
-    assert evaluate_plausibility(ConstantEvaluatorExpert("c", -0.3), Trajectory()) == 0.0
+    assert evaluate_plausibility(FixedExpert("c", 1.7), Trajectory()) == 1.0
+    assert evaluate_plausibility(FixedExpert("c", -0.3), Trajectory()) == 0.0
 
 
 def test_exhausted_backend_scores_neutral():
@@ -140,7 +111,7 @@ def test_a_sent_reply_is_the_first_attempt_under_the_same_rules():
 def test_send_evaluations_sends_only_for_language_model_judges():
     backend = StubBackend(lambda request: "4")
     llm = LLMExpert("llm", backend)
-    scripted = ConstantEvaluatorExpert("c", 0.3)
+    scripted = FixedExpert("c", 0.3)
     prefixes = [make_trajectory([], pending=f"task {i}") for i in range(3)]
     sent = send_evaluations([scripted, llm, scripted], prefixes)
     assert sent[0] is None and sent[2] is None
@@ -152,7 +123,7 @@ def test_send_evaluations_sends_only_for_language_model_judges():
 
 
 def test_provider_error_inside_plausibility_is_retried():
-    class Flaky(ConstantEvaluatorExpert):
+    class Flaky(FixedExpert):
         def __init__(self):
             super().__init__("f", 0.8)
             self.calls = 0
@@ -169,7 +140,7 @@ def test_provider_error_inside_plausibility_is_retried():
 
 
 def test_score_parse_error_twice_scores_neutral():
-    class Broken(ConstantEvaluatorExpert):
+    class Broken(FixedExpert):
         def plausibility(self, prefix):
             raise ScoreParseError("no number")
 
@@ -409,25 +380,25 @@ def test_council_requires_members_and_unique_ids():
     with pytest.raises(ValueError):
         Council([])
     with pytest.raises(ValueError):
-        Council([ConstantEvaluatorExpert("x", 0.5), ConstantEvaluatorExpert("x", 0.5)])
+        Council([FixedExpert("x", 0.5), FixedExpert("x", 0.5)])
 
 
 def test_council_builds_one_profile_per_expert():
-    council = Council([ConstantEvaluatorExpert("a", 0.5), ConstantEvaluatorExpert("b", 0.5)])
+    council = Council([FixedExpert("a", 0.5), FixedExpert("b", 0.5)])
     assert set(council.profiles) == {"a", "b"}
     assert council.profile("a").expert_id == "a"
     assert [e.expert_id for e in council.experts] == ["a", "b"]
 
 
 def test_a_council_without_an_embedder_shares_one_across_its_profiles():
-    experts = [ConstantEvaluatorExpert(name, 0.5) for name in ("a", "b", "c")]
+    experts = [FixedExpert(name, 0.5) for name in ("a", "b", "c")]
     council = Council(experts)
     embedders = {id(profile.embedder) for profile in council.profiles.values()}
     assert len(embedders) == 1
 
 
 def test_subset_shares_profile_objects():
-    council = Council([ConstantEvaluatorExpert("a", 0.5), ConstantEvaluatorExpert("b", 0.5)])
+    council = Council([FixedExpert("a", 0.5), FixedExpert("b", 0.5)])
     sub = council.subset(["b"])
     assert [e.expert_id for e in sub.experts] == ["b"]
     assert sub.profile("b") is council.profile("b")

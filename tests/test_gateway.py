@@ -329,7 +329,8 @@ class LoopbackCompletions(ThreadingHTTPServer):
     waits on ``barrier`` or sleeps ``delay_s`` before it answers. A given
     ``status`` or ``payload`` (raw body bytes) replaces the answer's 200
     status or its completion body, and a given ``location`` is sent as a
-    ``Location`` header.
+    ``Location`` header. A positive ``trickle_s`` sends the body one byte
+    at a time, ``trickle_s`` seconds apart.
 
     A handler's exception is kept in ``errors`` instead of being printed,
     and closing the server waits for every handler, so the ``loopback``
@@ -345,6 +346,7 @@ class LoopbackCompletions(ThreadingHTTPServer):
         status: int = 200,
         payload: bytes | None = None,
         location: str | None = None,
+        trickle_s: float = 0.0,
     ):
         super().__init__(("127.0.0.1", 0), CompletionHandler)
         self.barrier = barrier
@@ -352,6 +354,7 @@ class LoopbackCompletions(ThreadingHTTPServer):
         self.status = status
         self.payload = payload
         self.location = location
+        self.trickle_s = trickle_s
         self.bodies: list[dict] = []
         self.headers_seen: list[str] = []
         self.content_types: list[str] = []
@@ -404,7 +407,13 @@ class CompletionHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
-            self.wfile.write(payload)
+            if server.trickle_s > 0.0:
+                for byte in payload:
+                    self.wfile.write(bytes([byte]))
+                    self.wfile.flush()
+                    time.sleep(server.trickle_s)
+            else:
+                self.wfile.write(payload)
         except (BrokenPipeError, ConnectionResetError):
             # The client gave up before the reply, as a timed-out send does.
             pass
@@ -588,6 +597,26 @@ def test_a_reply_slower_than_the_timeout_is_a_provider_error(stdlib_loopback):
     server = stdlib_loopback(delay_s=1.0)
     with pytest.raises(ProviderError, match="transport failure"):
         send_to(server.endpoint, timeout=0.1)
+
+
+def test_a_trickled_reply_is_cut_off_at_the_timeout_of_the_whole_send(stdlib_loopback):
+    payload = json.dumps({"choices": [{"message": {"content": "action 1"}}]}).encode()
+    assert len(payload) == 51
+    server = stdlib_loopback(payload=payload, trickle_s=0.05)
+    start = time.monotonic()
+    with pytest.raises(ProviderError, match="within the timeout"):
+        send_to(server.endpoint, timeout=0.2)
+    assert time.monotonic() - start < 0.5
+
+
+def test_a_reply_longer_than_the_cap_is_a_provider_error(stdlib_loopback):
+    content = "x" * gateway._REPLY_CAP_BYTES
+    payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    server = stdlib_loopback(payload=payload)
+    backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY")
+    with pytest.raises(ProviderError, match="reply longer than"):
+        backend.send(act_request())
+    assert backend.usage.output_chars == 0
 
 
 @pytest.mark.parametrize("status", [302, 307])

@@ -8,27 +8,32 @@ from pathlib import Path
 
 import pytest
 
+import council.harness as harness
 from council.config import (
     EnvSpec,
     ExpertSpec,
+    LLMParams,
+    OracleParams,
     PlannerConfig,
     RunConfig,
     SearchBudget,
     MemoryConfig,
+    SynthSpecialistParams,
+    config_from_dict,
 )
 from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
 from council.envs.game24 import make_game24_tasks
 from council.envs.synth import SynthConfig, SynthEnv, make_synth_tasks
-from council.errors import BackendConfigError
+from council.errors import ConfigKeyError
 from council.experts import Council, Game24OracleExpert, LLMExpert, SynthSpecialistExpert
 from council.gateway import StubBackend
 from council.harness import (
     ABLATION_AXES,
     ablation_table,
     ablation_variants,
-    build_council,
     build_expert,
+    build_experts,
     dump_json,
     load_memory,
     read_tasks,
@@ -175,51 +180,76 @@ def test_a_bad_last_memory_line_is_reported_before_any_segment_is_embedded(
 
 def test_build_expert_dispatches_scripted_roles():
     env = EnvSpec(name="synth", params={"depth": 2})
-    oracle = build_expert(ExpertSpec("o", params={"role": "game24-oracle"}), env, 1)
+    oracle = build_expert("o", OracleParams(), env, 1)
     assert isinstance(oracle, Game24OracleExpert)
-    specialist = build_expert(
-        ExpertSpec("s", params={"role": "synth-specialist", "family": "amber"}), env, 1
-    )
+    specialist = build_expert("s", SynthSpecialistParams(family="amber"), env, 1)
     assert isinstance(specialist, SynthSpecialistExpert)
     assert specialist.family == "amber"
     assert specialist.config.depth == 2
 
 
 def test_build_expert_rejects_unknown_roles():
+    config = RunConfig(seed=1, council=[ExpertSpec("x", params={"role": "psychic"})])
     with pytest.raises(ValueError) as excinfo:
-        build_expert(ExpertSpec("x", params={"role": "psychic"}), EnvSpec(), 1)
+        build_experts(config)
     assert "psychic" in str(excinfo.value)
 
 
 def test_llm_expert_spec_requires_backend_keys():
-    spec = ExpertSpec("x", kind="llm-backed", params={"endpoint": "https://e", "model": "m"})
-    with pytest.raises(BackendConfigError) as excinfo:
-        build_expert(spec, EnvSpec(), 1)
-    assert "'credential_env'" in str(excinfo.value)
+    params = {"endpoint": "https://e", "model": "m"}
+    entry = {"expert_id": "x", "kind": "llm-backed", "params": params}
+    with pytest.raises(ConfigKeyError) as excinfo:
+        config_from_dict({"seed": 1, "council": [entry]})
+    assert excinfo.value.key == "council[0].params.credential_env"
 
 
 def test_llm_expert_spec_builds_without_touching_credentials():
-    spec = ExpertSpec(
-        "x",
-        kind="llm-backed",
-        params={"endpoint": "https://e", "model": "m", "credential_env": "UNSET_KEY_VAR"},
-    )
-    expert = build_expert(spec, EnvSpec(), 1)
+    params = LLMParams(endpoint="https://e", model="m", credential_env="UNSET_KEY_VAR")
+    expert = build_expert("x", params, EnvSpec(), 1)
     assert isinstance(expert, LLMExpert)
     assert expert.backend.credential_env == "UNSET_KEY_VAR"
 
 
-def test_build_council_requires_experts():
+def test_build_experts_requires_experts():
     with pytest.raises(ValueError) as excinfo:
-        build_council(RunConfig(seed=1))
+        build_experts(RunConfig(seed=1))
     assert "'council'" in str(excinfo.value)
 
 
-def test_build_council_rejects_unknown_synth_params():
+def test_build_experts_rejects_unknown_synth_params():
     spec = ExpertSpec("s", params={"role": "synth-specialist", "family": "amber"})
     config = RunConfig(seed=1, env=EnvSpec(name="synth", params={"depht": 3}), council=[spec])
     with pytest.raises(ValueError, match="depht"):
-        build_council(config)
+        build_experts(config)
+
+
+@pytest.mark.parametrize(
+    "council, key",
+    [
+        ([], "council"),
+        ([ExpertSpec("s", params={"role": "synth-specialist", "family": "onyx"})],
+         "council[0].params.family"),
+    ],
+)
+def test_council_checks_fail_before_any_task_or_memory_file_is_read(
+    tmp_path, monkeypatch, council, key
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before the council was checked")
+
+    monkeypatch.setattr(harness, "read_tasks", refuse)
+    monkeypatch.setattr(harness, "load_memory", refuse)
+    config = RunConfig(
+        seed=1,
+        env=EnvSpec(name="synth"),
+        council=council,
+        tasks_path=str(tmp_path / "tasks.jsonl"),
+        memory=MemoryConfig(load_path=str(tmp_path / "memory.jsonl")),
+        out_dir=str(tmp_path / "out"),
+    )
+    with pytest.raises(ConfigKeyError) as excinfo:
+        run(config)
+    assert excinfo.value.key == key
 
 
 # -- runs ------------------------------------------------------------------------
@@ -390,8 +420,9 @@ def test_unshared_memory_isolates_tasks_and_supports_workers(tmp_path):
 
 def test_only_shared_runs_write_to_the_councils_memory(tmp_path):
     config = synth_run_config(tmp_path, warmup_tasks=0)
-    council = build_council(
-        config, profiles=load_memory(saved_memory(tmp_path), embedder=TrigramEmbedder(256))
+    council = Council(
+        build_experts(config),
+        profiles=load_memory(saved_memory(tmp_path), embedder=TrigramEmbedder(256)),
     )
     before = records_of(council.profiles)
     env = SynthEnv(SynthConfig(depth=2))

@@ -20,7 +20,6 @@ from council.experts import (
     Expert,
     Game24OracleExpert,
     SynthSpecialistExpert,
-    TableExpert,
 )
 from council.memory import Query
 from council.mcts import (
@@ -31,6 +30,8 @@ from council.mcts import (
     uct_score,
 )
 from council.trajectory import Trajectory, serialize_trajectory
+
+from conftest import FixedExpert
 
 
 def test_unvisited_nodes_score_infinite():
@@ -241,7 +242,7 @@ def test_terminal_root_ends_the_search_before_any_iteration():
 
 def test_an_expert_with_no_proposals_fails_the_branch():
     cfg = SynthConfig()
-    council = Council([TableExpert("mute", {})], embedder=TrigramEmbedder(64))
+    council = Council([FixedExpert("mute")], embedder=TrigramEmbedder(64))
     result = search(
         synth_task(), SynthEnv(cfg), council, planner(iterations=4), random.Random(0)
     )

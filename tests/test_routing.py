@@ -10,16 +10,16 @@ from hypothesis import assume, given, strategies as st
 from council.config import ROUTING_STRATEGIES
 from council.embedding import TrigramEmbedder
 from council.errors import ExpertUnavailableError
-from council.experts import ConstantEvaluatorExpert, Council, Expert
+from council.experts import Council, Expert
 from council.memory import EpisodeContext, Query
 from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 
-from conftest import make_trajectory, record_history, similarity
+from conftest import FixedExpert, make_trajectory, record_history, similarity
 
 
 def council_of(n: int, embedder=None) -> Council:
-    experts = [ConstantEvaluatorExpert(f"e{i}", 0.5, actions=[f"act{i}"]) for i in range(n)]
+    experts = [FixedExpert(f"e{i}", 0.5, actions=[f"act{i}"]) for i in range(n)]
     return Council(experts, embedder=embedder or TrigramEmbedder(64))
 
 
@@ -215,9 +215,9 @@ class Unavailable(Expert):
 
 def test_voting_picks_the_modal_actions_first_proposer():
     experts = [
-        ConstantEvaluatorExpert("a", 0.5, actions=["left"]),
-        ConstantEvaluatorExpert("b", 0.5, actions=["right"]),
-        ConstantEvaluatorExpert("c", 0.5, actions=["right"]),
+        FixedExpert("a", 0.5, actions=["left"]),
+        FixedExpert("b", 0.5, actions=["right"]),
+        FixedExpert("c", 0.5, actions=["right"]),
     ]
     decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == "b"
@@ -225,15 +225,15 @@ def test_voting_picks_the_modal_actions_first_proposer():
 
 def test_voting_tie_goes_to_the_earliest_action():
     experts = [
-        ConstantEvaluatorExpert("a", 0.5, actions=["left"]),
-        ConstantEvaluatorExpert("b", 0.5, actions=["right"]),
+        FixedExpert("a", 0.5, actions=["left"]),
+        FixedExpert("b", 0.5, actions=["right"]),
     ]
     decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == "a"
 
 
 def test_voting_skips_unavailable_members():
-    experts = [Unavailable("a"), ConstantEvaluatorExpert("b", 0.5, actions=["go"])]
+    experts = [Unavailable("a"), FixedExpert("b", 0.5, actions=["go"])]
     decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))
     assert decision.chosen == "b"
 
@@ -261,7 +261,7 @@ def test_voting_agrees_with_the_modal_first_proposer_rule(actions):
     votes = [(action, f"e{i}") for i, action in enumerate(actions) if action is not None]
     assume(votes)
     experts = [
-        ConstantEvaluatorExpert(f"e{i}", 0.5, actions=[] if action is None else [action])
+        FixedExpert(f"e{i}", 0.5, actions=[] if action is None else [action])
         for i, action in enumerate(actions)
     ]
     decision = route(Council(experts), Query(Trajectory()), "voting", random.Random(0))

@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 import council.gateway as gateway
 from council.embedding import TrigramEmbedder
 from council.errors import BackendConfigError
-from council.experts import ConstantEvaluatorExpert, Council, LLMExpert
+from council.experts import Council, LLMExpert
 from council.gateway import StubBackend
 from council.memory import EpisodeContext, ExpertProfile, Query
 from council.trajectory import Trajectory
@@ -30,18 +30,18 @@ from council.values import (
     spread,
 )
 
-from conftest import make_trajectory, record_history
+from conftest import FixedExpert, make_trajectory, record_history
 
 
 def test_llm_value_uses_the_only_member():
-    council = Council([ConstantEvaluatorExpert("a", 0.9)])
+    council = Council([FixedExpert("a", 0.9)])
     assert llm_value(council, [Trajectory()], random.Random(0)) == [0.9]
     assert llm_value(council, [Trajectory()] * 3, random.Random(0)) == [0.9] * 3
 
 
 def test_llm_value_samples_members_uniformly():
     council = Council(
-        [ConstantEvaluatorExpert("a", 0.0), ConstantEvaluatorExpert("b", 1.0)]
+        [FixedExpert("a", 0.0), FixedExpert("b", 1.0)]
     )
     rng = random.Random(7)
     draws = llm_value(council, [Trajectory()] * 10_000, rng)
@@ -97,8 +97,8 @@ def keyed(replies: dict[int, str], returned: list[int] | None = None, delay_s: f
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_llm_value_draws_one_judge_per_child_in_child_order(count):
     stub = StubBackend(lambda request: str(child_of(request)))
-    members = [ConstantEvaluatorExpert("a", 0.25), LLMExpert("llm", stub)]
-    council = Council([*members, ConstantEvaluatorExpert("c", 0.75)])
+    members = [FixedExpert("a", 0.25), LLMExpert("llm", stub)]
+    council = Council([*members, FixedExpert("c", 0.75)])
     rng, twin = random.Random(11), random.Random(11)
     values = llm_value(council, children(count), rng)
     judges = [twin.choice(council.experts) for _ in range(count)]
@@ -116,7 +116,7 @@ def test_scripted_judges_send_nothing_to_the_pool(monkeypatch):
             raise AssertionError("a scripted sibling set must not use the pool")
 
     monkeypatch.setattr(gateway, "_SENDS", NoPool())
-    council = Council([ConstantEvaluatorExpert("a", 0.25), ConstantEvaluatorExpert("b", 0.75)])
+    council = Council([FixedExpert("a", 0.25), FixedExpert("b", 0.75)])
     values = llm_value(council, children(4), Draws(council, ["a", "b", "b", "a"]))
     assert values == [0.25, 0.75, 0.75, 0.25]
 
