@@ -216,9 +216,8 @@ def cmd_memory(args: argparse.Namespace) -> int:
         for line in _memory_summary(memory):
             print(line)
     else:  # save: canonical round-trip of an existing file to a new path
-        records = profile_records(memory)
-        write_jsonl(args.dest, records)
-        print(f"wrote {len(records)} segments to {args.dest}")
+        count = write_jsonl(args.dest, profile_records(memory))
+        print(f"wrote {count} segments to {args.dest}")
     return 0
 
 

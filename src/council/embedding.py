@@ -4,7 +4,9 @@
 into a fixed-width count vector. It is fully deterministic and needs no model
 weights. Every component of its vectors is a whole, non-negative count,
 which lets a success-memory index store them exactly in the narrowest
-unsigned integer type that holds them.
+unsigned integer type that holds them. A query or a single insert embeds one
+text as a float64 vector; a memory load counts many texts straight into the
+integer columns of a block it reuses.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ class TrigramEmbedder:
     vector counts bucket hits. Texts shorter than three bytes embed to the
     zero vector, which retrieval scores 0 against everything.
 
-    ``embed_batch`` counts the trigrams of many texts in one ``bincount``
-    and never lets a window span two texts, so its row i equals
-    ``embed(texts[i])`` bit for bit. It pays a fixed cost that one short
-    text does not repay, so single texts go through ``embed``.
+    ``count_block`` counts the trigrams of many texts into the columns of
+    one bucket-major integer block that the caller reuses, and never lets a
+    window span two texts, so its column i equals ``embed(texts[i])``. It
+    pays a fixed cost that one short text does not repay, so single texts
+    go through ``embed``.
     """
 
     def __init__(self, dim: int = 256):
@@ -51,20 +54,20 @@ class TrigramEmbedder:
         np.add.at(vec, _trigram_buckets(codes, self.dim), 1.0)
         return vec
 
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
+    def count_block(self, texts: list[str], block: np.ndarray) -> None:
+        """Zero ``block``, a C-contiguous integer array of shape ``(dim,
+        width)`` with ``width >= len(texts)``, and count the trigrams of
+        ``texts[i]`` into its column i."""
+        block.fill(0)
         encoded = [text.encode("utf-8") for text in texts]
-        count = len(encoded)
         data = b"".join(encoded)
         if len(data) < 3:
-            return np.zeros((count, self.dim), dtype=np.float64)
-        lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=count)
+            return
+        lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
         # Each window of the joined bytes belongs to the text it starts in,
         # and counts only if it also ends there.
-        rows = np.repeat(np.arange(count, dtype=np.intp), lengths)[:-2]
-        ends = np.cumsum(lengths)[rows]
-        inside = np.arange(2, len(data), dtype=np.intp) < ends
+        rows = np.repeat(np.arange(len(encoded), dtype=np.intp), lengths)[:-2]
+        inside = np.arange(2, len(data), dtype=np.intp) < np.cumsum(lengths)[rows]
         codes = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-        flat = rows[inside] * self.dim + _trigram_buckets(codes, self.dim)[inside]
-        counts = np.bincount(flat, minlength=count * self.dim)
-        return counts.reshape(count, self.dim).astype(np.float64)
-
+        flat = _trigram_buckets(codes, self.dim)[inside] * block.shape[1] + rows[inside]
+        np.add.at(block.reshape(-1), flat, 1)

@@ -221,32 +221,79 @@ class StubBackend:
 @functools.cache
 def _opener():
     """The opener HTTPBackend sends through, built on first use. It follows
-    no redirect: urllib would carry the credential to any host one names."""
+    no redirect: urllib would carry the credential to any host one names.
+    Each read of a response, status line and headers included, waits only
+    until the send's deadline, ``timeout`` seconds after its connection is
+    made as the request is posted; a read past it raises TimeoutError."""
+    import http.client
+    import io
     import urllib.request
 
     class RefuseRedirects(urllib.request.HTTPRedirectHandler):
         def redirect_request(self, *args, **kwargs):
             return None
 
-    return urllib.request.build_opener(RefuseRedirects)
+    class DeadlineReader(io.RawIOBase):
+        """What a socket receives, each read waiting no later than
+        ``deadline``: the socket's timeout is set to the time left before
+        every read, and a read once none is left raises TimeoutError."""
+
+        def __init__(self, sock, deadline: float):
+            self._sock = sock
+            # Like any file of the socket's, this one keeps the socket open.
+            self._raw = sock.makefile("rb", buffering=0)
+            self._deadline = deadline
+
+        def readable(self) -> bool:
+            return True
+
+        def readinto(self, buffer) -> int:
+            left = self._deadline - time.monotonic()
+            if left <= 0.0:
+                raise TimeoutError("the send deadline has passed")
+            self._sock.settimeout(left)
+            return self._raw.readinto(buffer)
+
+        def close(self) -> None:
+            self._raw.close()
+            super().close()
+
+    def connect(http_class, *args, **kwargs):
+        connection = http_class(*args, **kwargs)
+        deadline = time.monotonic() + connection.timeout
+
+        def response_class(sock, **kwargs):
+            response = http.client.HTTPResponse(sock, **kwargs)
+            response.fp.close()
+            response.fp = io.BufferedReader(DeadlineReader(sock, deadline))
+            return response
+
+        connection.response_class = response_class
+        return connection
+
+    class Deadlines(urllib.request.HTTPSHandler, urllib.request.HTTPHandler):
+        def do_open(self, http_class, req, **kwargs):
+            return super().do_open(functools.partial(connect, http_class), req, **kwargs)
+
+    return urllib.request.build_opener(RefuseRedirects, Deadlines)
 
 
 # Far above the reply to any ``max_tokens``; a longer reply is refused.
 _REPLY_CAP_BYTES = 4 << 20
 
 
-def _read_reply(response, deadline: float) -> bytearray:
+def _read_reply(response) -> bytearray:
     """The body of ``response``, read a chunk at a time; ProviderError once
-    ``time.monotonic()`` passes ``deadline`` or the body passes the cap."""
+    a read passes the send's deadline or the body passes the cap."""
     body = bytearray()
-    while time.monotonic() <= deadline:
-        chunk = response.read1(1 << 16)
-        if not chunk:
-            return body
-        body += chunk
-        if len(body) > _REPLY_CAP_BYTES:
-            raise ProviderError(f"reply longer than {_REPLY_CAP_BYTES} bytes")
-    raise ProviderError("reply not complete within the timeout")
+    try:
+        while chunk := response.read1(1 << 16):
+            body += chunk
+            if len(body) > _REPLY_CAP_BYTES:
+                raise ProviderError(f"reply longer than {_REPLY_CAP_BYTES} bytes")
+    except TimeoutError:
+        raise ProviderError("reply not complete within the timeout") from None
+    return body
 
 
 class HTTPBackend:
@@ -257,7 +304,8 @@ class HTTPBackend:
     retriable one. Any other failure status, a redirect, a transport failure
     or timeout, and a reply without a text ``choices[0].message.content``
     raise ProviderError. So does a reply past ``_REPLY_CAP_BYTES`` or not read
-    in full ``timeout`` seconds after posting (its headers are timed per read).
+    in full, status line and headers included, ``timeout`` seconds after
+    posting.
     ``concurrency`` caps in-flight requests per backend, including the
     proposal requests of an expansion and the judge requests of a sibling
     set, which are each sent at once.
@@ -300,10 +348,9 @@ class HTTPBackend:
         post = urllib.request.Request(self.endpoint, json.dumps(body).encode(), headers)
         with self._gate:
             self.usage.add(request)
-            deadline = time.monotonic() + request.timeout
             try:
                 with _opener().open(post, timeout=request.timeout) as response:
-                    raw = _read_reply(response, deadline)
+                    raw = _read_reply(response)
             except urllib.error.HTTPError as exc:  # before URLError, its parent
                 exc.close()
                 if exc.code in (401, 403):

@@ -49,23 +49,27 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def write_jsonl(path: str | Path, rows: Iterable) -> None:
-    """Write one canonical JSON line per row, atomically.
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write one canonical JSON line per row, atomically; returns the line
+    count.
 
     The lines go to a temp file beside ``path`` that replaces it only once
     every row is written, so a failed or interrupted write leaves any earlier
-    file as it was.
+    file as it was. ``rows`` is consumed as it is written, so a generator's
+    rows need never all be held at once.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            for row in rows:
+            for count, row in enumerate(rows, start=1):
                 handle.write(dump_json(row) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return count
 
 
 def _read_jsonl(path: str | Path, kind: str, consume: Callable[[Iterable], object]):
@@ -125,9 +129,9 @@ def write_tasks(path: str | Path, tasks: list[TaskSpec]) -> None:
 
 def save_memory(path: str | Path, profiles: dict) -> int:
     """Write every stored segment as one JSON line; returns the line count."""
-    records = profile_records({eid: profile.segments() for eid, profile in profiles.items()})
-    write_jsonl(path, records)
-    return len(records)
+    return write_jsonl(
+        path, profile_records({eid: profile.segments() for eid, profile in profiles.items()})
+    )
 
 
 def read_memory(path: str | Path) -> dict:

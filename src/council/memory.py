@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,9 +40,10 @@ DEFAULT_CAPACITY = 512
 DEFAULT_COLD_START = 0.5
 # A scan gathers and multiplies the index this many slots at a time.
 _SCAN_BLOCK = 1024
-# A restore embeds and writes this many segments at a time. At width 1024
-# each float64 temporary of a block is 0.5 MB; 512-row blocks (4 MB, the
-# size from which numpy asks for huge pages) raised a loaded run's peak RSS
+# A restore counts and writes this many segments at a time, through one
+# count block of embedder.dim by _LOAD_BLOCK intp counts that it allocates
+# once (0.5 MB at width 1024). At 512 columns a block reaches 4 MB, the size
+# from which numpy asks for huge pages, which raised a loaded run's peak RSS
 # by about 10 MB.
 _LOAD_BLOCK = 64
 # binary32 holds every integer of magnitude up to 2**24 exactly.
@@ -127,7 +128,7 @@ class ExpertProfile:
     follow insertion order, so the first maximum is the earliest-inserted
     segment among ties. One block write gives new segments their slots and
     columns: an insert writes a block of one, and a restore makes room for
-    all its segments at once and then embeds and writes them a block at a
+    all its segments at once and then counts and writes them a block at a
     time, leaving the index that writing them one at a time would leave.
 
     An eviction only marks its slot dead. Dead slots are never returned, and
@@ -242,29 +243,33 @@ class ExpertProfile:
                 segment_id = f"{self.expert_id}:{created}"
             segment = SMSegment(segment_id=segment_id, text=text, created_at=created)
             self._make_room(1)
-            self._add_block([segment], self.embedder.embed(text)[np.newaxis])
+            self._add_block([segment], self.embedder.embed(text)[:, np.newaxis])
             return segment
 
     def _restore(self, segments: Iterable[SMSegment]) -> None:
         """Used by persistence: re-attach segments read from a file, whose
         ids and texts :func:`read_segments` has already checked are unique.
-        Room is made once for all of them, and they are embedded and written
-        a block at a time, to the index that writing them one at a time
-        makes."""
+        Room is made once for all of them. They are then counted a block at
+        a time into one bucket-major integer block, allocated once per
+        restore, and each block is written to the index that writing them
+        one at a time makes."""
         segments = list(segments)
+        block = np.empty((self.embedder.dim, _LOAD_BLOCK), dtype=np.intp)
         with self._lock:
             self._make_room(len(segments))
             for start in range(0, len(segments), _LOAD_BLOCK):
-                block = segments[start : start + _LOAD_BLOCK]
-                self._add_block(block, self.embedder.embed_batch([s.text for s in block]))
+                part = segments[start : start + _LOAD_BLOCK]
+                self.embedder.count_block([s.text for s in part], block)
+                self._add_block(part, block[:, : len(part)])
 
-    def _add_block(self, segments: list[SMSegment], embeddings: np.ndarray) -> None:
-        """Give new segments, whose embeddings are the rows of
-        ``embeddings``, the next slots in order and write their columns. The
-        lock is held and room has been made."""
+    def _add_block(self, segments: list[SMSegment], counts: np.ndarray) -> None:
+        """Give new segments the next slots in order and write their columns:
+        ``counts`` holds their whole-number trigram counts column-wise,
+        ``(dim, len(segments))``, in any numeric dtype. The lock is held and
+        room has been made."""
         first = len(self._slots)
         stop = first + len(segments)
-        peak = int(embeddings.max())
+        peak = int(counts.max())
         if peak > self._peak:
             self._peak = peak
             # Widen before the write: a count past the type would wrap.
@@ -275,9 +280,10 @@ class ExpertProfile:
             self._by_text[segment.text] = segment.segment_id
             self._slot_of[segment.segment_id] = slot
         self._slots += segments
-        self._cols[:, first:stop] = embeddings.T
-        # Whole counts: each sum of squares is exact, as np.linalg.norm's is.
-        norms = np.sqrt(np.add.reduce(embeddings * embeddings, axis=1))
+        self._cols[:, first:stop] = counts
+        # Whole counts: each sum of squares is exact, so its float64 square
+        # root has the bits of np.linalg.norm's.
+        norms = np.sqrt(np.einsum("ij,ij->j", counts, counts))
         self._norms[first:stop] = np.where(norms > 0.0, norms, np.inf)
         self._live[first:stop] = True
         self._util[first:stop] = [self.utility(segment) for segment in segments]
@@ -541,11 +547,12 @@ def finalize_episode(profiles: Mapping[str, ExpertProfile], record: EpisodeRecor
 # be reopened at another.
 
 
-def profile_records(segments: Mapping[str, Iterable[SMSegment]]) -> list[dict]:
+def profile_records(segments: Mapping[str, Iterable[SMSegment]]) -> Iterator[dict]:
     """Flatten each expert's segments (a profile's ``segments()``, or a list
     from :func:`read_segments`) into persistence records, ordered by expert
-    id, then ``created_at``, then the order given."""
-    return [
+    id, then ``created_at``, then the order given. The records are yielded
+    one at a time, so a writer holds one record, not the whole store."""
+    return (
         {
             "expert_id": expert_id,
             "segment_id": segment.segment_id,
@@ -559,7 +566,7 @@ def profile_records(segments: Mapping[str, Iterable[SMSegment]]) -> list[dict]:
         }
         for expert_id in sorted(segments)
         for segment in sorted(segments[expert_id], key=lambda s: s.created_at)
-    ]
+    )
 
 
 _RECORD_KEYS = ("expert_id", "segment_id", "prefix_steps", "created_at", "wins", "uses")

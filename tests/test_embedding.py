@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from council.embedding import TrigramEmbedder
+from council.memory import _LOAD_BLOCK
 
 from conftest import similarity
 
@@ -100,20 +101,40 @@ _BATCH_TEXT = st.one_of(
 )
 
 
+def counted(emb: TrigramEmbedder, texts: list[str]) -> np.ndarray:
+    """``texts`` counted into a fresh block whose every entry starts at 7,
+    so a column the count leaves unzeroed shows."""
+    block = np.full((emb.dim, _LOAD_BLOCK), 7, dtype=np.intp)
+    emb.count_block(texts, block)
+    return block
+
+
 @given(st.lists(_BATCH_TEXT, max_size=12), st.sampled_from([1, 7, 64]))
 @example(texts=[], dim=64)
 @example(texts=[""], dim=64)
 @example(texts=["ab"], dim=64)
 @example(texts=["ab", "c"], dim=64)
 @example(texts=["a", "", "bc", "é", "中"], dim=7)
-def test_embed_batch_rows_equal_embed_bit_for_bit(texts, dim):
-    """Every row of a batch equals ``embed`` of its text, so no trigram is
-    counted across two texts, whatever their lengths."""
+def test_count_block_columns_equal_embed_bit_for_bit(texts, dim):
+    """Every column of a counted block equals ``embed`` of its text, so no
+    trigram is counted across two texts, whatever their lengths."""
     emb = TrigramEmbedder(dim=dim)
-    batch = emb.embed_batch(texts)
-    assert batch.shape == (len(texts), dim)
-    assert batch.dtype == np.float64
-    for row, text in zip(batch, texts):
+    block = counted(emb, texts)
+    assert block.shape == (dim, _LOAD_BLOCK)
+    assert block.dtype == np.intp
+    assert not block[:, len(texts) :].any()
+    for column, text in zip(block.T, texts):
         single = emb.embed(text)
-        assert row.tobytes() == single.tobytes()
-        assert np.array_equal(emb.embed_batch([text])[0], single)
+        assert column.astype(np.float64).tobytes() == single.tobytes()
+        assert np.array_equal(counted(emb, [text])[:, 0], single)
+
+
+@pytest.mark.parametrize("second", [["ab"], ["a", "", "bc"], ["abcd", "中文字", "x" * 40]])
+def test_a_reused_block_keeps_no_count_of_a_longer_block_before_it(second):
+    emb = TrigramEmbedder(dim=16)
+    block = np.empty((emb.dim, _LOAD_BLOCK), dtype=np.intp)
+    emb.count_block([f"earlier text number {i}" for i in range(_LOAD_BLOCK)], block)
+    emb.count_block(second, block)
+    assert np.array_equal(block, counted(emb, second))
+    for column, text in zip(block.T, second):
+        assert np.array_equal(column, emb.embed(text))

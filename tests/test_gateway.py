@@ -330,7 +330,8 @@ class LoopbackCompletions(ThreadingHTTPServer):
     ``status`` or ``payload`` (raw body bytes) replaces the answer's 200
     status or its completion body, and a given ``location`` is sent as a
     ``Location`` header. A positive ``trickle_s`` sends the body one byte
-    at a time, ``trickle_s`` seconds apart.
+    at a time, ``trickle_s`` seconds apart, and with ``trickle_head`` the
+    status line and headers before it too.
 
     A handler's exception is kept in ``errors`` instead of being printed,
     and closing the server waits for every handler, so the ``loopback``
@@ -347,6 +348,7 @@ class LoopbackCompletions(ThreadingHTTPServer):
         payload: bytes | None = None,
         location: str | None = None,
         trickle_s: float = 0.0,
+        trickle_head: bool = False,
     ):
         super().__init__(("127.0.0.1", 0), CompletionHandler)
         self.barrier = barrier
@@ -355,6 +357,7 @@ class LoopbackCompletions(ThreadingHTTPServer):
         self.payload = payload
         self.location = location
         self.trickle_s = trickle_s
+        self.trickle_head = trickle_head
         self.bodies: list[dict] = []
         self.headers_seen: list[str] = []
         self.content_types: list[str] = []
@@ -400,6 +403,8 @@ class CompletionHandler(BaseHTTPRequestHandler):
             else:
                 content = f"action {sample_index(body['messages'][-1]['content'])}"
             payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        if server.trickle_head:
+            self.wfile = Trickled(self.wfile, server.trickle_s)
         try:
             self.send_response(server.status)
             if server.location is not None:
@@ -420,6 +425,25 @@ class CompletionHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args) -> None:
         pass
+
+
+class Trickled:
+    """A handler's output stream that writes one byte at a time, ``pause_s``
+    seconds apart."""
+
+    def __init__(self, raw, pause_s: float):
+        self.raw = raw
+        self.pause_s = pause_s
+
+    def write(self, data: bytes) -> int:
+        for byte in data:
+            self.raw.write(bytes([byte]))
+            self.raw.flush()
+            time.sleep(self.pause_s)
+        return len(data)
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
 
 
 @pytest.fixture
@@ -605,6 +629,16 @@ def test_a_trickled_reply_is_cut_off_at_the_timeout_of_the_whole_send(stdlib_loo
     server = stdlib_loopback(payload=payload, trickle_s=0.05)
     start = time.monotonic()
     with pytest.raises(ProviderError, match="within the timeout"):
+        send_to(server.endpoint, timeout=0.2)
+    assert time.monotonic() - start < 0.5
+
+
+def test_trickled_headers_are_cut_off_at_the_timeout_of_the_whole_send(stdlib_loopback):
+    payload = json.dumps({"choices": [{"message": {"content": "action 1"}}]}).encode()
+    server = stdlib_loopback(payload=payload, trickle_s=0.05, trickle_head=True)
+    start = time.monotonic()
+    # The status line and headers alone are about 140 bytes, 7 s at this pace.
+    with pytest.raises(ProviderError, match="transport failure"):
         send_to(server.endpoint, timeout=0.2)
     assert time.monotonic() - start < 0.5
 

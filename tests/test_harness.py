@@ -67,6 +67,18 @@ def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
 
+def test_a_write_takes_its_rows_as_it_goes_and_returns_their_count(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    assert write_jsonl(path, ({"i": i} for i in range(3))) == 3
+    assert path.read_bytes() == b'{"i":0}\n{"i":1}\n{"i":2}\n'
+    assert write_jsonl(path, iter([])) == 0
+    assert path.read_bytes() == b""
+    # A save streams its records: they are yielded, never built as a list.
+    records = profile_records({eid: p.segments() for eid, p in seeded_profiles().items()})
+    assert iter(records) is records
+    assert write_jsonl(path, records) == 3
+
+
 # -- task files -----------------------------------------------------------------
 
 
@@ -122,7 +134,7 @@ def test_bad_utf8_is_reported_by_its_line(tmp_path):
 
 
 def records_of(profiles: dict) -> list[dict]:
-    return profile_records({eid: profile.segments() for eid, profile in profiles.items()})
+    return list(profile_records({eid: profile.segments() for eid, profile in profiles.items()}))
 
 
 def seeded_profiles() -> dict:
@@ -169,7 +181,9 @@ def test_a_bad_last_memory_line_is_reported_before_any_segment_is_embedded(
         handle.write('{"expert_id": "solver"}\n')
     embedded = []
     monkeypatch.setattr(TrigramEmbedder, "embed", lambda self, text: embedded.append(text))
-    monkeypatch.setattr(TrigramEmbedder, "embed_batch", lambda self, texts: embedded.append(texts))
+    monkeypatch.setattr(
+        TrigramEmbedder, "count_block", lambda self, texts, block: embedded.append(texts)
+    )
     with pytest.raises(ValueError, match="line 4: missing key"):
         load_memory(path)
     assert embedded == []
@@ -441,20 +455,20 @@ def test_an_unshared_run_embeds_each_loaded_segment_once(tmp_path, monkeypatch):
         for profile in load_memory(memory_file).values()
         for segment in profile.segments()
     }
-    # A load embeds through embed_batch, a search through embed; count both.
+    # A load counts through count_block, a search embeds through embed; count both.
     embedded: list[str] = []
-    original, original_batch = TrigramEmbedder.embed, TrigramEmbedder.embed_batch
+    original, original_block = TrigramEmbedder.embed, TrigramEmbedder.count_block
 
     def counting(embedder, text):
         embedded.append(text)
         return original(embedder, text)
 
-    def counting_batch(embedder, texts):
+    def counting_block(embedder, texts, block):
         embedded.extend(texts)
-        return original_batch(embedder, texts)
+        return original_block(embedder, texts, block)
 
     monkeypatch.setattr(TrigramEmbedder, "embed", counting)
-    monkeypatch.setattr(TrigramEmbedder, "embed_batch", counting_batch)
+    monkeypatch.setattr(TrigramEmbedder, "count_block", counting_block)
     memory = MemoryConfig(shared=False, load_path=str(memory_file))
     for count in (1, 6):
         embedded.clear()

@@ -18,6 +18,7 @@ from council.errors import InvalidStateError
 from council.experts import Council, SynthSpecialistExpert
 from council.mcts import search
 from council.memory import (
+    _LOAD_BLOCK,
     EpisodeContext,
     ExpertProfile,
     Query,
@@ -242,7 +243,7 @@ def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
             finalize_episode({"x": profile}, record)
             assert over or len(profile) <= capacity
         else:
-            records = profile_records({"x": profile.segments()})
+            records = list(profile_records({"x": profile.segments()}))
             capacity = step[1]
             profile = restore_profiles(records, embedder, capacity).get(
                 "x", ExpertProfile("x", capacity=capacity, embedder=embedder)
@@ -504,6 +505,18 @@ def test_a_restore_that_widens_in_the_middle_of_a_block_equals_one_at_a_time(len
     assert profile._cols.dtype == dtype
     queries = [Query(run_of("a", length)), Query(parse_trajectory(segments[0].text))]
     brute_force_check(profile, queries)
+
+
+def test_a_last_block_narrower_than_the_load_block_is_counted_whole():
+    # One full block, then a block of five into the same count block.
+    segments = restorable(_LOAD_BLOCK + 5)
+    profile = ExpertProfile("x", 128, TrigramEmbedder(16))
+    profile._restore(segments)
+    for slot, segment in enumerate(segments):
+        vec = profile.embedder.embed(segment.text)
+        assert np.array_equal(profile._cols[:, slot], vec)
+        assert profile._norms[slot] == np.linalg.norm(vec)
+    assert not profile._cols[:, len(segments) :].any()
 
 
 def test_a_synth_sized_load_keeps_one_byte_per_count():
@@ -980,9 +993,9 @@ def test_persistence_round_trip_is_exact():
     for i in range(3):
         seg = profile.insert(make_trajectory([(f"obs {i} text", f"act {i}")]))
         record_history(profile, seg.segment_id, [(i % 2 == 0, i + 1)])
-    records = profile_records({"expert-a": profile.segments()})
+    records = list(profile_records({"expert-a": profile.segments()}))
     restored = restore_profiles(records, embedder=TrigramEmbedder(64))
-    assert profile_records({"expert-a": restored["expert-a"].segments()}) == records
+    assert list(profile_records({"expert-a": restored["expert-a"].segments()})) == records
     back = restored["expert-a"]
     assert [s.created_at for s in back.segments()] == [
         s.created_at for s in profile.segments()
@@ -1058,8 +1071,8 @@ def test_records_of_any_field_text_come_back_unchanged(prefixes):
     ]
     profiles = restore_profiles(records, embedder=TrigramEmbedder(16))
     segments = {eid: profile.segments() for eid, profile in profiles.items()}
-    assert profile_records(segments) == records
-    assert profile_records(read_segments(records)) == records
+    assert list(profile_records(segments)) == records
+    assert list(profile_records(read_segments(records))) == records
 
 
 def test_the_reader_rejects_a_repeated_id_or_prefix_within_one_expert():
