@@ -41,6 +41,8 @@ from .envs.synth import SynthConfig
 from .errors import BackendConfigError, ConfigKeyError
 from .harness import (
     ABLATION_AXES,
+    METRICS_FILENAME,
+    TRACE_FILENAME,
     ablation_table,
     check_tasks,
     dump_json,
@@ -78,8 +80,6 @@ _RUN_FLAGS: tuple[tuple[str, tuple[str, ...], dict], ...] = (
     ("--routing-temperature", ("planner", "routing_temperature"),
      {"type": float, "help": "softmax temperature for routing"}),
     ("--value-mode", ("planner", "value_mode"), {"choices": VALUE_MODES}),
-    ("--success-threshold", ("planner", "success_threshold"),
-     {"type": float, "help": "reward at which search stops early"}),
     ("--exploration", ("planner", "exploration"), {"type": float, "help": "UCT exploration constant"}),
     ("--aggregator", ("planner", "aggregator"),
      {"help": "expert id that merges proposals under collaborative routing"}),
@@ -151,8 +151,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     output = run(config)
     print(dump_json(output.summary))
     if output.out_dir is not None:
-        print(f"wrote {output.out_dir / 'metrics.jsonl'}")
-        print(f"wrote {output.out_dir / 'trace.jsonl'}")
+        print(f"wrote {output.out_dir / METRICS_FILENAME}")
+        print(f"wrote {output.out_dir / TRACE_FILENAME}")
     return 0
 
 

@@ -5,7 +5,8 @@ loaded from a JSON file. File loading is strict: every value is checked
 against its field's type, and unknown keys, missing keys and out-of-range
 values are rejected with the offending key named, because a silently
 ignored typo in an experiment config is a wasted run. Each council entry's
-``params`` are checked the same way, against the params type of its role.
+``params`` are checked the same way, against the params type its ``role``
+names in :data:`ROLES`; the role is the one field that says what an entry is.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class PlannerConfig:
     routing_strategy: str = "task-aware"
     routing_temperature: float = 0.5
     value_mode: str = "full"
-    success_threshold: float = 1.0
     aggregator: str | None = None
 
 
@@ -60,7 +60,6 @@ class EnvSpec:
 @dataclass
 class ExpertSpec:
     expert_id: str
-    kind: str = "scripted"  # or "llm-backed"
     params: dict = field(default_factory=dict)
 
 
@@ -80,7 +79,6 @@ class LLMParams:
     endpoint: str
     model: str
     credential_env: str
-    backend_id: str | None = None  # None: the expert id
     concurrency: int = 4
     act_temperature: float = 0.7
     eval_temperature: float = 0.0
@@ -88,10 +86,11 @@ class LLMParams:
     timeout: float = 60.0
 
 
-# A scripted entry's ``params.role`` names its params type.
-SCRIPTED_ROLES = {
+# A council entry's ``params.role`` names its params type.
+ROLES = {
     "game24-oracle": OracleParams,
     "synth-specialist": SynthSpecialistParams,
+    "llm-backed": LLMParams,
 }
 
 
@@ -161,16 +160,14 @@ def read_fields(cls, data, key: str = ""):
 
 
 def expert_params(spec: ExpertSpec, key: str):
-    """A council entry's ``params`` read into their type, errors naming keys
-    under ``key``: an ``LLMParams`` for an llm-backed entry, else the type
-    ``SCRIPTED_ROLES`` gives its ``role``; :func:`council_params` adds ranges."""
-    if spec.kind == "llm-backed":
-        return read_fields(LLMParams, spec.params, key)
+    """A council entry's ``params`` read into the type :data:`ROLES` gives
+    their ``role``, errors naming keys under ``key``; :func:`council_params`
+    adds ranges."""
     params = dict(spec.params)
     role = params.pop("role", None)
-    roles = tuple(SCRIPTED_ROLES)
+    roles = tuple(ROLES)
     _require(role in roles, _join(key, "role"), f"must be one of {roles}, got {role!r}")
-    return read_fields(SCRIPTED_ROLES[role], params, key)
+    return read_fields(ROLES[role], params, key)
 
 
 def council_params(config: RunConfig) -> list:
@@ -217,7 +214,6 @@ def council_params(config: RunConfig) -> list:
         "requires memory.shared = true; unshared memory is never written",
     )
     ids = [spec.expert_id for spec in config.council]
-    backend_ids: list[str] = []
     checked = []
     for i, spec in enumerate(config.council):
         _require(bool(spec.expert_id), f"council[{i}].expert_id", "must be non-empty")
@@ -226,21 +222,9 @@ def council_params(config: RunConfig) -> list:
             f"council[{i}].expert_id",
             f"repeats the expert id {spec.expert_id!r}",
         )
-        _require(
-            spec.kind in ("scripted", "llm-backed"),
-            f"council[{i}].kind",
-            "must be 'scripted' or 'llm-backed'",
-        )
         key = f"council[{i}].params"
         params = expert_params(spec, key)
         if isinstance(params, LLMParams):
-            backend_id = params.backend_id if params.backend_id is not None else spec.expert_id
-            _require(
-                backend_id not in backend_ids,
-                f"{key}.backend_id",
-                f"repeats the backend id {backend_id!r}",
-            )
-            backend_ids.append(backend_id)
             _require(params.concurrency >= 1, f"{key}.concurrency", "must be at least 1")
             _require(params.max_tokens >= 1, f"{key}.max_tokens", "must be at least 1")
             _require(params.timeout > 0.0, f"{key}.timeout", "must be positive")
@@ -260,14 +244,10 @@ def council_params(config: RunConfig) -> list:
     return checked
 
 
-def validate_config(config: RunConfig) -> RunConfig:
-    """Every check of :func:`council_params`; returns the config it was given."""
+def config_from_dict(data: dict) -> RunConfig:
+    config = read_fields(RunConfig, data)
     council_params(config)
     return config
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    return validate_config(read_fields(RunConfig, data))
 
 
 def read_config_file(path: str | Path) -> dict:

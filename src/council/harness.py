@@ -55,10 +55,13 @@ def write_jsonl(path: str | Path, rows: Iterable) -> int:
 
     The lines go to a temp file beside ``path`` that replaces it only once
     every row is written, so a failed or interrupted write leaves any earlier
-    file as it was. ``rows`` is consumed as it is written, so a generator's
+    file as it was; a ``path`` that is a directory is refused before any row
+    is read. ``rows`` is consumed as it is written, so a generator's
     rows need never all be held at once.
     """
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"'{path}' is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count = 0
@@ -163,13 +166,14 @@ def build_expert(expert_id: str, params, env: EnvSpec, run_seed: int) -> Expert:
     :func:`~council.config.council_params`), by their type.
 
     Scripted experts are seeded from (run seed, expert id) so a council is
-    reproducible as a unit. Credentials for llm-backed experts stay in the
-    environment variable named by ``credential_env``; only the variable's
-    name is ever stored or logged.
+    reproducible as a unit. An llm-backed expert gets a backend of its own,
+    named by its expert id, under which ``summary.backend_usage`` reports
+    it. Its credential stays in the environment variable named by
+    ``credential_env``; only the variable's name is ever stored or logged.
     """
     if isinstance(params, LLMParams):
         backend = HTTPBackend(
-            backend_id=params.backend_id if params.backend_id is not None else expert_id,
+            backend_id=expert_id,
             endpoint=params.endpoint,
             model=params.model,
             credential_env=params.credential_env,

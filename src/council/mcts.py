@@ -18,7 +18,7 @@ is dropped with it and never shared between searches.
 One search iteration selects a leaf by the UCT rule, routes one expert to
 propose candidate actions, scores the resulting children with the dual value
 signals, and backs the frontier's value up the selection path. The search
-stops early as soon as a terminal child meets the success threshold.
+stops early as soon as a terminal child solves the task.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .trajectory import Action, EpisodeRecord, Trajectory
 from .values import Fusion, fuse_batch, llm_value, normalize, sms_value
 
 from .envs.base import Environment, TaskSpec
+
+# The terminal reward every environment pays only for a solved task.
+SOLVED_REWARD = 1.0
 
 
 @dataclass
@@ -293,8 +296,8 @@ def search(
 ) -> PlanResult:
     """Run one budgeted search episode and fold its outcome into memory.
 
-    Returns the best plan found: the first terminal node meeting the success
-    threshold if one appears, otherwise the highest-valued candidate seen.
+    Returns the best plan found: the first terminal node that solves the
+    task if one appears, otherwise the highest-valued candidate seen.
     The search only reads the council's memory; its one write is the episode
     finalization at the end, succeeded or not. ``update_memory`` false skips
     it, so concurrent searches may share the profiles. When ``trace`` is
@@ -320,7 +323,7 @@ def search(
     route_counter = 0
 
     if root.terminal:
-        if root.reward >= planner.success_threshold:
+        if root.reward >= SOLVED_REWARD:
             success_node = root
     else:
         for iteration in range(budget.iterations):
@@ -333,7 +336,7 @@ def search(
                 if leaf.terminal:
                     reward = leaf.reward
                     backpropagate(path, reward)
-                    stopped = reward >= planner.success_threshold
+                    stopped = reward >= SOLVED_REWARD
                     event.update(
                         outcome="terminal-leaf", backprop_reward=reward, success_stop=stopped
                     )
@@ -405,9 +408,7 @@ def search(
                     alpha=fusion.alpha if fusion else None,
                 )
 
-                winners = [
-                    c for c in children if c.terminal and c.reward >= planner.success_threshold
-                ]
+                winners = [c for c in children if c.terminal and c.reward >= SOLVED_REWARD]
                 if winners:
                     frontier = success_node = max(winners, key=lambda c: (c.reward, -c.node_id))
                 elif mode == "env-only":
@@ -440,7 +441,7 @@ def search(
         best = root
 
     final_reward = best.reward if best.terminal else 0.0
-    success = best.terminal and best.reward >= planner.success_threshold
+    success = best.terminal and best.reward >= SOLVED_REWARD
     record = EpisodeRecord(
         episode_id=episode.episode_id,
         task_id=task.task_id,

@@ -172,7 +172,11 @@ def _expert(role: str, **params) -> dict:
 
 def _llm(**params) -> dict:
     required = {"endpoint": "http://localhost:9", "model": "m", "credential_env": "NO_SUCH_KEY"}
-    return {"expert_id": "x", "kind": "llm-backed", "params": {**required, **params}}
+    return {"expert_id": "x", "params": {"role": "llm-backed", **required, **params}}
+
+
+# Keys of deleted settings: each must be refused as unknown, never ignored.
+REMOVED_KEYS = ("council[0].kind", "council[0].params.backend_id", "planner.success_threshold")
 
 
 @pytest.mark.parametrize(
@@ -221,21 +225,14 @@ def _llm(**params) -> dict:
             (),
             "council[1].expert_id",
         ),
-        (
-            {"council": [_llm(backend_id="z"), {**_llm(backend_id="z"), "expert_id": "y"}]},
-            (),
-            "council[1].params.backend_id",
-        ),
-        (
-            {"council": [_llm(), {**_llm(backend_id="x"), "expert_id": "y"}]},
-            (),
-            "council[1].params.backend_id",
-        ),
+        ({"council": [{**_llm(), "kind": "llm-backed"}]}, (), "council[0].kind"),
+        ({"council": [_llm(backend_id="z")]}, (), "council[0].params.backend_id"),
         (
             {"council": [_expert("synth-specialist", family="amber", eval_noise=-0.1)]},
             (),
             "council[0].params.eval_noise",
         ),
+        ({"planner": {"success_threshold": 1.0}}, (), "planner.success_threshold"),
     ],
 )
 def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, change, flags, key):
@@ -248,6 +245,17 @@ def test_a_malformed_config_value_exits_two_naming_its_key(tmp_path, capsys, cha
     source = "" if key in flagged else f"config file {config}: "
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: {source}config key '{key}': ")
+    if key in REMOVED_KEYS:
+        assert err[0].endswith(": unknown key")
+
+
+def test_the_success_threshold_flag_is_refused(tmp_path, capsys):
+    argv = run_flags(tmp_path, synth_tasks_file(tmp_path), "--env", "synth")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--success-threshold", "0"])
+    assert excinfo.value.code == 2
+    assert "--success-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_role_that_is_no_council_role_exits_two_with_the_role_message(tmp_path, capsys):
@@ -258,7 +266,7 @@ def test_a_role_that_is_no_council_role_exits_two_with_the_role_message(tmp_path
     assert code == 2
     assert err == [
         f"error: config file {config}: config key 'council[0].params.role': "
-        "must be one of ('game24-oracle', 'synth-specialist'), got 'table'"
+        "must be one of ('game24-oracle', 'synth-specialist', 'llm-backed'), got 'table'"
     ]
 
 
@@ -438,6 +446,22 @@ def test_oracle_prints_witnesses_and_a_tally(tmp_path, capsys):
     assert rows[1]["witness"] is None
 
 
+def assert_refused_directory(captured, directory):
+    """One ``error:`` line naming ``directory``, no temp name, nothing left in it."""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(directory) in err[0]
+    assert ".tmp" not in err[0]
+    assert list(directory.iterdir()) == []
+
+
+def test_oracle_refuses_a_directory_as_its_out_file(tmp_path, capsys):
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    code = main(["oracle", str(game24_tasks_file(tmp_path)), "--out", str(directory)])
+    assert code == 2
+    assert_refused_directory(capsys.readouterr(), directory)
+
+
 def test_oracle_rejects_non_game24_tasks(tmp_path, capsys):
     tasks = tmp_path / "tasks.jsonl"
     tasks.write_text(
@@ -545,6 +569,15 @@ def test_memory_commands_build_no_profile_and_embed_nothing(tmp_path, capsys, mo
         assert main(["memory", *argv]) == 0
     assert "total: " in capsys.readouterr().out
     assert dest.read_bytes() == Path(memory_path).read_bytes()
+
+
+def test_memory_save_refuses_a_directory_as_its_destination(tmp_path, capsys):
+    memory_path = memory_file_from_run(tmp_path)
+    capsys.readouterr()
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    assert main(["memory", "save", memory_path, str(directory)]) == 2
+    assert_refused_directory(capsys.readouterr(), directory)
 
 
 def test_memory_save_requires_a_destination(tmp_path, capsys):

@@ -26,7 +26,7 @@ CONFIG = {
     "seed": 3,
     "env": {"name": "synth", "params": {"depth": 2, "budget": 2}},
     "council": [
-        {"expert_id": f"{family}-specialist", "kind": "scripted",
+        {"expert_id": f"{family}-specialist",
          "params": {"role": "synth-specialist", "family": family, "eval_noise": 0.1}}
         for family in FAMILIES
     ],
@@ -37,7 +37,6 @@ CONFIG = {
         "routing_strategy": "task-aware",
         "routing_temperature": 0.5,
         "value_mode": "full",
-        "success_threshold": 1.0,
         "aggregator": None,
     },
     "memory": {"capacity": 8, "cold_start": 0.5, "shared": True,
@@ -99,15 +98,14 @@ def _mutate(data, document):
         parent[last] = data.draw(VALUES)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_a_mutated_input_exits_zero_or_two_with_one_error_line(data):
-    documents = json.loads(json.dumps({"config": CONFIG, "task": TASK, "memory": MEMORY}))
-    target = data.draw(st.sampled_from(["config", "task", "memory"]))
-    if target == "memory":
-        _mutate(data, documents["memory"][data.draw(st.integers(0, len(MEMORY) - 1))])
-    else:
-        _mutate(data, documents[target])
+def _documents() -> dict:
+    """A fresh copy of the unmutated config, task and memory documents."""
+    return json.loads(json.dumps({"config": CONFIG, "task": TASK, "memory": MEMORY}))
+
+
+def _run(documents) -> tuple[int, list[str]]:
+    """``council run`` over the documents in a scratch directory: its exit
+    status and its error lines."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -123,7 +121,23 @@ def test_a_mutated_input_exits_zero_or_two_with_one_error_line(data):
                 code = main(["run", "--config", "config.json"])
         finally:
             os.chdir(home)
-    lines = err.getvalue().splitlines()
+    return code, err.getvalue().splitlines()
+
+
+def test_the_unmutated_documents_run_to_exit_zero():
+    assert _run(_documents()) == (0, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_input_exits_zero_or_two_with_one_error_line(data):
+    documents = _documents()
+    target = data.draw(st.sampled_from(["config", "task", "memory"]))
+    if target == "memory":
+        _mutate(data, documents["memory"][data.draw(st.integers(0, len(MEMORY) - 1))])
+    else:
+        _mutate(data, documents[target])
+    code, lines = _run(documents)
     assert code == 0 or (code == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (
         code, lines
     )

@@ -9,10 +9,10 @@ import pytest
 from council.config import (
     ROUTING_STRATEGIES,
     VALUE_MODES,
-    RunConfig,
+    LLMParams,
     config_from_dict,
+    council_params,
     load_config,
-    validate_config,
 )
 
 
@@ -25,7 +25,6 @@ def test_defaults_are_sensible():
     assert config.planner.budget.max_depth == 12
     assert config.planner.routing_strategy == "task-aware"
     assert config.planner.value_mode == "full"
-    assert config.planner.success_threshold == 1.0
     assert config.memory.capacity == 512
     assert config.memory.shared is True
     assert config.workers == 1
@@ -48,12 +47,15 @@ def test_unknown_top_level_key_is_named():
 
 def llm_entry(expert_id: str, **params) -> dict:
     required = {"endpoint": "http://localhost:9", "model": "m", "credential_env": "NO_SUCH_KEY"}
-    return {"expert_id": expert_id, "kind": "llm-backed", "params": {**required, **params}}
+    return {"expert_id": expert_id, "params": {"role": "llm-backed", **required, **params}}
 
 
-def test_distinct_backend_ids_are_accepted():
-    council = [llm_entry("a"), llm_entry("b"), llm_entry("c", backend_id="shared")]
-    assert len(config_from_dict({"seed": 1, "council": council}).council) == 3
+def test_llm_backed_entries_read_into_llm_params():
+    config = config_from_dict({"seed": 1, "council": [llm_entry("a"), llm_entry("b", model="n")]})
+    assert council_params(config) == [
+        LLMParams(endpoint="http://localhost:9", model=model, credential_env="NO_SUCH_KEY")
+        for model in ("m", "n")
+    ]
 
 
 def test_unknown_nested_keys_carry_their_path():
@@ -84,20 +86,8 @@ def test_unknown_nested_keys_carry_their_path():
         ({"workers": 0}, "workers"),
         ({"embedding_dim": 0}, "embedding_dim"),
         ({"council": [{"expert_id": ""}]}, "council[0].expert_id"),
-        ({"council": [{"expert_id": "a", "kind": "psychic"}]}, "council[0].kind"),
+        ({"council": [llm_entry("a", concurrency=0)]}, "council[0].params.concurrency"),
         ({"memory": {"shared": False, "save_path": "m.jsonl"}}, "memory.save_path"),
-        (
-            {"council": [llm_entry("a", backend_id="z"), llm_entry("b", backend_id="z")]},
-            "council[1].params.backend_id",
-        ),
-        (
-            {"council": [llm_entry("a"), llm_entry("b", backend_id="a")]},
-            "council[1].params.backend_id",
-        ),
-        (
-            {"council": [llm_entry("a", backend_id="b"), llm_entry("b")]},
-            "council[1].params.backend_id",
-        ),
     ],
 )
 def test_out_of_range_values_name_the_offending_key(overrides, key):
@@ -114,7 +104,7 @@ def test_out_of_range_values_name_the_offending_key(overrides, key):
         ({"workers": 1.0}, "workers"),
         ({"planner": {"exploration": "1"}}, "planner.exploration"),
         ({"planner": {"exploration": float("nan")}}, "planner.exploration"),
-        ({"planner": {"success_threshold": float("inf")}}, "planner.success_threshold"),
+        ({"planner": {"routing_temperature": float("inf")}}, "planner.routing_temperature"),
         ({"memory": {"shared": 1}}, "memory.shared"),
         ({"memory": {"save_path": 3}}, "memory.save_path"),
         ({"council": {"expert_id": "a"}}, "council"),
@@ -124,7 +114,7 @@ def test_out_of_range_values_name_the_offending_key(overrides, key):
                                                      "eval_noise": "0.1"}}]},
          "council[0].params.eval_noise"),
         ({"council": [{"expert_id": "a", "params": {"role": ["table"]}}]}, "council[0].params.role"),
-        ({"council": [{"expert_id": "a", "kind": "llm-backed", "params": {"model": "m"}}]},
+        ({"council": [{"expert_id": "a", "params": {"role": "llm-backed", "model": "m"}}]},
          "council[0].params.endpoint"),
     ],
 )
@@ -155,11 +145,6 @@ def test_parallel_workers_require_unshared_memory():
     assert "memory.shared" in str(excinfo.value)
     config = config_from_dict({"seed": 1, "workers": 2, "memory": {"shared": False}})
     assert config.workers == 2
-
-
-def test_validate_returns_the_same_object():
-    config = RunConfig(seed=3)
-    assert validate_config(config) is config
 
 
 def test_round_trip_through_asdict():

@@ -210,8 +210,8 @@ def test_build_expert_rejects_unknown_roles():
 
 
 def test_llm_expert_spec_requires_backend_keys():
-    params = {"endpoint": "https://e", "model": "m"}
-    entry = {"expert_id": "x", "kind": "llm-backed", "params": params}
+    params = {"role": "llm-backed", "endpoint": "https://e", "model": "m"}
+    entry = {"expert_id": "x", "params": params}
     with pytest.raises(ConfigKeyError) as excinfo:
         config_from_dict({"seed": 1, "council": [entry]})
     assert excinfo.value.key == "council[0].params.credential_env"
@@ -222,6 +222,7 @@ def test_llm_expert_spec_builds_without_touching_credentials():
     expert = build_expert("x", params, EnvSpec(), 1)
     assert isinstance(expert, LLMExpert)
     assert expert.backend.credential_env == "UNSET_KEY_VAR"
+    assert expert.backend.backend_id == "x"
 
 
 def test_build_experts_requires_experts():
