@@ -44,6 +44,7 @@ from .harness import (
     METRICS_FILENAME,
     TRACE_FILENAME,
     ablation_table,
+    check_destination,
     check_tasks,
     dump_json,
     read_memory,
@@ -166,6 +167,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.out:
+        check_destination(args.out)
     tasks = read_tasks(args.tasks)
     env = Game24Env()
     rows: list[dict] = []
@@ -207,6 +210,8 @@ def cmd_memory(args: argparse.Namespace) -> int:
         raise ValueError("memory save needs a destination path")
     if args.action != "save" and args.dest is not None:
         raise ValueError(f"memory {args.action} takes no destination path; only save does")
+    if args.action == "save":
+        check_destination(args.dest)
     # Each expert's checked segments; no command here builds or scans an index.
     memory = read_memory(args.path)
     if args.action == "load":

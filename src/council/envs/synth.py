@@ -33,6 +33,9 @@ DEFAULT_FAMILIES = ("amber", "basalt", "cedar")
 
 _SUFFIX_LETTERS = "abcdefghijklmnopqrstuvwx"
 _LETTERS_PER_FAMILY = 8
+# parse_view keeps this many recent views, more than one search tree holds
+# distinct observations.
+_VIEWS_KEPT = 256
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,12 @@ class SynthView:
     failed: bool
 
 
+@lru_cache(maxsize=_VIEWS_KEPT)
 def parse_view(observation_text: str, config: SynthConfig | None = None) -> SynthView | None:
+    """The view an observation text shows, or None for a text no synth
+    observation of ``config``'s families has. A scripted expert parses a
+    child's text once to judge it and again to expand it, so recent views
+    are kept; a view is frozen, so callers may share it."""
     cfg = config if config is not None else SynthConfig()
     m = re.match(
         r"^\[([a-z]+)#([a-z]+)\] (go|ok|no|bad|win|lose)"

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .config import (
     ROUTING_STRATEGIES,
@@ -49,20 +49,38 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def check_destination(path: str | Path) -> Path:
+    """Make sure a file can be written at ``path``, before any work whose
+    result goes there: ``path`` must not be a directory, and the nearest of
+    its parents that exists must be one, below which the missing ones are
+    made. A failure raises ValueError naming ``path`` and what is wrong with
+    it. Returns ``path`` as a Path."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"cannot write '{path}': it is a directory")
+    parent = next(parent for parent in path.parents if parent.exists())
+    if not parent.is_dir():
+        raise ValueError(f"cannot write '{path}': '{parent}' is not a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write '{path}': cannot make directory '{path.parent}': {exc.strerror}"
+        ) from None
+    return path
+
+
 def write_jsonl(path: str | Path, rows: Iterable) -> int:
     """Write one canonical JSON line per row, atomically; returns the line
     count.
 
     The lines go to a temp file beside ``path`` that replaces it only once
     every row is written, so a failed or interrupted write leaves any earlier
-    file as it was; a ``path`` that is a directory is refused before any row
-    is read. ``rows`` is consumed as it is written, so a generator's
-    rows need never all be held at once.
+    file as it was; a ``path`` that :func:`check_destination` refuses is
+    refused before any row is read. ``rows`` is consumed as it is written,
+    so a generator's rows need never all be held at once.
     """
-    path = Path(path)
-    if path.is_dir():
-        raise IsADirectoryError(f"'{path}' is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = check_destination(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count = 0
     try:
@@ -148,11 +166,15 @@ def load_memory(
     embedder: TrigramEmbedder | None = None,
     capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
+    expert_ids: Collection[str] | None = None,
 ) -> dict:
-    """Rebuild profiles from a memory file; a bad line is reported by number
-    and key."""
+    """Rebuild profiles from a memory file; a bad line, or given
+    ``expert_ids`` a line of any other expert, is reported by number and
+    key before any segment is embedded."""
     return _read_jsonl(
-        path, "memory", lambda records: restore_profiles(records, embedder, capacity, cold_start)
+        path,
+        "memory",
+        lambda records: restore_profiles(records, embedder, capacity, cold_start, expert_ids),
     )
 
 
@@ -355,25 +377,24 @@ def check_tasks(tasks: list[TaskSpec], env: Environment, env_name: str, source: 
             raise ValueError(f"{source}: {exc}") from None
 
 
-def _make_dir(key: str, path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigKeyError(key, f"cannot make directory '{path}': {exc.strerror}") from None
-
-
 def _check_output_paths(config: RunConfig) -> None:
     """Make sure a run can write its outputs before it runs a task:
     ``out_dir`` is made a directory if it is not one, and
-    ``memory.save_path`` must not be a directory, while its parent is made
-    one. A path that fails raises ConfigKeyError naming its key."""
+    ``memory.save_path`` must pass :func:`check_destination`. A path that
+    fails raises ConfigKeyError naming its key."""
     if config.out_dir is not None:
-        _make_dir("out_dir", Path(config.out_dir))
+        out_dir = Path(config.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigKeyError(
+                "out_dir", f"cannot make directory '{out_dir}': {exc.strerror}"
+            ) from None
     if config.memory.save_path is not None:
-        save_path = Path(config.memory.save_path)
-        if save_path.is_dir():
-            raise ConfigKeyError("memory.save_path", f"'{save_path}' is a directory")
-        _make_dir("memory.save_path", save_path.parent)
+        try:
+            check_destination(config.memory.save_path)
+        except ValueError as exc:
+            raise ConfigKeyError("memory.save_path", str(exc)) from None
 
 
 def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
@@ -383,7 +404,8 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
     as one read from a file. The environment, every council check and the
     output paths are checked before any task or memory file is read. Every
     task must belong to the run's environment and carry a payload that
-    environment accepts.
+    environment accepts, and every line of a loaded memory file must name a
+    council member.
     """
     env = build_environment(config.env.name, config.env.params)
     experts = build_experts(config)
@@ -404,6 +426,7 @@ def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:
             embedder=embedder,
             capacity=config.memory.capacity,
             cold_start=config.memory.cold_start,
+            expert_ids={expert.expert_id for expert in experts},
         )
         # The file may hold more than this run's capacity; prune by the
         # rule every later prune uses before any task reads it.

@@ -9,9 +9,11 @@ replay would rebuild.
 Each node also carries its retrieval state, a :class:`~council.memory.Query`
 built once when the node is made and linked to its parent's. Routing and
 the memory value scan profiles through it: the node's whole text is
-embedded once per embedder, a repeated scan of the node at the same profile
-version is read back, and a child's scan extends its parent's, multiplying
-only the index rows its vector changes, whenever that stays exact. Scores
+embedded once, and its sparse form and its difference from its parent's
+vector are built once, however many profiles scan it; a repeated scan of
+the node at the same profile version is read back, and a child's scan
+extends its parent's, multiplying only the index rows its vector changes,
+whenever that stays exact. Scores
 are those of a full scan, bit for bit. The state lives in the tree, so it
 is dropped with it and never shared between searches.
 

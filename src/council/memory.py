@@ -14,13 +14,20 @@ while segments that keep appearing in wins approach 1. A segment nobody has
 finished an episode with yet sits at the cold-start prior. An episode's
 lookups wait in its :class:`EpisodeContext` and reach the segments only when
 :func:`finalize_episode` knows the outcome.
+
+Every lookup scans a profile through a :class:`Query`, the retrieval state
+of one search node. The query computes what depends on it alone once, on
+first use (its embedding, that vector's sparse form and norm, and its
+difference from its parent's), so a node scanned against every profile of a
+council does that work once, not once per profile.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -90,32 +97,72 @@ class _Scan(NamedTuple):
     sims: np.ndarray
 
 
+class _Terms(NamedTuple):
+    """The nonzero entries of a whole-number vector, the form a scan
+    multiplies: their buckets, their weights in float64 and in float32, and
+    the weights' ``‖·‖₁``."""
+
+    buckets: np.ndarray
+    weights: np.ndarray
+    weights32: np.ndarray
+    l1: float
+
+
+def _terms(vector: np.ndarray) -> _Terms:
+    buckets = vector.nonzero()[0]
+    weights = vector[buckets]
+    l1 = float(np.add.reduce(np.abs(weights)))
+    return _Terms(buckets, weights, weights.astype(np.float32), l1)
+
+
 class Query:
     """The retrieval state of one search node.
 
-    It holds the node's trajectory, the embedding of its serialized text
-    under each embedder it was scanned with, and for each profile it was
-    scanned against that scan's result, tagged with the profile's index
-    version. ``parent`` is the query of the node this one extends, or None.
-    A search builds one query per node, so the state lives and dies with its
-    tree and is only ever touched by that search's thread.
+    It holds the node's trajectory and, for each profile it was scanned
+    against, that scan's result, tagged with the profile's index version.
+    ``parent`` is the query of the node this one extends, or None. Whatever
+    a scan needs of the query alone is computed once, on first use, and
+    kept: the embedding of its serialized text, that vector's sparse form
+    and norm, and for a query with a parent the sparse form of its
+    difference from the parent's vector. A query holds one embedding,
+    since every profile of a run shares one embedder; a profile whose width
+    differs refuses it. A search builds one query per node, so the state
+    lives and dies with its tree and is only ever touched by that search's
+    thread.
     """
 
-    __slots__ = ("trajectory", "parent", "_vectors", "_scans")
+    __slots__ = ("trajectory", "parent", "_vector", "_sparse", "_norm", "_delta", "_scans")
 
     def __init__(self, trajectory: Trajectory, parent: Query | None = None):
         self.trajectory = trajectory
         self.parent = parent
-        self._vectors: dict[TrigramEmbedder, np.ndarray] = {}
+        self._vector: np.ndarray | None = None
+        self._sparse: _Terms | None = None
+        self._norm = 0.0
+        self._delta: _Terms | None = None
         self._scans: dict[ExpertProfile, _Scan] = {}
 
     def vector(self, embedder: TrigramEmbedder) -> np.ndarray:
-        """The embedding of the serialized trajectory under ``embedder``, computed once."""
-        vec = self._vectors.get(embedder)
-        if vec is None:
-            vec = embedder.embed(serialize_trajectory(self.trajectory))
-            self._vectors[embedder] = vec
-        return vec
+        """The embedding of the serialized trajectory, computed once, by
+        ``embedder`` on the first call."""
+        if self._vector is None:
+            self._vector = embedder.embed(serialize_trajectory(self.trajectory))
+        return self._vector
+
+    def _sparse_terms(self, embedder: TrigramEmbedder) -> _Terms:
+        """The vector's sparse form, computed once, with its norm."""
+        if self._sparse is None:
+            vector = self.vector(embedder)
+            # np.linalg.norm's own arithmetic for a float64 vector.
+            self._norm = math.sqrt(vector.dot(vector))
+            self._sparse = _terms(vector)
+        return self._sparse
+
+    def _delta_terms(self, embedder: TrigramEmbedder) -> _Terms:
+        """The sparse form of the vector minus the parent's, computed once."""
+        if self._delta is None:
+            self._delta = _terms(self.vector(embedder) - self.parent.vector(embedder))
+        return self._delta
 
 
 class ExpertProfile:
@@ -167,8 +214,10 @@ class ExpertProfile:
     multiplies only the rows where the two vectors differ and adds the
     products to the parent's dots. Every product and sum is then an integer
     below 2**24, so the scores equal a full scan bit for bit, whatever text
-    the parent holds. Any other scan is a full scan. The profile itself
-    keeps no per-query state.
+    the parent holds. Any other scan is a full scan. What a scan needs of
+    the query alone, the query computes once (see :class:`Query`), so per
+    profile a scan makes one shape check, one scalar exactness test, the
+    product and the division. The profile itself keeps no per-query state.
 
     Every method that reads the index or changes the store holds the
     profile's lock throughout, scans included, so a profile can be shared
@@ -353,34 +402,32 @@ class ExpertProfile:
         held = query._scans.get(self)
         if held is not None and held.version == self.version:
             return held.sims
-        query_vec = query.vector(self.embedder)
-        if query_vec.shape != (self._cols.shape[0],):
+        vector = query.vector(self.embedder)
+        if vector.shape != self._cols.shape[:1]:
             raise ValueError(
-                f"dimension mismatch: query {query_vec.shape} vs index {self._cols.shape[:1]}"
+                f"dimension mismatch: query {vector.shape} vs index {self._cols.shape[:1]}"
             )
+        terms = query._sparse_terms(self.embedder)
         count, dots = len(self._slots), None
-        qnorm = float(np.linalg.norm(query_vec))
-        if qnorm == 0.0:
+        if query._norm == 0.0:
             sims = np.zeros(count, dtype=np.float64)
         else:
-            buckets = np.flatnonzero(query_vec)
-            weights = query_vec[buckets]
-            exact = self._exact_in_float32(weights)
+            # Every product and partial sum of whole-number weights against
+            # the counts is then an integer below 2**24, which float32 holds.
+            exact = terms.l1 * self._peak < _FLOAT32_EXACT
             parent = query.parent
             base = parent._scans.get(self) if exact and parent is not None else None
             if base is not None and base.version == self.version and base.dots is not None:
-                delta = query_vec - parent.vector(self.embedder)
-                changed = np.flatnonzero(delta)
-                if self._exact_in_float32(delta[changed]):
-                    # Every term and sum is an integer below 2**24.
-                    step = self._product(delta[changed].astype(np.float32), changed)
-                    dots = base.dots + step
+                delta = query._delta_terms(self.embedder)
+                if delta.l1 * self._peak < _FLOAT32_EXACT:
+                    dots = base.dots + self._product(delta.weights32, delta.buckets)
             if dots is None:
                 # Float64 weights make the product widen the counts exactly.
-                dots = self._product(weights.astype(np.float32) if exact else weights, buckets)
+                weights = terms.weights32 if exact else terms.weights
+                dots = self._product(weights, terms.buckets)
             # An exact product is an integer, so widening it to divide in
             # float64 changes no bit.
-            sims = dots / (self._norms[:count] * qnorm)
+            sims = dots / (self._norms[:count] * query._norm)
             if not exact:
                 dots = None
         sims.flags.writeable = False
@@ -398,12 +445,6 @@ class ExpertProfile:
             stop = min(start + _SCAN_BLOCK, count)
             np.matmul(weights, self._cols[buckets, start:stop], out=dots[start:stop])
         return dots
-
-    def _exact_in_float32(self, weights: np.ndarray) -> bool:
-        """Whether every product and partial sum of these whole-number query
-        weights against the counts is an integer below 2**24, so float32
-        holds it exactly."""
-        return bool(np.add.reduce(np.abs(weights)) * self._peak < _FLOAT32_EXACT)
 
     def _live_scan(self, query: Query) -> np.ndarray | None:
         """The query's scan with evicted slots at -inf, or None on an empty
@@ -614,16 +655,21 @@ def segment_from_record(record: object) -> tuple[str, SMSegment]:
     return record["expert_id"], SMSegment(record["segment_id"], text, created, wins, uses)
 
 
-def read_segments(records: Iterable[object]) -> dict[str, list[SMSegment]]:
+def read_segments(
+    records: Iterable[object], expert_ids: Collection[str] | None = None
+) -> dict[str, list[SMSegment]]:
     """Check persistence records one by one and group their segments by
-    expert id, each list in record order. A malformed record, or a segment
-    id or prefix that repeats one of the same expert, raises ValueError
-    naming the key at fault as soon as that record is read."""
+    expert id, each list in record order. A malformed record, an expert id
+    outside ``expert_ids`` when it is given, or a segment id or prefix that
+    repeats one of the same expert, raises ValueError naming the key at
+    fault as soon as that record is read."""
     segments: dict[str, list[SMSegment]] = {}
     # Per expert: its segment ids, and the id of the segment holding each text.
     seen: dict[str, tuple[set[str], dict[str, str]]] = {}
     for record in records:
         expert_id, segment = segment_from_record(record)
+        if expert_ids is not None and expert_id not in expert_ids:
+            raise ValueError(f"key 'expert_id': '{expert_id}' names no council member")
         ids, texts = seen.setdefault(expert_id, (set(), {}))
         if segment.segment_id in ids:
             raise ValueError(f"key 'segment_id': repeats '{segment.segment_id}' of '{expert_id}'")
@@ -640,16 +686,17 @@ def restore_profiles(
     embedder: TrigramEmbedder | None = None,
     capacity: int = DEFAULT_CAPACITY,
     cold_start: float = DEFAULT_COLD_START,
+    expert_ids: Collection[str] | None = None,
 ) -> dict[str, ExpertProfile]:
-    """Rebuild profiles from persistence records, read by
-    :func:`read_segments`, recomputing embeddings.
+    """Rebuild profiles from persistence records, read and checked by
+    :func:`read_segments` before any is embedded, recomputing embeddings.
 
     Every record is kept, even past a profile's capacity: a run prunes what
     it loads, a copy of the file does not.
     """
     embedder = embedder if embedder is not None else TrigramEmbedder()
     profiles: dict[str, ExpertProfile] = {}
-    for expert_id, segments in read_segments(records).items():
+    for expert_id, segments in read_segments(records, expert_ids).items():
         profile = ExpertProfile(expert_id, capacity, embedder, cold_start)
         profile._restore(segments)
         profiles[expert_id] = profile

@@ -91,7 +91,7 @@ def test_every_vector_a_node_query_holds_is_embedded_inside_an_embed_span():
     rec = SpanRecorder()
     with patched(tracing(rec)):
         result = mcts.search(task, env, council, planner, random.Random(2), update_memory=False)
-    held = sum(len(node.query._vectors) for node in result.tree.nodes)
+    held = sum(node.query._vector is not None for node in result.tree.nodes)
     assert held > 1
     assert [span.name for span in rec.spans].count("embedding.embed") == held
 

@@ -580,6 +580,89 @@ def test_memory_save_refuses_a_directory_as_its_destination(tmp_path, capsys):
     assert_refused_directory(capsys.readouterr(), directory)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("work ran before its destination was checked")
+
+
+BAD_DESTINATIONS = pytest.mark.parametrize(
+    "destination, complaint",
+    [("adir", "it is a directory"), ("afile/x.jsonl", "'{tmp}/afile' is not a directory")],
+    ids=["directory", "under-a-file"],
+)
+
+
+def assert_refused_destination(tmp_path, captured, destination, complaint):
+    """One ``error:`` line naming the destination and what is wrong with it,
+    and nothing written."""
+    path = tmp_path / destination
+    assert captured.err.splitlines() == [
+        f"error: cannot write '{path}': {complaint.format(tmp=tmp_path)}"
+    ]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@BAD_DESTINATIONS
+def test_oracle_checks_its_out_file_before_it_solves_a_task(
+    tmp_path, capsys, monkeypatch, destination, complaint
+):
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(council.cli, "game24_oracle", refuse)
+    tasks = game24_tasks_file(tmp_path)
+    code = main(["oracle", str(tasks), "--out", str(tmp_path / destination)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "solvable" not in captured.out
+    assert_refused_destination(tmp_path, captured, destination, complaint)
+
+
+@BAD_DESTINATIONS
+def test_memory_save_checks_its_destination_before_it_reads_a_record(
+    tmp_path, capsys, monkeypatch, destination, complaint
+):
+    memory_path = memory_file_from_run(tmp_path)
+    capsys.readouterr()
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(council.cli, "read_memory", refuse)
+    code = main(["memory", "save", memory_path, str(tmp_path / destination)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_refused_destination(tmp_path, captured, destination, complaint)
+
+
+@pytest.mark.parametrize("renamed", ["every", "last"])
+def test_a_memory_file_naming_no_council_member_exits_two_before_any_segment_is_counted(
+    tmp_path, capsys, monkeypatch, renamed
+):
+    tasks = tmp_path / "synth-tasks.jsonl"
+    write_tasks(tasks, make_synth_tasks(6, seed=3))
+    synth_run = ["run", "--seed", "1", "--env", "synth", "--tasks", str(tasks)]
+    memory_path = tmp_path / "memory.jsonl"
+    assert main([*synth_run, "--memory-save", str(memory_path)]) == 0
+    records = [json.loads(line) for line in memory_path.read_text(encoding="utf-8").splitlines()]
+    assert len(records) > 1
+    first = 1 if renamed == "every" else len(records)
+    for lineno, record in enumerate(records, start=1):
+        if lineno >= first:
+            record["expert_id"] = "ghost"
+    ghost = tmp_path / "ghost.jsonl"
+    write_jsonl(ghost, records)
+    capsys.readouterr()
+    monkeypatch.setattr(TrigramEmbedder, "count_block", refuse)
+    monkeypatch.setattr(council.harness, "search", refuse)
+    saved = tmp_path / "saved.jsonl"
+    code = main([*synth_run, "--memory-load", str(ghost), "--memory-save", str(saved)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: memory file {ghost}: line {first}: key 'expert_id': "
+        "'ghost' names no council member"
+    ]
+    assert not saved.exists()
+
+
 def test_memory_save_requires_a_destination(tmp_path, capsys):
     memory_path = memory_file_from_run(tmp_path)
     capsys.readouterr()

@@ -13,7 +13,8 @@ from council.config import PlannerConfig, SearchBudget
 from council.embedding import TrigramEmbedder
 from council.envs.base import Environment, TaskSpec
 from council.envs.game24 import Game24Env
-from council.envs.synth import SynthConfig, SynthEnv
+from council import experts
+from council.envs.synth import SynthConfig, SynthEnv, parse_view
 from council.errors import ExpertUnavailableError
 from council.experts import (
     Council,
@@ -526,6 +527,23 @@ def test_each_scanned_node_embeds_its_whole_text_once(monkeypatch):
     assert sorted(embedded) == sorted(serialize_trajectory(node.prefix) for node in scanned)
     embedder = council.profile("cedar-specialist").embedder
     for node in scanned:
-        assert list(node.query._vectors) == [embedder]
         full = original(embedder, serialize_trajectory(node.prefix))
-        assert np.array_equal(node.query._vectors[embedder], full)
+        assert node.query._vector.dtype == full.dtype
+        assert np.array_equal(node.query._vector, full)
+
+
+def test_a_synth_search_parses_each_distinct_observation_once(monkeypatch):
+    cfg = SynthConfig(depth=3, budget=3)
+    asked = []
+
+    def parse(text, config=None):
+        asked.append((text, config))
+        return parse_view(text, config)
+
+    monkeypatch.setattr(experts, "parse_view", parse)
+    parse_view.cache_clear()
+    council = synth_council(cfg, "amber", "basalt", "cedar")
+    search(synth_task("basalt", 5), SynthEnv(cfg), council, planner(), random.Random(5))
+    # The specialists ask for some texts more than once; each is parsed once.
+    assert len(asked) > len(set(asked))
+    assert parse_view.cache_info().misses == len(set(asked))

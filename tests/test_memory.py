@@ -15,6 +15,7 @@ from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
 from council.envs.synth import SynthConfig, SynthEnv
 from council.errors import InvalidStateError
+from council import memory
 from council.experts import Council, SynthSpecialistExpert
 from council.mcts import search
 from council.memory import (
@@ -272,10 +273,14 @@ def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
     in_float32 = (matrix.astype(np.float32) @ query.astype(np.float32)).astype(np.float64)
     assert not np.array_equal(in_float32, matrix @ query)
     assert profile._cols.dtype == np.uint8
-    assert not profile._exact_in_float32(query)
-    # The probe embeds to ``query``: its scores and best match equal the
-    # dense float64 similarity oracle bit for bit.
-    brute_force_check(profile, [Query(PROBE)])
+    assert np.add.reduce(np.abs(query)) * profile._peak >= 2**24
+    # The probe embeds to ``query``: its scan takes the float64 path, and
+    # its scores and best match equal the dense float64 similarity oracle
+    # bit for bit.
+    probe = Query(PROBE)
+    profile.best_match(probe)
+    assert probe._scans[profile].dots is None
+    brute_force_check(profile, [probe])
 
 
 def run_of(letter: str, length: int) -> Trajectory:
@@ -620,6 +625,60 @@ def test_a_scan_against_a_stale_version_falls_back_to_a_full_scan(monkeypatch):
     assert rows[-1] == np.count_nonzero(late.vector(profile.embedder))
     brute_force_check(profile, [Query(grown)])
     assert np.array_equal(profile.match_scores(Query(grown)), late._scans[profile].sims)
+
+
+def test_a_node_scanned_by_three_profiles_builds_its_sparse_form_and_delta_once(monkeypatch):
+    embedder = TrigramEmbedder(64)
+    profiles = [ExpertProfile(f"expert-{k}", embedder=embedder) for k in range(3)]
+    for k, profile in enumerate(profiles):
+        for i in range(8):
+            profile.insert(make_trajectory([(f"stored observation {k} {i}", f"act {i % 3}")]))
+    parent = Query(make_trajectory([("stored observation 1 3", "act 0")], pending="next obs"))
+    grown = parent.trajectory.extend(Action("act 2"), Observation("after the act"))
+    child = Query(grown, parent=parent)
+    built: list[np.ndarray] = []
+    terms = memory._terms
+
+    def counted(vector):
+        built.append(vector.copy())
+        return terms(vector)
+
+    monkeypatch.setattr(memory, "_terms", counted)
+    rows = counting_products(monkeypatch)
+    for profile in profiles:
+        profile.best_match(parent)
+    assert len(built) == 1
+    for profile in profiles:
+        profile.best_match(child)
+    vector = child.vector(embedder)
+    delta = vector - parent.vector(embedder)
+    assert len(built) == 3
+    assert np.array_equal(built[1], vector) and np.array_equal(built[2], delta)
+    # Every profile took the delta path off the parent's dots.
+    assert rows[3:] == [np.count_nonzero(delta)] * 3
+    for profile in profiles:
+        brute_force_check(profile, [Query(grown)])
+
+
+@pytest.mark.parametrize("l1, exact", [(2**24 - 1, True), (2**24, False)])
+def test_the_float32_bound_sits_at_2_to_the_24(l1, exact):
+    embedder = ProbeTrigrams(4096, None)
+    profile = ExpertProfile("expert-a", embedder=embedder)
+    for text in ("stored words", "other stored words", "third entry"):
+        profile.insert(make_trajectory([(text, "act")]))
+    assert profile._peak == 1
+    # Spread l1 over the stored buckets, so that every column scores.
+    buckets = np.flatnonzero(profile._cols[:, : len(profile)].any(axis=1))
+    weights = np.full(len(buckets), l1 // len(buckets), dtype=np.float64)
+    weights[0] += l1 - weights.sum()
+    embedder.vector = np.zeros(embedder.dim)
+    embedder.vector[buckets] = weights
+    assert np.add.reduce(weights) * profile._peak == l1
+    probe = Query(PROBE)
+    profile.best_match(probe)
+    dots = probe._scans[profile].dots
+    assert (dots is not None and dots.dtype == np.float32) == exact
+    brute_force_check(profile, [probe])
 
 
 def test_node_state_is_dropped_with_the_tree_and_profiles_hold_none():
