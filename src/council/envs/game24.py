@@ -6,11 +6,10 @@ Actions are single binary operations written as "a op b = c", for example
 action shrinks the multiset by one. The episode is terminal when one number
 remains, rewarded 1.0 when that number is 24 within 1e-6.
 
-Two independent solvability checks live here. ``game24_oracle`` searches the
-same move space as the environment (recursive pair reduction) and returns a
-replayable witness. ``solvable_by_expressions`` enumerates expression shapes
-(operand permutations, operator choices, five bracketings) and never builds
-actions at all. They exist to check each other.
+``game24_oracle`` decides solvability by searching the same move space as
+the environment (recursive pair reduction) and returns a replayable witness.
+The test suite checks it against an expression enumerator whose arithmetic
+is its own, so the two share no code path.
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ def legal_actions(numbers: Sequence[float]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Solvability oracles
+# Solvability oracle
 # ---------------------------------------------------------------------------
 
 
@@ -204,37 +203,6 @@ def game24_oracle(numbers: Sequence[float]) -> tuple[bool, list[str] | None]:
     if witness is None:
         return False, None
     return True, list(witness)
-
-
-def solvable_by_expressions(numbers: Sequence[float]) -> bool:
-    """Independent solvability check via expression-shape enumeration.
-
-    Tries every operand permutation, operator triple, and the five ways of
-    bracketing four operands. Shares no code path with the recursive oracle.
-    """
-    from itertools import permutations, product
-
-    if len(numbers) != 4:
-        raise ValueError("expression enumeration is defined for exactly four numbers")
-
-    def combine(x: float | None, op: str, y: float | None) -> float | None:
-        if x is None or y is None:
-            return None
-        return _apply_op(x, op, y)
-
-    for a, b, c, d in set(permutations(numbers)):
-        for o1, o2, o3 in product("+-*/", repeat=3):
-            candidates = (
-                combine(combine(combine(a, o1, b), o2, c), o3, d),
-                combine(combine(a, o1, combine(b, o2, c)), o3, d),
-                combine(combine(a, o1, b), o2, combine(c, o3, d)),
-                combine(a, o1, combine(combine(b, o2, c), o3, d)),
-                combine(a, o1, combine(b, o2, combine(c, o3, d))),
-            )
-            for value in candidates:
-                if value is not None and abs(value - TARGET) <= MATCH_TOL:
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ the memory value scan profiles through it: the node's whole text is
 embedded once, and its sparse form and its difference from its parent's
 vector are built once, however many profiles scan it; a repeated scan of
 the node at the same profile version is read back, and a child's scan
-extends its parent's, multiplying only the index rows its vector changes,
-whenever that stays exact. Scores
-are those of a full scan, bit for bit. The state lives in the tree, so it
+extends its parent's whenever the parent holds a scan at that version,
+multiplying only the index rows its vector changes. Scores are those of a
+full scan, bit for bit. The state lives in the tree, so it
 is dropped with it and never shared between searches.
 
 One search iteration selects a leaf by the UCT rule, routes one expert to

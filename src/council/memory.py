@@ -19,7 +19,9 @@ Every lookup scans a profile through a :class:`Query`, the retrieval state
 of one search node. The query computes what depends on it alone once, on
 first use (its embedding, that vector's sparse form and norm, and its
 difference from its parent's), so a node scanned against every profile of a
-council does that work once, not once per profile.
+council does that work once, not once per profile. A scan multiplies whole
+trigram counts in unsigned integers wide enough for every dot product, so
+every similarity is exact.
 """
 
 from __future__ import annotations
@@ -45,16 +47,15 @@ from .trajectory import (
 # The defaults of every profile, memory file load and run configuration.
 DEFAULT_CAPACITY = 512
 DEFAULT_COLD_START = 0.5
-# A scan gathers and multiplies the index this many slots at a time.
-_SCAN_BLOCK = 1024
+# A scan gathers and multiplies at most this many index rows at a time, so
+# the gathered block stays small whatever the query's length.
+_SCAN_ROWS = 128
 # A restore counts and writes this many segments at a time, through one
 # count block of embedder.dim by _LOAD_BLOCK intp counts that it allocates
 # once (0.5 MB at width 1024). At 512 columns a block reaches 4 MB, the size
 # from which numpy asks for huge pages, which raised a loaded run's peak RSS
 # by about 10 MB.
 _LOAD_BLOCK = 64
-# binary32 holds every integer of magnitude up to 2**24 exactly.
-_FLOAT32_EXACT = 2**24
 # The index keeps created_at in int64. A loaded created_at stays below this,
 # which leaves room for the inserts that count on past the loaded maximum.
 _CREATED_LIMIT = 2**62
@@ -89,30 +90,34 @@ def sms_utility(segment: SMSegment, cold_start: float = DEFAULT_COLD_START) -> f
 
 class _Scan(NamedTuple):
     """One scan a query holds: the index version it read, its integer dot
-    products when they were taken on the exact path (else None), and its
-    similarities."""
+    products, and its similarities."""
 
     version: int
-    dots: np.ndarray | None
+    dots: np.ndarray
     sims: np.ndarray
 
 
 class _Terms(NamedTuple):
     """The nonzero entries of a whole-number vector, the form a scan
-    multiplies: their buckets, their weights in float64 and in float32, and
-    the weights' ``‖·‖₁``."""
+    multiplies: their buckets, their counts as int64, and ``‖·‖₁``."""
 
     buckets: np.ndarray
-    weights: np.ndarray
-    weights32: np.ndarray
-    l1: float
+    counts: np.ndarray
+    l1: int
 
 
 def _terms(vector: np.ndarray) -> _Terms:
     buckets = vector.nonzero()[0]
-    weights = vector[buckets]
-    l1 = float(np.add.reduce(np.abs(weights)))
-    return _Terms(buckets, weights, weights.astype(np.float32), l1)
+    counts = vector[buckets].astype(np.int64)
+    return _Terms(buckets, counts, int(np.abs(counts).sum()))
+
+
+def _accumulator(bound: int) -> type[np.unsignedinteger]:
+    """The narrowest of uint16, uint32 and uint64 that holds ``bound``."""
+    for dtype in (np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
 
 
 class Query:
@@ -123,8 +128,9 @@ class Query:
     ``parent`` is the query of the node this one extends, or None. Whatever
     a scan needs of the query alone is computed once, on first use, and
     kept: the embedding of its serialized text, that vector's sparse form
-    and norm, and for a query with a parent the sparse form of its
-    difference from the parent's vector. A query holds one embedding,
+    (its nonzero buckets, their integer counts and ``‖q‖₁``) and norm, and
+    for a query with a parent the sparse form of its difference from the
+    parent's vector, whose counts may be negative. A query holds one embedding,
     since every profile of a run shares one embedder; a profile whose width
     differs refuses it. A search builds one query per node, so the state
     lives and dies with its tree and is only ever touched by that search's
@@ -193,14 +199,14 @@ class ExpertProfile:
     matrix, and only then writes its columns, since numpy casts a count that
     does not fit without a warning.
 
-    A scan multiplies only the matrix rows of the query's nonzero buckets.
-    Trigram counts are whole numbers, so every product and partial sum is
-    exact and the scores equal a dense float64 product bit for bit. A query
-    whose ``‖q‖₁`` times the largest count ever written to the matrix is
-    below 2**24 is multiplied in float32 (float64 once the matrix is uint32),
-    where every product and partial sum is then an integer below 2**24; any
-    other query accumulates the same columns in float64. Norms and the
-    division are always float64.
+    A scan multiplies only the matrix rows of the query's nonzero buckets,
+    at most ``_SCAN_ROWS`` rows at a time, in integers. Its accumulator is
+    the narrowest of uint16, uint32 and uint64 that holds the query's
+    ``‖q‖₁`` times the largest count ever written to the matrix, a bound on
+    every dot product, so no dot wraps (uint64 holds it for any two texts
+    below 4 GB). The dots are converted to float64 only to divide by the
+    norms, and every dot below 2**53 converts exactly, so the scores equal
+    a dense float64 product bit for bit.
 
     Anything that moves or adds a slot (an insert, a restore, a prune that
     evicts, a compaction) bumps the profile's ``version``; credits change
@@ -208,16 +214,17 @@ class ExpertProfile:
     ``exemplar``, ``match_scores``) takes a :class:`Query`, the retrieval
     state a search node holds. A scan leaves its result on the query,
     tagged with the version, and a repeated scan at that version reads it
-    back. When the query's parent holds dots for this profile at the current
-    version, taken on the exact path, and both the query's counts
-    and their difference from the parent's pass the same bound, the scan
-    multiplies only the rows where the two vectors differ and adds the
-    products to the parent's dots. Every product and sum is then an integer
-    below 2**24, so the scores equal a full scan bit for bit, whatever text
-    the parent holds. Any other scan is a full scan. What a scan needs of
-    the query alone, the query computes once (see :class:`Query`), so per
-    profile a scan makes one shape check, one scalar exactness test, the
-    product and the division. The profile itself keeps no per-query state.
+    back. When the query's parent holds a scan of this profile at the
+    current version, the scan multiplies only the rows where the two
+    vectors differ and adds the products to the parent's dots, in the
+    query's own accumulator. That sum is taken modulo the accumulator's
+    range, 2**k, and the query's true dots lie in [0, 2**k), so a delta
+    with negative counts, or parent dots held in a wider type, still give
+    the scores of a full scan bit for bit, whatever text the parent holds.
+    Any other scan is a full scan. What a scan needs of the query alone,
+    the query computes once (see :class:`Query`), so per profile a scan
+    makes one shape check, picks its accumulator, and takes the product
+    and the division. The profile itself keeps no per-query state.
 
     Every method that reads the index or changes the store holds the
     profile's lock throughout, scans included, so a profile can be shared
@@ -396,9 +403,9 @@ class ExpertProfile:
         """Cosine similarity of the query against every slot, dead ones
         included, as a read-only array, which the query keeps. A scan
         the query holds at this version is read back; a query whose parent
-        holds exact dots at this version multiplies only the rows where the
-        two vectors differ, when that stays exact; any other scan is a full
-        scan. The lock is held."""
+        holds a scan at this version adds the rows where the two vectors
+        differ to the parent's dots; any other scan is a full scan. The lock
+        is held."""
         held = query._scans.get(self)
         if held is not None and held.version == self.version:
             return held.sims
@@ -408,42 +415,34 @@ class ExpertProfile:
                 f"dimension mismatch: query {vector.shape} vs index {self._cols.shape[:1]}"
             )
         terms = query._sparse_terms(self.embedder)
-        count, dots = len(self._slots), None
+        acc = _accumulator(terms.l1 * self._peak)
+        count = len(self._slots)
+        parent = query.parent
+        base = parent._scans.get(self) if parent is not None else None
+        if base is not None and base.version == self.version:
+            # astype wraps the parent's dots modulo 2**k, as the sum does.
+            dots = self._product(query._delta_terms(self.embedder), base.dots.astype(acc))
+        else:
+            dots = self._product(terms, np.zeros(count, dtype=acc))
         if query._norm == 0.0:
             sims = np.zeros(count, dtype=np.float64)
         else:
-            # Every product and partial sum of whole-number weights against
-            # the counts is then an integer below 2**24, which float32 holds.
-            exact = terms.l1 * self._peak < _FLOAT32_EXACT
-            parent = query.parent
-            base = parent._scans.get(self) if exact and parent is not None else None
-            if base is not None and base.version == self.version and base.dots is not None:
-                delta = query._delta_terms(self.embedder)
-                if delta.l1 * self._peak < _FLOAT32_EXACT:
-                    dots = base.dots + self._product(delta.weights32, delta.buckets)
-            if dots is None:
-                # Float64 weights make the product widen the counts exactly.
-                weights = terms.weights32 if exact else terms.weights
-                dots = self._product(weights, terms.buckets)
-            # An exact product is an integer, so widening it to divide in
-            # float64 changes no bit.
             sims = dots / (self._norms[:count] * query._norm)
-            if not exact:
-                dots = None
         sims.flags.writeable = False
         query._scans[self] = _Scan(self.version, dots, sims)
         return sims
 
-    def _product(self, weights: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """``weights`` times the matrix rows ``buckets``, for every slot. The
-        lock is held."""
-        count = len(self._slots)
-        dots = np.empty(count, dtype=np.result_type(weights, self._cols))
-        # Block by block, so each gathered block is still in cache when it
-        # is multiplied.
-        for start in range(0, count, _SCAN_BLOCK):
-            stop = min(start + _SCAN_BLOCK, count)
-            np.matmul(weights, self._cols[buckets, start:stop], out=dots[start:stop])
+    def _product(self, terms: _Terms, dots: np.ndarray) -> np.ndarray:
+        """Add the counts of ``terms`` times their matrix rows to ``dots``,
+        one entry per slot, in the unsigned dtype of ``dots`` and so modulo
+        its range, and return ``dots``. The lock is held."""
+        acc = dots.dtype
+        # A negative count wraps to its residue modulo 2**k.
+        counts = terms.counts.astype(acc)
+        for start in range(0, len(counts), _SCAN_ROWS):
+            stop = start + _SCAN_ROWS
+            rows = self._cols[terms.buckets[start:stop], : len(dots)]
+            dots += np.einsum("i,ij->j", counts[start:stop], rows, dtype=acc, casting="unsafe")
         return dots
 
     def _live_scan(self, query: Query) -> np.ndarray | None:
@@ -502,6 +501,10 @@ class ExpertProfile:
             if excess <= 0:
                 return []
             live = np.flatnonzero(self._live[: len(self._slots)])
+            # The first excess of the full order all have a utility at or
+            # below the excess-th smallest, so only those slots are ranked.
+            util = self._util[live]
+            live = live[util <= np.partition(util, excess - 1)[excess - 1]]
             # lexsort is stable and sorts by its last key first.
             ranked = live[np.lexsort((self._created[live], self._util[live]))[:excess]]
             victims = []

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import re
+from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +44,45 @@ def similarity(a: np.ndarray, b: np.ndarray) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def solvable_by_expressions(numbers: Sequence[float]) -> bool:
+    """Whether some expression over exactly four numbers comes within 1e-6
+    of 24: every operand order, operator triple and one of the five ways of
+    bracketing four operands. The independent check of ``game24_oracle``:
+    its arithmetic is its own, so the two share no code path. A division by
+    (near) zero or a result that overflows gives no value, as it is no move
+    in the game."""
+    if len(numbers) != 4:
+        raise ValueError("expression enumeration is defined for exactly four numbers")
+
+    def combine(x: float | None, op: str, y: float | None) -> float | None:
+        if x is None or y is None:
+            return None
+        if op == "+":
+            value = x + y
+        elif op == "-":
+            value = x - y
+        elif op == "*":
+            value = x * y
+        elif abs(y) < 1e-9:
+            return None
+        else:
+            value = x / y
+        return value if math.isfinite(value) else None
+
+    for a, b, c, d in set(permutations(numbers)):
+        for o1, o2, o3 in product("+-*/", repeat=3):
+            candidates = (
+                combine(combine(combine(a, o1, b), o2, c), o3, d),
+                combine(combine(a, o1, combine(b, o2, c)), o3, d),
+                combine(combine(a, o1, b), o2, combine(c, o3, d)),
+                combine(a, o1, combine(combine(b, o2, c), o3, d)),
+                combine(a, o1, combine(b, o2, combine(c, o3, d))),
+            )
+            if any(value is not None and abs(value - 24.0) <= 1e-6 for value in candidates):
+                return True
+    return False
 
 
 def sample_index(prompt: str) -> int:

@@ -23,12 +23,7 @@ import pytest
 from council.config import EnvSpec, ExpertSpec, PlannerConfig, RunConfig, SearchBudget
 from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
-from council.envs.game24 import (
-    Game24Env,
-    game24_oracle,
-    make_game24_tasks,
-    solvable_by_expressions,
-)
+from council.envs.game24 import Game24Env, game24_oracle, make_game24_tasks
 from council.envs.synth import DEFAULT_FAMILIES, make_synth_tasks
 from council.experts import Council
 from council.harness import run
@@ -38,7 +33,7 @@ from council.routing import route, routing_distribution
 from council.trajectory import Trajectory, serialize_trajectory
 from council.values import fuse_batch, fusion_weight
 
-from conftest import FixedExpert, make_trajectory, record_history
+from conftest import FixedExpert, make_trajectory, record_history, solvable_by_expressions
 
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
 SYNTH_TASKS = 300

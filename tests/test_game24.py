@@ -15,9 +15,10 @@ from council.envs.game24 import (
     legal_actions,
     make_game24_tasks,
     parse_numbers,
-    solvable_by_expressions,
 )
 from council.errors import InvalidStateError
+
+from conftest import solvable_by_expressions
 
 
 def test_final_combine_is_terminal_and_scored():
@@ -177,6 +178,14 @@ def test_enumeration_agreement_on_sampled_instances(combo):
 def test_expression_enumeration_needs_exactly_four_numbers():
     with pytest.raises(ValueError):
         solvable_by_expressions((1.0, 2.0, 3.0))
+
+
+def test_the_expression_check_shares_no_arithmetic_with_the_environment(monkeypatch):
+    # With the environment's arithmetic gone, the oracle finds no move at
+    # all, and the independent check still solves 1*2*3*4.
+    monkeypatch.setattr("council.envs.game24._apply_op", lambda a, op, b: None)
+    assert solvable_by_expressions((1.0, 2.0, 3.0, 4.0))
+    assert legal_actions((1.0, 2.0, 3.0, 4.0)) == []
 
 
 # -- environment wrapper ------------------------------------------------------------

@@ -20,6 +20,7 @@ from council.experts import Council, SynthSpecialistExpert
 from council.mcts import search
 from council.memory import (
     _LOAD_BLOCK,
+    _SCAN_ROWS,
     EpisodeContext,
     ExpertProfile,
     Query,
@@ -265,7 +266,7 @@ def test_index_matches_a_brute_force_scan_after_every_step(capacity, steps):
         pytest.param(3_000_001.0 + 2.0 * np.arange(16), id="past-float32-range"),
     ],
 )
-def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
+def test_a_query_float32_cannot_hold_is_accumulated_in_a_wide_integer(query):
     profile = ExpertProfile("expert-a", embedder=ProbeTrigrams(16, query))
     for i in range(40):
         profile.insert(make_trajectory([(f"aaaaaaaa observation {i * 13}", f"act {i % 7}")]))
@@ -274,12 +275,12 @@ def test_a_query_float32_cannot_hold_is_accumulated_in_float64(query):
     assert not np.array_equal(in_float32, matrix @ query)
     assert profile._cols.dtype == np.uint8
     assert np.add.reduce(np.abs(query)) * profile._peak >= 2**24
-    # The probe embeds to ``query``: its scan takes the float64 path, and
-    # its scores and best match equal the dense float64 similarity oracle
-    # bit for bit.
+    # The probe embeds to ``query``: its integer dots need more than 16
+    # bits, and its scores and best match equal the dense float64
+    # similarity oracle bit for bit.
     probe = Query(PROBE)
     profile.best_match(probe)
-    assert probe._scans[profile].dots is None
+    assert probe._scans[profile].dots.dtype in (np.uint32, np.uint64)
     brute_force_check(profile, [probe])
 
 
@@ -593,9 +594,9 @@ def counting_products(monkeypatch) -> list[int]:
     rows: list[int] = []
     product = ExpertProfile._product
 
-    def counted(profile, weights, buckets):
-        rows.append(len(buckets))
-        return product(profile, weights, buckets)
+    def counted(profile, terms, dots):
+        rows.append(len(terms.buckets))
+        return product(profile, terms, dots)
 
     monkeypatch.setattr(ExpertProfile, "_product", counted)
     return rows
@@ -660,8 +661,16 @@ def test_a_node_scanned_by_three_profiles_builds_its_sparse_form_and_delta_once(
         brute_force_check(profile, [Query(grown)])
 
 
-@pytest.mark.parametrize("l1, exact", [(2**24 - 1, True), (2**24, False)])
-def test_the_float32_bound_sits_at_2_to_the_24(l1, exact):
+@pytest.mark.parametrize(
+    "l1, dtype",
+    [
+        (2**16 - 1, "uint16"),
+        (2**16, "uint32"),
+        (2**32 - 1, "uint32"),
+        (2**32, "uint64"),
+    ],
+)
+def test_the_accumulator_widens_past_2_to_the_16_and_2_to_the_32(l1, dtype):
     embedder = ProbeTrigrams(4096, None)
     profile = ExpertProfile("expert-a", embedder=embedder)
     for text in ("stored words", "other stored words", "third entry"):
@@ -676,9 +685,71 @@ def test_the_float32_bound_sits_at_2_to_the_24(l1, exact):
     assert np.add.reduce(weights) * profile._peak == l1
     probe = Query(PROBE)
     profile.best_match(probe)
-    dots = probe._scans[profile].dots
-    assert (dots is not None and dots.dtype == np.float32) == exact
+    assert probe._scans[profile].dots.dtype == dtype
     brute_force_check(profile, [probe])
+
+
+def scanned_through_a_parent(profile: ExpertProfile, parent: Query, child: Query, monkeypatch):
+    """Scan the parent, then the child off the parent's dots, and check that
+    the child multiplied only its delta's rows and that its scores equal a
+    fresh full scan and the dense oracle bit for bit."""
+    profile.best_match(parent)
+    rows = counting_products(monkeypatch)
+    profile.best_match(child)
+    delta = child.vector(profile.embedder) - parent.vector(profile.embedder)
+    assert rows == [np.count_nonzero(delta)]
+    fresh = Query(child.trajectory)
+    assert np.array_equal(profile.match_scores(fresh), child._scans[profile].sims)
+    assert np.array_equal(fresh._scans[profile].dots, child._scans[profile].dots)
+    brute_force_check(profile, [fresh])
+
+
+@pytest.mark.parametrize("length, dtype", [(0, "uint16"), (300, "uint32")])
+def test_a_child_off_a_parent_it_does_not_extend_equals_a_full_scan(length, dtype, monkeypatch):
+    profile = fresh_profile()
+    for i in range(10):
+        profile.insert(make_trajectory([(f"stored observation {i} {'a' * length}", f"act {i}")]))
+    parent = Query(make_trajectory([(f"the parent's own words {'a' * length}", "its act")]))
+    child = Query(make_trajectory([(f"a child with other text {'a' * length}", "act 3")]), parent)
+    delta = child.vector(profile.embedder) - parent.vector(profile.embedder)
+    assert delta.min() < 0
+    scanned_through_a_parent(profile, parent, child, monkeypatch)
+    assert parent._scans[profile].dots.dtype == child._scans[profile].dots.dtype == dtype
+
+
+def test_a_child_narrows_its_parents_wider_dots(monkeypatch):
+    profile = fresh_profile()
+    profile.insert(make_trajectory([("a" * 300, "act")]))
+    for i in range(10):
+        profile.insert(make_trajectory([(f"stored observation {i}", f"act {i}")]))
+    parent = Query(make_trajectory([("a" * 300, "act")], pending="stored observation 4"))
+    child = Query(make_trajectory([("stored observation 4", "act 4")]), parent)
+    scanned_through_a_parent(profile, parent, child, monkeypatch)
+    assert parent._scans[profile].dots.dtype == np.uint32
+    assert child._scans[profile].dots.dtype == np.uint16
+
+
+def test_no_gather_takes_more_than_the_scan_rows(monkeypatch):
+    profile = ExpertProfile("expert-a", embedder=TrigramEmbedder(1024))
+    for i in range(20):
+        profile.insert(make_trajectory([(f"stored observation {i * 31}", f"act {i}")]))
+    words = " ".join(f"word{i * 7919 % 1000}" for i in range(120))
+    query = Query(make_trajectory([(words, "act")]))
+    gathered: list[int] = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if subscripts == "i,ij->j":
+            gathered.append(operands[1].shape[0])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    profile.best_match(query)
+    nonzero = np.count_nonzero(query.vector(profile.embedder))
+    assert nonzero > 2 * _SCAN_ROWS
+    assert max(gathered) <= _SCAN_ROWS
+    assert sum(gathered) == nonzero
+    brute_force_check(profile, [Query(query.trajectory)])
 
 
 def test_node_state_is_dropped_with_the_tree_and_profiles_hold_none():
