@@ -48,7 +48,7 @@ def similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def solvable_by_expressions(numbers: Sequence[float]) -> bool:
     """Whether some expression over exactly four numbers comes within 1e-6
-    of 24: every operand order, operator triple and one of the five ways of
+    of 24, trying every operand order, operator triple and way of
     bracketing four operands. The independent check of ``game24_oracle``:
     its arithmetic is its own, so the two share no code path. A division by
     (near) zero or a result that overflows gives no value, as it is no move
