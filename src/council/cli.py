@@ -2,8 +2,8 @@
 
 Four subcommands: ``run`` executes a task file under one configuration,
 ``ablation`` sweeps one axis of that configuration across seeds, ``oracle``
-checks a Game of 24 task file for solvability, and ``memory`` saves, loads,
-or inspects persisted success-memory files.
+checks a Game of 24 task file for solvability, and ``memory`` saves or
+inspects persisted success-memory files.
 
 Configuration layering is deliberately simple. A JSON config file supplies
 defaults and command line flags override individual keys; every scalar key
@@ -82,8 +82,6 @@ _RUN_FLAGS: tuple[tuple[str, tuple[str, ...], dict], ...] = (
      {"type": float, "help": "softmax temperature for routing"}),
     ("--value-mode", ("planner", "value_mode"), {"choices": VALUE_MODES}),
     ("--exploration", ("planner", "exploration"), {"type": float, "help": "UCT exploration constant"}),
-    ("--aggregator", ("planner", "aggregator"),
-     {"help": "expert id that merges proposals under collaborative routing"}),
     ("--iterations", ("planner", "budget", "iterations"),
      {"type": int, "help": "search iterations per task"}),
     ("--expansion-width", ("planner", "budget", "expansion_width"),
@@ -189,40 +187,29 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _memory_summary(memory: dict) -> list[str]:
-    """One line per expert, then the total; every expert read has a segment."""
-    lines = []
-    for expert_id in sorted(memory):
-        segments = memory[expert_id]
+def cmd_memory(args: argparse.Namespace) -> int:
+    if args.action == "save":
+        if not args.dest:
+            raise ValueError("memory save needs a destination path")
+        check_destination(args.dest)
+    elif args.dest is not None:
+        raise ValueError("memory inspect takes no destination path; only save does")
+    # Each expert's checked segments; no command here builds or scans an index.
+    memory = read_memory(args.path)
+    if args.action == "save":  # canonical round-trip of an existing file to a new path
+        count = write_jsonl(args.dest, profile_records(memory))
+        print(f"wrote {count} segments to {args.dest}")
+        return 0
+    # inspect: one line per expert, then the total; every expert read has a segment
+    for expert_id, segments in sorted(memory.items()):
         mean_utility = sum(sms_utility(segment) for segment in segments) / len(segments)
         retrievals = sum(segment.uses for segment in segments)
-        lines.append(
+        print(
             f"{expert_id}: {len(segments)} segments, "
             f"mean utility {mean_utility:.3f}, {retrievals} retrievals"
         )
     total = sum(len(segments) for segments in memory.values())
-    lines.append(f"total: {total} segments across {len(memory)} experts")
-    return lines
-
-
-def cmd_memory(args: argparse.Namespace) -> int:
-    if args.action == "save" and not args.dest:
-        raise ValueError("memory save needs a destination path")
-    if args.action != "save" and args.dest is not None:
-        raise ValueError(f"memory {args.action} takes no destination path; only save does")
-    if args.action == "save":
-        check_destination(args.dest)
-    # Each expert's checked segments; no command here builds or scans an index.
-    memory = read_memory(args.path)
-    if args.action == "load":
-        count = sum(len(segments) for segments in memory.values())
-        print(f"loaded {count} segments from {args.path}")
-    elif args.action == "inspect":
-        for line in _memory_summary(memory):
-            print(line)
-    else:  # save: canonical round-trip of an existing file to a new path
-        count = write_jsonl(args.dest, profile_records(memory))
-        print(f"wrote {count} segments to {args.dest}")
+    print(f"total: {total} segments across {len(memory)} experts")
     return 0
 
 
@@ -253,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_parser.set_defaults(handler=cmd_oracle)
 
     memory_parser = commands.add_parser(
-        "memory", help="save, load, or inspect a success-memory file"
+        "memory", help="save or inspect a success-memory file"
     )
-    memory_parser.add_argument("action", choices=("save", "load", "inspect"))
+    memory_parser.add_argument("action", choices=("save", "inspect"))
     memory_parser.add_argument("path", help="memory file to read")
     memory_parser.add_argument("dest", nargs="?", help="destination path (save only)")
     memory_parser.set_defaults(handler=cmd_memory)

@@ -39,7 +39,6 @@ class PlannerConfig:
     routing_strategy: str = "task-aware"
     routing_temperature: float = 0.5
     value_mode: str = "full"
-    aggregator: str | None = None
 
 
 @dataclass
@@ -238,9 +237,6 @@ def council_params(config: RunConfig) -> list:
             _require(params.family in families, f"{key}.family", message)
             _require(params.eval_noise >= 0.0, f"{key}.eval_noise", "must be non-negative")
         checked.append(params)
-    aggregator = config.planner.aggregator
-    if aggregator is not None and ids:
-        _require(aggregator in ids, "planner.aggregator", f"must be one of the expert ids {ids}")
     return checked
 
 
@@ -255,6 +251,8 @@ def read_config_file(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

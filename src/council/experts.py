@@ -30,7 +30,6 @@ from .gateway import (
     complete_all,
     compose_prompt,
     parse_score,
-    request_for,
     sample_prompt,
 )
 from .memory import DEFAULT_CAPACITY, DEFAULT_COLD_START, ExpertProfile
@@ -286,7 +285,7 @@ class LLMExpert(Expert):
     def propose(self, prefix: Trajectory, exemplar: str | None, k: int) -> list[str]:
         messages = compose_prompt(first_observation_text(prefix), prefix, exemplar, "act")
         settings = (self.act_temperature, self.max_tokens, self.timeout)
-        requests = [request_for(sample_prompt(messages, i, k), *settings) for i in range(1, k + 1)]
+        requests = [ChatRequest(sample_prompt(messages, i, k), *settings) for i in range(1, k + 1)]
         actions: list[str] = []
         for sent in complete_all([(self.backend, request) for request in requests]):
             for line in sent.result().splitlines():
@@ -298,7 +297,7 @@ class LLMExpert(Expert):
 
     def evaluate_request(self, prefix: Trajectory) -> ChatRequest:
         messages = compose_prompt(first_observation_text(prefix), prefix, None, "evaluate")
-        return request_for(messages, self.eval_temperature, self.max_tokens, self.timeout)
+        return ChatRequest(messages, self.eval_temperature, self.max_tokens, self.timeout)
 
     def plausibility(self, prefix: Trajectory) -> float:
         return parse_score(complete(self.backend, self.evaluate_request(prefix)))

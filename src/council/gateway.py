@@ -421,13 +421,5 @@ def complete_all(sends: Sequence[tuple[Backend, ChatRequest]]) -> list[Future[st
     return [first, *rest]
 
 
-def request_for(
-    messages: list[ChatMessage], temperature: float, max_tokens: int = 256, timeout: float = 60.0
-) -> ChatRequest:
-    return ChatRequest(
-        messages=messages,
-        temperature=temperature,
-        max_tokens=max_tokens,
-        timeout=timeout,
-    )
+request_for = ChatRequest  # kept for perfbench/test_perfbench.py, which imports it
 

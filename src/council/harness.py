@@ -130,9 +130,12 @@ def _task(data) -> TaskSpec:
     unknown = data.keys() - set(keys)
     if unknown:
         raise ValueError(f"unknown key '{min(unknown)}'")
-    return TaskSpec(
-        task_id=str(data["task_id"]), environment=str(data["environment"]), payload=data["payload"]
-    )
+    task_id, environment = data["task_id"], data["environment"]
+    if not isinstance(task_id, str) or task_id == "":
+        raise ValueError("key 'task_id': expected a non-empty string")
+    if not isinstance(environment, str):
+        raise ValueError("key 'environment': expected a string")
+    return TaskSpec(task_id=task_id, environment=environment, payload=data["payload"])
 
 
 def read_tasks(path: str | Path) -> list[TaskSpec]:

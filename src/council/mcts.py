@@ -221,7 +221,7 @@ def _act(
     fails, when no member remains, or when the second expert fails too.
     """
 
-    def routed(members: Council, aggregator: str | None) -> RoutingDecision:
+    def routed(members: Council) -> RoutingDecision:
         return route(
             members,
             query,
@@ -230,7 +230,6 @@ def _act(
             step_index=step_index,
             temperature=planner.routing_temperature,
             episode=episode,
-            aggregator=aggregator,
         )
 
     def proposals(decision: RoutingDecision) -> list[Action]:
@@ -239,15 +238,14 @@ def _act(
             expert, query.trajectory, decision.exemplar, planner.budget.expansion_width
         )
 
-    decision = routed(council, planner.aggregator)
+    decision = routed(council)
     try:
         return decision, proposals(decision)
     except ExpertUnavailableError:
         remaining = [e.expert_id for e in council.experts if e.expert_id != decision.chosen]
         if not remaining:
             raise
-        aggregator = planner.aggregator if planner.aggregator in remaining else None
-        decision = routed(council.subset(remaining), aggregator)
+        decision = routed(council.subset(remaining))
         return decision, proposals(decision)
 
 

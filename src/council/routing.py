@@ -12,8 +12,8 @@ estimate.
 
 The remaining strategies are baselines for ablation: uniform random,
 round-robin on a planner-owned counter, majority voting over one-shot
-proposals, and a collaborative mode where a designated aggregator member
-always acts.
+proposals, and a collaborative mode where the council's last member always
+acts.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def route(
     step_index: int = 0,
     temperature: float = 0.5,
     episode: EpisodeContext | None = None,
-    aggregator: str | None = None,
 ) -> RoutingDecision:
     """Choose the acting expert for this decision point.
 
@@ -104,9 +103,7 @@ def route(
     elif strategy == "voting":
         chosen = _voting_choice(council, query.trajectory)
     else:  # collaborative
-        chosen = aggregator if aggregator is not None else ids[-1]
-        if chosen not in council.by_id:
-            raise ValueError(f"aggregator {chosen!r} is not a council member")
+        chosen = ids[-1]
 
     profile = council.profile(chosen)
     exemplar = profile.exemplar(query)

@@ -176,7 +176,12 @@ def _llm(**params) -> dict:
 
 
 # Keys of deleted settings: each must be refused as unknown, never ignored.
-REMOVED_KEYS = ("council[0].kind", "council[0].params.backend_id", "planner.success_threshold")
+REMOVED_KEYS = (
+    "council[0].kind",
+    "council[0].params.backend_id",
+    "planner.success_threshold",
+    "planner.aggregator",
+)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +210,7 @@ REMOVED_KEYS = ("council[0].kind", "council[0].params.backend_id", "planner.succ
         ({"env": {"name": "chess"}}, (), "env.name"),
         ({"council": [_expert("synth-specialist", family="onyx")]}, (), "council[0].params.family"),
         ({"planner": {"aggregator": "ghost"}}, (), "planner.aggregator"),
-        ({}, ("--aggregator", "ghost", "--routing-strategy", "collaborative"), "planner.aggregator"),
+        ({"planner": {"aggregator": None}}, (), "planner.aggregator"),
         ({"council": [_llm(concurrency=0)]}, (), "council[0].params.concurrency"),
         ({"council": [_llm(concurrency=-1)]}, (), "council[0].params.concurrency"),
         ({"council": [_llm(max_tokens=0)]}, (), "council[0].params.max_tokens"),
@@ -255,6 +260,24 @@ def test_the_success_threshold_flag_is_refused(tmp_path, capsys):
         main([*argv, "--success-threshold", "0"])
     assert excinfo.value.code == 2
     assert "--success-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    code = main(["run", "--config", str(config), "--tasks", str(synth_tasks_file(tmp_path))])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: config file {config} is not valid UTF-8: ")
+
+
+def test_the_aggregator_flag_is_refused(tmp_path, capsys):
+    argv = run_flags(tmp_path, synth_tasks_file(tmp_path), "--env", "synth")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--routing-strategy", "collaborative", "--aggregator", "ghost"])
+    assert excinfo.value.code == 2
+    assert "--aggregator" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -313,6 +336,23 @@ def test_an_unknown_key_in_a_task_line_exits_two_naming_the_line(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert err == [f"error: tasks file {tasks}: line 1: unknown key 'priority'"]
+
+
+def test_a_task_id_that_is_no_string_exits_two_naming_the_line(tmp_path, capsys):
+    tasks = tmp_path / "tasks.jsonl"
+    lines = [
+        {"task_id": "a", "environment": "game24", "payload": [1, 2, 3, 4]},
+        {"task_id": None, "environment": "game24", "payload": [4, 4, 10, 10]},
+    ]
+    tasks.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    for argv in (run_flags(tmp_path, tasks), ["oracle", str(tasks)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: tasks file {tasks}: line 2: key 'task_id': expected a non-empty string"
+        ]
 
 
 def test_tasks_from_another_environment_exit_two(tmp_path, capsys):
@@ -511,15 +551,25 @@ def test_memory_load_and_inspect(tmp_path, capsys):
     memory_path = memory_file_from_run(tmp_path)
     capsys.readouterr()
 
-    assert main(["memory", "load", memory_path]) == 0
-    loaded = capsys.readouterr().out
-    assert "loaded" in loaded and "segments" in loaded
+    count = len(Path(memory_path).read_text(encoding="utf-8").splitlines())
+    assert count > 0
 
     assert main(["memory", "inspect", memory_path]) == 0
     inspected = capsys.readouterr().out.splitlines()
     assert any(line.startswith("solver: ") for line in inspected)
     assert "retrievals" in inspected[0]
-    assert inspected[-1].startswith("total: ")
+    assert inspected[-1] == f"total: {count} segments across 1 experts"
+
+
+def test_memory_load_is_refused(tmp_path, capsys):
+    memory_path = memory_file_from_run(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["memory", "load", memory_path])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'load'" in captured.err
 
 
 def test_memory_save_round_trips_byte_identically(tmp_path, capsys):
@@ -545,10 +595,10 @@ def test_memory_commands_keep_every_segment_past_the_default_capacity(tmp_path, 
         for i in range(600)
     ]
     write_jsonl(source, records)
-    assert main(["memory", "load", str(source)]) == 0
-    assert capsys.readouterr().out == f"loaded 600 segments from {source}\n"
     assert main(["memory", "inspect", str(source)]) == 0
-    assert capsys.readouterr().out.startswith("solver: 600 segments")
+    inspected = capsys.readouterr().out
+    assert inspected.startswith("solver: 600 segments")
+    assert inspected.endswith("\ntotal: 600 segments across 1 experts\n")
     dest = tmp_path / "copy.jsonl"
     assert main(["memory", "save", str(source), str(dest)]) == 0
     capsys.readouterr()
@@ -565,7 +615,7 @@ def test_memory_commands_build_no_profile_and_embed_nothing(tmp_path, capsys, mo
     monkeypatch.setattr(ExpertProfile, "__init__", refuse)
     monkeypatch.setattr(TrigramEmbedder, "embed", refuse)
     dest = tmp_path / "copy.jsonl"
-    for argv in (["load", memory_path], ["inspect", memory_path], ["save", memory_path, str(dest)]):
+    for argv in (["inspect", memory_path], ["save", memory_path, str(dest)]):
         assert main(["memory", *argv]) == 0
     assert "total: " in capsys.readouterr().out
     assert dest.read_bytes() == Path(memory_path).read_bytes()
@@ -671,7 +721,7 @@ def test_memory_save_requires_a_destination(tmp_path, capsys):
     assert "destination" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("action", ["load", "inspect"])
+@pytest.mark.parametrize("action", ["inspect"])
 def test_only_memory_save_takes_a_destination(tmp_path, capsys, action):
     memory_path = memory_file_from_run(tmp_path)
     capsys.readouterr()

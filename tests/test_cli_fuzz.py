@@ -37,7 +37,6 @@ CONFIG = {
         "routing_strategy": "task-aware",
         "routing_temperature": 0.5,
         "value_mode": "full",
-        "aggregator": None,
     },
     "memory": {"capacity": 8, "cold_start": 0.5, "shared": True,
                "load_path": "memory.jsonl", "save_path": None},

@@ -126,10 +126,10 @@ def test_values_of_the_wrong_type_name_the_offending_key(overrides, key):
 
 def test_integers_stand_for_floats_as_given_and_null_fills_an_optional():
     config = config_from_dict(
-        {"seed": 1, "planner": {"exploration": 2, "aggregator": None}, "memory": {"load_path": None}}
+        {"seed": 1, "planner": {"exploration": 2}, "memory": {"load_path": None, "save_path": None}}
     )
     assert config.planner.exploration == 2 and type(config.planner.exploration) is int
-    assert config.planner.aggregator is None and config.memory.load_path is None
+    assert config.memory.load_path is None and config.memory.save_path is None
 
 
 def test_strategy_and_mode_vocabularies_are_accepted():

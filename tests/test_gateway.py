@@ -495,7 +495,7 @@ def test_http_backend_sends_a_chat_completion_over_loopback(loopback):
     server = loopback()
     backend = HTTPBackend("b", server.endpoint, "some-model", "COUNCIL_TEST_KEY")
     messages = sample_prompt(compose_prompt("t", Trajectory(), None, "act"), 1, 1)
-    assert complete(backend, request_for(messages, 0.7, max_tokens=64)) == "action 1"
+    assert complete(backend, ChatRequest(messages, 0.7, max_tokens=64)) == "action 1"
     [body] = server.bodies
     assert body["model"] == "some-model"
     assert body["messages"] == [{"role": m.role, "content": m.content} for m in messages]
@@ -567,7 +567,7 @@ def stdlib_loopback(loopback, monkeypatch):
 
 def act_request(timeout: float = 10.0) -> ChatRequest:
     messages = sample_prompt(compose_prompt("t", Trajectory(), None, "act"), 1, 1)
-    return request_for(messages, 0.3, max_tokens=32, timeout=timeout)
+    return ChatRequest(messages, 0.3, max_tokens=32, timeout=timeout)
 
 
 def send_to(endpoint: str, timeout: float = 10.0) -> str:

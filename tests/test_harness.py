@@ -114,6 +114,27 @@ def test_missing_task_keys_are_reported(tmp_path):
     assert "'environment'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        ("task_id", None, "a non-empty string"),
+        ("task_id", 7, "a non-empty string"),
+        ("task_id", "", "a non-empty string"),
+        ("environment", None, "a string"),
+        ("environment", ["game24"], "a string"),
+    ],
+)
+def test_a_task_id_or_environment_that_is_no_string_is_reported(tmp_path, key, value, expected):
+    path = tmp_path / "tasks.jsonl"
+    good = {"task_id": "a", "environment": "game24", "payload": [24]}
+    path.write_text(
+        json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        read_tasks(path)
+    assert str(excinfo.value) == f"tasks file {path}: line 2: key '{key}': expected {expected}"
+
+
 def test_blank_task_lines_are_skipped(tmp_path):
     path = tmp_path / "tasks.jsonl"
     path.write_text(

@@ -295,6 +295,24 @@ def test_unavailable_expert_reroutes_to_a_healthy_member():
     assert result.episode.per_step_expert == ["amber-specialist"]
 
 
+def test_collaborative_reroutes_to_the_last_remaining_member():
+    cfg = SynthConfig(depth=1)
+    members = [SynthSpecialistExpert(f"{f}-specialist", f, cfg) for f in ("amber", "basalt")]
+    council = Council([*members, FailingExpert("dead")], embedder=TrigramEmbedder(64))
+    result = search(
+        synth_task("basalt"),
+        SynthEnv(cfg),
+        council,
+        planner(routing_strategy="collaborative"),
+        random.Random(0),
+    )
+    # The last member fails; the one re-route gives control to the last of
+    # the members that remain, not to the first.
+    assert result.success
+    assert result.iterations_used == 1
+    assert result.episode.per_step_expert == ["basalt-specialist"]
+
+
 def test_a_fully_unavailable_council_consumes_its_iterations():
     cfg = SynthConfig()
     council = Council([FailingExpert("a"), FailingExpert("b")], embedder=TrigramEmbedder(64))

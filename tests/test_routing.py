@@ -276,17 +276,3 @@ def test_collaborative_defaults_to_the_last_member():
     decision = route(council, Query(Trajectory()), "collaborative", random.Random(0))
     assert decision.chosen == "e2"
 
-
-def test_collaborative_uses_the_named_aggregator():
-    council = council_of(3)
-    decision = route(
-        council, Query(Trajectory()), "collaborative", random.Random(0), aggregator="e1"
-    )
-    assert decision.chosen == "e1"
-
-
-def test_collaborative_rejects_a_foreign_aggregator():
-    with pytest.raises(ValueError):
-        route(
-            council_of(2), Query(Trajectory()), "collaborative", random.Random(0), aggregator="ghost"
-        )
