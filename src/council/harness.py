@@ -2,9 +2,11 @@
 
 A run maps a task file through the planner and writes two artifacts into the
 output directory: ``metrics.jsonl`` (one row per task, then one summary line)
-and ``trace.jsonl`` (per-iteration search events). All output is generated
-with sorted keys and no timestamps, so a rerun with the same seed produces
-byte-identical files.
+and ``trace.jsonl`` (per-iteration search events). Each task's trace lines
+are written as the task finishes, in task order, to a temp file that is
+renamed into place after the last task, so a run holds the trace of no task
+it has finished with. All output is generated with sorted keys and no timestamps,
+so a rerun with the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import copy
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import ExitStack, suppress
+from dataclasses import asdict, dataclass
+from itertools import takewhile
 from pathlib import Path
 from random import Random
 from typing import Callable, Collection, Iterable
@@ -44,53 +48,103 @@ METRICS_FILENAME = "metrics.jsonl"
 TRACE_FILENAME = "trace.jsonl"
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def dump_json(obj) -> str:
     """Canonical one-line JSON: sorted keys, compact, strict floats."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def check_destination(path: str | Path) -> Path:
-    """Make sure a file can be written at ``path``, before any work whose
+    """Check that a file can be written at ``path``, before any work whose
     result goes there: ``path`` must not be a directory, and the nearest of
-    its parents that exists must be one, below which the missing ones are
-    made. A failure raises ValueError naming ``path`` and what is wrong with
-    it. Returns ``path`` as a Path."""
+    its parents that exists must be a writable directory. Nothing is made:
+    the missing parents are made when the file is written (see
+    :class:`LineWriter`). A failure raises ValueError naming ``path`` and
+    what is wrong with it. Returns ``path`` as a Path."""
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"cannot write '{path}': it is a directory")
     parent = next(parent for parent in path.parents if parent.exists())
     if not parent.is_dir():
         raise ValueError(f"cannot write '{path}': '{parent}' is not a directory")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(
-            f"cannot write '{path}': cannot make directory '{path.parent}': {exc.strerror}"
-        ) from None
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write '{path}': '{parent}' is not writable")
     return path
 
 
-def write_jsonl(path: str | Path, rows: Iterable) -> int:
-    """Write one canonical JSON line per row, atomically; returns the line
-    count.
+class LineWriter:
+    """One file of canonical JSON lines, written atomically.
 
-    The lines go to a temp file beside ``path`` that replaces it only once
-    every row is written, so a failed or interrupted write leaves any earlier
-    file as it was; a ``path`` that :func:`check_destination` refuses is
-    refused before any row is read. ``rows`` is consumed as it is written,
-    so a generator's rows need never all be held at once.
+    Opening checks ``path`` with :func:`check_destination`, makes its
+    missing parents and opens a temp file beside it. :meth:`commit` moves
+    the temp file onto ``path`` once every line is written. Leaving the
+    ``with`` block without a commit, by an error or otherwise, deletes the
+    temp file and the parents that opening made, so a failed or interrupted
+    write leaves the file system, and any earlier file at ``path``, as it
+    was.
     """
-    path = check_destination(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    count = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for count, row in enumerate(rows, start=1):
-                handle.write(dump_json(row) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return count
+
+    def __init__(self, path: str | Path):
+        self.path = check_destination(path)
+        self.count = 0
+        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        self._made = list(takewhile(lambda parent: not parent.exists(), self.path.parents))
+        self._handle = None
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self._tmp, "w", encoding="utf-8")
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> LineWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def write(self, row) -> None:
+        self._handle.write(dump_json(row) + "\n")
+        self.count += 1
+
+    def flush(self) -> None:
+        """Hand the lines written so far to the temp file."""
+        self._handle.flush()
+
+    def commit(self) -> Path:
+        """Move the finished file onto ``path``; returns ``path``."""
+        self._handle.close()
+        os.replace(self._tmp, self.path)
+        self._made.clear()
+        return self.path
+
+    def close(self) -> None:
+        """Drop an uncommitted file and the parents opening made; after a
+        commit, nothing is left to drop."""
+        if self._handle is not None:
+            self._handle.close()
+        self._tmp.unlink(missing_ok=True)
+        for directory in self._made:
+            with suppress(OSError):
+                directory.rmdir()
+        self._made.clear()
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write one canonical JSON line per row through a :class:`LineWriter`,
+    so atomically; returns the line count.
+
+    A ``path`` that :func:`check_destination` refuses is refused before any
+    row is read. ``rows`` is consumed as it is written, so a generator's
+    rows need never all be held at once.
+    """
+    with LineWriter(path) as out:
+        for row in rows:
+            out.write(row)
+        out.commit()
+    return out.count
 
 
 def _read_jsonl(path: str | Path, kind: str, consume: Callable[[Iterable], object]):
@@ -259,7 +313,6 @@ class RunOutput:
     rows: list[dict]
     summary: dict
     out_dir: Path | None = None
-    trace_rows: list[dict] = field(default_factory=list)
 
 
 def _mean(values: list[float]) -> float | None:
@@ -307,16 +360,22 @@ def run_tasks(
     Unshared, every task reads the council's memory as it was at the start
     and none writes to it, which is what makes ``workers > 1`` sound: the
     worker threads share the one council, whose profiles lock their scans.
-    Rows and traces are emitted in task order either way.
+
+    Results are taken in task order, from the pool's in-order iterator under
+    ``workers > 1``. Given ``out_dir``, each task's trace lines go to the
+    trace's temp file as soon as the task's result is taken, and
+    :func:`write_run_files` writes the metrics and renames the trace into
+    place after the last task; a task that raises leaves neither file. With
+    no ``out_dir``, no trace is recorded.
     """
     if shared and workers > 1:
         raise ValueError("shared memory cannot run with workers > 1")
 
-    def run_one(pair: tuple[int, TaskSpec]) -> tuple[dict, list[dict]]:
+    def run_one(pair: tuple[int, TaskSpec]) -> tuple[dict, list[dict] | None]:
         index, task = pair
         rng = Random(derived_seed(seed, "task", index, task.task_id))
         episode_id = f"{task.task_id}|{index}"
-        trace: list[dict] = []
+        trace: list[dict] | None = None if out_dir is None else []
         result = search(
             task, env, council, planner, rng, episode_id=episode_id, trace=trace,
             update_memory=shared,
@@ -334,34 +393,40 @@ def run_tasks(
             "depth": result.best_trajectory.depth,
             "per_step_expert": list(result.episode.per_step_expert),
         }
-        trace_rows = [
-            {"index": index, "task_id": task.task_id, "episode_id": episode_id, **event}
-            for event in trace
-        ]
-        return row, trace_rows
+        return row, trace
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, enumerate(tasks)))
-    else:
-        results = list(map(run_one, enumerate(tasks)))
-
-    rows = [row for row, _ in results]
-    trace_rows = [event for _, events in results for event in events]
-    summary = summarize(rows, warmup_tasks, _backend_usage(council))
-
-    output = RunOutput(rows=rows, summary=summary, trace_rows=trace_rows)
-    if out_dir is not None:
-        output.out_dir = write_run_files(out_dir, rows, summary, trace_rows)
+    rows: list[dict] = []
+    with ExitStack() as stack:
+        trace_file = None
+        if out_dir is not None:
+            trace_file = stack.enter_context(LineWriter(Path(out_dir) / TRACE_FILENAME))
+        if workers > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            results = pool.map(run_one, enumerate(tasks))
+        else:
+            results = map(run_one, enumerate(tasks))
+        for row, trace in results:
+            rows.append(row)
+            if trace_file is not None:
+                head = {key: row[key] for key in ("index", "task_id", "episode_id")}
+                for event in trace:
+                    trace_file.write({**head, **event})
+                trace_file.flush()
+        summary = summarize(rows, warmup_tasks, _backend_usage(council))
+        output = RunOutput(rows=rows, summary=summary)
+        if trace_file is not None:
+            output.out_dir = write_run_files(out_dir, rows, summary, trace_file)
     return output
 
 
 def write_run_files(
-    out_dir: str | Path, rows: list[dict], summary: dict, trace_rows: list[dict]
+    out_dir: str | Path, rows: list[dict], summary: dict, trace: LineWriter
 ) -> Path:
+    """Write ``metrics.jsonl`` into ``out_dir``, then move the finished
+    trace, whose lines ``trace`` already holds, into place beside it."""
     out_dir = Path(out_dir)
     write_jsonl(out_dir / METRICS_FILENAME, [*rows, {"summary": summary}])
-    write_jsonl(out_dir / TRACE_FILENAME, trace_rows)
+    trace.commit()
     return out_dir
 
 
@@ -381,23 +446,21 @@ def check_tasks(tasks: list[TaskSpec], env: Environment, env_name: str, source: 
 
 
 def _check_output_paths(config: RunConfig) -> None:
-    """Make sure a run can write its outputs before it runs a task:
-    ``out_dir`` is made a directory if it is not one, and
-    ``memory.save_path`` must pass :func:`check_destination`. A path that
-    fails raises ConfigKeyError naming its key."""
+    """Check that a run can write its outputs before it reads a task: the
+    two files it writes in ``out_dir`` and ``memory.save_path`` must pass
+    :func:`check_destination`. Nothing is made. A path that fails raises
+    ConfigKeyError naming its key."""
+    paths = []
     if config.out_dir is not None:
-        out_dir = Path(config.out_dir)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigKeyError(
-                "out_dir", f"cannot make directory '{out_dir}': {exc.strerror}"
-            ) from None
+        paths = [("out_dir", Path(config.out_dir) / METRICS_FILENAME),
+                 ("out_dir", Path(config.out_dir) / TRACE_FILENAME)]
     if config.memory.save_path is not None:
+        paths.append(("memory.save_path", config.memory.save_path))
+    for key, path in paths:
         try:
-            check_destination(config.memory.save_path)
+            check_destination(path)
         except ValueError as exc:
-            raise ConfigKeyError("memory.save_path", str(exc)) from None
+            raise ConfigKeyError(key, str(exc)) from None
 
 
 def run(config: RunConfig, tasks: list[TaskSpec] | None = None) -> RunOutput:

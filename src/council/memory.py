@@ -112,10 +112,13 @@ def _terms(vector: np.ndarray) -> _Terms:
     return _Terms(buckets, counts, int(np.abs(counts).sum()))
 
 
+_NARROW = ((np.uint16, int(np.iinfo(np.uint16).max)), (np.uint32, int(np.iinfo(np.uint32).max)))
+
+
 def _accumulator(bound: int) -> type[np.unsignedinteger]:
     """The narrowest of uint16, uint32 and uint64 that holds ``bound``."""
-    for dtype in (np.uint16, np.uint32):
-        if bound <= np.iinfo(dtype).max:
+    for dtype, top in _NARROW:
+        if bound <= top:
             return dtype
     return np.uint64
 
@@ -421,9 +424,10 @@ class ExpertProfile:
         base = parent._scans.get(self) if parent is not None else None
         if base is not None and base.version == self.version:
             # astype wraps the parent's dots modulo 2**k, as the sum does.
-            dots = self._product(query._delta_terms(self.embedder), base.dots.astype(acc))
+            dots = base.dots.astype(acc)
+            dots += self._product(query._delta_terms(self.embedder), acc, count)
         else:
-            dots = self._product(terms, np.zeros(count, dtype=acc))
+            dots = self._product(terms, acc, count)
         if query._norm == 0.0:
             sims = np.zeros(count, dtype=np.float64)
         else:
@@ -432,18 +436,23 @@ class ExpertProfile:
         query._scans[self] = _Scan(self.version, dots, sims)
         return sims
 
-    def _product(self, terms: _Terms, dots: np.ndarray) -> np.ndarray:
-        """Add the counts of ``terms`` times their matrix rows to ``dots``,
-        one entry per slot, in the unsigned dtype of ``dots`` and so modulo
-        its range, and return ``dots``. The lock is held."""
-        acc = dots.dtype
+    def _product(self, terms: _Terms, acc: type[np.unsignedinteger], count: int) -> np.ndarray:
+        """The counts of ``terms`` times their matrix rows, summed over the
+        first ``count`` slots in the unsigned dtype ``acc`` and so modulo
+        its range. The first chunk's product starts the sum. The lock is
+        held."""
         # A negative count wraps to its residue modulo 2**k.
         counts = terms.counts.astype(acc)
+        dots = None
         for start in range(0, len(counts), _SCAN_ROWS):
             stop = start + _SCAN_ROWS
-            rows = self._cols[terms.buckets[start:stop], : len(dots)]
-            dots += np.einsum("i,ij->j", counts[start:stop], rows, dtype=acc, casting="unsafe")
-        return dots
+            rows = self._cols[terms.buckets[start:stop], :count]
+            part = np.einsum("i,ij->j", counts[start:stop], rows, dtype=acc, casting="unsafe")
+            if dots is None:
+                dots = part
+            else:
+                dots += part
+        return np.zeros(count, dtype=acc) if dots is None else dots
 
     def _live_scan(self, query: Query) -> np.ndarray | None:
         """The query's scan with evicted slots at -inf, or None on an empty

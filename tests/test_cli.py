@@ -410,6 +410,49 @@ def test_a_bad_output_path_exits_two_naming_its_key_before_any_task(
     assert list((tmp_path / "adir").iterdir()) == []
 
 
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path below ``root``, with a file's bytes and None for a directory."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }
+
+
+GOOD_TASK = '{"task_id": "a", "environment": "game24", "payload": [1, 2, 3, 4]}\n'
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--seed", "1", "--tasks", "bad-tasks.jsonl",
+         "--out-dir", "a/b/out", "--memory-save", "m/n/mem.jsonl"],
+        ["run", "--seed", "1", "--tasks", "tasks.jsonl", "--memory-load", "bad-memory.jsonl",
+         "--out-dir", "a/b/out", "--memory-save", "m/n/mem.jsonl"],
+        ["run", "--config", "no-tasks.json", "--memory-save", "m/n/mem.jsonl"],
+        ["oracle", "bad-tasks.jsonl", "--out", "a/b/verdicts.jsonl"],
+        ["memory", "save", "bad-memory.jsonl", "m/n/copy.jsonl"],
+    ],
+    ids=["run-bad-task", "run-bad-memory", "run-bad-config", "oracle-bad-task",
+         "memory-save-bad-memory"],
+)
+def test_a_refused_command_leaves_the_file_system_as_it_found_it(
+    tmp_path, capsys, monkeypatch, command
+):
+    (tmp_path / "tasks.jsonl").write_text(GOOD_TASK, encoding="utf-8")
+    (tmp_path / "bad-tasks.jsonl").write_text(GOOD_TASK + "{oops\n", encoding="utf-8")
+    (tmp_path / "bad-memory.jsonl").write_text('{"expert_id": 7}\n', encoding="utf-8")
+    (tmp_path / "no-tasks.json").write_text(
+        '{"seed": 1, "out_dir": "a/b/out"}', encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    before = tree(tmp_path)
+    code = main(command)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert tree(tmp_path) == before
+
+
 def test_missing_seed_exits_two(tmp_path, capsys):
     code = main(["run", "--tasks", str(game24_tasks_file(tmp_path))])
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@
 Each case mutates one spot, at any depth, of a valid config file, task line
 or memory line: it replaces a value with a small JSON value, adds a key or
 drops a key. The run must then exit 0, or exit 2 with exactly one ``error:``
-line. Integers are drawn from a small range, so that no case asks for a large
+line and the scratch directory as it found it. Integers are drawn from a small range, so that no case asks for a large
 budget, embedding width or worker count.
 """
 
@@ -102,9 +102,22 @@ def _documents() -> dict:
     return json.loads(json.dumps({"config": CONFIG, "task": TASK, "memory": MEMORY}))
 
 
-def _run(documents) -> tuple[int, list[str]]:
+def _tree(root: str) -> dict[str, bytes | None]:
+    """Every path below ``root``, with a file's bytes and None for a directory."""
+    found = {}
+    for directory, names, files in os.walk(root):
+        for name in names:
+            found[os.path.relpath(os.path.join(directory, name), root)] = None
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+def _run(documents) -> tuple[int, list[str], bool]:
     """``council run`` over the documents in a scratch directory: its exit
-    status and its error lines."""
+    status, its error lines and whether it changed the directory."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -115,16 +128,18 @@ def _run(documents) -> tuple[int, list[str]]:
                 handle.write(json.dumps(documents["task"]) + "\n")
             with open("memory.jsonl", "w", encoding="utf-8") as handle:
                 handle.writelines(json.dumps(record) + "\n" for record in documents["memory"])
+            before = _tree(work)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["run", "--config", "config.json"])
+            changed = _tree(work) != before
         finally:
             os.chdir(home)
-    return code, err.getvalue().splitlines()
+    return code, err.getvalue().splitlines(), changed
 
 
 def test_the_unmutated_documents_run_to_exit_zero():
-    assert _run(_documents()) == (0, [])
+    assert _run(_documents()) == (0, [], True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,7 +151,7 @@ def test_a_mutated_input_exits_zero_or_two_with_one_error_line(data):
         _mutate(data, documents["memory"][data.draw(st.integers(0, len(MEMORY) - 1))])
     else:
         _mutate(data, documents[target])
-    code, lines = _run(documents)
-    assert code == 0 or (code == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (
-        code, lines
-    )
+    code, lines, changed = _run(documents)
+    assert code == 0 or (
+        code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and not changed
+    ), (code, lines, changed)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -77,6 +79,19 @@ def test_a_write_takes_its_rows_as_it_goes_and_returns_their_count(tmp_path):
     records = profile_records({eid: p.segments() for eid, p in seeded_profiles().items()})
     assert iter(records) is records
     assert write_jsonl(path, records) == 3
+
+
+def test_a_destination_below_an_unwritable_directory_is_refused_and_nothing_made(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "a" / "b" / "rows.jsonl"
+    assert harness.check_destination(path) == path
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(harness.os, "access", lambda path, mode: False)
+    with pytest.raises(ValueError) as excinfo:
+        write_jsonl(path, [{"a": 1}])
+    assert str(excinfo.value) == f"cannot write '{path}': '{tmp_path}' is not writable"
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- task files -----------------------------------------------------------------
@@ -438,20 +453,123 @@ def saved_memory(tmp_path: Path) -> Path:
     return path
 
 
-def test_unshared_memory_isolates_tasks_and_supports_workers(tmp_path):
+def test_unshared_memory_isolates_tasks_and_supports_workers(tmp_path, monkeypatch):
     memory = MemoryConfig(shared=False, load_path=str(saved_memory(tmp_path)))
+    search = harness.search
+
+    def slow_even(task, *args, episode_id, **kwargs):
+        # Even tasks finish after the odd task that started beside them, so
+        # two workers take results out of order unless the run keeps order.
+        if int(episode_id.rsplit("|", 1)[1]) % 2 == 0:
+            time.sleep(0.02)
+        return search(task, *args, episode_id=episode_id, **kwargs)
+
+    monkeypatch.setattr(harness, "search", slow_even)
     outputs = {
         workers: run(
             synth_run_config(
                 tmp_path, out_dir=str(tmp_path / f"w{workers}"), memory=memory, workers=workers
             ),
-            tasks=synth_tasks(),
+            tasks=synth_tasks(8),
         )
         for workers in (1, 2)
     }
     assert outputs[1].rows == outputs[2].rows
     for name in ("metrics.jsonl", "trace.jsonl"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def temp_files(directory: Path) -> list[str]:
+    return sorted(path.name for path in directory.iterdir() if path.name.endswith(".tmp"))
+
+
+def test_each_tasks_trace_is_in_the_temp_file_before_the_next_task_starts(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    traces: list[tuple[str, list]] = []
+    seen: list[list[str]] = []
+    search = harness.search
+
+    def spy(task, *args, episode_id, trace, **kwargs):
+        (tmp,) = temp_files(out)
+        seen.append((out / tmp).read_text(encoding="utf-8").splitlines())
+        traces.append((episode_id, trace))
+        return search(task, *args, episode_id=episode_id, trace=trace, **kwargs)
+
+    monkeypatch.setattr(harness, "search", spy)
+    run(synth_run_config(tmp_path), tasks=synth_tasks())
+    # The file a run used to assemble from every task's events at the end.
+    expected = [
+        dump_json({"index": index, "task_id": episode_id.split("|")[0],
+                   "episode_id": episode_id, **event})
+        for index, (episode_id, trace) in enumerate(traces)
+        for event in trace
+    ]
+    assert (out / "trace.jsonl").read_text(encoding="utf-8").splitlines() == expected
+    assert temp_files(out) == []
+    # When task i starts, exactly the lines of tasks 0..i-1 are on file.
+    ends = [0]
+    for _, trace in traces:
+        ends.append(ends[-1] + len(trace))
+    assert seen == [expected[:end] for end in ends[:-1]]
+
+
+def test_a_task_that_raises_leaves_the_earlier_files_and_no_temp_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run(synth_run_config(tmp_path), tasks=synth_tasks())
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["metrics.jsonl", "trace.jsonl"]
+    search = harness.search
+    started: list[int] = []
+
+    def fail_third(task, *args, **kwargs):
+        started.append(len(started))
+        if len(started) == 3:
+            raise RuntimeError("task failed")
+        return search(task, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "search", fail_third)
+    with pytest.raises(RuntimeError, match="task failed"):
+        run(synth_run_config(tmp_path, seed=12), tasks=synth_tasks())
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    # A fresh out_dir, and the parents the trace's writer made for it, go too.
+    started.clear()
+    with pytest.raises(RuntimeError, match="task failed"):
+        run(synth_run_config(tmp_path, out_dir=str(tmp_path / "a" / "b" / "out")),
+            tasks=synth_tasks())
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+
+
+def test_a_runs_traced_memory_grows_by_less_than_10_kb_a_task(tmp_path):
+    def peak(count: int) -> int:
+        config = synth_run_config(
+            tmp_path, out_dir=str(tmp_path / f"n{count}"), env=EnvSpec(name="synth"),
+            planner=PlannerConfig(), warmup_tasks=0,
+        )
+        tasks = make_synth_tasks(count, seed=3)
+        tracemalloc.start()
+        try:
+            run(config, tasks=tasks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # About 16 KB a task when a run held every trace line until its end.
+    small, large = peak(100), peak(400)
+    assert (large - small) / 300 < 10 * 1024, (small, large)
+
+
+def test_a_run_without_an_out_dir_records_no_trace(tmp_path, monkeypatch):
+    search = harness.search
+    given: list = []
+
+    def spy(*args, trace, **kwargs):
+        given.append(trace)
+        return search(*args, trace=trace, **kwargs)
+
+    monkeypatch.setattr(harness, "search", spy)
+    output = run(synth_run_config(tmp_path, out_dir=None), tasks=synth_tasks(2))
+    assert output.out_dir is None and given == [None, None]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_only_shared_runs_write_to_the_councils_memory(tmp_path):

@@ -594,9 +594,9 @@ def counting_products(monkeypatch) -> list[int]:
     rows: list[int] = []
     product = ExpertProfile._product
 
-    def counted(profile, terms, dots):
+    def counted(profile, terms, *args):
         rows.append(len(terms.buckets))
-        return product(profile, terms, dots)
+        return product(profile, terms, *args)
 
     monkeypatch.setattr(ExpertProfile, "_product", counted)
     return rows
