@@ -358,8 +358,8 @@ def run_tasks(
     With ``shared`` memory each task's episode is folded into the council's
     profiles before the next task starts, so tasks run one after another.
     Unshared, every task reads the council's memory as it was at the start
-    and none writes to it, which is what makes ``workers > 1`` sound: the
-    worker threads share the one council, whose profiles lock their scans.
+    and none writes to it, so ``workers > 1`` threads may share its profiles,
+    which take no lock: a profile is written on one thread, with no reader.
 
     Results are taken in task order, from the pool's in-order iterator under
     ``workers > 1``. Given ``out_dir``, each task's trace lines go to the

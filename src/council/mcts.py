@@ -261,12 +261,19 @@ def _assign_values(
 
     Only the judged signal draws from ``rng``, one draw per child in child
     order; the set's language-model judges are asked at once (see
-    :func:`~council.values.llm_value`). Returns the fusion, which carries the
-    set's spreads and weight, in ``full`` mode and None otherwise.
+    :func:`~council.values.llm_value`). A lone child fuses to 0.5 whatever
+    its judge says, so its judge is drawn but not asked, and it is judged
+    0.5; its memory value is still looked up and recorded. Returns the
+    fusion, which carries the set's spreads and weight, in ``full`` mode
+    and None otherwise.
     """
     v_llm = v_sms = None
     if mode in ("full", "llm-only"):
-        v_llm = llm_value(council, [c.prefix for c in children], rng)
+        if len(children) > 1:
+            v_llm = llm_value(council, [c.prefix for c in children], rng)
+        else:
+            rng.choice(council.experts)
+            v_llm = [0.5]
     if mode in ("full", "sms-only"):
         profile = council.profile(acting_expert_id)
         v_sms = [sms_value(profile, c.query, episode) for c in children]

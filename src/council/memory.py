@@ -27,7 +27,6 @@ every similarity is exact.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -133,11 +132,11 @@ class Query:
     kept: the embedding of its serialized text, that vector's sparse form
     (its nonzero buckets, their integer counts and ``‖q‖₁``) and norm, and
     for a query with a parent the sparse form of its difference from the
-    parent's vector, whose counts may be negative. A query holds one embedding,
-    since every profile of a run shares one embedder; a profile whose width
-    differs refuses it. A search builds one query per node, so the state
-    lives and dies with its tree and is only ever touched by that search's
-    thread.
+    parent's vector, whose counts may be negative. A query holds one
+    embedding, since every profile of a run shares one embedder; a profile
+    whose width differs refuses it. A search builds one query per node, so
+    the state lives and dies with its tree and only that search's thread
+    touches it: a scan writes to its query, and only reads the profile.
     """
 
     __slots__ = ("trajectory", "parent", "_vector", "_sparse", "_norm", "_delta", "_scans")
@@ -229,9 +228,9 @@ class ExpertProfile:
     makes one shape check, picks its accumulator, and takes the product
     and the division. The profile itself keeps no per-query state.
 
-    Every method that reads the index or changes the store holds the
-    profile's lock throughout, scans included, so a profile can be shared
-    between threads; a scan writes to its query under that lock.
+    A profile takes no lock: many threads may read it at once, but a write
+    (insert, restore, credit, prune) runs on one thread with no reader
+    running at the same time, as :func:`~council.harness.run_tasks` enforces.
     """
 
     def __init__(
@@ -262,7 +261,6 @@ class ExpertProfile:
         self._slots: list[SMSegment | None] = []
         self._slot_of: dict[str, int] = {}
         self.version = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -277,8 +275,7 @@ class ExpertProfile:
 
     def segments(self) -> list[SMSegment]:
         """Segments in insertion order."""
-        with self._lock:
-            return [segment for segment in self._slots if segment is not None]
+        return [segment for segment in self._slots if segment is not None]
 
     def utility(self, segment: SMSegment) -> float:
         return sms_utility(segment, cold_start=self.cold_start)
@@ -291,19 +288,18 @@ class ExpertProfile:
         if prefix.pending is not None:
             raise ValueError("stored prefixes must not carry a pending observation")
         text = serialize_trajectory(prefix)
-        with self._lock:
-            existing = self._by_text.get(text)
-            if existing is not None:
-                return self._slots[self._slot_of[existing]]
-            created = self._next_created
+        existing = self._by_text.get(text)
+        if existing is not None:
+            return self._slots[self._slot_of[existing]]
+        created = self._next_created
+        segment_id = f"{self.expert_id}:{created}"
+        while segment_id in self._slot_of:
+            created += 1
             segment_id = f"{self.expert_id}:{created}"
-            while segment_id in self._slot_of:
-                created += 1
-                segment_id = f"{self.expert_id}:{created}"
-            segment = SMSegment(segment_id=segment_id, text=text, created_at=created)
-            self._make_room(1)
-            self._add_block([segment], self.embedder.embed(text)[:, np.newaxis])
-            return segment
+        segment = SMSegment(segment_id=segment_id, text=text, created_at=created)
+        self._make_room(1)
+        self._add_block([segment], self.embedder.embed(text)[:, np.newaxis])
+        return segment
 
     def _restore(self, segments: Iterable[SMSegment]) -> None:
         """Used by persistence: re-attach segments read from a file, whose
@@ -314,18 +310,17 @@ class ExpertProfile:
         one at a time makes."""
         segments = list(segments)
         block = np.empty((self.embedder.dim, _LOAD_BLOCK), dtype=np.intp)
-        with self._lock:
-            self._make_room(len(segments))
-            for start in range(0, len(segments), _LOAD_BLOCK):
-                part = segments[start : start + _LOAD_BLOCK]
-                self.embedder.count_block([s.text for s in part], block)
-                self._add_block(part, block[:, : len(part)])
+        self._make_room(len(segments))
+        for start in range(0, len(segments), _LOAD_BLOCK):
+            part = segments[start : start + _LOAD_BLOCK]
+            self.embedder.count_block([s.text for s in part], block)
+            self._add_block(part, block[:, : len(part)])
 
     def _add_block(self, segments: list[SMSegment], counts: np.ndarray) -> None:
         """Give new segments the next slots in order and write their columns:
         ``counts`` holds their whole-number trigram counts column-wise,
-        ``(dim, len(segments))``, in any numeric dtype. The lock is held and
-        room has been made."""
+        ``(dim, len(segments))``, in any numeric dtype. Room has been
+        made."""
         first = len(self._slots)
         stop = first + len(segments)
         peak = int(counts.max())
@@ -354,22 +349,21 @@ class ExpertProfile:
     def credit(self, segment_id: str, count: int, success: bool) -> None:
         """Add ``count`` finished lookups of a segment to its ``uses``, and on
         success to its ``wins``. An unknown segment is an invalid state."""
-        with self._lock:
-            if segment_id not in self._slot_of:
-                raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
-            slot = self._slot_of[segment_id]
-            segment = self._slots[slot]
-            segment.uses += count
-            if success:
-                segment.wins += count
-            self._util[slot] = self.utility(segment)
+        if segment_id not in self._slot_of:
+            raise InvalidStateError(f"retrieval references unknown segment: {segment_id}")
+        slot = self._slot_of[segment_id]
+        segment = self._slots[slot]
+        segment.uses += count
+        if success:
+            segment.wins += count
+        self._util[slot] = self.utility(segment)
 
     # -- the index ------------------------------------------------------------
 
     def _make_room(self, count: int) -> None:
         """Make room for ``count`` new slots as adding them one by one would:
         compact when the matrix runs out of slots, then grow it while they
-        still do not fit. The matrix is padded once. The lock is held."""
+        still do not fit. The matrix is padded once."""
         size = self._cols.shape[1]
         if len(self._slots) + count <= size:
             return
@@ -387,7 +381,7 @@ class ExpertProfile:
             setattr(self, name, np.pad(getattr(self, name), (0, grown - size)))
 
     def _compact(self) -> None:
-        """Move the live slots to the front, in order. The lock is held."""
+        """Move the live slots to the front, in order."""
         keep = np.flatnonzero(self._live[: len(self._slots)])
         kept = len(keep)
         # Row by row, so the copy needs one row of scratch, not a matrix.
@@ -407,8 +401,7 @@ class ExpertProfile:
         included, as a read-only array, which the query keeps. A scan
         the query holds at this version is read back; a query whose parent
         holds a scan at this version adds the rows where the two vectors
-        differ to the parent's dots; any other scan is a full scan. The lock
-        is held."""
+        differ to the parent's dots; any other scan is a full scan."""
         held = query._scans.get(self)
         if held is not None and held.version == self.version:
             return held.sims
@@ -439,8 +432,7 @@ class ExpertProfile:
     def _product(self, terms: _Terms, acc: type[np.unsignedinteger], count: int) -> np.ndarray:
         """The counts of ``terms`` times their matrix rows, summed over the
         first ``count`` slots in the unsigned dtype ``acc`` and so modulo
-        its range. The first chunk's product starts the sum. The lock is
-        held."""
+        its range. The first chunk's product starts the sum."""
         # A negative count wraps to its residue modulo 2**k.
         counts = terms.counts.astype(acc)
         dots = None
@@ -456,7 +448,7 @@ class ExpertProfile:
 
     def _live_scan(self, query: Query) -> np.ndarray | None:
         """The query's scan with evicted slots at -inf, or None on an empty
-        profile. The lock is held."""
+        profile."""
         if not self._slot_of:
             return None
         sims = self._scan(query)
@@ -465,9 +457,8 @@ class ExpertProfile:
     def match_scores(self, query: Query) -> np.ndarray:
         """Similarity of the query against every segment, in insertion order.
         The array is read-only."""
-        with self._lock:
-            sims = self._scan(query)
-            return sims[self._live[: len(self._slots)]] if self._dead else sims
+        sims = self._scan(query)
+        return sims[self._live[: len(self._slots)]] if self._dead else sims
 
     def best_match(self, query: Query) -> tuple[SMSegment, float] | None:
         """The stored segment most similar to the query, with its score.
@@ -475,27 +466,25 @@ class ExpertProfile:
         Ties are resolved toward the earliest-inserted segment. Returns None
         on an empty profile.
         """
-        with self._lock:
-            sims = self._live_scan(query)
-            if sims is None:
-                return None
-            slot = int(np.argmax(sims))
-            return self._slots[slot], float(sims[slot])
+        sims = self._live_scan(query)
+        if sims is None:
+            return None
+        slot = int(np.argmax(sims))
+        return self._slots[slot], float(sims[slot])
 
     def exemplar(self, query: Query) -> SMSegment | None:
         """The segment to cite as an exemplar for the query: among the
         segments tied on the top similarity, the highest utility wins, then
         the smallest ``created_at``, then the earliest inserted. Returns None
         on an empty profile."""
-        with self._lock:
-            sims = self._live_scan(query)
-            if sims is None:
-                return None
-            tied = np.flatnonzero(sims == sims.max())
-            if len(tied) > 1:
-                # lexsort is stable and sorts by its last key first.
-                tied = tied[np.lexsort((self._created[tied], -self._util[tied]))]
-            return self._slots[tied[0]]
+        sims = self._live_scan(query)
+        if sims is None:
+            return None
+        tied = np.flatnonzero(sims == sims.max())
+        if len(tied) > 1:
+            # lexsort is stable and sorts by its last key first.
+            tied = tied[np.lexsort((self._created[tied], -self._util[tied]))]
+        return self._slots[tied[0]]
 
     # -- capacity -----------------------------------------------------------
 
@@ -505,29 +494,28 @@ class ExpertProfile:
         Utility ties evict the oldest segment first, and a remaining tie the
         earliest inserted. Returns the evicted ids.
         """
-        with self._lock:
-            excess = len(self._slot_of) - self.capacity
-            if excess <= 0:
-                return []
-            live = np.flatnonzero(self._live[: len(self._slots)])
-            # The first excess of the full order all have a utility at or
-            # below the excess-th smallest, so only those slots are ranked.
-            util = self._util[live]
-            live = live[util <= np.partition(util, excess - 1)[excess - 1]]
-            # lexsort is stable and sorts by its last key first.
-            ranked = live[np.lexsort((self._created[live], self._util[live]))[:excess]]
-            victims = []
-            for slot in ranked.tolist():
-                victim = self._slots[slot]
-                victims.append(victim.segment_id)
-                del self._by_text[victim.text]
-                del self._slot_of[victim.segment_id]
-                self._slots[slot] = None
-            self._live[ranked] = False
-            self.version += 1
-            if self._dead > len(self._slot_of):
-                self._compact()
-            return victims
+        excess = len(self._slot_of) - self.capacity
+        if excess <= 0:
+            return []
+        live = np.flatnonzero(self._live[: len(self._slots)])
+        # The first excess of the full order all have a utility at or
+        # below the excess-th smallest, so only those slots are ranked.
+        util = self._util[live]
+        live = live[util <= np.partition(util, excess - 1)[excess - 1]]
+        # lexsort is stable and sorts by its last key first.
+        ranked = live[np.lexsort((self._created[live], self._util[live]))[:excess]]
+        victims = []
+        for slot in ranked.tolist():
+            victim = self._slots[slot]
+            victims.append(victim.segment_id)
+            del self._by_text[victim.text]
+            del self._slot_of[victim.segment_id]
+            self._slots[slot] = None
+        self._live[ranked] = False
+        self.version += 1
+        if self._dead > len(self._slot_of):
+            self._compact()
+        return victims
 
 
 class EpisodeContext:

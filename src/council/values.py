@@ -15,6 +15,10 @@ that rates every sibling alike carries no ranking information and is
 weighted out. The fused values come back as a list in child order, beside
 the two spreads and the weight. Each deviation is computed exactly and
 rounded once, so it is the same float on every interpreter.
+
+A set of one child is flat in both signals, so it fuses and normalizes to
+0.5 whatever its judge says: the search draws a lone child's judge, to keep
+later ``rng`` draws in place, but does not ask it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -26,10 +28,10 @@ from council.config import (
 from council.embedding import TrigramEmbedder
 from council.envs.base import TaskSpec
 from council.envs.game24 import make_game24_tasks
-from council.envs.synth import SynthConfig, SynthEnv, make_synth_tasks
+from council.envs.synth import SynthConfig, SynthEnv, family_vocab, make_synth_tasks
 from council.errors import ConfigKeyError
 from council.experts import Council, Game24OracleExpert, LLMExpert, SynthSpecialistExpert
-from council.gateway import StubBackend
+from council.gateway import DEFAULT_TEMPLATES, StubBackend
 from council.harness import (
     ABLATION_AXES,
     ablation_table,
@@ -586,6 +588,56 @@ def test_only_shared_runs_write_to_the_councils_memory(tmp_path):
     shared = run_tasks(synth_tasks(), env, config.planner, 11, council=council)
     assert shared.summary["successes"] > 0
     assert records_of(council.profiles) != before
+
+
+def test_two_workers_read_one_loaded_llm_council_at_once_and_write_one_workers_bytes(
+    tmp_path, monkeypatch
+):
+    """Profiles take no lock. Each send blocks, so two workers' searches of
+    one loaded council interleave their scans, and yet write the bytes one
+    worker writes."""
+    memory_file = saved_memory(tmp_path)
+    synth = SynthConfig(depth=2)
+    vocab = family_vocab("amber", synth) + family_vocab("basalt", synth)
+
+    def reply(request) -> str:
+        text = "\n".join(message.content for message in request.messages)
+        draw = int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+        time.sleep(0.001)
+        if request.messages[0].content == DEFAULT_TEMPLATES.system_act:
+            return vocab[draw % len(vocab)]
+        return str(draw % 11)
+
+    running, peak, lock = [0], [0], threading.Lock()
+    search = harness.search
+
+    def counted(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            return search(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(harness, "search", counted)
+    config = synth_run_config(tmp_path)
+    for workers in (1, 2):
+        embedder = TrigramEmbedder(256)
+        council = Council(
+            [LLMExpert(spec.expert_id, StubBackend(reply)) for spec in config.council],
+            profiles=load_memory(memory_file, embedder=embedder),
+            embedder=embedder,
+        )
+        peak[0] = 0
+        run_tasks(
+            synth_tasks(), SynthEnv(synth), config.planner, 11, council=council,
+            out_dir=tmp_path / f"w{workers}", workers=workers, shared=False,
+        )
+        assert peak[0] == workers
+    for name in ("metrics.jsonl", "trace.jsonl"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
 def test_an_unshared_run_embeds_each_loaded_segment_once(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,17 +21,20 @@ from council.experts import (
     Council,
     Expert,
     Game24OracleExpert,
+    LLMExpert,
     SynthSpecialistExpert,
 )
-from council.memory import Query
+from council.gateway import DEFAULT_TEMPLATES, StubBackend
+from council.memory import EpisodeContext, Query
 from council.mcts import (
     SearchTree,
+    _assign_values,
     backpropagate,
     search,
     select_path,
     uct_score,
 )
-from council.trajectory import Trajectory, serialize_trajectory
+from council.trajectory import Observation, Trajectory, serialize_trajectory
 
 from conftest import FixedExpert
 
@@ -519,8 +523,7 @@ def test_every_scan_a_node_holds_equals_a_full_scan():
         full = council.profile("amber-specialist").embedder.embed(serialize_trajectory(node.prefix))
         for profile, scan in node.query._scans.items():
             assert np.array_equal(node.query.vector(profile.embedder), full)
-            with profile._lock:
-                assert np.array_equal(scan.sims, profile._scan(Query(node.prefix)))
+            assert np.array_equal(scan.sims, profile._scan(Query(node.prefix)))
             scans += 1
     assert scans > len(result.tree.nodes)
 
@@ -565,3 +568,95 @@ def test_a_synth_search_parses_each_distinct_observation_once(monkeypatch):
     # The specialists ask for some texts more than once; each is parsed once.
     assert len(asked) > len(set(asked))
     assert parse_view.cache_info().misses == len(set(asked))
+
+
+# -- lone children ----------------------------------------------------------------
+
+
+class SpiedExpert(FixedExpert):
+    """A FixedExpert that appends (its id, the trajectory) to ``asked`` at
+    every plausibility call; judges may share one ``asked`` list."""
+
+    def __init__(self, expert_id: str, score: float = 0.5, actions=(), asked=None):
+        super().__init__(expert_id, score, actions)
+        self.asked: list[tuple[str, Trajectory]] = [] if asked is None else asked
+
+    def plausibility(self, prefix: Trajectory) -> float:
+        self.asked.append((self.expert_id, prefix))
+        return super().plausibility(prefix)
+
+
+def evaluate_requests(backend: StubBackend) -> int:
+    return sum(
+        request.messages[0].content == DEFAULT_TEMPLATES.system_evaluate
+        for request in backend.requests_seen
+    )
+
+
+@pytest.mark.parametrize("value_mode", ["full", "llm-only"])
+@pytest.mark.parametrize("samples, judged", [(("x", "x"), 0), (("x", "y"), 2)])
+def test_only_a_set_of_several_children_sends_evaluate_requests(value_mode, samples, judged):
+    def reply(request) -> str:
+        if request.messages[0].content == DEFAULT_TEMPLATES.system_act:
+            sample = re.search(r"sample (\d+) of", request.messages[-1].content).group(1)
+            return samples[int(sample) - 1]
+        return "5"
+
+    backends = [StubBackend(reply, backend_id=f"stub-{i}") for i in range(2)]
+    council = Council(
+        [LLMExpert(f"llm-{i}", backend) for i, backend in enumerate(backends)],
+        embedder=TrigramEmbedder(64),
+    )
+    result = search(
+        synth_task(),
+        SynthEnv(),
+        council,
+        planner(iterations=1, value_mode=value_mode),
+        random.Random(0),
+    )
+    # Two agreeing samples dedupe to a lone child.
+    assert result.nodes_expanded == len(set(samples))
+    assert sum(evaluate_requests(backend) for backend in backends) == judged
+
+
+@pytest.mark.parametrize("value_mode", ["full", "llm-only"])
+@pytest.mark.parametrize("actions", [["x"], ["x", "y"]])
+def test_a_scripted_judge_is_asked_only_in_a_set_of_several_children(value_mode, actions):
+    judge = SpiedExpert("spied", actions=actions)
+    result = search(
+        synth_task(),
+        SynthEnv(SynthConfig(budget=9)),
+        Council([judge], embedder=TrigramEmbedder(64)),
+        planner(iterations=4, value_mode=value_mode),
+        random.Random(0),
+    )
+    children = [("spied", node.prefix) for node in result.tree.nodes[1:]]
+    assert len(children) == 4 * len(actions)
+    assert judge.asked == (children if len(actions) > 1 else [])
+
+
+@pytest.mark.parametrize("value_mode", ["full", "llm-only"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_the_judge_draws_stay_one_per_child_in_child_order(value_mode, count):
+    asked: list[tuple[str, Trajectory]] = []
+    scores = {"a": 0.2, "b": 0.5, "c": 0.9}
+    council = Council(
+        [SpiedExpert(name, score, asked=asked) for name, score in scores.items()],
+        embedder=TrigramEmbedder(64),
+    )
+    tree = SearchTree()
+    root = tree.add(Query(Trajectory()))
+    children = []
+    for i in range(count):
+        child = tree.add(Query(Trajectory(pending=Observation(f"child {i}"))), parent=0)
+        root.children.append(child.node_id)
+        children.append(child)
+    rng, twin = random.Random(17), random.Random(17)
+    _assign_values(children, council, "a", value_mode, rng, EpisodeContext("ep"))
+    judges = [twin.choice(council.experts) for _ in children]
+    assert rng.getstate() == twin.getstate()
+    if count == 1:
+        assert asked == []
+        assert children[0].fused_value == 0.5
+    else:
+        assert asked == [(judge.expert_id, child.prefix) for judge, child in zip(judges, children)]

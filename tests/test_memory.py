@@ -390,26 +390,25 @@ def restore_one_at_a_time(profile: ExpertProfile, segments: list[SMSegment]) -> 
     is embedded on its own by ``embed`` and has its slot written field by
     field, independently of the profile's block write. A count that the
     matrix type cannot hold widens the matrix before the column is written."""
-    with profile._lock:
-        for segment in segments:
-            embedding = profile.embedder.embed(segment.text)
-            profile._make_room(1)
-            slot = len(profile._slots)
-            profile._by_text[segment.text] = segment.segment_id
-            profile._slot_of[segment.segment_id] = slot
-            profile._slots.append(segment)
-            profile._peak = max(profile._peak, int(np.abs(embedding).max()))
-            if profile._peak > np.iinfo(profile._cols.dtype).max:
-                profile._cols = profile._cols.astype(np.min_scalar_type(profile._peak))
-            profile._cols[:, slot] = embedding
-            # A pairwise sum, as np.linalg.norm takes along an axis.
-            norm = float(np.sqrt(np.add.reduce(embedding * embedding)))
-            profile._norms[slot] = norm if norm > 0.0 else np.inf
-            profile._live[slot] = True
-            profile._util[slot] = profile.utility(segment)
-            profile._created[slot] = segment.created_at
-            profile._next_created = max(profile._next_created, segment.created_at + 1)
-            profile.version += 1
+    for segment in segments:
+        embedding = profile.embedder.embed(segment.text)
+        profile._make_room(1)
+        slot = len(profile._slots)
+        profile._by_text[segment.text] = segment.segment_id
+        profile._slot_of[segment.segment_id] = slot
+        profile._slots.append(segment)
+        profile._peak = max(profile._peak, int(np.abs(embedding).max()))
+        if profile._peak > np.iinfo(profile._cols.dtype).max:
+            profile._cols = profile._cols.astype(np.min_scalar_type(profile._peak))
+        profile._cols[:, slot] = embedding
+        # A pairwise sum, as np.linalg.norm takes along an axis.
+        norm = float(np.sqrt(np.add.reduce(embedding * embedding)))
+        profile._norms[slot] = norm if norm > 0.0 else np.inf
+        profile._live[slot] = True
+        profile._util[slot] = profile.utility(segment)
+        profile._created[slot] = segment.created_at
+        profile._next_created = max(profile._next_created, segment.created_at + 1)
+        profile.version += 1
 
 
 def index_state(profile: ExpertProfile) -> tuple:
@@ -817,8 +816,7 @@ def test_node_held_scans_equal_full_scans_bit_for_bit(stored, root_text, path):
         elif change == "evict":
             profile.prune()
         elif change == "compact":
-            with profile._lock:
-                profile._compact()
+            profile._compact()
         elif change == "credit" and len(profile):
             decide(profile, profile.segments()[0], [True])
         trajectory = query.trajectory.extend(Action(act), Observation(obs))
@@ -830,8 +828,7 @@ def test_node_held_scans_equal_full_scans_bit_for_bit(stored, root_text, path):
             continue
         assert profile.best_match(query) == profile.best_match(Query(trajectory))
         sims = query._scans[profile].sims
-        with profile._lock:
-            assert np.array_equal(sims, profile._scan(Query(trajectory)))
+        assert np.array_equal(sims, profile._scan(Query(trajectory)))
         brute_force_check(profile, [Query(trajectory)])
 
 

@@ -64,11 +64,11 @@ PINS = {
         "2509983faeb1e99c426e79eb3672b060d6da09e0a1e9c306f44ed37ec7bf0419",
     ),
     ("llm-stub", 1): (
-        "81daa245aed4bb6304a865d4bc0bbde459e01ca9a56028acf23eaeafa5c1c894",
+        "f87891cd61e8aae7896f05082563755bc02d141e02414612d3d09b053e5488d3",
         "3125ddb4bbc3918c9a20d1e3a0a15874ef79eb14fd985323c17ced3245001393",
     ),
     ("llm-stub", 2): (
-        "bcdaf3be7ddbd91879edb08d02ed153cfec7a517ab98d21343f34a5f537dc403",
+        "7ffd4d7134b02509da18daef24efd64dd7ac2050b9fa25f528075f6ba9d7217a",
         "1992b06f33e23f55c1db9183a0af15d457adfd20081ea7216c79cd010c09d418",
     ),
 }

@@ -22,6 +22,7 @@ from council.gateway import StubBackend
 from council.memory import EpisodeContext, ExpertProfile, Query
 from council.trajectory import Trajectory
 from council.values import (
+    Fusion,
     fuse_batch,
     fusion_weight,
     llm_value,
@@ -367,6 +368,13 @@ def test_fused_values_stay_in_unit_range(pairs):
     fusion = fuse_pairs(pairs)
     assert len(fusion.values) == len(pairs)
     assert all(0.0 <= v <= 1.0 for v in fusion.values)
+
+
+@given(st.floats(0, 1), st.floats(0, 1))
+def test_a_lone_child_fuses_and_normalizes_to_neutral_whatever_its_signals(llm, sms):
+    # The search leans on this to leave a lone child's judge unasked.
+    assert fuse_batch([llm], [sms]) == Fusion([0.5], 0.0, 0.0, 0.5)
+    assert normalize([llm]) == [0.5]
 
 
 @given(st.lists(st.tuples(st.floats(0.2, 0.7), st.floats(0, 1)), min_size=2, max_size=6), st.floats(-0.2, 0.3))
