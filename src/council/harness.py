@@ -2,11 +2,12 @@
 
 A run maps a task file through the planner and writes two artifacts into the
 output directory: ``metrics.jsonl`` (one row per task, then one summary line)
-and ``trace.jsonl`` (per-iteration search events). Each task's trace lines
-are written as the task finishes, in task order, to a temp file that is
-renamed into place after the last task, so a run holds the trace of no task
-it has finished with. All output is generated with sorted keys and no timestamps,
-so a rerun with the same seed produces byte-identical files.
+and ``trace.jsonl`` (per-iteration search events). Every file is written
+by :func:`atomic_lines`: to a temp file beside it, renamed into place once
+complete. Each task's trace lines reach the trace's temp file as the task
+finishes, in task order, so a run holds the trace of no task it has finished
+with. All output is generated with sorted keys and no timestamps, so a rerun
+with the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import copy
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import takewhile
 from pathlib import Path
 from random import Random
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 from .config import (
     ROUTING_STRATEGIES,
@@ -61,7 +62,7 @@ def check_destination(path: str | Path) -> Path:
     result goes there: ``path`` must not be a directory, and the nearest of
     its parents that exists must be a writable directory. Nothing is made:
     the missing parents are made when the file is written (see
-    :class:`LineWriter`). A failure raises ValueError naming ``path`` and
+    :func:`atomic_lines`). A failure raises ValueError naming ``path`` and
     what is wrong with it. Returns ``path`` as a Path."""
     path = Path(path)
     if path.is_dir():
@@ -74,77 +75,44 @@ def check_destination(path: str | Path) -> Path:
     return path
 
 
-class LineWriter:
-    """One file of canonical JSON lines, written atomically.
-
-    Opening checks ``path`` with :func:`check_destination`, makes its
-    missing parents and opens a temp file beside it. :meth:`commit` moves
-    the temp file onto ``path`` once every line is written. Leaving the
-    ``with`` block without a commit, by an error or otherwise, deletes the
-    temp file and the parents that opening made, so a failed or interrupted
-    write leaves the file system, and any earlier file at ``path``, as it
-    was.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = check_destination(path)
-        self.count = 0
-        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        self._made = list(takewhile(lambda parent: not parent.exists(), self.path.parents))
-        self._handle = None
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self._tmp, "w", encoding="utf-8")
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> LineWriter:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def write(self, row) -> None:
-        self._handle.write(dump_json(row) + "\n")
-        self.count += 1
-
-    def flush(self) -> None:
-        """Hand the lines written so far to the temp file."""
-        self._handle.flush()
-
-    def commit(self) -> Path:
-        """Move the finished file onto ``path``; returns ``path``."""
-        self._handle.close()
-        os.replace(self._tmp, self.path)
-        self._made.clear()
-        return self.path
-
-    def close(self) -> None:
-        """Drop an uncommitted file and the parents opening made; after a
-        commit, nothing is left to drop."""
-        if self._handle is not None:
-            self._handle.close()
-        self._tmp.unlink(missing_ok=True)
-        for directory in self._made:
+@contextmanager
+def atomic_lines(path: str | Path) -> Iterator[TextIO]:
+    """Write one file atomically: check ``path`` with
+    :func:`check_destination`, make its missing parents and yield the text
+    handle of a temp file beside it, which is moved onto ``path`` when the
+    block ends. Leaving the block by any exception, or failing the move,
+    deletes the temp file and the parents made here, so a failed or
+    interrupted write leaves the file system, and any earlier file at
+    ``path``, as it was."""
+    path = check_destination(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    made = list(takewhile(lambda parent: not parent.exists(), path.parents))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        for directory in made:
             with suppress(OSError):
                 directory.rmdir()
-        self._made.clear()
+        raise
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> int:
-    """Write one canonical JSON line per row through a :class:`LineWriter`,
-    so atomically; returns the line count.
+    """Write one canonical JSON line per row through :func:`atomic_lines`;
+    returns the line count.
 
     A ``path`` that :func:`check_destination` refuses is refused before any
     row is read. ``rows`` is consumed as it is written, so a generator's
     rows need never all be held at once.
     """
-    with LineWriter(path) as out:
-        for row in rows:
-            out.write(row)
-        out.commit()
-    return out.count
+    count = 0
+    with atomic_lines(path) as handle:
+        for count, row in enumerate(rows, start=1):
+            handle.write(dump_json(row) + "\n")
+    return count
 
 
 def _read_jsonl(path: str | Path, kind: str, consume: Callable[[Iterable], object]):
@@ -363,10 +331,10 @@ def run_tasks(
 
     Results are taken in task order, from the pool's in-order iterator under
     ``workers > 1``. Given ``out_dir``, each task's trace lines go to the
-    trace's temp file as soon as the task's result is taken, and
-    :func:`write_run_files` writes the metrics and renames the trace into
-    place after the last task; a task that raises leaves neither file. With
-    no ``out_dir``, no trace is recorded.
+    trace's temp file as soon as the task's result is taken. After the last
+    task :func:`write_run_files` writes the metrics, then the trace is
+    renamed into place; a task that raises leaves neither file. With no
+    ``out_dir``, no trace is recorded.
     """
     if shared and workers > 1:
         raise ValueError("shared memory cannot run with workers > 1")
@@ -399,7 +367,7 @@ def run_tasks(
     with ExitStack() as stack:
         trace_file = None
         if out_dir is not None:
-            trace_file = stack.enter_context(LineWriter(Path(out_dir) / TRACE_FILENAME))
+            trace_file = stack.enter_context(atomic_lines(Path(out_dir) / TRACE_FILENAME))
         if workers > 1:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
             results = pool.map(run_one, enumerate(tasks))
@@ -410,23 +378,20 @@ def run_tasks(
             if trace_file is not None:
                 head = {key: row[key] for key in ("index", "task_id", "episode_id")}
                 for event in trace:
-                    trace_file.write({**head, **event})
+                    trace_file.write(dump_json({**head, **event}) + "\n")
                 trace_file.flush()
         summary = summarize(rows, warmup_tasks, _backend_usage(council))
         output = RunOutput(rows=rows, summary=summary)
         if trace_file is not None:
-            output.out_dir = write_run_files(out_dir, rows, summary, trace_file)
+            output.out_dir = write_run_files(out_dir, rows, summary)
     return output
 
 
-def write_run_files(
-    out_dir: str | Path, rows: list[dict], summary: dict, trace: LineWriter
-) -> Path:
-    """Write ``metrics.jsonl`` into ``out_dir``, then move the finished
-    trace, whose lines ``trace`` already holds, into place beside it."""
+def write_run_files(out_dir: str | Path, rows: list[dict], summary: dict) -> Path:
+    """Write ``metrics.jsonl`` into ``out_dir``; the trace beside it is
+    renamed into place by :func:`run_tasks` once this returns."""
     out_dir = Path(out_dir)
     write_jsonl(out_dir / METRICS_FILENAME, [*rows, {"summary": summary}])
-    trace.commit()
     return out_dir
 
 
@@ -445,20 +410,30 @@ def check_tasks(tasks: list[TaskSpec], env: Environment, env_name: str, source: 
             raise ValueError(f"{source}: {exc}") from None
 
 
-def _check_output_paths(config: RunConfig) -> None:
+def _check_output_paths(
+    config: RunConfig, names: Iterable[str] = (METRICS_FILENAME, TRACE_FILENAME)
+) -> None:
     """Check that a run can write its outputs before it reads a task: the
-    two files it writes in ``out_dir`` and ``memory.save_path`` must pass
-    :func:`check_destination`. Nothing is made. A path that fails raises
+    files ``names`` in ``out_dir`` and ``memory.save_path`` must pass
+    :func:`check_destination` and be different files, none of them
+    ``tasks_path`` or ``memory.load_path``, except that ``memory.save_path``
+    may be ``memory.load_path`` to update that file in place. Paths are
+    compared resolved. Nothing is made. A path that fails raises
     ConfigKeyError naming its key."""
+    inputs = [("memory.load_path", config.memory.load_path), ("tasks_path", config.tasks_path)]
+    claimed = {Path(path).resolve(): (key, "reads") for key, path in inputs if path is not None}
     paths = []
     if config.out_dir is not None:
-        paths = [("out_dir", Path(config.out_dir) / METRICS_FILENAME),
-                 ("out_dir", Path(config.out_dir) / TRACE_FILENAME)]
+        paths = [("out_dir", Path(config.out_dir) / name) for name in names]
     if config.memory.save_path is not None:
         paths.append(("memory.save_path", config.memory.save_path))
     for key, path in paths:
         try:
-            check_destination(path)
+            resolved = check_destination(path).resolve()
+            other, verb = claimed.get(resolved, (None, None))
+            if other is not None and (key, other) != ("memory.save_path", "memory.load_path"):
+                raise ValueError(f"cannot write '{path}': '{other}' {verb} that file")
+            claimed[resolved] = (key, "writes")
         except ValueError as exc:
             raise ConfigKeyError(key, str(exc)) from None
 
@@ -571,26 +546,32 @@ def run_ablation(
     """Run every variant of an axis across seeds; write and return a report.
 
     Per-variant aggregates are means over seeds of the scored success rate
-    and of expanded nodes per successful task.
+    and of expanded nodes per successful task. The report's path and every
+    variant's run files are checked before the first variant runs.
     """
     base_out = Path(config.out_dir)
-    rows: list[dict] = []
+    _check_output_paths(config, ["ablation.json"])
+    runs: list[tuple[str, RunConfig]] = []
     for name, variant in ablation_variants(config, axis):
         for seed in seeds:
             run_config = copy.deepcopy(variant)
             run_config.seed = seed
             run_config.out_dir = str(base_out / f"{axis}-{name}-s{seed}")
-            output = run(run_config, tasks=tasks)
-            rows.append(
-                {
-                    "variant": name,
-                    "seed": seed,
-                    "scored_success_rate": output.summary["scored_success_rate"],
-                    "success_rate": output.summary["success_rate"],
-                    "nodes_per_success": output.summary["nodes_per_success"],
-                    "mean_nodes_expanded": output.summary["mean_nodes_expanded"],
-                }
-            )
+            _check_output_paths(run_config)
+            runs.append((name, run_config))
+    rows: list[dict] = []
+    for name, run_config in runs:
+        output = run(run_config, tasks=tasks)
+        rows.append(
+            {
+                "variant": name,
+                "seed": run_config.seed,
+                "scored_success_rate": output.summary["scored_success_rate"],
+                "success_rate": output.summary["success_rate"],
+                "nodes_per_success": output.summary["nodes_per_success"],
+                "mean_nodes_expanded": output.summary["mean_nodes_expanded"],
+            }
+        )
     variants_seen = list(dict.fromkeys(row["variant"] for row in rows))
     aggregates = {}
     for name in variants_seen:

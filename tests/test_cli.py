@@ -388,6 +388,9 @@ def test_saving_unshared_memory_exits_two(tmp_path, capsys):
         ("--out-dir", "afile/sub", "out_dir"),
         ("--memory-save", "adir", "memory.save_path"),
         ("--memory-save", "afile/memory.jsonl", "memory.save_path"),
+        ("--memory-save", "out/metrics.jsonl", "memory.save_path"),
+        ("--memory-save", "tasks.jsonl", "memory.save_path"),
+        ("--memory-load", "out/../out/trace.jsonl", "out_dir"),
     ],
 )
 def test_a_bad_output_path_exits_two_naming_its_key_before_any_task(
@@ -431,9 +434,17 @@ GOOD_TASK = '{"task_id": "a", "environment": "game24", "payload": [1, 2, 3, 4]}\
         ["run", "--config", "no-tasks.json", "--memory-save", "m/n/mem.jsonl"],
         ["oracle", "bad-tasks.jsonl", "--out", "a/b/verdicts.jsonl"],
         ["memory", "save", "bad-memory.jsonl", "m/n/copy.jsonl"],
+        ["run", "--seed", "1", "--tasks", "tasks.jsonl", "--out-dir", "out",
+         "--memory-save", "out/metrics.jsonl"],
+        ["run", "--seed", "1", "--tasks", "o2/trace.jsonl", "--out-dir", "o2"],
+        ["ablation", "--axis", "value-signal", "--seed", "1", "--tasks", "tasks.jsonl",
+         "--iterations", "2", "--out-dir", "abl"],
+        ["ablation", "--axis", "value-signal", "--seed", "1", "--tasks", "o2/ablation.json",
+         "--iterations", "2", "--out-dir", "o2"],
     ],
     ids=["run-bad-task", "run-bad-memory", "run-bad-config", "oracle-bad-task",
-         "memory-save-bad-memory"],
+         "memory-save-bad-memory", "run-memory-save-onto-metrics", "run-trace-onto-tasks",
+         "ablation-report-is-a-directory", "ablation-report-onto-tasks"],
 )
 def test_a_refused_command_leaves_the_file_system_as_it_found_it(
     tmp_path, capsys, monkeypatch, command
@@ -444,6 +455,10 @@ def test_a_refused_command_leaves_the_file_system_as_it_found_it(
     (tmp_path / "no-tasks.json").write_text(
         '{"seed": 1, "out_dir": "a/b/out"}', encoding="utf-8"
     )
+    (tmp_path / "o2").mkdir()
+    (tmp_path / "o2" / "trace.jsonl").write_text(GOOD_TASK, encoding="utf-8")
+    (tmp_path / "o2" / "ablation.json").write_text(GOOD_TASK, encoding="utf-8")
+    (tmp_path / "abl" / "ablation.json").mkdir(parents=True)
     monkeypatch.chdir(tmp_path)
     before = tree(tmp_path)
     code = main(command)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 import tracemalloc
@@ -94,6 +95,63 @@ def test_a_destination_below_an_unwritable_directory_is_refused_and_nothing_made
         write_jsonl(path, [{"a": 1}])
     assert str(excinfo.value) == f"cannot write '{path}': '{tmp_path}' is not writable"
     assert list(tmp_path.iterdir()) == []
+
+
+def fail_in_block(monkeypatch):
+    raise ValueError("bad row")
+
+
+def interrupt_in_block(monkeypatch):
+    raise KeyboardInterrupt
+
+
+def fail_the_rename(monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(harness.os, "replace", refuse)
+
+
+@pytest.mark.parametrize(
+    "ending, error",
+    [(fail_in_block, ValueError), (interrupt_in_block, KeyboardInterrupt),
+     (fail_the_rename, OSError)],
+    ids=["block-raises", "block-interrupted", "rename-fails"],
+)
+def test_an_atomic_write_that_fails_leaves_no_trace_of_itself(
+    tmp_path, monkeypatch, ending, error
+):
+    def write(path: Path) -> None:
+        with pytest.raises(error):
+            with harness.atomic_lines(path) as handle:
+                handle.write("new\n")
+                handle.flush()
+                assert [p.name for p in path.parent.iterdir()
+                        if p.name.endswith(".tmp")] == [f".{path.name}.{os.getpid()}.tmp"]
+                ending(monkeypatch)
+
+    # A fresh path: the temp file and the parents made for it go.
+    write(tmp_path / "a" / "b" / "rows.jsonl")
+    assert list(tmp_path.iterdir()) == []
+    # An earlier file keeps its bytes and gets no temp sibling.
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b"old\n")
+    write(path)
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_an_atomic_write_that_ends_cleanly_moves_its_file_into_place(tmp_path):
+    path = tmp_path / "a" / "rows.jsonl"
+    with harness.atomic_lines(path) as handle:
+        handle.write("first\n")
+        assert not path.exists()
+    assert path.read_text(encoding="utf-8") == "first\n"
+    with harness.atomic_lines(path) as handle:
+        handle.write("second\n")
+        assert path.read_text(encoding="utf-8") == "first\n"
+    assert path.read_text(encoding="utf-8") == "second\n"
+    assert list(path.parent.iterdir()) == [path]
 
 
 # -- task files -----------------------------------------------------------------
@@ -400,6 +458,18 @@ def test_run_without_tasks_or_path_is_an_error(tmp_path):
     with pytest.raises(ValueError) as excinfo:
         run(config)
     assert "'tasks_path'" in str(excinfo.value)
+
+
+def test_a_run_may_save_its_memory_over_the_file_it_loaded(tmp_path):
+    path = saved_memory(tmp_path)
+    loaded = path.read_bytes()
+    config = synth_run_config(
+        tmp_path, out_dir=str(tmp_path / "warm"),
+        memory=MemoryConfig(load_path=str(path), save_path=f"{tmp_path}/./{path.name}"),
+    )
+    run(config, tasks=synth_tasks())
+    assert path.read_bytes() != loaded
+    assert sum(len(p) for p in load_memory(path).values()) > 0
 
 
 def test_memory_save_and_load_paths(tmp_path):
